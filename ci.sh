@@ -9,6 +9,9 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== live benchmark builds and passes its tests =="
+cargo test -q --release --manifest-path livebench/Cargo.toml
+
 echo "== rustfmt =="
 cargo fmt --all --check
 

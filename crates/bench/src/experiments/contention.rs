@@ -114,9 +114,7 @@ pub fn e9() -> Result<()> {
     // (c) Rolling propagation at several transaction-size targets.
     for target_rows in [32usize, 256, 4_096] {
         let w = setup(&format!("e9roll{target_rows}"))?;
-        let ctx = w
-            .ctx()
-            .with_blocking_capture(Duration::from_micros(200), Duration::from_secs(60));
+        let ctx = w.ctx();
         let mat = materialize(&ctx)?;
         let capture = spawn_capture_driver(w.engine.clone(), Duration::from_micros(200), 8_192);
         let prop = spawn_rolling_driver(

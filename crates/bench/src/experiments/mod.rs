@@ -83,7 +83,7 @@ pub fn all() -> Vec<Experiment> {
         ),
         (
             "e13",
-            "§5 ablation — capture lag delays HWM, not correctness",
+            "§5 ablation — starved capture driver: propagation captures inline",
             timeline::e13,
         ),
         (

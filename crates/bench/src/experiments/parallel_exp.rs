@@ -75,10 +75,7 @@ fn run_best(n: usize, workers: usize) -> Result<RunOutcome> {
 /// time.
 fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
     let c = Chain::setup(&format!("e16n{n}w{workers}t{trial}"), n)?;
-    let ctx = c
-        .ctx()
-        .with_workers(workers)
-        .with_blocking_capture(Duration::from_micros(50), Duration::from_secs(60));
+    let ctx = c.ctx().with_workers(workers);
     let mat = materialize(&ctx)?;
 
     // Seed every table, then churn: the propagation work is identical

@@ -114,8 +114,7 @@ fn run_config(
     let ctx = c
         .ctx()
         .with_workers(workers)
-        .with_lock_granularity(granularity)
-        .with_blocking_capture(Duration::from_micros(50), Duration::from_secs(60));
+        .with_lock_granularity(granularity);
     let mat = materialize(&ctx)?;
 
     let mut txn = ctx.engine.begin();

@@ -71,7 +71,9 @@ pub fn materialize(ctx: &MaintCtx) -> Result<Csn> {
 ///
 /// Fails with [`Error::BeyondHighWaterMark`] if `target` exceeds the view
 /// delta HWM and with [`Error::RollBackward`] if it precedes the current
-/// materialization time (rolling to the current time is a no-op).
+/// materialization time (rolling to the current time is a no-op). A roll
+/// whose window `σ_{mat, target}(VD)` nets to nothing advances the
+/// materialization time without committing a transaction.
 pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
     let mat = ctx.mv.mat_time();
     let hwm = ctx.mv.hwm();
@@ -119,14 +121,24 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
         }
         txn.apply_count(ctx.mv.mv_table, &tuple, count)?;
     }
-    ctx.mv.persist_mat_time(&mut txn, &ctx.engine, target)?;
     // Publish the new materialization time while the MV X lock is still
     // held (commit releases it): a reader that S-locks the MV and then
     // reads `mat_time` must never see the new contents with the old time.
-    ctx.mv.set_mat_time(target);
-    if let Err(e) = txn.commit() {
-        ctx.mv.set_mat_time(mat);
-        return Err(e);
+    if tuples_changed == 0 {
+        // An empty net leaves the MV as it was, so the roll commits
+        // nothing: the persisted control row may trail `mat_time`, and
+        // recovery from it re-propagates a window whose net is empty —
+        // the same contents. Committing here would hand propagation a new
+        // CSN to step over, which would let apply roll again, forever.
+        ctx.mv.set_mat_time(target);
+        txn.abort();
+    } else {
+        ctx.mv.persist_mat_time(&mut txn, &ctx.engine, target)?;
+        ctx.mv.set_mat_time(target);
+        if let Err(e) = txn.commit() {
+            ctx.mv.set_mat_time(mat);
+            return Err(e);
+        }
     }
     // Everything at or below the new apply position has been installed;
     // under a compaction policy, fold that history down to one record per

@@ -10,7 +10,7 @@
 
 use crate::view::ViewDef;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Result, Schema, TableId};
-use rolljoin_storage::{Engine, LockMode, Txn};
+use rolljoin_storage::{Engine, LockMode, Signal, Txn};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,6 +49,8 @@ pub struct MaterializedView {
     /// View delta high-water mark: `σ_{mat_time, hwm}(VD)` is a complete
     /// timed delta (paper Fig. 3). Advanced only by propagation.
     vd_hwm: AtomicU64,
+    /// Notified whenever `vd_hwm` advances; the apply driver waits on it.
+    hwm_progress: Arc<Signal>,
 }
 
 impl MaterializedView {
@@ -124,6 +126,7 @@ impl MaterializedView {
             vd_table,
             mat_time: AtomicU64::new(0),
             vd_hwm: AtomicU64::new(0),
+            hwm_progress: Arc::new(Signal::new()),
         })
     }
 
@@ -154,10 +157,18 @@ impl MaterializedView {
                 .vd_hwm
                 .compare_exchange_weak(cur, t, Ordering::Release, Ordering::Relaxed)
             {
-                Ok(_) => break,
+                Ok(_) => {
+                    self.hwm_progress.notify();
+                    break;
+                }
                 Err(c) => cur = c,
             }
         }
+    }
+
+    /// Signal notified whenever the high-water mark advances.
+    pub(crate) fn hwm_progress(&self) -> &Arc<Signal> {
+        &self.hwm_progress
     }
 
     /// Number of base relations.
@@ -210,6 +221,18 @@ mod tests {
         assert_eq!(m.hwm(), 5);
         m.set_hwm(9);
         assert_eq!(m.hwm(), 9);
+    }
+
+    #[test]
+    fn hwm_progress_signals_only_advances() {
+        let (_e, m) = mv();
+        let seen = m.hwm_progress().seq();
+        m.set_hwm(5);
+        let after = m.hwm_progress().seq();
+        assert!(after > seen);
+        m.set_hwm(5);
+        m.set_hwm(2);
+        assert_eq!(m.hwm_progress().seq(), after);
     }
 
     #[test]

@@ -7,6 +7,16 @@
 //! process, or both, can be suspended during periods of high system load"
 //! (paper §1) — so every driver here has suspend/resume/stop controls.
 //!
+//! The producer/consumer synchronization is a [`Signal`] per hand-off, not
+//! a fixed sleep: an idle propagate driver waits for the capture HWM to
+//! advance ([`Engine::capture_progress`]), an idle apply driver for the
+//! view-delta HWM (notified by [`crate::MaterializedView::set_hwm`]). Each
+//! driver's `poll`/`idle`/`period` argument bounds how long it waits
+//! without such a wake-up. Commits never notify anything — the capture
+//! driver keeps its own `poll` cadence, so updaters pay nothing for the
+//! hand-off. [`DriverHandle::stop`] and [`DriverHandle::resume`] notify the
+//! signal the driver waits on, so neither waits out a period.
+//!
 //! Propagation drivers retry on lock timeouts (a deadlock-resolution abort
 //! just means "try again"); any other error stops the driver and is
 //! returned by [`DriverHandle::stop`].
@@ -15,16 +25,42 @@ use crate::execute::MaintCtx;
 use crate::policy::IntervalPolicy;
 use crate::rolling::RollingPropagator;
 use rolljoin_common::{Csn, Error, Result};
-use rolljoin_storage::Engine;
+use rolljoin_storage::{Engine, Signal};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// Stop/suspend flags of one driver plus the signal it waits on.
+struct Control {
+    stop: AtomicBool,
+    suspend: AtomicBool,
+    wake: Arc<Signal>,
+}
+
+impl Control {
+    /// The driver loop: each pass snapshots the wake signal, exits if
+    /// stopped, runs `tick` unless suspended, and — unless `tick` reports
+    /// more work ready — waits up to `max_wait` for the signal to move
+    /// past the snapshot. Progress made while `tick` ran therefore wakes
+    /// the next pass immediately.
+    fn run(&self, max_wait: Duration, mut tick: impl FnMut() -> Result<bool>) -> Result<()> {
+        loop {
+            let seen = self.wake.seq();
+            if self.stop.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            let busy = !self.suspend.load(Ordering::Acquire) && tick()?;
+            if !busy {
+                self.wake.wait_past(seen, max_wait);
+            }
+        }
+    }
+}
+
 /// Control handle for a background driver thread.
 pub struct DriverHandle {
-    stop: Arc<AtomicBool>,
-    suspend: Arc<AtomicBool>,
+    ctl: Arc<Control>,
     handle: Option<JoinHandle<Result<()>>>,
     name: &'static str,
 }
@@ -32,18 +68,21 @@ pub struct DriverHandle {
 impl DriverHandle {
     fn spawn(
         name: &'static str,
-        f: impl FnOnce(Arc<AtomicBool>, Arc<AtomicBool>) -> Result<()> + Send + 'static,
+        wake: Arc<Signal>,
+        f: impl FnOnce(&Control) -> Result<()> + Send + 'static,
     ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let suspend = Arc::new(AtomicBool::new(false));
-        let (s2, p2) = (stop.clone(), suspend.clone());
+        let ctl = Arc::new(Control {
+            stop: AtomicBool::new(false),
+            suspend: AtomicBool::new(false),
+            wake,
+        });
+        let c2 = ctl.clone();
         let handle = std::thread::Builder::new()
             .name(name.to_string())
-            .spawn(move || f(s2, p2))
+            .spawn(move || f(&c2))
             .expect("spawn driver thread");
         DriverHandle {
-            stop,
-            suspend,
+            ctl,
             handle: Some(handle),
             name,
         }
@@ -51,12 +90,13 @@ impl DriverHandle {
 
     /// Pause the driver's loop (paper: suspend during high load).
     pub fn suspend(&self) {
-        self.suspend.store(true, Ordering::Release);
+        self.ctl.suspend.store(true, Ordering::Release);
     }
 
-    /// Resume a suspended driver.
+    /// Resume a suspended driver, waking it at once.
     pub fn resume(&self) {
-        self.suspend.store(false, Ordering::Release);
+        self.ctl.suspend.store(false, Ordering::Release);
+        self.ctl.wake.notify();
     }
 
     /// True while the driver thread is alive.
@@ -64,9 +104,10 @@ impl DriverHandle {
         self.handle.as_ref().is_some_and(|h| !h.is_finished())
     }
 
-    /// Signal stop and join, returning the driver's final result.
+    /// Signal stop (waking the driver) and join, returning the driver's
+    /// final result.
     pub fn stop(mut self) -> Result<()> {
-        self.stop.store(true, Ordering::Release);
+        self.signal_stop();
         match self.handle.take() {
             Some(h) => h
                 .join()
@@ -74,11 +115,16 @@ impl DriverHandle {
             None => Ok(()),
         }
     }
+
+    fn signal_stop(&self) {
+        self.ctl.stop.store(true, Ordering::Release);
+        self.ctl.wake.notify();
+    }
 }
 
 impl Drop for DriverHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.signal_stop();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -86,53 +132,44 @@ impl Drop for DriverHandle {
 }
 
 /// Spawn the capture driver: steps log capture every `poll`, at most
-/// `max_records_per_step` records per step. A small `max_records_per_step`
-/// with a long `poll` injects the capture lag experiment E13 studies.
+/// `max_records_per_step` records per step. Propagation steps capture
+/// inline whenever it needs deltas the driver has not ingested yet, so a
+/// starved driver (small `max_records_per_step`, long `poll` — the lag
+/// experiment E13 injects) delays only what propagation has not asked for.
 pub fn spawn_capture_driver(
     engine: Engine,
     poll: Duration,
     max_records_per_step: usize,
 ) -> DriverHandle {
-    DriverHandle::spawn("capture", move |stop, suspend| {
-        while !stop.load(Ordering::Acquire) {
-            if !suspend.load(Ordering::Acquire) {
-                engine.capture_step(max_records_per_step)?;
-            }
-            std::thread::sleep(poll);
-        }
+    DriverHandle::spawn("capture", Arc::new(Signal::new()), move |ctl| {
+        ctl.run(poll, || {
+            engine.capture_step(max_records_per_step)?;
+            Ok(false)
+        })?;
         // Final catch-up so nothing is stranded in the log.
-        engine.capture_catch_up()?;
-        Ok(())
+        engine.capture_catch_up()
     })
 }
 
 /// Spawn the rolling propagate driver: repeatedly performs Fig. 10
-/// iterations (argmin-frontier relation, policy-chosen interval), sleeping
-/// `idle` when there is nothing new to propagate.
+/// iterations (argmin-frontier relation, policy-chosen interval). When
+/// there is nothing new to propagate it waits for capture to advance, at
+/// most `idle`.
 pub fn spawn_rolling_driver(
     ctx: MaintCtx,
     t_initial: Csn,
     mut policy: Box<dyn IntervalPolicy>,
     idle: Duration,
 ) -> DriverHandle {
-    DriverHandle::spawn("propagate", move |stop, suspend| {
+    let wake = ctx.engine.capture_progress().clone();
+    DriverHandle::spawn("propagate", wake, move |ctl| {
         let mut rp = RollingPropagator::new(ctx, t_initial);
-        while !stop.load(Ordering::Acquire) {
-            if suspend.load(Ordering::Acquire) {
-                std::thread::sleep(idle);
-                continue;
-            }
-            match rp.step(policy.as_mut()) {
-                Ok(Some(_)) => {}
-                Ok(None) => std::thread::sleep(idle),
-                Err(Error::LockTimeout { .. }) => {
-                    // Deadlock-resolution abort: back off and retry.
-                    std::thread::sleep(idle);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+        ctl.run(idle, || match rp.step(policy.as_mut()) {
+            Ok(step) => Ok(step.is_some()),
+            // Deadlock-resolution abort: back off and retry.
+            Err(Error::LockTimeout { .. }) => Ok(false),
+            Err(e) => Err(e),
+        })
     })
 }
 
@@ -146,34 +183,29 @@ pub fn spawn_rolling_driver(
 /// propagate or apply beyond the LWM itself — it can be suspended and
 /// resumed freely like the paper's other background processes.
 pub fn spawn_compaction_driver(ctx: MaintCtx, period: Duration) -> DriverHandle {
-    DriverHandle::spawn("compact", move |stop, suspend| {
-        while !stop.load(Ordering::Acquire) {
-            if !suspend.load(Ordering::Acquire) {
-                ctx.compact_stores()?;
-            }
-            std::thread::sleep(period);
-        }
-        Ok(())
+    DriverHandle::spawn("compact", Arc::new(Signal::new()), move |ctl| {
+        ctl.run(period, || {
+            ctx.compact_stores()?;
+            Ok(false)
+        })
     })
 }
 
-/// Spawn the apply driver: every `period`, rolls the materialized view
-/// forward to the current view-delta high-water mark.
+/// Spawn the apply driver: rolls the materialized view forward to the
+/// view-delta high-water mark whenever propagation advances it, waiting
+/// at most `period` between checks.
 pub fn spawn_apply_driver(ctx: MaintCtx, period: Duration) -> DriverHandle {
-    DriverHandle::spawn("apply", move |stop, suspend| {
-        while !stop.load(Ordering::Acquire) {
-            if !suspend.load(Ordering::Acquire) {
-                let target = ctx.mv.hwm();
-                if target > ctx.mv.mat_time() {
-                    match crate::apply::roll_to(&ctx, target) {
-                        Ok(_) => {}
-                        Err(Error::LockTimeout { .. }) => {}
-                        Err(e) => return Err(e),
-                    }
+    let wake = ctx.mv.hwm_progress().clone();
+    DriverHandle::spawn("apply", wake, move |ctl| {
+        ctl.run(period, || {
+            let target = ctx.mv.hwm();
+            if target > ctx.mv.mat_time() {
+                match crate::apply::roll_to(&ctx, target) {
+                    Ok(_) | Err(Error::LockTimeout { .. }) => {}
+                    Err(e) => return Err(e),
                 }
             }
-            std::thread::sleep(period);
-        }
-        Ok(())
+            Ok(false)
+        })
     })
 }

@@ -8,11 +8,12 @@
 //! is exactly the time at which the base tables were seen, because the S
 //! locks were held through commit.
 //!
-//! Before reading a delta range ending at `t`, the process must wait for
-//! log capture to have ingested every commit ≤ `t` (the paper's prototype
-//! likewise waits for DPropR to catch up, §5). [`CaptureWait`] selects
-//! between stepping capture inline (single-process setups) and blocking on
-//! a background capture driver.
+//! Before reading a delta range ending at `t`, log capture must have
+//! ingested every commit ≤ `t` (the paper's prototype waits for DPropR to
+//! catch up, §5). Rather than wait for a background capture driver's next
+//! poll, propagation steps capture inline
+//! ([`MaintCtx::ensure_captured`]); the capture process sits behind one
+//! mutex, so the propagation thread and a capture driver share it.
 
 use crate::control::MaterializedView;
 use crate::metering::CoreMeters;
@@ -42,18 +43,6 @@ pub struct QuerySpanCtx {
     pub rel: Option<usize>,
 }
 
-/// How maintenance waits for the capture high-water mark to reach a CSN.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum CaptureWait {
-    /// Step the capture process inline until it catches up. Right choice
-    /// when no background capture driver is running.
-    #[default]
-    Inline,
-    /// Poll until a background capture driver catches up, giving up after
-    /// the timeout (surfaced as [`Error::Internal`]).
-    Block { poll: Duration, timeout: Duration },
-}
-
 /// Outcome of one executed propagation query.
 #[derive(Debug, Clone)]
 pub struct ExecOutcome {
@@ -70,7 +59,6 @@ pub struct MaintCtx {
     pub engine: Engine,
     pub mv: Arc<MaterializedView>,
     pub stats: Arc<PropStats>,
-    pub capture_wait: CaptureWait,
     /// Skip a propagation query (and its entire compensation subtree) when
     /// its newly-introduced delta slot is empty — every query in the
     /// subtree contains that same empty slot, so all results are provably
@@ -95,7 +83,7 @@ pub struct MaintCtx {
 }
 
 impl MaintCtx {
-    /// Build a context with inline capture.
+    /// Build a context.
     pub fn new(engine: Engine, mv: Arc<MaterializedView>) -> Self {
         let obs = Obs::disabled();
         let meters = Arc::new(CoreMeters::new(&obs.meter));
@@ -103,7 +91,6 @@ impl MaintCtx {
             engine,
             mv,
             stats: Arc::new(PropStats::new()),
-            capture_wait: CaptureWait::Inline,
             skip_empty: true,
             tuning: ExecTuning::default(),
             scan_cache: Arc::new(ScanCache::new()),
@@ -113,9 +100,11 @@ impl MaintCtx {
         }
     }
 
-    /// Use a blocking capture wait (background capture driver running).
-    pub fn with_blocking_capture(mut self, poll: Duration, timeout: Duration) -> Self {
-        self.capture_wait = CaptureWait::Block { poll, timeout };
+    /// No-op, kept for source compatibility: maintenance used to poll for a
+    /// background capture driver here. It now always steps capture inline
+    /// (see [`MaintCtx::ensure_captured`]), which is correct with or
+    /// without a capture driver running.
+    pub fn with_blocking_capture(self, _poll: Duration, _timeout: Duration) -> Self {
         self
     }
 
@@ -229,7 +218,10 @@ impl MaintCtx {
         Ok(report)
     }
 
-    /// Wait until the capture HWM reaches `csn`.
+    /// Make sure the capture HWM has reached `csn`, stepping capture inline
+    /// until it does. A capture driver may be stepping concurrently; the
+    /// two share the engine's capture process. Errors for CSNs beyond the
+    /// latest commit.
     pub fn ensure_captured(&self, csn: Csn) -> Result<()> {
         if csn > self.engine.current_csn() {
             return Err(Error::Internal(format!(
@@ -237,32 +229,15 @@ impl MaintCtx {
                 self.engine.current_csn()
             )));
         }
-        match self.capture_wait {
-            CaptureWait::Inline => {
-                while self.engine.capture_hwm() < csn {
-                    let n = self.engine.capture_step(4096)?;
-                    if n == 0 && self.engine.capture_hwm() < csn {
-                        return Err(Error::Internal(format!(
-                            "capture exhausted the log below CSN {csn}"
-                        )));
-                    }
-                }
-                Ok(())
-            }
-            CaptureWait::Block { poll, timeout } => {
-                let start = Instant::now();
-                while self.engine.capture_hwm() < csn {
-                    if start.elapsed() > timeout {
-                        return Err(Error::Internal(format!(
-                            "timed out waiting for capture to reach CSN {csn} (hwm {})",
-                            self.engine.capture_hwm()
-                        )));
-                    }
-                    std::thread::sleep(poll);
-                }
-                Ok(())
+        while self.engine.capture_hwm() < csn {
+            let n = self.engine.capture_step(4096)?;
+            if n == 0 && self.engine.capture_hwm() < csn {
+                return Err(Error::Internal(format!(
+                    "capture exhausted the log below CSN {csn}"
+                )));
             }
         }
+        Ok(())
     }
 
     /// Fetch one delta slot's *full* range through the step-scoped scan

@@ -47,7 +47,7 @@ pub use driver::{
     spawn_apply_driver, spawn_capture_driver, spawn_compaction_driver, spawn_rolling_driver,
     DriverHandle,
 };
-pub use execute::{CaptureWait, ExecOutcome, MaintCtx, QuerySpanCtx};
+pub use execute::{ExecOutcome, MaintCtx, QuerySpanCtx};
 pub use metering::CoreMeters;
 pub use policy::{
     CompactionPolicy, ExecTuning, FullWidth, IntervalPolicy, LatencyBudget, PerRelationInterval,

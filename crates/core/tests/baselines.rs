@@ -4,8 +4,8 @@
 use rolljoin_common::{tup, ColumnType, Schema, TableId};
 use rolljoin_core::{
     full_refresh, materialize, oracle, roll_to, spawn_apply_driver, spawn_capture_driver,
-    spawn_rolling_driver, sync_propagate_eq1, sync_propagate_eq2, AggFn, AggSpec, CaptureWait,
-    MaintCtx, MaterializedView, SummaryView, UniformInterval, ViewDef,
+    spawn_rolling_driver, sync_propagate_eq1, sync_propagate_eq2, AggFn, AggSpec, MaintCtx,
+    MaterializedView, SummaryView, UniformInterval, ViewDef,
 };
 
 use rolljoin_relalg::JoinSpec;
@@ -237,13 +237,6 @@ fn summary_view_rejects_bad_specs() {
 fn driver_trio_runs_end_to_end() {
     let (ctx, r, s) = two_way();
     let mat = materialize(&ctx).unwrap();
-    let ctx = MaintCtx {
-        capture_wait: CaptureWait::Block {
-            poll: Duration::from_millis(1),
-            timeout: Duration::from_secs(10),
-        },
-        ..ctx
-    };
     let capture = spawn_capture_driver(ctx.engine.clone(), Duration::from_millis(1), 512);
     let prop = spawn_rolling_driver(
         ctx.clone(),

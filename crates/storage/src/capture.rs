@@ -59,9 +59,9 @@ impl Capture {
     /// Process up to `max_records` WAL records. Returns the number
     /// processed (0 means caught up).
     pub fn step(&mut self, max_records: usize) -> Result<usize> {
-        let records = self.wal.read_from(self.pos)?;
-        let take = records.len().min(max_records);
-        for rec in &records[..take] {
+        let records = self.wal.read_from(self.pos, max_records)?;
+        let take = records.len();
+        for rec in &records {
             self.apply(rec);
         }
         self.pos += take as Lsn;

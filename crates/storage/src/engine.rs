@@ -26,6 +26,7 @@
 use crate::capture::Capture;
 use crate::delta::{DeltaStore, VdUndo, ViewDeltaStore};
 use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager, LockMode};
+use crate::signal::Signal;
 use crate::table::BaseTable;
 use crate::uow::UnitOfWork;
 use crate::wal::{Wal, WalRecord};
@@ -73,6 +74,8 @@ struct EngineInner {
     last_csn: AtomicU64,
     capture: Mutex<Capture>,
     capture_hwm: Arc<AtomicU64>,
+    /// Notified whenever the capture HWM advances (never by commit).
+    capture_progress: Arc<Signal>,
     clock_origin: Instant,
 }
 
@@ -112,6 +115,7 @@ impl Engine {
                 last_csn: AtomicU64::new(0),
                 capture: Mutex::new(Capture::new(wal, capture_hwm.clone())),
                 capture_hwm,
+                capture_progress: Arc::new(Signal::new()),
                 clock_origin: Instant::now(),
             }),
         }
@@ -318,12 +322,32 @@ impl Engine {
 
     /// Run capture until it has processed the whole log.
     pub fn capture_catch_up(&self) -> Result<()> {
-        self.inner.capture.lock().catch_up()
+        self.capturing(|c| c.catch_up())
     }
 
     /// Process up to `max_records` WAL records; returns number processed.
+    /// Any thread may step capture: the capture driver on its poll cadence
+    /// and propagation inline when it needs deltas capture has not reached.
     pub fn capture_step(&self, max_records: usize) -> Result<usize> {
-        self.inner.capture.lock().step(max_records)
+        self.capturing(|c| c.step(max_records))
+    }
+
+    /// Run `f` on the capture process, then notify
+    /// [`Engine::capture_progress`] if the capture HWM moved.
+    fn capturing<T>(&self, f: impl FnOnce(&mut Capture) -> Result<T>) -> Result<T> {
+        let before = self.capture_hwm();
+        let out = f(&mut self.inner.capture.lock());
+        if self.capture_hwm() > before {
+            self.inner.capture_progress.notify();
+        }
+        out
+    }
+
+    /// Signal notified whenever the capture HWM advances. Commits do not
+    /// notify it: consumers see new commits once capture (a driver or an
+    /// inline step) has ingested them.
+    pub fn capture_progress(&self) -> &Arc<Signal> {
+        &self.inner.capture_progress
     }
 
     /// The capture high-water mark: base deltas are complete through here.

@@ -16,6 +16,7 @@
 //! * [`capture`] — the asynchronous log-capture process (DPropR analogue)
 //!   that populates base delta stores and publishes a capture high-water
 //!   mark.
+//! * [`signal`] — progress signals the pipeline's drivers block on.
 //! * [`delta`] — base delta stores (`Δ^R`, CSN-ordered) and view delta
 //!   stores (timestamp-keyed, out-of-order inserts).
 //! * [`engine`] — the transaction API tying it all together.
@@ -27,6 +28,7 @@ pub mod engine;
 pub mod heap;
 pub mod lock;
 pub mod page;
+pub mod signal;
 pub mod table;
 pub mod uow;
 pub mod wal;
@@ -39,6 +41,7 @@ pub use lock::{
     stripe_of, GranStats, GranStatsSnapshot, LockGranularity, LockKey, LockManager, LockMode,
     LockStats, LockStatsSnapshot, DEFAULT_STRIPES, WAIT_HIST_BUCKETS,
 };
+pub use signal::Signal;
 pub use table::BaseTable;
 pub use uow::{UnitOfWork, UowEntry};
 pub use wal::{Lsn, Wal, WalRecord};

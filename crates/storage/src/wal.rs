@@ -348,14 +348,27 @@ impl Wal {
         self.inner.lock().bytes.len()
     }
 
-    /// Decode and return records `[from, len)`. Capture calls this to tail
-    /// the log.
-    pub fn read_from(&self, from: Lsn) -> Result<Vec<WalRecord>> {
-        let inner = self.inner.lock();
+    /// Decode and return up to `max` records starting at LSN `from`.
+    /// Capture calls this to tail the log. Only the raw frames are copied
+    /// under the log mutex (which every commit's [`Wal::append`] needs);
+    /// CRC checks and decoding happen after it is released.
+    pub fn read_from(&self, from: Lsn, max: usize) -> Result<Vec<WalRecord>> {
+        let frames = {
+            let inner = self.inner.lock();
+            let from = (from as usize).min(inner.offsets.len());
+            let to = from.saturating_add(max).min(inner.offsets.len());
+            if from == to {
+                return Ok(Vec::new());
+            }
+            let end = inner.offsets.get(to).copied().unwrap_or(inner.bytes.len());
+            inner.bytes[inner.offsets[from]..end].to_vec()
+        };
         let mut out = Vec::new();
-        for idx in (from as usize)..inner.offsets.len() {
-            let off = inner.offsets[idx];
-            out.push(Self::decode_frame(&inner.bytes, off)?.0);
+        let mut off = 0;
+        while off < frames.len() {
+            let (rec, next) = Self::decode_frame(&frames, off)?;
+            out.push(rec);
+            off = next;
         }
         Ok(out)
     }
@@ -499,9 +512,24 @@ mod tests {
             wal.append(&rec);
         }
         assert_eq!(wal.len(), 7);
-        assert_eq!(wal.read_from(0).unwrap(), sample());
-        assert_eq!(wal.read_from(3).unwrap(), sample()[3..].to_vec());
-        assert_eq!(wal.read_from(7).unwrap(), vec![]);
+        assert_eq!(wal.read_from(0, usize::MAX).unwrap(), sample());
+        assert_eq!(
+            wal.read_from(3, usize::MAX).unwrap(),
+            sample()[3..].to_vec()
+        );
+        assert_eq!(wal.read_from(7, usize::MAX).unwrap(), vec![]);
+        assert_eq!(wal.read_from(9, 2).unwrap(), vec![]);
+    }
+
+    #[test]
+    fn read_from_honours_the_record_limit() {
+        let wal = Wal::new();
+        for rec in sample() {
+            wal.append(&rec);
+        }
+        assert_eq!(wal.read_from(1, 3).unwrap(), sample()[1..4].to_vec());
+        assert_eq!(wal.read_from(5, 3).unwrap(), sample()[5..].to_vec());
+        assert_eq!(wal.read_from(0, 0).unwrap(), vec![]);
     }
 
     #[test]

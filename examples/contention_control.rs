@@ -115,9 +115,7 @@ fn main() -> rolljoin::Result<()> {
 
     // --- Mode 3: rolling propagation, small steps ---------------------
     let w = setup("rolling")?;
-    let ctx = w
-        .ctx()
-        .with_blocking_capture(Duration::from_millis(1), Duration::from_secs(30));
+    let ctx = w.ctx();
     let mat = materialize(&ctx)?;
     let capture = spawn_capture_driver(w.engine.clone(), Duration::from_millis(1), 2048);
     let prop = spawn_rolling_driver(

@@ -16,9 +16,7 @@ use std::time::{Duration, Instant};
 #[test]
 fn concurrent_pipeline_stays_oracle_exact() {
     let w = TwoWay::setup("stress").unwrap();
-    let ctx = w
-        .ctx()
-        .with_blocking_capture(Duration::from_micros(500), Duration::from_secs(30));
+    let ctx = w.ctx();
     let mat = materialize(&ctx).unwrap();
 
     let capture = spawn_capture_driver(w.engine.clone(), Duration::from_micros(500), 4096);
@@ -95,13 +93,8 @@ fn concurrent_pipeline_stays_oracle_exact() {
     let end = ctx.engine.current_csn();
     // Finish propagation inline (driver stopped mid-flight) — continuing
     // from the existing HWM; the view delta below it is already complete
-    // and must not be re-propagated. The capture driver is gone, so switch
-    // back to inline capture.
-    let ctx_inline = rolljoin::core::MaintCtx {
-        capture_wait: rolljoin::core::CaptureWait::Inline,
-        ..ctx.clone()
-    };
-    let mut rp = rolljoin::core::RollingPropagator::new(ctx_inline.clone(), ctx.mv.hwm());
+    // and must not be re-propagated.
+    let mut rp = rolljoin::core::RollingPropagator::new(ctx.clone(), ctx.mv.hwm());
     rp.drain_to(end, &mut rolljoin::core::UniformInterval(64))
         .unwrap();
     roll_to(&ctx, end).unwrap();

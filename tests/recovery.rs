@@ -142,6 +142,101 @@ fn maintenance_resumes_after_crash() {
 }
 
 #[test]
+fn recovery_after_an_uncommitted_empty_roll_is_exact() {
+    // A roll whose window nets to nothing advances `mat_time` without
+    // committing, so the persisted control row trails it. Recovery from
+    // that older time must still be exact.
+    let w = TwoWay::setup("rec_empty").unwrap();
+    let ctx = w.ctx();
+    let mut txn = ctx.engine.begin();
+    txn.insert(w.r, tup![1, 5]).unwrap();
+    txn.insert(w.s, tup![5, 50]).unwrap();
+    txn.commit().unwrap();
+    let mat = materialize(&ctx).unwrap();
+    let mut txn = ctx.engine.begin();
+    txn.insert(w.r, tup![2, 5]).unwrap();
+    txn.commit().unwrap();
+    let mid = ctx.engine.current_csn();
+    let mut rp = RollingPropagator::new(ctx.clone(), mat);
+    rp.drain_to(mid, &mut UniformInterval(2)).unwrap();
+    assert!(roll_to(&ctx, mid).unwrap().tuples_changed > 0);
+    let persisted = ctx.engine.current_csn();
+
+    // Cancelling churn on a joining row: the view delta gets rows, but the
+    // window after `persisted` nets to nothing.
+    for _ in 0..3 {
+        let mut txn = ctx.engine.begin();
+        txn.insert(w.r, tup![3, 5]).unwrap();
+        txn.commit().unwrap();
+        let mut txn = ctx.engine.begin();
+        txn.delete_one(w.r, &tup![3, 5]).unwrap();
+        txn.commit().unwrap();
+    }
+    let end = ctx.engine.current_csn();
+    rp.drain_to(end, &mut UniformInterval(2)).unwrap();
+    assert!(
+        !ctx.engine
+            .vd_range(ctx.mv.vd_table, TimeInterval::new(persisted, end))
+            .unwrap()
+            .is_empty(),
+        "the churn reached the view delta"
+    );
+    let before = ctx.engine.current_csn();
+    let out = roll_to(&ctx, end).unwrap();
+    assert_eq!((out.rolled_to, out.tuples_changed), (end, 0));
+    assert_eq!(ctx.mv.mat_time(), end);
+    assert_eq!(
+        ctx.engine.current_csn(),
+        before,
+        "an empty roll commits nothing"
+    );
+
+    let e2 = crash(&ctx.engine);
+    let view2 = rolljoin::core::ViewDef::new(
+        &e2,
+        "rec_empty",
+        vec![
+            e2.table_id("rec_empty_r").unwrap(),
+            e2.table_id("rec_empty_s").unwrap(),
+        ],
+        (*ctx.mv.view).clone().spec,
+    )
+    .unwrap();
+    let mv2 = MaterializedView::reattach(&e2, view2).unwrap();
+    let restored = mv2.mat_time();
+    assert!(
+        (mid..end).contains(&restored),
+        "control row trails mat_time: {restored}"
+    );
+    let ctx2 = MaintCtx::new(e2.clone(), mv2);
+    assert_eq!(
+        oracle::mv_state(&e2, &ctx2.mv).unwrap(),
+        oracle::view_at(&e2, &ctx2.mv.view, restored).unwrap()
+    );
+
+    // Maintenance resumes from the restored time and stays exact.
+    let (r2, s2) = (ctx2.mv.view.bases[0], ctx2.mv.view.bases[1]);
+    for i in 0..6i64 {
+        let mut txn = e2.begin();
+        txn.insert(r2, tup![10 + i, 5]).unwrap();
+        txn.commit().unwrap();
+        if i % 2 == 0 {
+            let mut txn = e2.begin();
+            txn.insert(s2, tup![5, 60 + i]).unwrap();
+            txn.commit().unwrap();
+        }
+    }
+    let end2 = e2.current_csn();
+    let mut rp2 = RollingPropagator::new(ctx2.clone(), restored);
+    rp2.drain_to(end2, &mut UniformInterval(3)).unwrap();
+    roll_to(&ctx2, end2).unwrap();
+    assert_eq!(
+        oracle::mv_state(&e2, &ctx2.mv).unwrap(),
+        oracle::view_at(&e2, &ctx2.mv.view, end2).unwrap()
+    );
+}
+
+#[test]
 fn wal_file_round_trip() {
     let dir = std::env::temp_dir().join(format!("rolljoin_rec_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
