@@ -28,6 +28,6 @@ echo "== observability overhead bench =="
 cargo bench -p rolljoin-bench --bench obs_overhead
 
 echo "== docs =="
-cargo doc --no-deps --workspace
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "CI OK"

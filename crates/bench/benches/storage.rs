@@ -88,7 +88,7 @@ fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("scan");
     g.sample_size(20);
     g.throughput(Throughput::Elements(10_000));
-    g.bench_function("scan_10k_rows_from_pages", |b| {
+    g.bench_function("scan_10k_rows", |b| {
         b.iter(|| {
             let mut txn = e.begin();
             let rows = txn.scan(t).unwrap();

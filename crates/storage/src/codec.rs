@@ -1,13 +1,12 @@
 //! Binary encoding of tuples and primitive fields.
 //!
-//! The same codec backs both the slotted-page heap (tuples at rest) and the
-//! write-ahead log (tuples in change records), so a round-trip bug would be
-//! caught by either layer's tests — and by the proptest round-trip suite.
+//! The codec backs the write-ahead log (tuples in change records); the
+//! proptest round-trip suite checks encode∘decode = id.
 //!
 //! Layout of an encoded tuple: `varint(arity)` followed by one encoded value
 //! per column. Values are a tag byte then a tag-specific payload. Integers
 //! use zigzag + LEB128 varints so small values (the common case for keys)
-//! stay small on the page.
+//! stay small in the log.
 
 use rolljoin_common::{Error, Result, Tuple, Value};
 

@@ -635,62 +635,6 @@ impl Engine {
         }
     }
 
-    /// Heap pages of a base table; for reporting.
-    pub fn table_pages(&self, table: TableId) -> Result<usize> {
-        let e = self.base_entry(table)?;
-        match &e.store {
-            TableStore::Base { table, .. } => Ok(table.lock().page_count()),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Replay a WAL image into per-table multisets, applying only committed
-    /// transactions. This is the recovery path: after a crash the base
-    /// tables can be rebuilt from the log alone.
-    pub fn replay_committed(bytes: &[u8]) -> Result<HashMap<TableId, HashMap<Tuple, i64>>> {
-        let records = Wal::recover(bytes)?;
-        let mut staged: HashMap<TxnId, Vec<(TableId, i64, Tuple)>> = HashMap::new();
-        let mut out: HashMap<TableId, HashMap<Tuple, i64>> = HashMap::new();
-        for rec in records {
-            match rec {
-                WalRecord::Begin { .. } => {}
-                WalRecord::Insert { txn, table, tuple } => {
-                    staged.entry(txn).or_default().push((table, 1, tuple));
-                }
-                WalRecord::Delete { txn, table, tuple } => {
-                    staged.entry(txn).or_default().push((table, -1, tuple));
-                }
-                WalRecord::Apply {
-                    txn,
-                    table,
-                    count,
-                    tuple,
-                } => {
-                    staged.entry(txn).or_default().push((table, count, tuple));
-                }
-                WalRecord::Commit { txn, .. } => {
-                    for (table, count, tuple) in staged.remove(&txn).unwrap_or_default() {
-                        let m = out.entry(table).or_default();
-                        let e = m.entry(tuple.clone()).or_insert(0);
-                        *e += count;
-                        if *e == 0 {
-                            m.remove(&tuple);
-                        }
-                    }
-                }
-                WalRecord::Abort { txn } => {
-                    staged.remove(&txn);
-                }
-                WalRecord::CreateTable { .. }
-                | WalRecord::CreateIndex { .. }
-                | WalRecord::CreateDeltaIndex { .. } => {}
-            }
-        }
-        Ok(out)
-    }
-}
-
-impl Engine {
     /// Rebuild a full engine from a WAL image: catalog (tables and
     /// indexes), base/MV table contents (committed transactions only),
     /// delta stores (by replaying capture over the whole log), the
@@ -1376,11 +1320,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_committed_rebuilds_state() {
+    fn recovery_nets_committed_changes_only() {
         let (e, t) = engine_with_table();
         let mut txn = e.begin();
         txn.insert(t, tup![1, "a"]).unwrap();
         txn.insert(t, tup![1, "a"]).unwrap();
+        txn.insert(t, tup![2, "b"]).unwrap();
+        txn.insert(t, tup![2, "b"]).unwrap();
         txn.commit().unwrap();
         let mut txn = e.begin();
         txn.delete_one(t, &tup![1, "a"]).unwrap();
@@ -1389,9 +1335,20 @@ mod tests {
         txn.insert(t, tup![9, "dead"]).unwrap();
         txn.abort();
 
-        let state = Engine::replay_committed(&e.wal().snapshot_bytes()).unwrap();
-        assert_eq!(state[&t][&tup![1, "a"]], 1);
-        assert!(!state[&t].contains_key(&tup![9, "dead"]));
+        let r = Engine::recover_from_bytes(&e.wal().snapshot_bytes()).unwrap();
+        let mut txn = r.begin();
+        assert_eq!(txn.count_of(t, &tup![1, "a"]).unwrap(), 1, "delete netted");
+        assert_eq!(
+            txn.count_of(t, &tup![9, "dead"]).unwrap(),
+            0,
+            "abort absent"
+        );
+        assert_eq!(
+            txn.count_of(t, &tup![2, "b"]).unwrap(),
+            2,
+            "duplicates kept"
+        );
+        txn.commit().unwrap();
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! DB2 engine plus the DPropR log-capture tool. This crate is the
 //! from-scratch substitute for that substrate:
 //!
-//! * [`page`] / [`heap`] / [`table`] — slotted 8 KiB pages, heap files, and
-//!   multiset base tables with a tuple index.
-//! * [`wal`] — a CRC-guarded binary write-ahead log with recovery replay.
+//! * [`table`] — multiset base tables stored as `tuple → count` maps (the
+//!   delta stores' representation) with optional secondary indexes.
+//! * [`wal`] — a CRC-guarded binary write-ahead log with recovery replay;
+//!   the only durable state (tables are rebuilt from it on recovery).
 //! * [`lock`] — hierarchical strict-2PL locks (IS/IX/S/SIX/X at table
 //!   granularity plus S/X key stripes) with FIFO queues and timeout-based
 //!   deadlock resolution.
@@ -25,9 +26,7 @@ pub mod capture;
 pub mod codec;
 pub mod delta;
 pub mod engine;
-pub mod heap;
 pub mod lock;
-pub mod page;
 pub mod signal;
 pub mod table;
 pub mod uow;
@@ -36,7 +35,6 @@ pub mod wal;
 pub use capture::Capture;
 pub use delta::{CompactionStats, DeltaStore, ScanCache, ScanCacheStats, ViewDeltaStore};
 pub use engine::{Engine, Txn};
-pub use heap::RowId;
 pub use lock::{
     stripe_of, GranStats, GranStatsSnapshot, LockGranularity, LockKey, LockManager, LockMode,
     LockStats, LockStatsSnapshot, DEFAULT_STRIPES, WAIT_HIST_BUCKETS,

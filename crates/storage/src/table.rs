@@ -1,26 +1,26 @@
 //! Multiset base tables.
 //!
-//! A [`BaseTable`] stores tuples in a [`HeapFile`] (duplicates are separate
-//! heap records — tables are multisets, paper §2) and maintains a tuple →
-//! row-id index so `delete one copy of t` is O(1) in the number of distinct
-//! tuples.
+//! A [`BaseTable`] is a `tuple → count` map (paper §2: tables are
+//! multisets) — the same weighted-tuple representation the delta stores,
+//! `net_effect`, and the secondary indexes use. Durability comes from the
+//! write-ahead log alone; recovery rebuilds tables by replaying it.
 
-use crate::codec;
-use crate::heap::{HeapFile, RowId};
 use rolljoin_common::{Error, Result, Schema, TableId, Tuple, Value};
 use std::collections::HashMap;
 
-/// A multiset of tuples with a fixed schema, an implicit primary (whole
-/// tuple) index, and optional secondary indexes on single columns —
-/// propagation queries use the latter to probe base tables by the join
-/// keys appearing in a delta, instead of scanning (what an index on the
-/// join column buys the paper's DB2 prototype).
+/// A multiset of tuples with a fixed schema, stored as tuple → multiplicity,
+/// plus optional secondary indexes on single columns — propagation queries
+/// use the latter to probe base tables by the join keys appearing in a
+/// delta, instead of scanning (what an index on the join column buys the
+/// paper's DB2 prototype).
 pub struct BaseTable {
     id: TableId,
     name: String,
     schema: Schema,
-    heap: HeapFile,
-    index: HashMap<Tuple, Vec<RowId>>,
+    /// tuple → multiplicity (always positive).
+    counts: HashMap<Tuple, i64>,
+    /// Total multiplicity: the sum of `counts`.
+    len: u64,
     /// column → key value → tuple → multiplicity.
     secondary: HashMap<usize, HashMap<Value, HashMap<Tuple, i64>>>,
 }
@@ -32,8 +32,8 @@ impl BaseTable {
             id,
             name: name.into(),
             schema,
-            heap: HeapFile::new(),
-            index: HashMap::new(),
+            counts: HashMap::new(),
+            len: 0,
             secondary: HashMap::new(),
         }
     }
@@ -47,11 +47,10 @@ impl BaseTable {
             )));
         }
         let mut idx: HashMap<Value, HashMap<Tuple, i64>> = HashMap::new();
-        for (tuple, rids) in &self.index {
-            *idx.entry(tuple.get(col).clone())
+        for (tuple, n) in &self.counts {
+            idx.entry(tuple.get(col).clone())
                 .or_default()
-                .entry(tuple.clone())
-                .or_insert(0) += rids.len() as i64;
+                .insert(tuple.clone(), *n);
         }
         self.secondary.insert(col, idx);
         Ok(())
@@ -82,39 +81,6 @@ impl BaseTable {
         }
     }
 
-    /// All `(tuple, count)` whose `col` equals `key` (index required).
-    pub fn lookup(&self, col: usize, key: &Value) -> Vec<(Tuple, i64)> {
-        let mut out = Vec::new();
-        self.for_each_lookup(col, key, |t, c| out.push((t.clone(), c)));
-        out
-    }
-
-    fn index_insert(&mut self, tuple: &Tuple) {
-        for (col, idx) in &mut self.secondary {
-            *idx.entry(tuple.get(*col).clone())
-                .or_default()
-                .entry(tuple.clone())
-                .or_insert(0) += 1;
-        }
-    }
-
-    fn index_delete(&mut self, tuple: &Tuple) {
-        for (col, idx) in &mut self.secondary {
-            let key = tuple.get(*col);
-            if let Some(bucket) = idx.get_mut(key) {
-                if let Some(c) = bucket.get_mut(tuple) {
-                    *c -= 1;
-                    if *c == 0 {
-                        bucket.remove(tuple);
-                    }
-                }
-                if bucket.is_empty() {
-                    idx.remove(key);
-                }
-            }
-        }
-    }
-
     pub fn id(&self) -> TableId {
         self.id
     }
@@ -129,105 +95,93 @@ impl BaseTable {
 
     /// Total number of tuples (counting multiplicity).
     pub fn len(&self) -> u64 {
-        self.heap.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Pages allocated by the underlying heap (for experiment reporting).
-    pub fn page_count(&self) -> usize {
-        self.heap.page_count()
+        self.len == 0
     }
 
     /// Insert one copy of `tuple`.
     pub fn insert(&mut self, tuple: Tuple) -> Result<()> {
-        self.schema.check(&tuple)?;
-        let rid = self.heap.insert(&codec::encode_tuple(&tuple));
-        self.index_insert(&tuple);
-        self.index.entry(tuple).or_default().push(rid);
-        Ok(())
+        self.apply_count(&tuple, 1)
     }
 
     /// Delete one copy of `tuple`. Errors if no copy is present.
     pub fn delete_one(&mut self, tuple: &Tuple) -> Result<()> {
-        let rids = self
-            .index
-            .get_mut(tuple)
-            .ok_or_else(|| Error::TupleNotFound {
-                table: self.id,
-                detail: tuple.to_string(),
-            })?;
-        let rid = rids.pop().expect("index entries are non-empty");
-        if rids.is_empty() {
-            self.index.remove(tuple);
-        }
-        self.heap.delete(rid)?;
-        self.index_delete(tuple);
-        Ok(())
+        self.apply_count(tuple, -1)
     }
 
     /// Multiplicity of `tuple` in the multiset.
     pub fn count_of(&self, tuple: &Tuple) -> u64 {
-        self.index.get(tuple).map_or(0, |v| v.len() as u64)
+        self.counts.get(tuple).map_or(0, |&n| n as u64)
     }
 
     /// Apply a signed count: insert `n` copies (`n > 0`) or delete `-n`
-    /// copies (`n < 0`). Used by the apply process when installing view
-    /// deltas into a materialized view. The insert side checks the schema
-    /// and encodes the tuple once for all `n` copies — the per-key bulk
-    /// path `roll_to` relies on.
+    /// copies (`n < 0`), in O(1) of `|n|`. Inserts check the schema; a
+    /// delete of more copies than exist fails with
+    /// [`Error::TupleNotFound`] and changes nothing.
     pub fn apply_count(&mut self, tuple: &Tuple, n: i64) -> Result<()> {
-        use std::cmp::Ordering;
-        match n.cmp(&0) {
-            Ordering::Greater => {
-                self.schema.check(tuple)?;
-                let enc = codec::encode_tuple(tuple);
-                let mut rids = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    rids.push(self.heap.insert(&enc));
-                    self.index_insert(tuple);
-                }
-                self.index.entry(tuple.clone()).or_default().extend(rids);
+        if n > 0 {
+            self.schema.check(tuple)?;
+        } else if n < 0 {
+            let have = self.count_of(tuple) as i64;
+            if have < -n {
+                return Err(Error::TupleNotFound {
+                    table: self.id,
+                    detail: format!("need {} copies of {tuple}, have {have}", -n),
+                });
             }
-            Ordering::Less => {
-                let have = self.count_of(tuple) as i64;
-                if have < -n {
-                    return Err(Error::TupleNotFound {
-                        table: self.id,
-                        detail: format!("need {} copies of {tuple}, have {have}", -n),
-                    });
-                }
-                for _ in 0..-n {
-                    self.delete_one(tuple)?;
-                }
-            }
-            Ordering::Equal => {}
+        } else {
+            return Ok(());
         }
+        self.add(tuple, n);
         Ok(())
     }
 
-    /// Scan all tuples (with multiplicity: duplicates appear repeatedly).
-    /// Decodes from the heap pages — the real read path.
+    /// Add `n` to `tuple`'s multiplicity in the map and in every secondary
+    /// index, dropping entries that reach zero. Callers have checked that
+    /// the result is non-negative.
+    fn add(&mut self, tuple: &Tuple, n: i64) {
+        add_count(&mut self.counts, tuple, n);
+        self.len = self.len.wrapping_add_signed(n);
+        for (col, idx) in &mut self.secondary {
+            let key = tuple.get(*col);
+            let bucket = idx.entry(key.clone()).or_default();
+            add_count(bucket, tuple, n);
+            if bucket.is_empty() {
+                idx.remove(key);
+            }
+        }
+    }
+
+    /// Scan all tuples (with multiplicity: duplicates appear repeatedly),
+    /// in unspecified order.
     pub fn scan(&self) -> Vec<Tuple> {
-        self.heap
-            .iter()
-            .map(|(_, rec)| codec::decode_tuple(rec).expect("heap records are valid tuples"))
-            .collect()
+        let mut out = Vec::with_capacity(self.len as usize);
+        for (t, &n) in &self.counts {
+            out.extend(std::iter::repeat_n(t, n as usize).cloned());
+        }
+        out
     }
 
     /// Scan as a `tuple → count` multiset map.
     pub fn scan_counts(&self) -> HashMap<Tuple, i64> {
-        self.index
-            .iter()
-            .map(|(t, rids)| (t.clone(), rids.len() as i64))
-            .collect()
+        self.counts.clone()
     }
 
     /// Number of distinct tuples.
     pub fn distinct(&self) -> usize {
-        self.index.len()
+        self.counts.len()
+    }
+}
+
+/// Add `n` to `tuple`'s entry in `m`, removing it if it reaches zero.
+fn add_count(m: &mut HashMap<Tuple, i64>, tuple: &Tuple, n: i64) {
+    let c = m.entry(tuple.clone()).or_insert(0);
+    *c += n;
+    if *c == 0 {
+        m.remove(tuple);
     }
 }
 
@@ -242,6 +196,13 @@ mod tests {
             "r",
             Schema::new([("a", ColumnType::Int), ("b", ColumnType::Str)]),
         )
+    }
+
+    fn lookup(t: &BaseTable, col: usize, key: &Value) -> Vec<(Tuple, i64)> {
+        let mut out = Vec::new();
+        t.for_each_lookup(col, key, |t, c| out.push((t.clone(), c)));
+        out.sort();
+        out
     }
 
     #[test]
@@ -269,20 +230,26 @@ mod tests {
         let mut t = table();
         assert!(t.insert(tup!["wrong", 1]).is_err());
         assert!(t.insert(tup![1]).is_err());
+        assert!(t.apply_count(&tup![1], 2).is_err());
+        assert!(t.is_empty());
     }
 
     #[test]
-    fn scan_round_trips_through_pages() {
+    fn scan_expands_multiplicities() {
         let mut t = table();
         for i in 0..3000 {
             t.insert(tup![i, format!("row{i}")]).unwrap();
         }
+        t.apply_count(&tup![7, "row7"], 2).unwrap();
         let mut rows = t.scan();
         rows.sort();
-        assert_eq!(rows.len(), 3000);
+        assert_eq!(rows.len(), 3002);
         assert_eq!(rows[0], tup![0, "row0"]);
-        assert_eq!(rows[2999], tup![2999, "row2999"]);
-        assert!(t.page_count() > 1);
+        assert_eq!(
+            rows[7..10],
+            [tup![7, "row7"], tup![7, "row7"], tup![7, "row7"]]
+        );
+        assert_eq!(rows[3001], tup![2999, "row2999"]);
     }
 
     #[test]
@@ -293,6 +260,7 @@ mod tests {
         t.apply_count(&tup![1, "x"], -2).unwrap();
         assert_eq!(t.count_of(&tup![1, "x"]), 1);
         assert!(t.apply_count(&tup![1, "x"], -2).is_err());
+        assert_eq!(t.count_of(&tup![1, "x"]), 1, "rejected delete is a no-op");
         t.apply_count(&tup![1, "x"], 0).unwrap();
         assert_eq!(t.len(), 1);
     }
@@ -308,18 +276,21 @@ mod tests {
         t.insert(tup![2, "x"]).unwrap();
         t.insert(tup![2, "x"]).unwrap();
         t.insert(tup![3, "y"]).unwrap();
-        let mut hits = t.lookup(1, &Value::str("x"));
-        hits.sort();
-        assert_eq!(hits, vec![(tup![1, "x"], 1), (tup![2, "x"], 2)]);
+        let x = Value::str("x");
+        assert_eq!(
+            lookup(&t, 1, &x),
+            vec![(tup![1, "x"], 1), (tup![2, "x"], 2)]
+        );
         t.delete_one(&tup![2, "x"]).unwrap();
-        let mut hits = t.lookup(1, &Value::str("x"));
-        hits.sort();
-        assert_eq!(hits, vec![(tup![1, "x"], 1), (tup![2, "x"], 1)]);
+        assert_eq!(
+            lookup(&t, 1, &x),
+            vec![(tup![1, "x"], 1), (tup![2, "x"], 1)]
+        );
         t.delete_one(&tup![1, "x"]).unwrap();
         t.delete_one(&tup![2, "x"]).unwrap();
-        assert!(t.lookup(1, &Value::str("x")).is_empty());
-        assert_eq!(t.lookup(1, &Value::str("y")), vec![(tup![3, "y"], 1)]);
-        assert!(t.lookup(1, &Value::str("z")).is_empty());
+        assert!(lookup(&t, 1, &x).is_empty());
+        assert_eq!(lookup(&t, 1, &Value::str("y")), vec![(tup![3, "y"], 1)]);
+        assert!(lookup(&t, 1, &Value::str("z")).is_empty());
         assert!(t.create_index(9).is_err());
     }
 

@@ -6,9 +6,9 @@
 //! This facade crate re-exports the workspace layers:
 //!
 //! * [`common`] — values, tuples, schemas, commit-sequence-number time.
-//! * [`storage`] — the embedded multiset storage engine: slotted pages, WAL,
-//!   strict-2PL transactions, asynchronous log capture (the DPropR
-//!   analogue), delta stores, unit-of-work table.
+//! * [`storage`] — the embedded multiset storage engine: `tuple → count`
+//!   tables, WAL, strict-2PL transactions, asynchronous log capture (the
+//!   DPropR analogue), delta stores, unit-of-work table.
 //! * [`relalg`] — Volcano-style operators and the propagation-query executor
 //!   (min-timestamp / product-count join semantics, net-effect `φ`).
 //! * [`core`] — the paper's algorithms: `ComputeDelta` (Fig. 4), `Propagate`

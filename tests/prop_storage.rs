@@ -1,10 +1,11 @@
 //! Property tests for the storage substrate: codec round-trips, WAL
-//! record round-trips and recovery, slotted-page behavior under arbitrary
-//! insert/delete sequences, and delta-store range consistency.
+//! record round-trips and recovery, base tables under arbitrary
+//! insert/delete/apply/index sequences, and delta-store range consistency.
 
 use proptest::prelude::*;
-use rolljoin::common::{TableId, Tuple, TxnId, Value};
-use rolljoin::storage::{Wal, WalRecord};
+use rolljoin::common::{tup, ColumnType, Schema, TableId, Tuple, TxnId, Value};
+use rolljoin::storage::{BaseTable, Wal, WalRecord};
+use std::collections::{BTreeSet, HashMap};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -42,6 +43,70 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
     ]
 }
 
+/// Values per column of the base-table model check: small, so ops collide.
+const DOMAIN: i64 = 4;
+
+#[derive(Debug, Clone)]
+enum TableOp {
+    Insert(Tuple),
+    Delete(Tuple),
+    Apply(Tuple, i64),
+    /// `create_index(col)`; column 2 is out of range and must be rejected.
+    Index(usize),
+}
+
+fn arb_table_op() -> impl Strategy<Value = TableOp> {
+    let tuple = || (0..DOMAIN, 0..DOMAIN).prop_map(|(a, b)| tup![a, b]);
+    prop_oneof![
+        4 => tuple().prop_map(TableOp::Insert),
+        3 => tuple().prop_map(TableOp::Delete),
+        3 => (tuple(), -3i64..=3).prop_map(|(t, n)| TableOp::Apply(t, n)),
+        1 => (0usize..3).prop_map(TableOp::Index),
+    ]
+}
+
+/// Compare every read path of `table` against the model.
+fn check_table(
+    table: &BaseTable,
+    model: &HashMap<Tuple, i64>,
+    indexed: &BTreeSet<usize>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(table.len() as i64, model.values().sum::<i64>());
+    prop_assert_eq!(table.distinct(), model.len());
+    prop_assert_eq!(&table.scan_counts(), model);
+    let mut scanned: HashMap<Tuple, i64> = HashMap::new();
+    for t in table.scan() {
+        *scanned.entry(t).or_insert(0) += 1;
+    }
+    prop_assert_eq!(&scanned, model);
+    for a in 0..DOMAIN {
+        for b in 0..DOMAIN {
+            let t = tup![a, b];
+            let want = model.get(&t).copied().unwrap_or(0);
+            prop_assert_eq!(table.count_of(&t) as i64, want);
+        }
+    }
+    prop_assert_eq!(
+        table.indexed_cols(),
+        indexed.iter().copied().collect::<Vec<_>>()
+    );
+    for &col in indexed {
+        for key in (0..DOMAIN).map(Value::Int) {
+            let mut got: HashMap<Tuple, i64> = HashMap::new();
+            table.for_each_lookup(col, &key, |t, c| {
+                got.insert(t.clone(), c);
+            });
+            let want: HashMap<Tuple, i64> = model
+                .iter()
+                .filter(|(t, _)| *t.get(col) == key)
+                .map(|(t, c)| (t.clone(), *c))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     /// Tuple codec: encode∘decode = id, for arbitrary value mixes
     /// (including NaN floats and empty strings).
@@ -76,37 +141,54 @@ proptest! {
         prop_assert_eq!(&records[..recovered.len()], &recovered[..]);
     }
 
-    /// Slotted pages under arbitrary insert/delete interleavings behave
-    /// like a map from issued slots to payloads.
+    /// A base table under random interleavings of inserts, deletes,
+    /// signed counts and index builds behaves like a `tuple → count` map;
+    /// a rejected over-delete changes nothing.
     #[test]
-    fn page_model_check(ops in prop::collection::vec(
-        prop_oneof![
-            4 => (1usize..300).prop_map(|n| (true, n)),
-            1 => (0usize..40).prop_map(|n| (false, n)),
-        ],
-        0..120,
-    )) {
-        use rolljoin::storage::page::Page;
-        use std::collections::HashMap;
-        let mut page = Page::new();
-        let mut model: HashMap<u16, Vec<u8>> = HashMap::new();
-        let mut counter = 0u8;
-        for (is_insert, n) in ops {
-            if is_insert {
-                counter = counter.wrapping_add(1);
-                let payload = vec![counter; n];
-                if let Some(slot) = page.insert(&payload) {
-                    model.insert(slot, payload);
+    fn base_table_model_check(ops in prop::collection::vec(arb_table_op(), 0..80)) {
+        let mut table = BaseTable::new(
+            TableId(1),
+            "r",
+            Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]),
+        );
+        let mut model: HashMap<Tuple, i64> = HashMap::new();
+        let mut indexed: BTreeSet<usize> = BTreeSet::new();
+        for op in ops {
+            let (tuple, n, res) = match op {
+                TableOp::Insert(t) => {
+                    let res = table.insert(t.clone());
+                    (t, 1, res)
                 }
-            } else if let Some(&slot) = model.keys().nth(n % model.len().max(1)) {
-                page.delete(slot).unwrap();
-                model.remove(&slot);
+                TableOp::Delete(t) => {
+                    let res = table.delete_one(&t);
+                    (t, -1, res)
+                }
+                TableOp::Apply(t, n) => {
+                    let res = table.apply_count(&t, n);
+                    (t, n, res)
+                }
+                TableOp::Index(col) => {
+                    let res = table.create_index(col);
+                    prop_assert_eq!(res.is_ok(), col < 2);
+                    if res.is_ok() {
+                        indexed.insert(col);
+                    }
+                    check_table(&table, &model, &indexed)?;
+                    continue;
+                }
+            };
+            let have = model.get(&tuple).copied().unwrap_or(0);
+            if have + n < 0 {
+                prop_assert!(res.is_err(), "over-delete of {} by {} accepted", tuple, n);
+            } else {
+                prop_assert!(res.is_ok(), "{:?}", res);
+                if have + n == 0 {
+                    model.remove(&tuple);
+                } else {
+                    model.insert(tuple, have + n);
+                }
             }
-            // Invariants after every op.
-            prop_assert_eq!(page.live_count() as usize, model.len());
-            for (slot, payload) in &model {
-                prop_assert_eq!(page.get(*slot).unwrap(), &payload[..]);
-            }
+            check_table(&table, &model, &indexed)?;
         }
     }
 
