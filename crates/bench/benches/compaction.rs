@@ -1,9 +1,9 @@
 //! φ-compaction benchmarks: the raw `compact_rows` reducer over churny
 //! delta streams, a propagation step over hot-key churn with scan-level
-//! compaction off vs on, and the in-place store rewrite below the LWM.
-//! Guards the two sides of the ledger: the reducer and the rewrite must
-//! stay cheap (they sit on the fetch path and the background compactor),
-//! and the compacted propagation step must stay far under the raw one.
+//! compaction off vs on, and a store prune pass below the low-water mark.
+//! Guards the two sides of the ledger: the reducer and the prune must stay
+//! cheap (they sit on the fetch path and the background compactor), and
+//! the compacted propagation step must stay far under the raw one.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolljoin_common::{tup, DeltaRow};
@@ -81,10 +81,10 @@ fn bench_compaction(c: &mut Criterion) {
         });
     }
 
-    g.bench_function("store_compact_through", |b| {
+    g.bench_function("store_prune_pass", |b| {
         b.iter_batched(
             || {
-                let (w, ctx, mat, end) = setup(CompactionPolicy::Background(1));
+                let (w, ctx, mat, end) = setup(CompactionPolicy::OnScan);
                 // Propagate and roll to the end of history so the LWM
                 // (min of HWM and apply position) covers all the churn.
                 let mut worker = DeltaWorker::new();

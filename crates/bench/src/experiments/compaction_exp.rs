@@ -1,26 +1,28 @@
-//! E18 — early φ-compaction: policy × Zipf skew × workers.
+//! E18 — early φ-compaction: arm × Zipf skew × workers.
 //!
 //! A hot-key churn workload is where raw delta streams are most wasteful:
 //! the same tuple is inserted and deleted over and over, every row flows
 //! through every propagation join, and almost all of it cancels. φ is
 //! linear over SPJ propagation (Definition 4.1 / Lemma 4.2), so the
 //! net-effect reduction can be taken *early* — at scan time, before rows
-//! reach a join or the scan cache (`CompactionPolicy::OnScan`), and in the
-//! stores themselves below the global LWM (`CompactionPolicy::Background`)
-//! — without changing any net effect. This experiment drives a two-way
-//! join with Zipf-skewed insert/delete churn (90% of ops are a paired
-//! insert+delete of one tuple, netting to zero), propagates the history in
-//! rolling windows under each policy, and reports the propagate-phase wall
-//! time, rows entering joins, view-delta rows written, and store sizes.
-//! The view-delta net effect is asserted identical across policies, and
-//! the rolled MV is verified against the oracle.
+//! reach a join or the scan cache (`CompactionPolicy::OnScan`) — without
+//! changing any net effect. The `prune` arm adds a `compact_stores` pass
+//! between windows, which prunes store history below the engine's
+//! low-water mark: it bounds store size but changes no read. This
+//! experiment drives a two-way join with Zipf-skewed insert/delete churn
+//! (90% of ops are a paired insert+delete of one tuple, netting to zero),
+//! propagates the history in rolling windows under each arm, and reports
+//! the propagate-phase wall time, rows entering joins, view-delta rows
+//! written, and store sizes. The view-delta net effect is asserted
+//! identical across arms, and the rolled MV is verified against the
+//! oracle.
 
 use crate::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rolljoin_common::{tup, Error, Result, TimeInterval};
 use rolljoin_core::{compute_delta, materialize, roll_to, CompactionPolicy, PropQuery};
-use rolljoin_relalg::{net_effect, NetEffect};
+use rolljoin_relalg::{add, net_effect, NetEffect};
 use rolljoin_workload::{TwoWay, Zipf};
 use std::time::{Duration, Instant};
 
@@ -71,28 +73,31 @@ struct RunOutcome {
     store_rows: usize,
     /// Records left in the view delta store after the run.
     vd_rows: usize,
-    /// Estimated heap bytes reclaimed by store-level compaction.
+    /// Estimated heap bytes reclaimed by store pruning.
     bytes_reclaimed: u64,
-    /// Net effect of the full produced view delta.
+    /// Net effect of the full produced view delta, summed window by
+    /// window before each roll (the `prune` arm drops applied windows).
     phi: NetEffect,
     /// Oracle verification of the rolled MV ("ok" / "MISMATCH").
     verify: String,
 }
 
-fn policy_name(p: CompactionPolicy) -> &'static str {
-    match p {
-        CompactionPolicy::Off => "off",
-        CompactionPolicy::OnScan => "on-scan",
-        CompactionPolicy::Background(_) => "background",
-    }
-}
+/// One E18 arm: its name, scan-level policy, and whether the stores are
+/// pruned between windows.
+type Arm = (&'static str, CompactionPolicy, bool);
+
+const ARMS: [Arm; 3] = [
+    ("off", CompactionPolicy::Off, false),
+    ("on-scan", CompactionPolicy::OnScan, false),
+    ("prune", CompactionPolicy::OnScan, true),
+];
 
 /// Median-propagate-wall trial of a configuration (row counts are
 /// deterministic; only wall time is trial-noisy).
-fn run_best(policy: CompactionPolicy, theta: f64, workers: usize) -> Result<RunOutcome> {
+fn run_best(arm: Arm, theta: f64, workers: usize) -> Result<RunOutcome> {
     let mut outs = Vec::with_capacity(TRIALS);
     for trial in 0..TRIALS {
-        outs.push(run_config(policy, theta, workers, trial)?);
+        outs.push(run_config(arm, theta, workers, trial)?);
     }
     outs.sort_by_key(|o| o.propagate_wall);
     Ok(outs.swap_remove(TRIALS / 2))
@@ -100,17 +105,16 @@ fn run_best(policy: CompactionPolicy, theta: f64, workers: usize) -> Result<RunO
 
 /// One configuration: seed, materialize, replay the skew's churn history,
 /// then propagate it in `WINDOWS` rolling windows with a roll after each —
-/// under `Background`, also compacting the stores below the LWM between
-/// windows, exactly what `spawn_compaction_driver` does asynchronously.
+/// in the `prune` arm, also pruning the stores between windows, exactly
+/// what `spawn_compaction_driver` does asynchronously.
 fn run_config(
-    policy: CompactionPolicy,
+    (name, policy, prune): Arm,
     theta: f64,
     workers: usize,
     trial: usize,
 ) -> Result<RunOutcome> {
     let w = TwoWay::setup(&format!(
-        "e18p{}t{}w{workers}x{trial}",
-        policy_name(policy),
+        "e18p{name}t{}w{workers}x{trial}",
         (theta * 100.0) as u64
     ))?;
     let ctx = w.ctx().with_workers(workers).with_compaction(policy);
@@ -151,6 +155,7 @@ fn run_config(
     let mut frontier = mat;
     let mut propagate_wall = Duration::ZERO;
     let mut apply_wall = Duration::ZERO;
+    let mut phi = NetEffect::new();
     for s in 1..=WINDOWS {
         let hi = if s == WINDOWS {
             end
@@ -164,20 +169,20 @@ fn run_config(
         compute_delta(&ctx, &PropQuery::all_base(2), 1, &[frontier; 2], hi)?;
         propagate_wall += t0.elapsed();
         ctx.mv.set_hwm(hi);
+        let window = ctx
+            .engine
+            .vd_range(ctx.mv.vd_table, TimeInterval::new(frontier, hi))?;
+        phi = add(&phi, &net_effect(window));
         frontier = hi;
         let t0 = Instant::now();
         roll_to(&ctx, hi)?;
         apply_wall += t0.elapsed();
-        if matches!(policy, CompactionPolicy::Background(_)) {
+        if prune {
             ctx.compact_stores()?;
         }
     }
     let since = ctx.stats.snapshot().since(&before);
 
-    let phi = net_effect(
-        ctx.engine
-            .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, end))?,
-    );
     let verify = crate::experiments::verify_cell(&ctx);
     let report = ctx.compaction_report()?;
     Ok(RunOutcome {
@@ -195,14 +200,9 @@ fn run_config(
     })
 }
 
-/// E18: sweep compaction policy × Zipf skew × workers on Zipf hot-key
+/// E18: sweep compaction arm × Zipf skew × workers on Zipf hot-key
 /// churn; emit the results table and `BENCH_compaction.json`.
 pub fn e18() -> Result<()> {
-    let policies = [
-        CompactionPolicy::Off,
-        CompactionPolicy::OnScan,
-        CompactionPolicy::Background(1),
-    ];
     let mut t = Table::new(&[
         "policy",
         "theta",
@@ -222,23 +222,22 @@ pub fn e18() -> Result<()> {
     for theta in [0.0f64, 0.99] {
         for workers in [1usize, 2] {
             let mut baseline: Option<(Duration, u64, NetEffect)> = None;
-            for policy in policies {
-                let out = run_best(policy, theta, workers)?;
+            for arm in ARMS {
+                let (name, ..) = arm;
+                let out = run_best(arm, theta, workers)?;
                 let (base_wall, base_delta, base_phi) = baseline
                     .get_or_insert((out.propagate_wall, out.delta_rows, out.phi.clone()))
                     .clone();
                 assert_eq!(
-                    out.phi,
-                    base_phi,
-                    "view-delta divergence: {} vs off at theta={theta}",
-                    policy_name(policy)
+                    out.phi, base_phi,
+                    "view-delta divergence: {name} vs off at theta={theta}"
                 );
-                assert_eq!(out.verify, "ok", "oracle mismatch under {policy:?}");
+                assert_eq!(out.verify, "ok", "oracle mismatch under {name}");
                 let wall_ratio =
                     out.propagate_wall.as_secs_f64() / base_wall.as_secs_f64().max(1e-9);
                 let rows_ratio = out.delta_rows as f64 / (base_delta as f64).max(1e-9);
                 t.row(vec![
-                    policy_name(policy).to_string(),
+                    name.to_string(),
                     format!("{theta}"),
                     workers.to_string(),
                     format!("{:.2} ms", out.propagate_wall.as_secs_f64() * 1e3),
@@ -261,7 +260,7 @@ pub fn e18() -> Result<()> {
                         "\"vd_rows_end\": {}, \"bytes_reclaimed\": {}, ",
                         "\"view_delta_divergence\": false, \"oracle\": \"{}\"}}"
                     ),
-                    policy_name(policy),
+                    name,
                     theta,
                     workers,
                     out.propagate_wall.as_secs_f64() * 1e3,
@@ -277,13 +276,13 @@ pub fn e18() -> Result<()> {
                     out.bytes_reclaimed,
                     out.verify,
                 ));
-                if theta == 0.99 && policy != CompactionPolicy::Off {
+                if theta == 0.99 && name != "off" {
                     headline.push(format!(
                         concat!(
                             "    {{\"policy\": \"{}\", \"workers\": {}, ",
                             "\"wall_reduction_pct\": {:.1}, \"rows_joined_reduction_pct\": {:.1}}}"
                         ),
-                        policy_name(policy),
+                        name,
                         workers,
                         (1.0 - wall_ratio) * 100.0,
                         (1.0 - rows_ratio) * 100.0,

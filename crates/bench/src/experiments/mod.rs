@@ -104,7 +104,7 @@ pub fn all() -> Vec<Experiment> {
         ),
         (
             "e18",
-            "early φ-compaction — policy × Zipf skew × workers",
+            "early φ-compaction — arm × Zipf skew × workers",
             compaction_exp::e18,
         ),
         (

@@ -10,7 +10,6 @@
 //! paper's point-in-time refresh.
 
 use crate::execute::MaintCtx;
-use crate::policy::CompactionPolicy;
 use rolljoin_common::{Csn, Error, Result, TimeInterval};
 use rolljoin_obs::JournalEntry;
 use rolljoin_relalg::{exec, fetch, SlotSource};
@@ -139,12 +138,6 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
             ctx.mv.set_mat_time(mat);
             return Err(e);
         }
-    }
-    // Everything at or below the new apply position has been installed;
-    // under a compaction policy, fold that history down to one record per
-    // tuple so the next roll's σ_{target, t'} scan walks net churn.
-    if ctx.tuning.compaction != CompactionPolicy::Off {
-        ctx.engine.vd_compact(ctx.mv.vd_table, target)?;
     }
     span.arg("tuples_changed", tuples_changed as i64);
     drop(span);

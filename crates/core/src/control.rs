@@ -10,7 +10,7 @@
 
 use crate::view::ViewDef;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Result, Schema, TableId};
-use rolljoin_storage::{Engine, LockMode, Signal, Txn};
+use rolljoin_storage::{Engine, LockMode, ReadFloor, Signal, Txn};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -68,7 +68,7 @@ impl MaterializedView {
         let mut txn = engine.begin();
         txn.insert(control, tup![view.name.as_str(), 0i64])?;
         txn.commit()?;
-        Ok(Self::attach(view, mv_table, vd_table))
+        Ok(Self::attach(engine, view, mv_table, vd_table))
     }
 
     /// Re-attach a view after engine recovery: looks up its MV and view
@@ -89,7 +89,7 @@ impl MaterializedView {
             .and_then(|row| row[1].as_int())
             .ok_or_else(|| Error::NoSuchTable(format!("control row for view {}", view.name)))?;
         txn.commit()?;
-        let mv = Self::attach(view, mv_table, vd_table);
+        let mv = Self::attach(engine, view, mv_table, vd_table);
         mv.set_mat_time(mat as Csn);
         mv.set_hwm(mat as Csn);
         Ok(mv)
@@ -114,20 +114,26 @@ impl MaterializedView {
     }
 
     /// Attach a view definition to pre-existing MV / view-delta tables —
-    /// used by union views, whose branches share one MV and one VD table.
+    /// used by union views, whose branches share one MV and one VD table —
+    /// and register its read floor with the engine, so no other view's
+    /// pruning removes delta history this one still needs.
     pub(crate) fn attach(
+        engine: &Engine,
         view: ViewDef,
         mv_table: TableId,
         vd_table: TableId,
     ) -> Arc<MaterializedView> {
-        Arc::new(MaterializedView {
+        let mv = Arc::new(MaterializedView {
             view: Arc::new(view),
             mv_table,
             vd_table,
             mat_time: AtomicU64::new(0),
             vd_hwm: AtomicU64::new(0),
             hwm_progress: Arc::new(Signal::new()),
-        })
+        });
+        let reader: Arc<dyn ReadFloor> = mv.clone();
+        engine.register_read_floor(Arc::downgrade(&reader));
+        mv
     }
 
     /// The current materialization time.
@@ -174,6 +180,14 @@ impl MaterializedView {
     /// Number of base relations.
     pub fn n(&self) -> usize {
         self.view.n()
+    }
+}
+
+impl ReadFloor for MaterializedView {
+    /// `min(HWM, mat_time)`: propagation reads start at or above the HWM,
+    /// apply reads at the materialization time.
+    fn read_floor(&self) -> Csn {
+        self.hwm().min(self.mat_time())
     }
 }
 

@@ -173,15 +173,13 @@ pub fn spawn_rolling_driver(
     })
 }
 
-/// Spawn the background φ-compactor: every `period`, rewrites each base
-/// delta store below the global compaction LWM
-/// ([`MaintCtx::compaction_lwm`], clamped to the capture HWM) and the view
-/// delta store below the apply position, honoring the
-/// [`crate::policy::CompactionPolicy::Background`] store-size threshold in
-/// the context's tuning. Compaction is an in-place rewrite of history no
-/// consumer can read anymore, so the driver needs no coordination with
-/// propagate or apply beyond the LWM itself — it can be suspended and
-/// resumed freely like the paper's other background processes.
+/// Spawn the background compactor: every `period`, prunes this view's
+/// base delta stores through the engine's low-water mark and its view
+/// delta store through the apply position ([`MaintCtx::compact_stores`]).
+/// Pruning only drops history no registered view can read anymore, so the
+/// driver needs no coordination with propagate or apply beyond the
+/// low-water mark itself — it can be suspended and resumed freely like
+/// the paper's other background processes.
 pub fn spawn_compaction_driver(ctx: MaintCtx, period: Duration) -> DriverHandle {
     DriverHandle::spawn("compact", Arc::new(Signal::new()), move |ctl| {
         ctl.run(period, || {

@@ -23,7 +23,7 @@ use crate::stats::{CompactionReport, PropStats};
 use rolljoin_common::{Csn, Error, Result};
 use rolljoin_obs::{JournalEntry, Obs, ObsConfig};
 use rolljoin_relalg::{exec, fetch, fetch_cached, BuildCache, SlotInput, SlotSource};
-use rolljoin_storage::{Engine, LockMode, ScanCache};
+use rolljoin_storage::{Engine, LockMode, ReadFloor, ScanCache};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,8 +70,8 @@ pub struct MaintCtx {
     /// Step-scoped cache of materialized delta-range scans, shared by all
     /// constituent queries (and workers) of one propagation step. Sound
     /// because capture-complete delta ranges are immutable; entries are
-    /// dropped when the capture HWM advances past the step (memory bound,
-    /// not a correctness requirement).
+    /// dropped when the propagation HWM advances past the step (memory
+    /// bound, not a correctness requirement).
     pub scan_cache: Arc<ScanCache>,
     /// Step-scoped cache of hash-join build sides over shared delta ranges.
     pub build_cache: Arc<BuildCache>,
@@ -155,41 +155,30 @@ impl MaintCtx {
         self
     }
 
-    /// The global compaction low-water mark: the largest CSN such that no
-    /// future delta-range read or roll starts below it. Propagation reads
-    /// start at per-relation frontiers, all ≥ the view-delta HWM; apply
-    /// reads start at the materialization time. Store history at or below
-    /// `min` of the two can be φ-compacted in place without changing what
-    /// any consumer can observe.
+    /// This view's read floor: no future delta-range read or roll of this
+    /// view starts below it. Propagation reads start at per-relation
+    /// frontiers, all ≥ the view-delta HWM; apply reads start at the
+    /// materialization time. The engine's low-water mark
+    /// ([`Engine::low_water_mark`]) is the minimum of every registered
+    /// view's floor and the capture HWM.
     pub fn compaction_lwm(&self) -> Csn {
-        self.mv.hwm().min(self.mv.mat_time())
+        self.mv.read_floor()
     }
 
-    /// φ-compact every store of this view below its safe bound: each base
-    /// delta store below [`MaintCtx::compaction_lwm`] (clamped to the
-    /// capture HWM, since compaction may not rewrite rows capture is still
-    /// appending behind) and the view delta store below the apply
-    /// position. A [`CompactionPolicy::Background`] threshold skips stores
-    /// holding fewer records. Returns total records removed.
+    /// Prune settled history: each base delta store of this view through
+    /// the engine-wide low-water mark (which every view over the same
+    /// bases holds down to its own floor), and this view's private view
+    /// delta store through its materialization time. Returns total
+    /// records removed.
     pub fn compact_stores(&self) -> Result<usize> {
         let started = Instant::now();
         let mut span = self.obs.span("compaction_pass");
-        let threshold = self.tuning.compaction.background_threshold().unwrap_or(0);
-        let lwm = self.compaction_lwm().min(self.engine.capture_hwm());
+        let lwm = self.engine.low_water_mark();
         let mut removed = 0usize;
-        let mut bases: Vec<_> = self.mv.view.bases.clone();
-        bases.sort();
-        bases.dedup();
-        for base in bases {
-            if self.engine.delta_store(base)?.len() >= threshold.max(1) {
-                removed += self.engine.compact_delta_history(base, lwm)?;
-            }
+        for base in self.distinct_bases() {
+            removed += self.engine.prune_delta_history(base, lwm)?;
         }
-        if self.engine.vd_len(self.mv.vd_table)? >= threshold.max(1) {
-            removed += self
-                .engine
-                .vd_compact(self.mv.vd_table, self.mv.mat_time())?;
-        }
+        removed += self.engine.vd_prune(self.mv.vd_table, self.mv.mat_time())?;
         span.arg("removed", removed as i64);
         span.arg("lwm", lwm as i64);
         if self.obs.tracing_on() && removed > 0 {
@@ -203,19 +192,24 @@ impl MaintCtx {
         Ok(removed)
     }
 
-    /// Lifetime store-level compaction counters for this view's stores.
+    /// Lifetime pruning counters for this view's stores.
     pub fn compaction_report(&self) -> Result<CompactionReport> {
         let mut report = CompactionReport::default();
-        let mut bases: Vec<_> = self.mv.view.bases.clone();
-        bases.sort();
-        bases.dedup();
-        for base in bases {
+        for base in self.distinct_bases() {
             report
                 .base
                 .merge(&self.engine.delta_compaction_stats(base)?);
         }
         report.vd = self.engine.vd_compaction_stats(self.mv.vd_table)?;
         Ok(report)
+    }
+
+    /// This view's base tables, each once (a self-join lists one twice).
+    fn distinct_bases(&self) -> Vec<rolljoin_common::TableId> {
+        let mut bases = self.mv.view.bases.clone();
+        bases.sort();
+        bases.dedup();
+        bases
     }
 
     /// Make sure the capture HWM has reached `csn`, stepping capture inline

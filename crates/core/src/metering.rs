@@ -194,7 +194,7 @@ impl CoreMeters {
         }
     }
 
-    /// Mirror store-level φ-compaction totals into the registry.
+    /// Mirror store-level pruning totals into the registry.
     pub fn fold_compaction(&self, meter: &Meter, report: &CompactionReport) {
         for (store, s) in [("base", &report.base), ("vd", &report.vd)] {
             let label = Some(("store", store));
@@ -202,14 +202,14 @@ impl CoreMeters {
                 .counter_l(
                     "rolljoin_compaction_rows_removed_total",
                     label,
-                    "Records removed by store-level φ-compaction, by store.",
+                    "Records removed by store-level pruning, by store.",
                 )
-                .set(s.rows_removed());
+                .set(s.rows_removed);
             meter
                 .counter_l(
                     "rolljoin_compaction_bytes_reclaimed_total",
                     label,
-                    "Estimated heap bytes reclaimed by φ-compaction, by store.",
+                    "Estimated heap bytes reclaimed by pruning, by store.",
                 )
                 .set(s.bytes_reclaimed);
         }

@@ -12,10 +12,12 @@ use rolljoin_common::{Csn, Result};
 use rolljoin_storage::LockGranularity;
 use std::time::Duration;
 
-/// When delta streams are φ-compacted (net-effect reduced) ahead of
+/// Whether delta streams are φ-compacted (net-effect reduced) ahead of
 /// consumption. φ is linear over SPJ propagation (paper Lemma 4.2), so
-/// collapsing same-tuple churn *before* it reaches a join, a cache, or
-/// the store itself changes no net effect — only how many rows carry it.
+/// collapsing same-tuple churn *before* it reaches a join or a cache
+/// changes no net effect — only how many rows carry it. (Store history is
+/// never rewritten: [`MaintCtx::compact_stores`] prunes it below the
+/// engine's low-water mark under either policy.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicy {
     /// Never compact (seed behavior).
@@ -25,26 +27,12 @@ pub enum CompactionPolicy {
     /// scan cache, so joins, build sides, and cache memory all see net
     /// churn instead of raw churn.
     OnScan,
-    /// Everything [`CompactionPolicy::OnScan`] does, plus a background
-    /// compactor ([`crate::driver::spawn_compaction_driver`]) that
-    /// rewrites store history below the global LWM in place whenever a
-    /// store holds at least this many records.
-    Background(usize),
 }
 
 impl CompactionPolicy {
     /// Should freshly materialized delta ranges be φ-reduced at scan time?
-    /// `Background` subsumes `OnScan` — it is the strictly stronger policy.
     pub fn compact_on_scan(&self) -> bool {
-        !matches!(self, CompactionPolicy::Off)
-    }
-
-    /// The store-size threshold for the background compactor, if any.
-    pub fn background_threshold(&self) -> Option<usize> {
-        match self {
-            CompactionPolicy::Background(t) => Some(*t),
-            _ => None,
-        }
+        *self == CompactionPolicy::OnScan
     }
 }
 
@@ -82,7 +70,7 @@ pub struct ExecTuning {
     /// the engine by [`MaintCtx::with_tuning`] — set it before concurrent
     /// activity starts.
     pub lock_granularity: LockGranularity,
-    /// Early φ-compaction of delta streams (scan-level and/or store-level).
+    /// Early scan-level φ-compaction of delta streams.
     /// `Off` is the seed behavior: every raw change record flows through
     /// every join.
     pub compaction: CompactionPolicy,
@@ -338,14 +326,11 @@ mod tests {
         assert_eq!(t.compaction, CompactionPolicy::Off);
         assert!(!CompactionPolicy::Off.compact_on_scan());
         assert!(CompactionPolicy::OnScan.compact_on_scan());
-        assert!(CompactionPolicy::Background(100).compact_on_scan());
-        assert_eq!(CompactionPolicy::OnScan.background_threshold(), None);
         assert_eq!(
             ExecTuning::sequential()
-                .with_compaction(CompactionPolicy::Background(512))
-                .compaction
-                .background_threshold(),
-            Some(512)
+                .with_compaction(CompactionPolicy::OnScan)
+                .compaction,
+            CompactionPolicy::OnScan
         );
         assert_eq!(t.obs, rolljoin_obs::ObsConfig::Off);
         assert_eq!(

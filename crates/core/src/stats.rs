@@ -278,8 +278,8 @@ impl PropStatsSnapshot {
     }
 }
 
-/// Store-level φ-compaction totals for one maintained view: the base
-/// delta stores (merged) plus the view delta store. Produced by
+/// Store-level pruning totals for one maintained view: the base delta
+/// stores (merged) plus the view delta store. Produced by
 /// [`crate::execute::MaintCtx::compaction_report`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompactionReport {
@@ -292,7 +292,7 @@ pub struct CompactionReport {
 impl CompactionReport {
     /// Total records physically removed across all stores.
     pub fn rows_removed(&self) -> u64 {
-        self.base.rows_removed() + self.vd.rows_removed()
+        self.base.rows_removed + self.vd.rows_removed
     }
 
     /// Total estimated heap bytes reclaimed across all stores.

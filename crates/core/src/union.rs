@@ -58,7 +58,7 @@ impl UnionView {
         let vd_table = engine.create_view_delta(&format!("{name}__vd"), out)?;
         let branches = defs
             .into_iter()
-            .map(|d| MaterializedView::attach(d, mv_table, vd_table))
+            .map(|d| MaterializedView::attach(engine, d, mv_table, vd_table))
             .collect();
         Ok(UnionView {
             branches,

@@ -1,13 +1,14 @@
-//! φ-equivalence oracle for early compaction: under any update history,
-//! propagation running with `CompactionPolicy::OnScan` or
-//! `CompactionPolicy::Background` must produce a view delta with the same
-//! net effect (`φ`, Definition 4.1) as the uncompacted run, and refresh
-//! from the compacted delta must land the MV exactly on the oracle state.
-//! Compaction changes *how many rows carry* a net effect, never the net
-//! effect itself — φ is linear over SPJ propagation (Lemma 4.2), and store
-//! rewrites stay below the global LWM no future read starts under. These
-//! tests are the executable form of that claim, including with a live
-//! background compactor racing concurrent updaters.
+//! φ-equivalence oracle for early compaction and store pruning: under any
+//! update history, propagation running with `CompactionPolicy::OnScan`,
+//! with or without `compact_stores` pruning between steps, must produce a
+//! view delta with the same net effect (`φ`, Definition 4.1) as the
+//! uncompacted run, and refresh from it must land the MV exactly on the
+//! oracle state. Scan-level compaction changes *how many rows carry* a net
+//! effect, never the net effect itself — φ is linear over SPJ propagation
+//! (Lemma 4.2) — and pruning only drops history below the engine's
+//! low-water mark, which no future read starts under. These tests are the
+//! executable form of that claim, including with a live background
+//! compactor racing concurrent updaters.
 
 use proptest::prelude::*;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Schema, TableId, TimeInterval, Tuple};
@@ -15,7 +16,7 @@ use rolljoin_core::{
     compute_delta, materialize, oracle, roll_to, spawn_compaction_driver, CompactionPolicy,
     DeltaWorker, MaintCtx, MaterializedView, PropQuery, ViewDef,
 };
-use rolljoin_relalg::{net_effect, JoinSpec, NetEffect};
+use rolljoin_relalg::{add, negate, net_effect, JoinSpec, NetEffect};
 use rolljoin_storage::{Engine, LockGranularity};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -109,23 +110,25 @@ fn apply_ops(ctx: &MaintCtx, tables: &[TableId], ops: &[Op]) {
 }
 
 /// Replay `ops` on a fresh n-way chain and propagate the whole history in
-/// `steps` windows under the given compaction policy. Under `Background`
-/// the stores are compacted between steps; halfway through, the MV is
-/// rolled to the frontier (a mid-run `roll_to`, which under any non-`Off`
-/// policy also φ-compacts the view delta below the new apply position).
-/// Returns the context, materialization time, history end, and `φ` of the
-/// full produced view delta.
+/// `steps` windows under the given compaction policy, pruning the stores
+/// between steps when `prune` is set; halfway through, the MV is rolled to
+/// the frontier (a mid-run `roll_to`, below which pruning drops the view
+/// delta). Returns the context, materialization time `mat`, history end,
+/// and the net effect of everything propagated over `(mat, end]`: the MV's
+/// movement from `mat` to the current materialization time `mat′`, plus
+/// `φ(σ_{mat′,end}(VD))`.
 fn run_chain(
     name: &str,
     n: usize,
     ops: &[Op],
-    policy: CompactionPolicy,
+    (policy, prune): (CompactionPolicy, bool),
     workers: usize,
     steps: usize,
 ) -> (MaintCtx, Csn, Csn, NetEffect) {
     let (ctx, tables) = chain(name, n);
     let ctx = ctx.with_workers(workers).with_compaction(policy);
     let mat = materialize(&ctx).unwrap();
+    let mv_at_mat = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
     apply_ops(&ctx, &tables, ops);
     let end = ctx.engine.current_csn();
     let span = end - mat;
@@ -145,15 +148,19 @@ fn run_chain(
         if s == steps / 2 {
             roll_to(&ctx, frontier).unwrap();
         }
-        if matches!(policy, CompactionPolicy::Background(_)) {
+        if prune {
             ctx.compact_stores().unwrap();
         }
     }
+    let moved = add(
+        &oracle::mv_state(&ctx.engine, &ctx.mv).unwrap(),
+        &negate(&mv_at_mat),
+    );
     let vd = ctx
         .engine
-        .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, end))
+        .vd_range(ctx.mv.vd_table, TimeInterval::new(ctx.mv.mat_time(), end))
         .unwrap();
-    (ctx, mat, end, net_effect(vd))
+    (ctx, mat, end, add(&moved, &net_effect(vd)))
 }
 
 /// Roll to the end of history and compare the MV against the oracle.
@@ -171,11 +178,10 @@ fn check_final_state(ctx: &MaintCtx, end: Csn) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// 2..4-way chains: propagation under `OnScan` and `Background(1)`
-    /// (compact as aggressively as possible, with mid-run rolls and
-    /// between-step store compaction) φ-matches the uncompacted run on
-    /// the same history, and refresh from the compacted delta hits the
-    /// oracle at the end of history.
+    /// 2..4-way chains: propagation under `OnScan`, alone and with a
+    /// store prune after every step (with mid-run rolls), φ-matches the
+    /// uncompacted run on the same history, and refresh from the
+    /// compacted delta hits the oracle at the end of history.
     #[test]
     fn compaction_policies_phi_match(
         n in 2usize..5,
@@ -191,17 +197,17 @@ proptest! {
             .cloned()
             .collect();
         let (_, mat_off, end_off, phi_off) =
-            run_chain("co", n, &ops, CompactionPolicy::Off, workers, 1);
+            run_chain("co", n, &ops, (CompactionPolicy::Off, false), workers, 1);
         let (ctx_scan, mat_s, end_s, phi_scan) =
-            run_chain("cs", n, &ops, CompactionPolicy::OnScan, workers, steps);
-        let (ctx_bg, mat_b, end_b, phi_bg) =
-            run_chain("cb", n, &ops, CompactionPolicy::Background(1), workers, steps);
+            run_chain("cs", n, &ops, (CompactionPolicy::OnScan, false), workers, steps);
+        let (ctx_pr, mat_p, end_p, phi_pr) =
+            run_chain("cp", n, &ops, (CompactionPolicy::OnScan, true), workers, steps);
         prop_assert_eq!((mat_off, end_off), (mat_s, end_s), "identical histories");
-        prop_assert_eq!((mat_off, end_off), (mat_b, end_b), "identical histories");
+        prop_assert_eq!((mat_off, end_off), (mat_p, end_p), "identical histories");
         prop_assert_eq!(&phi_off, &phi_scan, "φ(OnScan) ≠ φ(Off)");
-        prop_assert_eq!(&phi_off, &phi_bg, "φ(Background) ≠ φ(Off)");
+        prop_assert_eq!(&phi_off, &phi_pr, "φ(OnScan + prune) ≠ φ(Off)");
         check_final_state(&ctx_scan, end_s)?;
-        check_final_state(&ctx_bg, end_b)?;
+        check_final_state(&ctx_pr, end_p)?;
     }
 }
 
@@ -266,14 +272,14 @@ fn on_scan_compaction_shrinks_hot_key_churn() {
     );
 }
 
-/// Store-level compaction below the LWM: after propagation and a roll,
-/// `compact_stores` physically shrinks the base delta history and the view
-/// delta, the compaction report accounts for the removals, and reads at or
-/// above the LWM (oracle reconstruction, net ranges) are unchanged.
+/// Store pruning below the LWM: after propagation and a roll to the end
+/// of history, the low-water mark is the end, so `compact_stores` prunes
+/// every base delta record and every view-delta record, the report counts
+/// exactly those, and reads at or above the LWM (oracle reconstruction)
+/// are unchanged.
 #[test]
 fn compact_stores_shrinks_history_below_lwm() {
     let (ctx, tables) = chain("st", 2);
-    let ctx = ctx.with_compaction(CompactionPolicy::Background(1));
     let mat = materialize(&ctx).unwrap();
     let mut txn = ctx.engine.begin();
     txn.insert(tables[1], tup![3, 3]).unwrap();
@@ -290,17 +296,19 @@ fn compact_stores_shrinks_history_below_lwm() {
     compute_delta(&ctx, &PropQuery::all_base(2), 1, &[mat; 2], end).unwrap();
     ctx.mv.set_hwm(end);
     roll_to(&ctx, end).unwrap();
-    let before = ctx.engine.delta_store(tables[0]).unwrap().len();
+    assert_eq!(ctx.engine.low_water_mark(), end);
+    let store_len = |t: TableId| ctx.engine.delta_store(t).unwrap().len();
+    let base_before = store_len(tables[0]) + store_len(tables[1]);
+    let vd_before = ctx.engine.vd_len(ctx.mv.vd_table).unwrap();
+    assert!(base_before > 0 && vd_before > 0);
     let removed = ctx.compact_stores().unwrap();
-    let after = ctx.engine.delta_store(tables[0]).unwrap().len();
-    assert!(removed > 0, "churn below the LWM must compact away");
-    assert!(
-        after < before,
-        "store physically shrank ({after} < {before})"
-    );
+    assert_eq!(removed, base_before + vd_before, "everything ≤ LWM pruned");
+    assert_eq!(store_len(tables[0]) + store_len(tables[1]), 0);
+    assert_eq!(ctx.engine.vd_len(ctx.mv.vd_table).unwrap(), 0);
     let report = ctx.compaction_report().unwrap();
-    assert!(report.rows_removed() > 0);
-    assert!(report.base.rows_removed() > 0);
+    assert_eq!(report.base.rows_removed, base_before as u64);
+    assert_eq!(report.vd.rows_removed, vd_before as u64);
+    assert!(report.bytes_reclaimed() > 0);
     // History at the LWM is still exact: the oracle can reconstruct the
     // end-of-history state and it matches the rolled MV.
     let got = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
@@ -311,6 +319,8 @@ fn compact_stores_shrinks_history_below_lwm() {
         .engine
         .delta_range(tables[0], TimeInterval::new(mat, end))
         .is_err());
+    // A second pass has nothing left to prune.
+    assert_eq!(ctx.compact_stores().unwrap(), 0);
 }
 
 /// The background compactor racing live updater transactions and a
@@ -325,7 +335,7 @@ fn background_compactor_with_concurrent_updaters_matches_oracle() {
     let ctx = ctx
         .with_workers(2)
         .with_lock_granularity(LockGranularity::Striped(64))
-        .with_compaction(CompactionPolicy::Background(1));
+        .with_compaction(CompactionPolicy::OnScan);
     let mat = materialize(&ctx).unwrap();
     let mut txn = ctx.engine.begin();
     for k in 0..KEYS {

@@ -7,8 +7,8 @@
 //! equi-join neighbor's keys — sound because every join result must match
 //! the neighbor on that column — so it changes *which rows are fetched*,
 //! never the query result. These tests are the executable form of that
-//! claim under all three compaction policies, including with a live
-//! background compactor racing concurrent updaters.
+//! claim under both compaction policies, with and without store pruning,
+//! including with a live background compactor racing concurrent updaters.
 
 use proptest::prelude::*;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Schema, TableId, TimeInterval, Tuple};
@@ -16,7 +16,7 @@ use rolljoin_core::{
     compute_delta, materialize, oracle, roll_to, spawn_compaction_driver, CompactionPolicy,
     DeltaWorker, ExecTuning, MaintCtx, MaterializedView, PropQuery, ViewDef,
 };
-use rolljoin_relalg::{net_effect, JoinSpec, NetEffect};
+use rolljoin_relalg::{add, negate, net_effect, JoinSpec, NetEffect};
 use rolljoin_storage::{Engine, LockGranularity};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -116,16 +116,18 @@ fn apply_ops(ctx: &MaintCtx, tables: &[TableId], ops: &[Op]) {
 
 /// Replay `ops` on a fresh n-way chain and propagate the whole history in
 /// `steps` windows, with delta slots resolved by keyed index probes
-/// (`indexed`) or always by full range scans. Under `Background` the
-/// stores are compacted between steps and the MV is rolled to the frontier
-/// halfway through — so probes run against posting lists that have been
-/// remapped and rebuilt mid-flight. Returns the context, materialization
-/// time, history end, and `φ` of the full produced view delta.
+/// (`indexed`) or always by full range scans. The MV is rolled to the
+/// frontier halfway through; with `prune` set the stores are pruned
+/// between steps — so probes run against posting lists whose fronts were
+/// popped mid-flight. Returns the context, materialization time `mat`,
+/// history end, and the net effect of everything propagated over
+/// `(mat, end]`: the MV's movement from `mat` to the current
+/// materialization time `mat′`, plus `φ(σ_{mat′,end}(VD))`.
 fn run_chain(
     name: &str,
     n: usize,
     ops: &[Op],
-    policy: CompactionPolicy,
+    (policy, prune): (CompactionPolicy, bool),
     workers: usize,
     steps: usize,
     indexed: bool,
@@ -138,6 +140,7 @@ fn run_chain(
             .with_delta_probe(indexed),
     );
     let mat = materialize(&ctx).unwrap();
+    let mv_at_mat = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
     apply_ops(&ctx, &tables, ops);
     let end = ctx.engine.current_csn();
     let span = end - mat;
@@ -157,15 +160,19 @@ fn run_chain(
         if s == steps / 2 {
             roll_to(&ctx, frontier).unwrap();
         }
-        if matches!(policy, CompactionPolicy::Background(_)) {
+        if prune {
             ctx.compact_stores().unwrap();
         }
     }
+    let moved = add(
+        &oracle::mv_state(&ctx.engine, &ctx.mv).unwrap(),
+        &negate(&mv_at_mat),
+    );
     let vd = ctx
         .engine
-        .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, end))
+        .vd_range(ctx.mv.vd_table, TimeInterval::new(ctx.mv.mat_time(), end))
         .unwrap();
-    (ctx, mat, end, net_effect(vd))
+    (ctx, mat, end, add(&moved, &net_effect(vd)))
 }
 
 /// Roll to the end of history and compare the MV against the oracle.
@@ -183,9 +190,10 @@ fn check_final_state(ctx: &MaintCtx, end: Csn) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// 2..4-way chains under every compaction policy: the keyed-probe run
-    /// φ-matches the full-scan run on the same history, and refresh from
-    /// the probed delta hits the oracle at the end of history.
+    /// 2..4-way chains under every compaction policy, with and without
+    /// pruning: the keyed-probe run φ-matches the full-scan run on the same
+    /// history, and refresh from the probed delta hits the oracle at the
+    /// end of history.
     #[test]
     fn indexed_delta_probes_phi_match_full_scans(
         n in 2usize..5,
@@ -200,19 +208,19 @@ proptest! {
             })
             .cloned()
             .collect();
-        for (tag, policy) in [
-            ("off", CompactionPolicy::Off),
-            ("scan", CompactionPolicy::OnScan),
-            ("bg", CompactionPolicy::Background(1)),
+        for (tag, arm) in [
+            ("off", (CompactionPolicy::Off, false)),
+            ("scan", (CompactionPolicy::OnScan, false)),
+            ("prune", (CompactionPolicy::OnScan, true)),
         ] {
             let (_, mat_s, end_s, phi_scan) = run_chain(
-                &format!("ds_{tag}"), n, &ops, policy, workers, steps, false,
+                &format!("ds_{tag}"), n, &ops, arm, workers, steps, false,
             );
             let (ctx_idx, mat_i, end_i, phi_idx) = run_chain(
-                &format!("di_{tag}"), n, &ops, policy, workers, steps, true,
+                &format!("di_{tag}"), n, &ops, arm, workers, steps, true,
             );
             prop_assert_eq!((mat_s, end_s), (mat_i, end_i), "identical histories");
-            prop_assert_eq!(&phi_scan, &phi_idx, "φ(probed) ≠ φ(scanned) under {:?}", policy);
+            prop_assert_eq!(&phi_scan, &phi_idx, "φ(probed) ≠ φ(scanned) under {}", tag);
             check_final_state(&ctx_idx, end_i)?;
         }
     }
@@ -274,9 +282,9 @@ fn recursion_probes_cut_delta_rows_read() {
 }
 
 /// Keyed probes racing live updater transactions and a background
-/// compactor under striped locking: postings are appended by capture,
-/// remapped by prunes, and rebuilt by compactions while probes read them;
-/// the final rolled MV must equal the oracle state.
+/// compactor under striped locking: postings are appended by capture and
+/// popped by prunes while probes read them; the final rolled MV must equal
+/// the oracle state.
 #[test]
 fn probes_with_concurrent_updaters_and_compactor_match_oracle() {
     const N: usize = 3;
@@ -286,7 +294,7 @@ fn probes_with_concurrent_updaters_and_compactor_match_oracle() {
         ExecTuning::default()
             .with_workers(2)
             .with_lock_granularity(LockGranularity::Striped(64))
-            .with_compaction(CompactionPolicy::Background(1)),
+            .with_compaction(CompactionPolicy::OnScan),
     );
     let mat = materialize(&ctx).unwrap();
     let mut txn = ctx.engine.begin();

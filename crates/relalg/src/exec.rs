@@ -135,18 +135,14 @@ impl ExecStats {
 ///
 /// Shared slots come from the step-scoped scan cache: several constituent
 /// queries of one propagation step read the same delta range, so the rows
-/// arrive as a shared `Arc` with the `(table, interval, store version)`
-/// identity that produced them — which doubles as the [`BuildCache`] key
-/// when the slot lands on the build side of a join. The version is the
-/// delta store's content version at fetch time: a φ-compaction between
-/// build and reuse bumps it, so a stale prebuilt hash index can never be
-/// served against a recompacted range.
+/// arrive as a shared `Arc` with the `(table, interval)` identity that
+/// produced them — which doubles as the [`BuildCache`] key when the slot
+/// lands on the build side of a join.
 pub enum SlotInput {
     /// Rows owned by this query alone.
     Owned(Vec<DeltaRow>),
-    /// Rows shared across queries, with their delta-range identity and the
-    /// delta store's content version at fetch time.
-    Shared(Arc<Vec<DeltaRow>>, TableId, TimeInterval, u64),
+    /// Rows shared across queries, with their delta-range identity.
+    Shared(Arc<Vec<DeltaRow>>, TableId, TimeInterval),
 }
 
 impl SlotInput {
@@ -204,16 +200,12 @@ impl BuildCacheStats {
 
 /// Step-scoped cache of hash-join build sides.
 ///
-/// Keyed by `(table, interval, store version, build columns)`: the same
-/// delta range used as a build side with the same join columns across
-/// constituent queries is hashed once and probed many times. Entries are
-/// immutable for the same reason scan-cache entries are (delta ranges at
-/// or below the capture HWM never change *for a given store version*); the
-/// version in the key makes the cache φ-compaction-safe — compacting a
-/// store between build and reuse changes the version, so the next lookup
-/// misses and rebuilds instead of probing a stale index.
-/// [`BuildCache::advance_epoch`] bounds memory to one propagation step's
-/// working set.
+/// Keyed by `(table, interval, build columns)`: the same delta range used
+/// as a build side with the same join columns across constituent queries
+/// is hashed once and probed many times. Entries are immutable for the
+/// same reason scan-cache entries are (delta ranges at or below the
+/// capture HWM never change). [`BuildCache::advance_epoch`] bounds memory
+/// to one propagation step's working set.
 #[derive(Default)]
 pub struct BuildCache {
     inner: RwLock<BuildCacheInner>,
@@ -224,7 +216,7 @@ pub struct BuildCache {
 #[derive(Default)]
 struct BuildCacheInner {
     epoch: u64,
-    indexes: HashMap<(TableId, TimeInterval, u64, Vec<usize>), Arc<JoinIndex>>,
+    indexes: HashMap<(TableId, TimeInterval, Vec<usize>), Arc<JoinIndex>>,
 }
 
 impl BuildCache {
@@ -232,7 +224,7 @@ impl BuildCache {
         Self::default()
     }
 
-    /// Drop all entries materialized under a capture HWM below `hwm`
+    /// Drop all entries materialized under a propagation HWM below `hwm`
     /// (same step-scoping rule as the scan cache).
     pub fn advance_epoch(&self, hwm: u64) {
         if self.inner.read().epoch >= hwm {
@@ -245,19 +237,16 @@ impl BuildCache {
         }
     }
 
-    /// Get the index for `(table, interval, version, keys)`, building it
-    /// from `rows` on a miss. `version` is the delta store's content
-    /// version at fetch time — a compaction bumps it and invalidates
-    /// entries built over the pre-compaction rows.
+    /// Get the index for `(table, interval, keys)`, building it from
+    /// `rows` on a miss.
     pub fn get_or_build(
         &self,
         table: TableId,
         interval: TimeInterval,
-        version: u64,
         keys: &[usize],
         rows: &[DeltaRow],
     ) -> Arc<JoinIndex> {
-        let key = (table, interval, version, keys.to_vec());
+        let key = (table, interval, keys.to_vec());
         if let Some(idx) = self.inner.read().indexes.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return idx.clone();
@@ -353,8 +342,8 @@ pub fn execute_shared(
             step_keys[k].iter().copied().unzip();
         pipeline = match (&build, build_cache) {
             // A shared build side with a cache: hash it once per step.
-            (SlotInput::Shared(rows, table, interval, version), Some(cache)) => {
-                let idx = cache.get_or_build(*table, *interval, *version, &build_keys, rows);
+            (SlotInput::Shared(rows, table, interval), Some(cache)) => {
+                let idx = cache.get_or_build(*table, *interval, &build_keys, rows);
                 ops::hash_join_indexed(pipeline, idx, probe_keys)
             }
             _ => ops::hash_join(pipeline, build.into_rows(), probe_keys, build_keys),
@@ -438,8 +427,8 @@ mod tests {
         let shared_slots = || {
             vec![
                 SlotInput::Owned(r.clone()),
-                SlotInput::Shared(Arc::new(s.clone()), TableId(6), iv, 1),
-                SlotInput::Shared(Arc::new(t.clone()), t_id, iv, 1),
+                SlotInput::Shared(Arc::new(s.clone()), TableId(6), iv),
+                SlotInput::Shared(Arc::new(t.clone()), t_id, iv),
             ]
         };
         let (shared, shared_stats) =
@@ -468,49 +457,6 @@ mod tests {
         assert!(cache.is_empty());
         cache.advance_epoch(9);
         assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn build_cache_misses_on_version_change() {
-        // A φ-compaction between build and reuse bumps the store version;
-        // the same (table, interval, keys) must then rebuild rather than
-        // serve the index hashed over the pre-compaction rows.
-        let spec = spec_rs();
-        let r = base_rows(&[(1, 10)]);
-        let (t_id, iv) = (TableId(3), TimeInterval::new(0, 9));
-        let cache = BuildCache::new();
-
-        // Pre-compaction build side: +1/−1 churn on (10, 100).
-        let churn = vec![
-            DeltaRow::change(1, 1, tup![10, 100]),
-            DeltaRow::change(2, -1, tup![10, 100]),
-            DeltaRow::change(3, 1, tup![10, 101]),
-        ];
-        let slots = vec![
-            SlotInput::Owned(r.clone()),
-            SlotInput::Shared(Arc::new(churn), t_id, iv, 1),
-        ];
-        let (out, _) = execute_shared(slots, &spec, 1, Some(&cache)).unwrap();
-        assert_eq!(net_effect(out).len(), 1);
-        assert_eq!(cache.stats().misses, 1);
-
-        // Post-compaction rows under a bumped version: the entry for
-        // version 1 must not be reused.
-        let compacted = vec![DeltaRow::change(3, 1, tup![10, 101])];
-        let slots = vec![
-            SlotInput::Owned(r),
-            SlotInput::Shared(Arc::new(compacted), t_id, iv, 2),
-        ];
-        let (out, _) = execute_shared(slots, &spec, 1, Some(&cache)).unwrap();
-        let net = net_effect(out);
-        assert_eq!(net.len(), 1);
-        assert_eq!(net[&tup![1, 101]], 1);
-        let stats = cache.stats();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.entries),
-            (0, 2, 2),
-            "version change is a miss, not a stale hit"
-        );
     }
 
     #[test]

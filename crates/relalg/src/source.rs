@@ -140,11 +140,9 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
 
 /// Fetch one slot, routing delta-range reads through the step-scoped
 /// [`ScanCache`]. The same range requested by several constituent queries
-/// of one propagation step is materialized once and shared; cache entries
-/// are keyed on the delta store's content version, so a prune or
-/// φ-compaction between steps invalidates them instead of serving stale
-/// rows. Non-delta sources are fetched fresh each time (base reads are
-/// transactional and must see the executing transaction's state).
+/// of one propagation step is materialized once and shared. Non-delta
+/// sources are fetched fresh each time (base reads are transactional and
+/// must see the executing transaction's state).
 ///
 /// With `compact` set, a freshly materialized delta range is φ-reduced
 /// ([`crate::net_effect::compact_rows`]) *before* it enters the cache, so
@@ -162,9 +160,8 @@ pub fn fetch_cached(
 ) -> Result<(SlotInput, bool, usize)> {
     match source {
         SlotSource::Delta(table, interval) => {
-            let version = engine.delta_store(*table)?.version();
             let mut raw_rows = 0usize;
-            let (rows, hit) = cache.get_or_fetch(*table, *interval, version, || {
+            let (rows, hit) = cache.get_or_fetch(*table, *interval, || {
                 let fetched = engine.delta_range(*table, *interval)?;
                 raw_rows = fetched.len();
                 if compact {
@@ -176,11 +173,7 @@ pub fn fetch_cached(
             if hit {
                 raw_rows = rows.len();
             }
-            Ok((
-                SlotInput::Shared(rows, *table, *interval, version),
-                hit,
-                raw_rows,
-            ))
+            Ok((SlotInput::Shared(rows, *table, *interval), hit, raw_rows))
         }
         // Keyed delta probes are key-set-specific, so they bypass the scan
         // cache (an entry would only ever serve the query that made it) but
@@ -269,9 +262,9 @@ mod tests {
         let (second, hit, _) = fetch_cached(&e, &mut txn, &src, &cache, false).unwrap();
         assert!(hit);
         match (&first, &second) {
-            (SlotInput::Shared(a, ta, iva, va), SlotInput::Shared(b, tb, ivb, vb)) => {
+            (SlotInput::Shared(a, ta, iva), SlotInput::Shared(b, tb, ivb)) => {
                 assert!(Arc::ptr_eq(a, b));
-                assert_eq!((ta, iva, va), (tb, ivb, vb));
+                assert_eq!((ta, iva), (tb, ivb));
                 assert_eq!(a.len(), 1);
             }
             _ => panic!("delta fetch should be shared"),

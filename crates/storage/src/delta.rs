@@ -16,62 +16,44 @@
 
 use parking_lot::RwLock;
 use rolljoin_common::{Csn, DeltaRow, Error, Result, TableId, TimeInterval, Tuple, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Snapshot that replaces pruned history: the table's multiset state as
-/// of `through`.
-#[derive(Default)]
-struct DeltaBase {
-    through: Csn,
-    counts: HashMap<Tuple, i64>,
-}
-
-/// Point-in-time copy of a store's φ-compaction counters.
+/// Point-in-time copy of a store's pruning counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionStats {
-    /// Change records folded into an earlier same-tuple record.
-    pub rows_merged: u64,
-    /// Tuple groups whose counts summed to zero and were dropped outright.
-    pub zero_runs_dropped: u64,
-    /// Estimated heap bytes released by removed records.
+    /// Change records pruned away.
+    pub rows_removed: u64,
+    /// Estimated heap bytes released by pruned records.
     pub bytes_reclaimed: u64,
 }
 
 impl CompactionStats {
     /// Fold another snapshot into this one (aggregation across stores).
     pub fn merge(&mut self, o: &CompactionStats) {
-        self.rows_merged += o.rows_merged;
-        self.zero_runs_dropped += o.zero_runs_dropped;
+        self.rows_removed += o.rows_removed;
         self.bytes_reclaimed += o.bytes_reclaimed;
-    }
-
-    /// Total records physically removed (merged duplicates + zero groups).
-    pub fn rows_removed(&self) -> u64 {
-        self.rows_merged + self.zero_runs_dropped
     }
 }
 
-/// Live compaction counters (one set per store).
+/// Live pruning counters (one set per store).
 #[derive(Default)]
 struct CompactionCounters {
-    rows_merged: AtomicU64,
-    zero_runs_dropped: AtomicU64,
+    rows_removed: AtomicU64,
     bytes_reclaimed: AtomicU64,
 }
 
 impl CompactionCounters {
-    fn record(&self, merged: u64, zeros: u64, bytes: u64) {
-        self.rows_merged.fetch_add(merged, Ordering::Relaxed);
-        self.zero_runs_dropped.fetch_add(zeros, Ordering::Relaxed);
+    fn record(&self, rows: u64, bytes: u64) {
+        self.rows_removed.fetch_add(rows, Ordering::Relaxed);
         self.bytes_reclaimed.fetch_add(bytes, Ordering::Relaxed);
     }
 
     fn snapshot(&self) -> CompactionStats {
         CompactionStats {
-            rows_merged: self.rows_merged.load(Ordering::Relaxed),
-            zero_runs_dropped: self.zero_runs_dropped.load(Ordering::Relaxed),
+            rows_removed: self.rows_removed.load(Ordering::Relaxed),
             bytes_reclaimed: self.bytes_reclaimed.load(Ordering::Relaxed),
         }
     }
@@ -97,68 +79,85 @@ fn approx_row_bytes(r: &DeltaRow) -> u64 {
     std::mem::size_of::<DeltaRow>() as u64 + approx_tuple_bytes(&r.tuple)
 }
 
-/// One posting: the row's position in the store's CSN-ordered `rows`
-/// vector plus its commit timestamp. Lists are kept in (position, csn)
-/// ascending order, so a `σ_{a,b}` selection over one key is a
-/// binary-search slice of its list.
+fn ts(r: &DeltaRow) -> Csn {
+    r.ts.expect("delta rows are timestamped")
+}
+
+/// Add `count` copies of `tuple` to a multiset, dropping it at zero.
+fn add_count(counts: &mut HashMap<Tuple, i64>, tuple: Tuple, count: i64) {
+    match counts.entry(tuple) {
+        Entry::Occupied(mut e) => {
+            *e.get_mut() += count;
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
+        Entry::Vacant(e) => {
+            if count != 0 {
+                e.insert(count);
+            }
+        }
+    }
+}
+
+/// One posting: the row's absolute position in the store (see
+/// [`History::offset`]) plus its commit timestamp. Lists are kept in
+/// (position, csn) ascending order, so a `σ_{a,b}` selection over one key
+/// is a binary-search slice of its list.
 type Posting = (usize, Csn);
 
 /// Keyed time-range index: per indexed column, `key value → postings`.
 ///
-/// Lock order: every mutator holds `rows`' write lock *before* touching
-/// the index, and readers take `rows`' read lock first too, so postings
-/// can never dangle — positions are only remapped (prune) or rebuilt
-/// (compaction) inside the same critical section that rewrites the rows.
+/// Lock order: every mutator holds the history's write lock *before*
+/// touching the index, and readers take the history's read lock first
+/// too. Positions are absolute, so appends and prunes only ever push to
+/// the back or pop from the front of a list — no posting is rewritten.
 #[derive(Default)]
 struct KeyIndex {
-    cols: HashMap<usize, HashMap<Value, Vec<Posting>>>,
+    cols: HashMap<usize, HashMap<Value, VecDeque<Posting>>>,
+}
+
+/// Record `row`, held at absolute position `pos`, in one column's postings.
+/// NULL never equi-joins, so it is kept out of postings.
+fn push_posting(
+    map: &mut HashMap<Value, VecDeque<Posting>>,
+    col: usize,
+    pos: usize,
+    row: &DeltaRow,
+) {
+    let v = row.tuple.get(col);
+    if *v != Value::Null {
+        map.entry(v.clone()).or_default().push_back((pos, ts(row)));
+    }
 }
 
 impl KeyIndex {
-    /// Add postings for rows appended at `[start..start+n)`.
-    fn append(&mut self, rows: &[DeltaRow], start: usize) {
+    /// Add postings for `row`, appended at absolute position `pos`.
+    fn push(&mut self, pos: usize, row: &DeltaRow) {
         for (col, map) in &mut self.cols {
-            for (i, r) in rows[start..].iter().enumerate() {
-                let v = r.tuple.get(*col);
-                if *v == Value::Null {
-                    continue; // NULL never equi-joins; keep it out of postings
-                }
-                map.entry(v.clone())
-                    .or_default()
-                    .push((start + i, r.ts.expect("delta rows are timestamped")));
+            push_posting(map, *col, pos, row);
+        }
+    }
+
+    /// Drop the postings of `row`, the pruned oldest row at absolute
+    /// position `pos`: on every indexed column it is the front posting of
+    /// its key's list.
+    fn pop(&mut self, pos: usize, row: &DeltaRow) {
+        for (col, map) in &mut self.cols {
+            let v = row.tuple.get(*col);
+            let Some(list) = map.get_mut(v) else {
+                continue; // NULL key: never posted
+            };
+            let front = list.pop_front();
+            debug_assert_eq!(front.map(|(p, _)| p), Some(pos), "stale posting");
+            if list.is_empty() {
+                map.remove(v);
             }
         }
     }
 
-    /// Rebuild every indexed column's postings from scratch (compaction
-    /// rewrote the prefix, so positions and timestamps both moved).
-    fn rebuild(&mut self, rows: &[DeltaRow]) {
-        for map in self.cols.values_mut() {
-            map.clear();
-        }
-        self.append(rows, 0);
-    }
-
-    /// Shift postings left by `pruned` dropped prefix rows, discarding
-    /// postings that pointed into the prefix.
-    fn remap_pruned(&mut self, pruned: usize) {
-        for map in self.cols.values_mut() {
-            map.retain(|_, list| {
-                list.retain_mut(|(pos, _)| {
-                    if *pos < pruned {
-                        false
-                    } else {
-                        *pos -= pruned;
-                        true
-                    }
-                });
-                !list.is_empty()
-            });
-        }
-    }
-
     /// `[lo, hi)` bounds of one key's postings with csn in `(a, b]`.
-    fn slice(list: &[Posting], interval: TimeInterval) -> (usize, usize) {
+    fn slice(list: &VecDeque<Posting>, interval: TimeInterval) -> (usize, usize) {
         (
             list.partition_point(|&(_, csn)| csn <= interval.lo),
             list.partition_point(|&(_, csn)| csn <= interval.hi),
@@ -183,80 +182,63 @@ impl KeyIndex {
     }
 }
 
+/// A delta store's held change records plus the snapshot that replaced
+/// its pruned prefix.
+#[derive(Default)]
+struct History {
+    /// Change records with timestamp > `through`, in CSN order.
+    rows: VecDeque<DeltaRow>,
+    /// Records pruned so far: `rows[i]` sits at absolute position
+    /// `offset + i`, which is what postings record.
+    offset: usize,
+    /// Highest CSN folded into `base`: the read floor.
+    through: Csn,
+    /// The table's multiset state as of `through`.
+    base: HashMap<Tuple, i64>,
+}
+
+impl History {
+    /// Index of the first held row with timestamp strictly greater than
+    /// `t`. Rows are in CSN order, so this is a binary search.
+    fn lower_bound(&self, t: Csn) -> usize {
+        self.rows.partition_point(|r| ts(r) <= t)
+    }
+
+    /// `[lo, hi)` bounds of the held records with timestamp in `(a, b]` —
+    /// the paper's `σ_{a,b}` selection as index arithmetic.
+    fn bounds(&self, interval: TimeInterval) -> (usize, usize) {
+        (self.lower_bound(interval.lo), self.lower_bound(interval.hi))
+    }
+}
+
 /// Append-only, CSN-ordered base-table delta (`Δ^R`).
 pub struct DeltaStore {
     table: TableId,
-    rows: RwLock<Vec<DeltaRow>>,
-    base: RwLock<DeltaBase>,
-    /// Highest CSN below which same-tuple records may have been merged
-    /// (min-timestamp rule). Reads that dip below it would see rewritten
-    /// timestamps, so they are refused like pruned history.
-    compacted_through: AtomicU64,
-    /// Bumped whenever held rows are rewritten in place (prune or compact);
-    /// lets range caches detect that a cached `(table, interval)` entry no
-    /// longer matches the store contents.
-    version: AtomicU64,
+    history: RwLock<History>,
     /// Keyed time-range index (posting lists per indexed column). Always
-    /// acquired *after* `rows` — see [`KeyIndex`].
+    /// acquired *after* `history` — see [`KeyIndex`].
     index: RwLock<KeyIndex>,
     compaction: CompactionCounters,
-}
-
-/// Index of the first row with timestamp strictly greater than `t` —
-/// equivalently, the count of rows with timestamp ≤ `t`. Rows are in CSN
-/// order, so this is a binary search.
-fn lower_bound(rows: &[DeltaRow], t: Csn) -> usize {
-    rows.partition_point(|r| r.ts.expect("delta rows are timestamped") <= t)
-}
-
-/// `[lo, hi)` slice bounds of the records with timestamp in `(a, b]` —
-/// the paper's `σ_{a,b}` selection as index arithmetic.
-fn interval_bounds(rows: &[DeltaRow], interval: TimeInterval) -> (usize, usize) {
-    (
-        lower_bound(rows, interval.lo),
-        lower_bound(rows, interval.hi),
-    )
 }
 
 impl DeltaStore {
     pub fn new(table: TableId) -> Self {
         DeltaStore {
             table,
-            rows: RwLock::new(Vec::new()),
-            base: RwLock::new(DeltaBase::default()),
-            compacted_through: AtomicU64::new(0),
-            version: AtomicU64::new(0),
+            history: RwLock::new(History::default()),
             index: RwLock::new(KeyIndex::default()),
             compaction: CompactionCounters::default(),
         }
     }
 
-    /// History at or below this CSN has been folded into a snapshot:
-    /// `range`/`reconstruct_at` below it are unavailable.
+    /// The read floor: history at or below this CSN has been folded into
+    /// a snapshot, so ranges starting below it and reconstructions at
+    /// times below it are unavailable.
     pub fn pruned_through(&self) -> Csn {
-        self.base.read().through
+        self.history.read().through
     }
 
-    /// Highest CSN below which same-tuple records may have been merged.
-    pub fn compacted_through(&self) -> Csn {
-        self.compacted_through.load(Ordering::Acquire)
-    }
-
-    /// The read floor: ranges starting below this (and reconstructions at
-    /// times below it) are refused — history there has been pruned away or
-    /// rewritten by compaction.
-    pub fn floor(&self) -> Csn {
-        self.pruned_through().max(self.compacted_through())
-    }
-
-    /// Content version: bumped whenever held rows are rewritten in place
-    /// (prune or compaction). Range caches key their entries on this so a
-    /// rewrite invalidates them.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Compaction counters accumulated over the store's lifetime.
+    /// Pruning counters accumulated over the store's lifetime.
     pub fn compaction_stats(&self) -> CompactionStats {
         self.compaction.snapshot()
     }
@@ -264,74 +246,25 @@ impl DeltaStore {
     /// Fold all change records with timestamp ≤ `through` into the base
     /// snapshot, reclaiming their space. Returns the number of records
     /// folded. Maintenance must no longer need ranges starting below
-    /// `through` (i.e. every propagation frontier has passed it).
+    /// `through` (i.e. every propagation frontier has passed it). Costs
+    /// O(records folded): each pops the front of the held rows and of its
+    /// keys' posting lists.
     pub fn prune_through(&self, through: Csn) -> usize {
-        let mut rows = self.rows.write();
-        let mut base = self.base.write();
-        let hi = lower_bound(&rows, through);
-        for r in rows.drain(..hi) {
-            *base.counts.entry(r.tuple).or_insert(0) += r.count;
+        let mut guard = self.history.write();
+        let h = &mut *guard;
+        let mut index = self.index.write();
+        let (mut rows, mut bytes) = (0u64, 0u64);
+        while h.rows.front().is_some_and(|r| ts(r) <= through) {
+            let r = h.rows.pop_front().expect("front checked");
+            index.pop(h.offset, &r);
+            h.offset += 1;
+            rows += 1;
+            bytes += approx_row_bytes(&r);
+            add_count(&mut h.base, r.tuple, r.count);
         }
-        base.counts.retain(|_, c| *c != 0);
-        base.through = base.through.max(through);
-        if hi > 0 {
-            self.index.write().remap_pruned(hi);
-            self.version.fetch_add(1, Ordering::AcqRel);
-        }
-        hi
-    }
-
-    /// φ-compact held history: merge same-tuple change records with
-    /// timestamp ≤ `lwm` into one record each (counts summed, **minimum**
-    /// timestamp kept per the §3.3 rule) and drop groups whose counts sum
-    /// to zero. Returns the number of records removed.
-    ///
-    /// Sound only when `lwm` is a *global low-water mark*: every
-    /// propagation frontier and the apply position have passed it, so no
-    /// future read's interval starts below `lwm` — any `σ_{a,b}` with
-    /// `a ≥ lwm` excludes whole groups and any reconstruction at `t ≥ lwm`
-    /// includes whole groups, both of which φ-commute with the merge
-    /// (Definition 4.1 linearity). If nothing merges, the store is left
-    /// untouched and stays fully readable below `lwm`.
-    pub fn compact_through(&self, lwm: Csn) -> usize {
-        let mut rows = self.rows.write();
-        let hi = lower_bound(&rows, lwm);
-        if hi < 2 {
-            return 0;
-        }
-        // Group by tuple in first-occurrence order: rows are CSN-sorted, so
-        // the first occurrence carries the group's minimum timestamp and
-        // the merged prefix stays timestamp-sorted.
-        let mut pos: HashMap<Tuple, usize> = HashMap::with_capacity(hi);
-        let mut merged: Vec<DeltaRow> = Vec::with_capacity(hi);
-        for r in &rows[..hi] {
-            match pos.get(&r.tuple) {
-                Some(&i) => merged[i].count += r.count,
-                None => {
-                    pos.insert(r.tuple.clone(), merged.len());
-                    merged.push(r.clone());
-                }
-            }
-        }
-        let groups = merged.len();
-        let zeros = merged.iter().filter(|r| r.count == 0).count();
-        if groups == hi && zeros == 0 {
-            return 0;
-        }
-        merged.retain(|r| r.count != 0);
-        let removed = hi - merged.len();
-        let before: u64 = rows[..hi].iter().map(approx_row_bytes).sum();
-        let after: u64 = merged.iter().map(approx_row_bytes).sum();
-        rows.splice(..hi, merged);
-        self.index.write().rebuild(&rows);
-        self.compaction.record(
-            (hi - groups) as u64,
-            zeros as u64,
-            before.saturating_sub(after),
-        );
-        self.compacted_through.fetch_max(lwm, Ordering::AcqRel);
-        self.version.fetch_add(1, Ordering::AcqRel);
-        removed
+        h.through = h.through.max(through);
+        self.compaction.record(rows, bytes);
+        rows as usize
     }
 
     /// The base table this delta describes.
@@ -342,48 +275,42 @@ impl DeltaStore {
     /// Append the changes of one committed transaction. `ts` must be
     /// non-decreasing across calls (capture processes commits in order).
     pub fn append_commit(&self, ts: Csn, changes: impl IntoIterator<Item = (i64, Tuple)>) {
-        let mut rows = self.rows.write();
+        let mut guard = self.history.write();
+        let h = &mut *guard;
         debug_assert!(
-            rows.last().and_then(|r| r.ts).is_none_or(|last| last <= ts),
+            h.rows
+                .back()
+                .and_then(|r| r.ts)
+                .is_none_or(|last| last <= ts),
             "delta rows must be appended in CSN order"
         );
-        let start = rows.len();
+        let mut index = self.index.write();
         for (count, tuple) in changes {
-            rows.push(DeltaRow::change(ts, count, tuple));
-        }
-        if rows.len() > start {
-            self.index.write().append(&rows, start);
+            let row = DeltaRow::change(ts, count, tuple);
+            index.push(h.offset + h.rows.len(), &row);
+            h.rows.push_back(row);
         }
     }
 
     /// `σ_{a,b}(Δ^R)`: all change records with timestamp in `(a, b]`.
     /// Bounds are computed first so only the selected slice is cloned.
     pub fn range(&self, interval: TimeInterval) -> Vec<DeltaRow> {
-        let rows = self.rows.read();
-        let (lo, hi) = interval_bounds(&rows, interval);
-        rows[lo..hi].to_vec()
+        let h = self.history.read();
+        let (lo, hi) = h.bounds(interval);
+        h.rows.range(lo..hi).cloned().collect()
     }
 
     /// Create a keyed time-range index on `col`, back-filling postings for
     /// already-captured history. Idempotent.
     pub fn create_key_index(&self, col: usize) {
-        let rows = self.rows.read();
+        let h = self.history.read();
         let mut index = self.index.write();
         if index.cols.contains_key(&col) {
             return;
         }
-        index.cols.insert(col, HashMap::new());
-        // Back-fill just the new column (append walks every indexed col,
-        // but the others' postings are already position-correct — rebuild
-        // via a single-col scratch map instead).
-        let map = index.cols.get_mut(&col).expect("just inserted");
-        for (i, r) in rows.iter().enumerate() {
-            let v = r.tuple.get(col);
-            if *v != Value::Null {
-                map.entry(v.clone())
-                    .or_default()
-                    .push((i, r.ts.expect("delta rows are timestamped")));
-            }
+        let map = index.cols.entry(col).or_default();
+        for (i, r) in h.rows.iter().enumerate() {
+            push_posting(map, col, h.offset + i, r);
         }
     }
 
@@ -410,21 +337,26 @@ impl DeltaStore {
         col: usize,
         keys: &[Value],
     ) -> Option<Vec<DeltaRow>> {
-        let rows = self.rows.read();
+        let h = self.history.read();
         let index = self.index.read();
         let map = index.cols.get(&col)?;
         let mut positions: Vec<usize> = Vec::new();
         for key in keys {
             if let Some(list) = map.get(key) {
                 let (lo, hi) = KeyIndex::slice(list, interval);
-                positions.extend(list[lo..hi].iter().map(|&(pos, _)| pos));
+                positions.extend(list.range(lo..hi).map(|&(pos, _)| pos));
             }
         }
         // Distinct keys never share a posting, so sorting positions is
         // enough to restore global CSN order (rows are CSN-sorted and the
         // min-timestamp rule downstream depends on it).
         positions.sort_unstable();
-        Some(positions.into_iter().map(|p| rows[p].clone()).collect())
+        Some(
+            positions
+                .into_iter()
+                .map(|p| h.rows[p - h.offset].clone())
+                .collect(),
+        )
     }
 
     /// Total posting-list length for `keys` on `col` within `(a, b]` — the
@@ -457,15 +389,14 @@ impl DeltaStore {
     /// Number of change records with timestamp in `(a, b]` (cheap; used by
     /// adaptive interval policies).
     pub fn count_in(&self, interval: TimeInterval) -> usize {
-        let rows = self.rows.read();
-        let (lo, hi) = interval_bounds(&rows, interval);
+        let (lo, hi) = self.history.read().bounds(interval);
         hi - lo
     }
 
     /// Timestamp of the latest captured change (not the capture HWM — a
     /// quiet table's delta can trail the HWM arbitrarily).
     pub fn last_ts(&self) -> Option<Csn> {
-        self.rows.read().last().and_then(|r| r.ts)
+        self.history.read().rows.back().and_then(|r| r.ts)
     }
 
     /// Timestamp of the `k`-th change record (1-based) strictly after `t`,
@@ -475,14 +406,13 @@ impl DeltaStore {
         if k == 0 {
             return None;
         }
-        let rows = self.rows.read();
-        let lo = lower_bound(&rows, t);
-        rows.get(lo + k - 1).map(|r| r.ts.expect("timestamped"))
+        let h = self.history.read();
+        h.rows.get(h.lower_bound(t) + k - 1).map(ts)
     }
 
     /// Total number of change records held.
     pub fn len(&self) -> usize {
-        self.rows.read().len()
+        self.history.read().rows.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -495,24 +425,17 @@ impl DeltaStore {
     /// and by the (paper-acknowledged-unrealizable) Equation 2 baseline —
     /// the rolling algorithms themselves never need it.
     pub fn reconstruct_at(&self, t: Csn) -> Result<HashMap<Tuple, i64>> {
-        let rows = self.rows.read();
-        let base = self.base.read();
-        let floor = base.through.max(self.compacted_through());
-        if t < floor {
+        let h = self.history.read();
+        if t < h.through {
             return Err(Error::HistoryPruned {
                 table: self.table,
                 requested: t,
-                pruned_through: floor,
+                pruned_through: h.through,
             });
         }
-        let hi = lower_bound(&rows, t);
-        let mut out: HashMap<Tuple, i64> = base.counts.clone();
-        for r in &rows[..hi] {
-            let e = out.entry(r.tuple.clone()).or_insert(0);
-            *e += r.count;
-            if *e == 0 {
-                out.remove(&r.tuple);
-            }
+        let mut out = h.base.clone();
+        for r in h.rows.range(..h.lower_bound(t)) {
+            add_count(&mut out, r.tuple.clone(), r.count);
         }
         Ok(out)
     }
@@ -542,7 +465,7 @@ impl ViewDeltaStore {
         }
     }
 
-    /// Compaction counters accumulated over the store's lifetime.
+    /// Pruning counters accumulated over the store's lifetime.
     pub fn compaction_stats(&self) -> CompactionStats {
         self.compaction.snapshot()
     }
@@ -614,65 +537,16 @@ impl ViewDeltaStore {
     pub fn prune_through(&self, t: Csn) -> usize {
         let mut rows = self.rows.write();
         let keep = rows.split_off(&(t + 1));
-        let dropped = rows.values().map(Vec::len).sum();
-        *rows = keep;
-        dropped
-    }
-
-    /// φ-compact all records with timestamp ≤ `t` (the apply position):
-    /// merge same-tuple records into one at the group's minimum timestamp,
-    /// drop zero-sum groups. Unlike [`ViewDeltaStore::prune_through`] the
-    /// net effect of the compacted region is preserved, so `range`/
-    /// `net_range` over any interval containing the whole region — in
-    /// particular the `(mat_time, target]` windows apply reads, since
-    /// `t ≤ mat_time` — are unchanged. Returns records removed.
-    pub fn compact_through(&self, t: Csn) -> usize {
-        let mut rows = self.rows.write();
-        let keep = rows.split_off(&(t + 1));
-        let before: usize = rows.values().map(Vec::len).sum();
-        if before < 2 {
-            rows.extend(keep);
-            return 0;
-        }
-        // Buckets iterate in timestamp order, so a group's first
-        // occurrence carries its minimum timestamp (§3.3 rule).
-        let mut pos: HashMap<Tuple, usize> = HashMap::with_capacity(before);
-        let mut groups: Vec<(Csn, i64, Tuple)> = Vec::with_capacity(before);
+        let dropped = std::mem::replace(&mut *rows, keep);
+        drop(rows);
         let row_overhead = std::mem::size_of::<(i64, Tuple)>() as u64;
-        let mut bytes_before = 0u64;
-        for (&ts, bucket) in rows.iter() {
-            for (count, tuple) in bucket {
-                bytes_before += row_overhead + approx_tuple_bytes(tuple);
-                match pos.get(tuple) {
-                    Some(&i) => groups[i].1 += *count,
-                    None => {
-                        pos.insert(tuple.clone(), groups.len());
-                        groups.push((ts, *count, tuple.clone()));
-                    }
-                }
-            }
+        let (mut n, mut bytes) = (0u64, 0u64);
+        for (_, tuple) in dropped.values().flatten() {
+            n += 1;
+            bytes += row_overhead + approx_tuple_bytes(tuple);
         }
-        let n_groups = groups.len();
-        let zeros = groups.iter().filter(|g| g.1 == 0).count();
-        let mut rebuilt: BTreeMap<Csn, Vec<(i64, Tuple)>> = BTreeMap::new();
-        let mut after = 0usize;
-        let mut bytes_after = 0u64;
-        for (ts, count, tuple) in groups {
-            if count == 0 {
-                continue;
-            }
-            bytes_after += row_overhead + approx_tuple_bytes(&tuple);
-            rebuilt.entry(ts).or_default().push((count, tuple));
-            after += 1;
-        }
-        rebuilt.extend(keep);
-        *rows = rebuilt;
-        self.compaction.record(
-            (before - n_groups) as u64,
-            zeros as u64,
-            bytes_before.saturating_sub(bytes_after),
-        );
-        before - after
+        self.compaction.record(n, bytes);
+        n as usize
     }
 
     /// Total records held.
@@ -710,18 +584,12 @@ impl ScanCacheStats {
     }
 }
 
-/// A cached range scan: the [`DeltaStore::version`] it was fetched at
-/// plus the materialized rows.
-type VersionedRows = (u64, Arc<Vec<DeltaRow>>);
-
 #[derive(Default)]
 struct ScanCacheInner {
     /// Epoch (the caller's propagation HWM) the live entries were
     /// materialized under.
     epoch: Csn,
-    /// Entries carry the version they were fetched at, so a store
-    /// rewrite (prune or φ-compaction) makes them unservable.
-    ranges: HashMap<(TableId, TimeInterval), VersionedRows>,
+    ranges: HashMap<(TableId, TimeInterval), Arc<Vec<DeltaRow>>>,
 }
 
 /// Step-scoped cache of materialized delta-range scans.
@@ -732,19 +600,16 @@ struct ScanCacheInner {
 /// the slice; this cache materializes a range once per step and hands out
 /// shared read-only [`Arc`]s instead.
 ///
-/// Soundness: a range `(a, b]` with `b` at or below the capture HWM is
-/// immutable against *appends* (capture appends in CSN order), but prune
-/// and φ-compaction rewrite held rows in place. Every entry therefore
-/// records the [`DeltaStore::version`] it was fetched at, and a lookup
-/// whose caller-supplied version differs is a miss that *replaces* the
-/// stale entry — a cached range can never be served across a rewrite.
-/// Epoch advancement is then purely a *memory bound*: when the caller's
-/// epoch — the propagation HWM, which advances only as steps complete —
-/// moves past the one the entries were computed under, the step that
-/// shared them has moved on and the whole cache is dropped
-/// ([`ScanCache::advance_epoch`]). The *capture* HWM would be the wrong
-/// epoch: it advances on every concurrent updater commit and would evict a
-/// live step's working set.
+/// Soundness: a range `(a, b]` with `b` at or below the capture HWM never
+/// changes — capture appends above it, and a prune only drops whole
+/// records below the store's floor without rewriting any — so a cached
+/// entry can be served for as long as it is held. Epoch advancement is
+/// purely a *memory bound*: when the caller's epoch — the propagation
+/// HWM, which advances only as steps complete — moves past the one the
+/// entries were computed under, the step that shared them has moved on
+/// and the whole cache is dropped ([`ScanCache::advance_epoch`]). The
+/// *capture* HWM would be the wrong epoch: it advances on every
+/// concurrent updater commit and would evict a live step's working set.
 #[derive(Default)]
 pub struct ScanCache {
     inner: RwLock<ScanCacheInner>,
@@ -758,13 +623,13 @@ impl ScanCache {
         Self::default()
     }
 
-    /// The capture HWM the current entries were materialized under.
+    /// The propagation HWM the current entries were materialized under.
     pub fn epoch(&self) -> Csn {
         self.inner.read().epoch
     }
 
-    /// Step-scope the cache: when the capture HWM has advanced past the
-    /// epoch of the live entries, drop them all. Entries stay correct
+    /// Step-scope the cache: when the propagation HWM has advanced past
+    /// the epoch of the live entries, drop them all. Entries stay correct
     /// regardless (cached ranges are immutable); this bounds memory to one
     /// step's working set.
     pub fn advance_epoch(&self, hwm: Csn) {
@@ -778,44 +643,27 @@ impl ScanCache {
         }
     }
 
-    /// Look up `(table, interval)` at the store's current content
-    /// `version`, materializing it with `fetch` on a miss. A cached entry
-    /// fetched at a different version is stale (the store was pruned or
-    /// compacted since) and is replaced. Returns the shared rows and
-    /// whether this was a hit.
+    /// Look up `(table, interval)`, materializing it with `fetch` on a
+    /// miss. Returns the shared rows and whether this was a hit.
     pub fn get_or_fetch(
         &self,
         table: TableId,
         interval: TimeInterval,
-        version: u64,
         fetch: impl FnOnce() -> Result<Vec<DeltaRow>>,
     ) -> Result<(Arc<Vec<DeltaRow>>, bool)> {
         let key = (table, interval);
-        if let Some((v, rows)) = self.inner.read().ranges.get(&key) {
-            if *v == version {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.rows_served
-                    .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                return Ok((rows.clone(), true));
-            }
+        if let Some(rows) = self.inner.read().ranges.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.rows_served
+                .fetch_add(rows.len() as u64, Ordering::Relaxed);
+            return Ok((rows.clone(), true));
         }
         // Materialize outside the write lock; racing fetchers of the same
         // range do duplicate work at most once.
         let rows = Arc::new(fetch()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.write();
-        let entry = inner
-            .ranges
-            .entry(key)
-            .and_modify(|e| {
-                // Replace (never keep) an entry from another version —
-                // `or_insert` semantics would re-serve the stale rows.
-                if e.0 != version {
-                    *e = (version, rows.clone());
-                }
-            })
-            .or_insert_with(|| (version, rows.clone()));
-        Ok((entry.1.clone(), false))
+        Ok((inner.ranges.entry(key).or_insert(rows).clone(), false))
     }
 
     /// Number of live entries.
@@ -903,6 +751,9 @@ mod tests {
         // Pruning is idempotent / monotone.
         assert_eq!(d.prune_through(2), 0);
         assert_eq!(d.pruned_through(), 4);
+        let s = d.compaction_stats();
+        assert_eq!(s.rows_removed, 4);
+        assert!(s.bytes_reclaimed > 0);
     }
 
     #[test]
@@ -951,12 +802,12 @@ mod tests {
         let cache = ScanCache::new();
         let iv = TimeInterval::new(0, 2);
         let (a, hit) = cache
-            .get_or_fetch(TableId(1), iv, d.version(), || Ok(d.range(iv)))
+            .get_or_fetch(TableId(1), iv, || Ok(d.range(iv)))
             .unwrap();
         assert!(!hit);
         assert_eq!(a.len(), 2);
         let (b, hit) = cache
-            .get_or_fetch(TableId(1), iv, d.version(), || panic!("must not refetch"))
+            .get_or_fetch(TableId(1), iv, || panic!("must not refetch"))
             .unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&a, &b), "hit returns the same allocation");
@@ -970,142 +821,17 @@ mod tests {
         let cache = ScanCache::new();
         let iv = TimeInterval::new(0, 3);
         cache
-            .get_or_fetch(TableId(1), iv, 0, || {
-                Ok(vec![DeltaRow::change(1, 1, tup![1])])
-            })
+            .get_or_fetch(TableId(1), iv, || Ok(vec![DeltaRow::change(1, 1, tup![1])]))
             .unwrap();
         cache.advance_epoch(3);
         assert_eq!(cache.len(), 0, "newer HWM drops the step's entries");
         assert_eq!(cache.epoch(), 3);
         // Same HWM again: entries from the current step survive.
         cache
-            .get_or_fetch(TableId(1), iv, 0, || {
-                Ok(vec![DeltaRow::change(1, 1, tup![1])])
-            })
+            .get_or_fetch(TableId(1), iv, || Ok(vec![DeltaRow::change(1, 1, tup![1])]))
             .unwrap();
         cache.advance_epoch(3);
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn scan_cache_version_mismatch_replaces_stale_entry() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![7])]);
-        d.append_commit(2, [(-1, tup![7])]);
-        d.append_commit(3, [(1, tup![8])]);
-        let cache = ScanCache::new();
-        let iv = TimeInterval::new(0, 3);
-        let v0 = d.version();
-        let (a, _) = cache
-            .get_or_fetch(TableId(1), iv, v0, || Ok(d.range(iv)))
-            .unwrap();
-        assert_eq!(a.len(), 3);
-        // A rewrite (compaction) bumps the version; the old entry must not
-        // be served, and the refetched rows must replace it.
-        assert_eq!(d.compact_through(3), 2);
-        let v1 = d.version();
-        assert_ne!(v0, v1);
-        let (b, hit) = cache
-            .get_or_fetch(TableId(1), iv, v1, || Ok(d.range(iv)))
-            .unwrap();
-        assert!(!hit, "stale version must miss");
-        assert_eq!(b.len(), 1, "compacted range served after refetch");
-        // The replacement is now the live entry for the new version.
-        let (c, hit) = cache
-            .get_or_fetch(TableId(1), iv, v1, || panic!("must not refetch"))
-            .unwrap();
-        assert!(hit);
-        assert!(Arc::ptr_eq(&b, &c));
-    }
-
-    #[test]
-    fn compact_merges_sums_counts_and_keeps_min_ts() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![1])]);
-        d.append_commit(2, [(1, tup![1]), (1, tup![2])]);
-        d.append_commit(3, [(-1, tup![2])]);
-        d.append_commit(5, [(1, tup![1])]);
-        // Compact through 3: tup![1] merges (2 rows → 1, min ts 1), tup![2]
-        // nets to zero and vanishes; the ts=5 row is above the LWM.
-        assert_eq!(d.compact_through(3), 3);
-        let rows = d.range(TimeInterval::new(0, 5));
-        assert_eq!(rows.len(), 2);
-        assert_eq!(
-            (rows[0].ts, rows[0].count, &rows[0].tuple),
-            (Some(1), 2, &tup![1])
-        );
-        assert_eq!(rows[1].ts, Some(5));
-        let s = d.compaction_stats();
-        assert_eq!(s.rows_merged, 2, "one fold for tup![1], one for tup![2]");
-        assert_eq!(s.zero_runs_dropped, 1);
-        assert!(s.bytes_reclaimed > 0);
-        assert_eq!(s.rows_removed(), 3);
-    }
-
-    #[test]
-    fn compact_preserves_reconstruction_at_and_above_lwm() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![1]), (1, tup![2])]);
-        d.append_commit(2, [(-1, tup![1])]);
-        d.append_commit(4, [(2, tup![2])]);
-        let want4 = d.reconstruct_at(4).unwrap();
-        assert!(d.compact_through(4) > 0);
-        assert_eq!(d.reconstruct_at(4).unwrap(), want4);
-        assert_eq!(d.compacted_through(), 4);
-        assert_eq!(d.floor(), 4);
-        // Below the LWM timestamps were rewritten: refuse, like pruning.
-        assert!(matches!(
-            d.reconstruct_at(2),
-            Err(Error::HistoryPruned {
-                pruned_through: 4,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn compact_noop_leaves_history_readable() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![1])]);
-        d.append_commit(2, [(1, tup![2])]);
-        let v = d.version();
-        assert_eq!(d.compact_through(2), 0, "distinct tuples: nothing merges");
-        assert_eq!(d.compacted_through(), 0, "floor not raised on a no-op");
-        assert_eq!(d.version(), v, "no rewrite, no invalidation");
-        assert_eq!(d.reconstruct_at(1).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn recompaction_merges_across_earlier_lwm() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![1])]);
-        d.append_commit(2, [(1, tup![1])]);
-        assert_eq!(d.compact_through(2), 1);
-        d.append_commit(5, [(1, tup![1])]);
-        // The hot key keeps collapsing into the single min-ts row.
-        assert_eq!(d.compact_through(5), 1);
-        let rows = d.range(TimeInterval::new(0, 9));
-        assert_eq!(rows.len(), 1);
-        assert_eq!((rows[0].ts, rows[0].count), (Some(1), 3));
-    }
-
-    #[test]
-    fn view_delta_compact_merges_below_apply_position() {
-        let vd = ViewDeltaStore::new(TableId(9));
-        vd.insert(1, 1, tup!["x"]);
-        vd.insert(2, -1, tup!["x"]);
-        vd.insert(2, 1, tup!["y"]);
-        vd.insert(3, 2, tup!["y"]);
-        vd.insert(7, 1, tup!["z"]);
-        let net_all = vd.net_range(TimeInterval::new(0, 7));
-        assert_eq!(vd.compact_through(3), 3, "x nets to zero, y folds to one");
-        assert_eq!(vd.len(), 2);
-        let rows = vd.range(TimeInterval::new(0, 7));
-        assert_eq!(rows[0], DeltaRow::change(2, 3, tup!["y"]), "min ts kept");
-        assert_eq!(vd.net_range(TimeInterval::new(0, 7)), net_all);
-        let s = vd.compaction_stats();
-        assert_eq!((s.rows_merged, s.zero_runs_dropped), (2, 1));
-        assert!(s.bytes_reclaimed > 0);
     }
 
     #[test]
@@ -1164,7 +890,7 @@ mod tests {
     }
 
     #[test]
-    fn key_index_survives_prune_remap() {
+    fn key_index_survives_prune() {
         let d = DeltaStore::new(TableId(1));
         d.create_key_index(0);
         d.append_commit(1, [(1, tup![1, 0])]);
@@ -1181,25 +907,23 @@ mod tests {
             vec![4, 6]
         );
         assert_eq!(d.keyed_count_estimate(iv, 0, &keys), Some(2));
-        // tup![2, 0]'s posting pointed into the pruned prefix and is gone.
-        assert_eq!(d.keyed_count_estimate(iv, 0, &[Value::Int(2)]), Some(0));
-    }
-
-    #[test]
-    fn key_index_rebuilt_by_compaction() {
-        let d = DeltaStore::new(TableId(1));
-        d.create_key_index(0);
-        d.append_commit(1, [(1, tup![1, 0])]);
-        d.append_commit(2, [(1, tup![1, 0]), (1, tup![2, 0])]);
-        d.append_commit(3, [(-1, tup![2, 0])]);
-        d.append_commit(5, [(1, tup![1, 0])]);
-        assert_eq!(d.compact_through(3), 3);
-        let iv = TimeInterval::new(0, 5);
-        let got = d.range_keyed(iv, 0, &[Value::Int(1)]).unwrap();
-        assert_eq!(got, d.range(iv), "only key 1 survives compaction");
-        assert_eq!((got[0].ts, got[0].count), (Some(1), 2), "min ts kept");
-        // Key 2 netted to zero: postings must not resurrect it.
-        assert_eq!(d.keyed_count_estimate(iv, 0, &[Value::Int(2)]), Some(0));
+        // tup![2, 0]'s posting pointed into the pruned prefix and is gone,
+        // even for an interval reaching below the floor.
+        let all = TimeInterval::new(0, 6);
+        assert_eq!(d.keyed_count_estimate(all, 0, &[Value::Int(2)]), Some(0));
+        assert_eq!(d.keyed_count_estimate(all, 0, &keys), Some(2));
+        // Later appends land after the absolute positions of held rows.
+        d.append_commit(7, [(1, tup![1, 3])]);
+        let got = d.range_keyed(TimeInterval::new(2, 7), 0, &keys).unwrap();
+        assert_eq!(got.last().map(|r| r.ts), Some(Some(7)));
+        assert_eq!(d.prune_through(6), 3);
+        assert_eq!(d.range_keyed(all, 0, &keys).unwrap().len(), 0);
+        assert_eq!(
+            d.range_keyed(TimeInterval::new(6, 7), 0, &keys)
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -1224,5 +948,8 @@ mod tests {
         assert_eq!(vd.prune_through(2), 2);
         assert_eq!(vd.len(), 1);
         assert_eq!(vd.range(TimeInterval::new(0, 10)).len(), 1);
+        let s = vd.compaction_stats();
+        assert_eq!(s.rows_removed, 2);
+        assert!(s.bytes_reclaimed > 0);
     }
 }

@@ -34,7 +34,7 @@ use parking_lot::{Mutex, RwLock};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, Schema, TableId, TimeInterval, Tuple, TxnId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// What a catalog entry stores.
@@ -47,6 +47,13 @@ enum TableStore {
     },
     /// A view delta table (timestamp-keyed change records).
     ViewDelta(ViewDeltaStore),
+}
+
+/// A reader of delta history — a maintained view — that never again
+/// reads at or below its floor.
+pub trait ReadFloor: Send + Sync {
+    /// No delta range this reader will request starts below this CSN.
+    fn read_floor(&self) -> Csn;
 }
 
 struct TableEntry {
@@ -76,6 +83,9 @@ struct EngineInner {
     capture_hwm: Arc<AtomicU64>,
     /// Notified whenever the capture HWM advances (never by commit).
     capture_progress: Arc<Signal>,
+    /// Registered readers of delta history; dropped readers are swept by
+    /// [`Engine::low_water_mark`].
+    read_floors: Mutex<Vec<Weak<dyn ReadFloor>>>,
     clock_origin: Instant,
 }
 
@@ -116,6 +126,7 @@ impl Engine {
                 capture: Mutex::new(Capture::new(wal, capture_hwm.clone())),
                 capture_hwm,
                 capture_progress: Arc::new(Signal::new()),
+                read_floors: Mutex::new(Vec::new()),
                 clock_origin: Instant::now(),
             }),
         }
@@ -355,6 +366,28 @@ impl Engine {
         self.inner.capture_hwm.load(Ordering::Acquire)
     }
 
+    /// Register a reader of delta history: [`Engine::low_water_mark`]
+    /// stays at or below its floor for as long as the reader is alive.
+    pub fn register_read_floor(&self, reader: Weak<dyn ReadFloor>) {
+        self.inner.read_floors.lock().push(reader);
+    }
+
+    /// The engine-wide low-water mark: the capture HWM, lowered to the
+    /// floor of every live registered reader. No reader needs delta
+    /// history at or below it again, so every base delta store may be
+    /// pruned through it ([`Engine::prune_delta_history`]).
+    pub fn low_water_mark(&self) -> Csn {
+        let mut lwm = self.capture_hwm();
+        self.inner.read_floors.lock().retain(|r| match r.upgrade() {
+            Some(r) => {
+                lwm = lwm.min(r.read_floor());
+                true
+            }
+            None => false,
+        });
+        lwm
+    }
+
     /// Capture lag in WAL records.
     pub fn capture_lag(&self) -> u64 {
         self.inner.capture.lock().lag_records()
@@ -383,10 +416,9 @@ impl Engine {
             });
         }
         let store = self.delta_store(table)?;
-        // The floor covers both pruning and φ-compaction: below it rows
-        // were folded away or rewritten to group-minimum timestamps, so a
+        // Below the floor rows were folded into the prune snapshot, so a
         // range starting there would be wrong, not merely incomplete.
-        let floor = store.floor();
+        let floor = store.pruned_through();
         if interval.lo < floor {
             return Err(Error::HistoryPruned {
                 table,
@@ -443,27 +475,7 @@ impl Engine {
         Ok(self.delta_store(table)?.prune_through(through))
     }
 
-    /// φ-compact delta history of `table` at or below `lwm`: same-tuple
-    /// records merge (counts summed, minimum timestamp kept) and zero-sum
-    /// groups are dropped. Unlike pruning the range's *net effect* is
-    /// preserved, but timestamps below `lwm` are rewritten, so reads
-    /// starting below it are refused like pruned history. `lwm` must be a
-    /// global low-water mark: at or below the capture HWM, every
-    /// propagation frontier, and the apply position. Returns records
-    /// removed.
-    pub fn compact_delta_history(&self, table: TableId, lwm: Csn) -> Result<usize> {
-        let hwm = self.capture_hwm();
-        if lwm > hwm {
-            return Err(Error::CaptureBehind {
-                table,
-                requested: lwm,
-                hwm,
-            });
-        }
-        Ok(self.delta_store(table)?.compact_through(lwm))
-    }
-
-    /// Lifetime φ-compaction counters of a base table's delta store.
+    /// Lifetime pruning counters of a base table's delta store.
     pub fn delta_compaction_stats(&self, table: TableId) -> Result<crate::delta::CompactionStats> {
         Ok(self.delta_store(table)?.compaction_stats())
     }
@@ -513,7 +525,7 @@ impl Engine {
             });
         }
         let store = self.delta_store(table)?;
-        let floor = store.floor();
+        let floor = store.pruned_through();
         if interval.lo < floor {
             return Err(Error::HistoryPruned {
                 table,
@@ -602,19 +614,7 @@ impl Engine {
         }
     }
 
-    /// φ-compact view-delta records with timestamp ≤ `t` (the apply
-    /// position): same-tuple records merge at their minimum timestamp and
-    /// zero-sum groups vanish. Net ranges spanning the compacted region
-    /// are unchanged. Returns records removed.
-    pub fn vd_compact(&self, table: TableId, t: Csn) -> Result<usize> {
-        let e = self.entry(table)?;
-        match &e.store {
-            TableStore::ViewDelta(vd) => Ok(vd.compact_through(t)),
-            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
-        }
-    }
-
-    /// Lifetime φ-compaction counters of a view delta store.
+    /// Lifetime pruning counters of a view delta store.
     pub fn vd_compaction_stats(&self, table: TableId) -> Result<crate::delta::CompactionStats> {
         let e = self.entry(table)?;
         match &e.store {

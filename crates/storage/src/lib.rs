@@ -34,7 +34,7 @@ pub mod wal;
 
 pub use capture::Capture;
 pub use delta::{CompactionStats, DeltaStore, ScanCache, ScanCacheStats, ViewDeltaStore};
-pub use engine::{Engine, Txn};
+pub use engine::{Engine, ReadFloor, Txn};
 pub use lock::{
     stripe_of, GranStats, GranStatsSnapshot, LockGranularity, LockKey, LockManager, LockMode,
     LockStats, LockStatsSnapshot, DEFAULT_STRIPES, WAIT_HIST_BUCKETS,

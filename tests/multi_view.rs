@@ -115,6 +115,67 @@ fn two_views_share_bases_with_independent_schedules() {
     assert!(!v2_state.is_empty());
 }
 
+/// Views over the same bases share their delta stores, so one view's
+/// pruning must respect every other view's read floor: the engine-wide
+/// low-water mark holds the shared history for a sibling that has not
+/// propagated yet, and advances once it catches up.
+#[test]
+fn pruning_for_one_view_never_breaks_a_lagging_sibling() {
+    let e = Engine::new();
+    let (r, s) = base_pair(&e);
+    let def = |name: &str| {
+        ViewDef::new(
+            &e,
+            name,
+            vec![r, s],
+            JoinSpec {
+                slot_schemas: vec![e.schema(r).unwrap(), e.schema(s).unwrap()],
+                equi: vec![(1, 2)],
+                filter: None,
+                projection: vec![0, 3],
+            },
+        )
+        .unwrap()
+    };
+    let ctx1 = MaintCtx::new(
+        e.clone(),
+        MaterializedView::register(&e, def("lead")).unwrap(),
+    );
+    let ctx2 = MaintCtx::new(
+        e.clone(),
+        MaterializedView::register(&e, def("lag")).unwrap(),
+    );
+    let mat1 = materialize(&ctx1).unwrap();
+    let mat2 = materialize(&ctx2).unwrap();
+    let end = churn(&e, r, s, 30);
+
+    // View 1 drains, rolls to the end, and prunes what it no longer needs.
+    RollingPropagator::new(ctx1.clone(), mat1)
+        .drain_to(end, &mut UniformInterval(5))
+        .unwrap();
+    roll_to(&ctx1, end).unwrap();
+    ctx1.compact_stores().unwrap();
+    assert!(e.low_water_mark() <= mat2, "sibling floor holds the LWM");
+
+    // View 2, still at its materialization time, catches up exactly.
+    assert_eq!(ctx2.mv.mat_time(), mat2);
+    RollingPropagator::new(ctx2.clone(), mat2)
+        .drain_to(end, &mut UniformInterval(7))
+        .unwrap();
+    roll_to(&ctx2, end).unwrap();
+    assert_eq!(
+        oracle::mv_state(&e, &ctx2.mv).unwrap(),
+        oracle::view_at(&e, &ctx2.mv.view, end).unwrap()
+    );
+
+    // With both floors at the end, the shared history is released.
+    assert!(
+        ctx1.compact_stores().unwrap() > 0,
+        "LWM advances once the sibling catches up"
+    );
+    assert_eq!(e.delta_store(r).unwrap().pruned_through(), end);
+}
+
 #[test]
 fn self_join_view_is_maintained_correctly() {
     // V = R ⋈ R on r1.b = r2.a — the same table in both slots. The delta

@@ -1,10 +1,13 @@
 //! Property tests for the storage substrate: codec round-trips, WAL
 //! record round-trips and recovery, base tables under arbitrary
-//! insert/delete/apply/index sequences, and delta-store range consistency.
+//! insert/delete/apply/index sequences, and delta stores under arbitrary
+//! append/prune/index sequences.
 
 use proptest::prelude::*;
-use rolljoin::common::{tup, ColumnType, Schema, TableId, Tuple, TxnId, Value};
-use rolljoin::storage::{BaseTable, Wal, WalRecord};
+use rolljoin::common::{
+    tup, ColumnType, Csn, DeltaRow, Error, Schema, TableId, TimeInterval, Tuple, TxnId, Value,
+};
+use rolljoin::storage::{BaseTable, DeltaStore, Wal, WalRecord};
 use std::collections::{BTreeSet, HashMap};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -107,6 +110,152 @@ fn check_table(
     Ok(())
 }
 
+/// One delta-store operation in a generated history.
+#[derive(Debug, Clone)]
+enum DeltaOp {
+    /// `append_commit` at the previous commit's CSN plus `0..=1`, kept
+    /// above the prune floor (capture only appends above the HWM, and
+    /// prunes stay at or below it).
+    Append(Csn, Vec<(i64, Tuple)>),
+    /// `prune_through(latest CSN − back)`, saturating at 0.
+    Prune(Csn),
+    /// `create_key_index(col)`.
+    Index(usize),
+}
+
+fn arb_delta_op() -> impl Strategy<Value = DeltaOp> {
+    let key = || prop_oneof![1 => Just(Value::Null), 4 => (0..DOMAIN).prop_map(Value::Int)];
+    let change = (1i64..=2, any::<bool>(), key(), key())
+        .prop_map(|(n, neg, a, b)| (if neg { -n } else { n }, Tuple::new([a, b])));
+    prop_oneof![
+        6 => (0u64..=1, prop::collection::vec(change, 0..4))
+            .prop_map(|(step, rows)| DeltaOp::Append(step, rows)),
+        2 => (0u64..6).prop_map(DeltaOp::Prune),
+        1 => (0usize..2).prop_map(DeltaOp::Index),
+    ]
+}
+
+/// Compare every read path of `d` against the model: all rows ever
+/// appended, of which those at or below `floor` were pruned.
+fn check_delta_store(
+    d: &DeltaStore,
+    model: &[DeltaRow],
+    floor: Csn,
+    indexed: &BTreeSet<usize>,
+) -> Result<(), TestCaseError> {
+    let ts = |r: &DeltaRow| r.ts.unwrap();
+    let last = model.last().map_or(0, ts);
+    let held: Vec<&DeltaRow> = model.iter().filter(|r| ts(r) > floor).collect();
+    let keys: Vec<Value> = (0..DOMAIN).map(Value::Int).collect();
+    prop_assert_eq!(d.pruned_through(), floor);
+    prop_assert_eq!(d.len(), held.len());
+    prop_assert_eq!(
+        &d.indexed_key_cols(),
+        &indexed.iter().copied().collect::<Vec<_>>()
+    );
+    for lo in floor..=last + 1 {
+        for hi in lo..=last + 1 {
+            let iv = TimeInterval::new(lo, hi);
+            let want: Vec<DeltaRow> = held
+                .iter()
+                .filter(|r| lo < ts(r) && ts(r) <= hi)
+                .map(|r| (*r).clone())
+                .collect();
+            prop_assert_eq!(&d.range(iv), &want);
+            prop_assert_eq!(d.count_in(iv), want.len());
+            for &col in indexed {
+                for key in &keys {
+                    let keyed: Vec<DeltaRow> = want
+                        .iter()
+                        .filter(|r| r.tuple.get(col) == key)
+                        .cloned()
+                        .collect();
+                    let one = std::slice::from_ref(key);
+                    prop_assert_eq!(d.range_keyed(iv, col, one), Some(keyed.clone()));
+                    prop_assert_eq!(d.keyed_count_estimate(iv, col, one), Some(keyed.len()));
+                }
+                let non_null: Vec<DeltaRow> = want
+                    .iter()
+                    .filter(|r| *r.tuple.get(col) != Value::Null)
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(d.range_keyed(iv, col, &keys), Some(non_null));
+            }
+        }
+        for k in 1..=3 {
+            let want = held.iter().filter(|r| ts(r) > lo).nth(k - 1).map(|r| ts(r));
+            prop_assert_eq!(d.nth_ts_after(lo, k), want);
+        }
+    }
+    for t in 0..=last + 1 {
+        let got = d.reconstruct_at(t);
+        if t < floor {
+            let pruned = matches!(got, Err(Error::HistoryPruned { .. }));
+            prop_assert!(pruned, "reconstruct_at({}) below floor {}", t, floor);
+        } else {
+            let mut want: HashMap<Tuple, i64> = HashMap::new();
+            for r in model.iter().filter(|r| ts(r) <= t) {
+                *want.entry(r.tuple.clone()).or_insert(0) += r.count;
+            }
+            want.retain(|_, c| *c != 0);
+            prop_assert_eq!(got.unwrap(), want);
+        }
+    }
+    // No stale postings: even over an interval reaching below the floor,
+    // the postings are exactly the held rows with a non-NULL key.
+    let everything = TimeInterval::new(0, last + 1);
+    for &col in indexed {
+        let non_null = held
+            .iter()
+            .filter(|r| *r.tuple.get(col) != Value::Null)
+            .count();
+        prop_assert_eq!(
+            d.keyed_count_estimate(everything, col, &keys),
+            Some(non_null)
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A delta store under random interleavings of appends, prunes and
+    /// mid-stream key-index builds behaves like the list of appended rows
+    /// with everything at or below the prune floor dropped.
+    #[test]
+    fn delta_store_model_check(ops in prop::collection::vec(arb_delta_op(), 0..40)) {
+        let d = DeltaStore::new(TableId(1));
+        let mut model: Vec<DeltaRow> = Vec::new();
+        let mut floor: Csn = 0;
+        let mut indexed: BTreeSet<usize> = BTreeSet::new();
+        let mut csn: Csn = 1;
+        for op in ops {
+            match op {
+                DeltaOp::Append(step, rows) => {
+                    csn = (csn + step).max(floor + 1);
+                    d.append_commit(csn, rows.clone());
+                    model.extend(rows.into_iter().map(|(n, t)| DeltaRow::change(csn, n, t)));
+                }
+                DeltaOp::Prune(back) => {
+                    let through = csn.saturating_sub(back);
+                    let dropped = model
+                        .iter()
+                        .filter(|r| floor < r.ts.unwrap() && r.ts.unwrap() <= through)
+                        .count();
+                    prop_assert_eq!(d.prune_through(through), dropped);
+                    floor = floor.max(through);
+                }
+                DeltaOp::Index(col) => {
+                    d.create_key_index(col);
+                    indexed.insert(col);
+                }
+            }
+            check_delta_store(&d, &model, floor, &indexed)?;
+        }
+    }
+}
+
 proptest! {
     /// Tuple codec: encode∘decode = id, for arbitrary value mixes
     /// (including NaN floats and empty strings).
@@ -198,8 +347,6 @@ proptest! {
         commits in prop::collection::vec(0i64..100, 1..30),
         split in any::<prop::sample::Index>(),
     ) {
-        use rolljoin::storage::DeltaStore;
-        use rolljoin::common::{tup, TimeInterval};
         let d = DeltaStore::new(TableId(1));
         for (i, v) in commits.iter().enumerate() {
             d.append_commit(i as u64 + 1, [(1, tup![*v])]);
