@@ -11,6 +11,18 @@ cargo test -q --workspace
 
 echo "== live benchmark builds and passes its tests =="
 cargo test -q --release --manifest-path livebench/Cargo.toml
+cargo build -q --release --manifest-path livebench/Cargo.toml
+
+echo "== live benchmark: short seeded run per workload ends oracle-correct =="
+for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
+    result=$(livebench/target/release/livebench \
+        --workload "$workload" --seed 7 --seconds 3 --trace 0 | tail -n 1)
+    echo "$workload: $result"
+    if ! grep -q '"correct": true' <<<"$result"; then
+        echo "livebench $workload: oracle check failed" >&2
+        exit 1
+    fi
+done
 
 echo "== rustfmt =="
 cargo fmt --all --check

@@ -1,14 +1,13 @@
-//! φ-compaction benchmarks: the raw `compact_rows` reducer over churny
-//! delta streams, a propagation step over hot-key churn with scan-level
-//! compaction off vs on, and a store prune pass below the low-water mark.
-//! Guards the two sides of the ledger: the reducer and the prune must stay
-//! cheap (they sit on the fetch path and the background compactor), and
-//! the compacted propagation step must stay far under the raw one.
+//! Netting and pruning benchmarks: the exact `net_rows` reducer over
+//! churny delta streams (unclamped and clamped), a propagation step over
+//! hot-key churn, and a store prune pass below the low-water mark. Guards
+//! the ledger: the reducer and the prune must stay cheap (they sit on the
+//! fetch path and the background compactor).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolljoin_common::{tup, DeltaRow};
-use rolljoin_core::{materialize, roll_to, CompactionPolicy, DeltaWorker, MaintCtx, PropQuery};
-use rolljoin_relalg::compact_rows;
+use rolljoin_core::{materialize, roll_to, DeltaWorker, MaintCtx, PropQuery};
+use rolljoin_relalg::net_rows;
 use rolljoin_workload::TwoWay;
 
 const KEYS: i64 = 16;
@@ -28,7 +27,7 @@ fn churny_rows(rows: usize) -> Vec<DeltaRow> {
 
 /// A two-way join loaded with matching keys and paired hot-key churn;
 /// capture caught up so propagation never steps it inline.
-fn setup(policy: CompactionPolicy) -> (TwoWay, MaintCtx, u64, u64) {
+fn setup() -> (TwoWay, MaintCtx, u64, u64) {
     let w = TwoWay::setup("bench_compact").unwrap();
     let mut txn = w.engine.begin();
     for k in 0..KEYS {
@@ -36,7 +35,7 @@ fn setup(policy: CompactionPolicy) -> (TwoWay, MaintCtx, u64, u64) {
         txn.insert(w.s, tup![k, k]).unwrap();
     }
     txn.commit().unwrap();
-    let ctx = w.ctx().with_compaction(policy);
+    let ctx = w.ctx();
     let mat = materialize(&ctx).unwrap();
     for i in 0..CHURN_PAIRS {
         let k = (i as i64) % KEYS;
@@ -58,33 +57,31 @@ fn bench_compaction(c: &mut Criterion) {
 
     for rows in [1_000usize, 10_000] {
         let input = churny_rows(rows);
-        g.bench_function(format!("compact_rows_{rows}"), |b| {
-            b.iter(|| compact_rows(&input).1.rows_out);
+        g.bench_function(format!("net_rows_{rows}"), |b| {
+            b.iter(|| net_rows(&input, u64::MAX).1.rows_out);
+        });
+        g.bench_function(format!("net_rows_clamped_{rows}"), |b| {
+            b.iter(|| net_rows(&input, rows as u64 / 2).1.rows_out);
         });
     }
 
-    for (label, policy) in [
-        ("off", CompactionPolicy::Off),
-        ("on_scan", CompactionPolicy::OnScan),
-    ] {
-        g.bench_function(format!("propagate_churn_{label}"), |b| {
-            b.iter_batched(
-                || setup(policy),
-                |(_w, ctx, mat, end)| {
-                    let mut worker = DeltaWorker::new();
-                    worker.enqueue(PropQuery::all_base(2), 1, vec![mat; 2], end);
-                    worker.run_auto(&ctx).unwrap();
-                    ctx.stats.snapshot().delta_rows_read
-                },
-                BatchSize::PerIteration,
-            );
-        });
-    }
+    g.bench_function("propagate_churn", |b| {
+        b.iter_batched(
+            setup,
+            |(_w, ctx, mat, end)| {
+                let mut worker = DeltaWorker::new();
+                worker.enqueue(PropQuery::all_base(2), 1, vec![mat; 2], end);
+                worker.run_auto(&ctx).unwrap();
+                ctx.stats.snapshot().delta_rows_read
+            },
+            BatchSize::PerIteration,
+        );
+    });
 
     g.bench_function("store_prune_pass", |b| {
         b.iter_batched(
             || {
-                let (w, ctx, mat, end) = setup(CompactionPolicy::OnScan);
+                let (w, ctx, mat, end) = setup();
                 // Propagate and roll to the end of history so the LWM
                 // (min of HWM and apply position) covers all the churn.
                 let mut worker = DeltaWorker::new();

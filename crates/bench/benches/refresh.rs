@@ -1,8 +1,10 @@
 //! Refresh strategies head-to-head (the Fig. 1 / Fig. 2 comparison as a
 //! criterion bench): full recompute vs atomic Eq. 1 vs asynchronous
-//! rolling propagation, at a fixed delta size.
+//! rolling propagation, at a fixed delta size; plus the apply step alone,
+//! `roll_to` over a 100k-row view-delta window.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use rolljoin_common::{tup, DeltaRow};
 use rolljoin_core::{
     full_refresh, materialize, roll_to, sync_propagate_eq1, RollingPropagator, TargetRows,
 };
@@ -38,6 +40,54 @@ fn setup() -> (TwoWay, rolljoin_core::MaintCtx, u64, u64) {
     }
     ctx.engine.capture_catch_up().unwrap();
     (w, ctx, mat, end)
+}
+
+/// View-delta rows in the rolled window, over `VD_TUPLES` distinct tuples
+/// spread across `VD_COMMITS` timestamps.
+const VD_ROWS: usize = 100_000;
+const VD_TUPLES: usize = 20_000;
+const VD_COMMITS: u64 = 50;
+
+/// An empty materialized two-way view whose view delta holds `VD_ROWS`
+/// rows in `(mat, end]`: five rows per tuple, `+1 +1 −1 +1 −1`, so the
+/// window nets to one copy of each tuple.
+fn setup_vd_window() -> (TwoWay, rolljoin_core::MaintCtx, u64) {
+    let w = TwoWay::setup("roll_vd").unwrap();
+    let ctx = w.ctx();
+    let mat = materialize(&ctx).unwrap();
+    for _ in 0..VD_COMMITS {
+        w.engine.begin().commit().unwrap();
+    }
+    let end = w.engine.current_csn();
+    let rows: Vec<DeltaRow> = (0..VD_ROWS)
+        .map(|i| {
+            let count = [1, 1, -1, 1, -1][i / VD_TUPLES];
+            let k = (i % VD_TUPLES) as i64;
+            DeltaRow::change(mat + 1 + i as u64 % VD_COMMITS, count, tup![k, k % 7])
+        })
+        .collect();
+    let mut txn = w.engine.begin();
+    txn.vd_write(ctx.mv.vd_table, rows).unwrap();
+    txn.commit().unwrap();
+    ctx.mv.set_hwm(end);
+    (w, ctx, end)
+}
+
+fn bench_roll(c: &mut Criterion) {
+    let mut g = c.benchmark_group("apply");
+    g.sample_size(10);
+    g.bench_function("roll_to_100k_vd_rows", |b| {
+        b.iter_batched(
+            setup_vd_window,
+            |(_w, ctx, end)| {
+                let out = roll_to(&ctx, end).unwrap();
+                assert_eq!(out.tuples_changed, VD_TUPLES);
+                out
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    g.finish();
 }
 
 fn bench_refresh(c: &mut Criterion) {
@@ -78,5 +128,5 @@ fn bench_refresh(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_refresh);
+criterion_group!(benches, bench_refresh, bench_roll);
 criterion_main!(benches);

@@ -1,27 +1,28 @@
-//! E18 — early φ-compaction: arm × Zipf skew × workers.
+//! E18 — exact netting under hot-key churn: arm × Zipf skew × workers.
 //!
 //! A hot-key churn workload is where raw delta streams are most wasteful:
 //! the same tuple is inserted and deleted over and over, every row flows
-//! through every propagation join, and almost all of it cancels. φ is
-//! linear over SPJ propagation (Definition 4.1 / Lemma 4.2), so the
-//! net-effect reduction can be taken *early* — at scan time, before rows
-//! reach a join or the scan cache (`CompactionPolicy::OnScan`) — without
-//! changing any net effect. The `prune` arm adds a `compact_stores` pass
-//! between windows, which prunes store history below the engine's
-//! low-water mark: it bounds store size but changes no read. This
-//! experiment drives a two-way join with Zipf-skewed insert/delete churn
-//! (90% of ops are a paired insert+delete of one tuple, netting to zero),
-//! propagates the history in rolling windows under each arm, and reports
-//! the propagate-phase wall time, rows entering joins, view-delta rows
-//! written, and store sizes. The view-delta net effect is asserted
-//! identical across arms, and the rolled MV is verified against the
-//! oracle.
+//! through every propagation join, and almost all of it cancels.
+//! Propagation nets compensation queries exactly — each delta slot's
+//! timestamps clamp to the least upper bound of the other delta slots and
+//! equal `(ts, tuple)` rows merge, before the join and again on the
+//! result (DESIGN §7) — so every `σ_{a,b}` of the view delta keeps its
+//! net effect. The `exact` arm is plain propagation; the `prune` arm adds
+//! a `compact_stores` pass between windows, which prunes store history
+//! below the engine's low-water mark: it bounds store size but changes no
+//! read. This experiment drives a two-way join with Zipf-skewed
+//! insert/delete churn (90% of ops are a paired insert+delete of one
+//! tuple, netting to zero), propagates the history in rolling windows
+//! under each arm, and reports the propagate-phase wall time, rows
+//! entering joins, view-delta rows written, and store sizes. The
+//! view-delta net effect is asserted identical across arms, and the
+//! rolled MV is verified against the oracle.
 
 use crate::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rolljoin_common::{tup, Error, Result, TimeInterval};
-use rolljoin_core::{compute_delta, materialize, roll_to, CompactionPolicy, PropQuery};
+use rolljoin_core::{compute_delta, materialize, roll_to, PropQuery};
 use rolljoin_relalg::{add, net_effect, NetEffect};
 use rolljoin_workload::{TwoWay, Zipf};
 use std::time::{Duration, Instant};
@@ -67,8 +68,8 @@ struct RunOutcome {
     rows_read: u64,
     /// View-delta rows written by propagation.
     vd_written: u64,
-    /// Raw delta rows eliminated by scan-level φ-compaction.
-    scan_saved: u64,
+    /// Rows eliminated by exact `(ts, tuple)` netting.
+    net_saved: u64,
     /// Records left in both base delta stores after the run.
     store_rows: usize,
     /// Records left in the view delta store after the run.
@@ -82,15 +83,11 @@ struct RunOutcome {
     verify: String,
 }
 
-/// One E18 arm: its name, scan-level policy, and whether the stores are
-/// pruned between windows.
-type Arm = (&'static str, CompactionPolicy, bool);
+/// One E18 arm: its name and whether the stores are pruned between
+/// windows.
+type Arm = (&'static str, bool);
 
-const ARMS: [Arm; 3] = [
-    ("off", CompactionPolicy::Off, false),
-    ("on-scan", CompactionPolicy::OnScan, false),
-    ("prune", CompactionPolicy::OnScan, true),
-];
+const ARMS: [Arm; 2] = [("exact", false), ("prune", true)];
 
 /// Median-propagate-wall trial of a configuration (row counts are
 /// deterministic; only wall time is trial-noisy).
@@ -107,17 +104,12 @@ fn run_best(arm: Arm, theta: f64, workers: usize) -> Result<RunOutcome> {
 /// then propagate it in `WINDOWS` rolling windows with a roll after each —
 /// in the `prune` arm, also pruning the stores between windows, exactly
 /// what `spawn_compaction_driver` does asynchronously.
-fn run_config(
-    (name, policy, prune): Arm,
-    theta: f64,
-    workers: usize,
-    trial: usize,
-) -> Result<RunOutcome> {
+fn run_config((name, prune): Arm, theta: f64, workers: usize, trial: usize) -> Result<RunOutcome> {
     let w = TwoWay::setup(&format!(
         "e18p{name}t{}w{workers}x{trial}",
         (theta * 100.0) as u64
     ))?;
-    let ctx = w.ctx().with_workers(workers).with_compaction(policy);
+    let ctx = w.ctx().with_workers(workers);
 
     // Seed before materializing so the propagated windows contain only
     // churn: every key joins, and S carries SEED_MULT rows per key.
@@ -191,7 +183,7 @@ fn run_config(
         delta_rows: since.delta_rows_read,
         rows_read: since.total_rows_read(),
         vd_written: since.vd_rows_written,
-        scan_saved: since.compact_rows_saved,
+        net_saved: since.compact_rows_saved,
         store_rows: ctx.engine.delta_store(w.r)?.len() + ctx.engine.delta_store(w.s)?.len(),
         vd_rows: ctx.engine.vd_len(ctx.mv.vd_table)?,
         bytes_reclaimed: report.bytes_reclaimed(),
@@ -204,20 +196,19 @@ fn run_config(
 /// churn; emit the results table and `BENCH_compaction.json`.
 pub fn e18() -> Result<()> {
     let mut t = Table::new(&[
-        "policy",
+        "arm",
         "theta",
         "workers",
         "propagate wall",
-        "wall vs off",
+        "wall vs exact",
         "delta rows",
-        "rows vs off",
+        "rows vs exact",
         "vd written",
-        "scan saved",
+        "net saved",
         "store rows",
         "verify",
     ]);
     let mut json_rows: Vec<String> = Vec::new();
-    let mut headline: Vec<String> = Vec::new();
 
     for theta in [0.0f64, 0.99] {
         for workers in [1usize, 2] {
@@ -230,7 +221,7 @@ pub fn e18() -> Result<()> {
                     .clone();
                 assert_eq!(
                     out.phi, base_phi,
-                    "view-delta divergence: {name} vs off at theta={theta}"
+                    "view-delta divergence: {name} vs exact at theta={theta}"
                 );
                 assert_eq!(out.verify, "ok", "oracle mismatch under {name}");
                 let wall_ratio =
@@ -245,18 +236,18 @@ pub fn e18() -> Result<()> {
                     out.delta_rows.to_string(),
                     format!("{:.2}x", rows_ratio),
                     out.vd_written.to_string(),
-                    out.scan_saved.to_string(),
+                    out.net_saved.to_string(),
                     out.store_rows.to_string(),
                     out.verify.clone(),
                 ]);
                 json_rows.push(format!(
                     concat!(
-                        "    {{\"policy\": \"{}\", \"theta\": {}, \"workers\": {}, ",
-                        "\"propagate_wall_ms\": {:.3}, \"wall_vs_off\": {:.3}, ",
+                        "    {{\"arm\": \"{}\", \"theta\": {}, \"workers\": {}, ",
+                        "\"propagate_wall_ms\": {:.3}, \"wall_vs_exact\": {:.3}, ",
                         "\"apply_wall_ms\": {:.3}, ",
-                        "\"delta_rows_joined\": {}, \"rows_vs_off\": {:.3}, ",
+                        "\"delta_rows_joined\": {}, \"rows_vs_exact\": {:.3}, ",
                         "\"total_rows_read\": {}, \"vd_rows_written\": {}, ",
-                        "\"scan_rows_saved\": {}, \"store_rows_end\": {}, ",
+                        "\"net_rows_saved\": {}, \"store_rows_end\": {}, ",
                         "\"vd_rows_end\": {}, \"bytes_reclaimed\": {}, ",
                         "\"view_delta_divergence\": false, \"oracle\": \"{}\"}}"
                     ),
@@ -270,24 +261,12 @@ pub fn e18() -> Result<()> {
                     rows_ratio,
                     out.rows_read,
                     out.vd_written,
-                    out.scan_saved,
+                    out.net_saved,
                     out.store_rows,
                     out.vd_rows,
                     out.bytes_reclaimed,
                     out.verify,
                 ));
-                if theta == 0.99 && name != "off" {
-                    headline.push(format!(
-                        concat!(
-                            "    {{\"policy\": \"{}\", \"workers\": {}, ",
-                            "\"wall_reduction_pct\": {:.1}, \"rows_joined_reduction_pct\": {:.1}}}"
-                        ),
-                        name,
-                        workers,
-                        (1.0 - wall_ratio) * 100.0,
-                        (1.0 - rows_ratio) * 100.0,
-                    ));
-                }
             }
         }
     }
@@ -295,12 +274,11 @@ pub fn e18() -> Result<()> {
     let json = format!(
         concat!(
             "{{\n  \"experiment\": \"e18\",\n",
-            "  \"description\": \"early phi-compaction on a two-way join under Zipf hot-key ",
-            "insert/delete churn (90% of ops net to zero); policy x skew x workers, ",
+            "  \"description\": \"exact (ts, tuple) netting on a two-way join under Zipf ",
+            "hot-key insert/delete churn (90% of ops net to zero); arm x skew x workers, ",
             "propagated in rolling windows with a roll after each\",\n",
             "  \"key_domain\": {}, \"churn_ops\": {}, \"pair_frac\": {}, ",
             "\"windows\": {}, \"seed_mult\": {},\n",
-            "  \"criterion_compaction_on_vs_off_at_theta_0_99\": [\n{}\n  ],\n",
             "  \"results\": [\n{}\n  ]\n}}\n"
         ),
         KEY_DOMAIN,
@@ -308,16 +286,15 @@ pub fn e18() -> Result<()> {
         PAIR_FRAC,
         WINDOWS,
         SEED_MULT,
-        headline.join(",\n"),
         json_rows.join(",\n")
     );
     std::fs::write("BENCH_compaction.json", json)
         .map_err(|e| Error::Internal(format!("writing BENCH_compaction.json: {e}")))?;
 
     t.print(&format!(
-        "E18: early φ-compaction under Zipf hot-key churn ({CHURN_OPS} ops, \
+        "E18: exact netting under Zipf hot-key churn ({CHURN_OPS} ops, \
          {:.0}% paired insert+delete, {WINDOWS} rolling windows); wall/row ratios \
-         are vs CompactionPolicy::Off within each (theta, workers) cell",
+         are vs the exact arm within each (theta, workers) cell",
         PAIR_FRAC * 100.0
     ));
     println!("  [wrote BENCH_compaction.json]");

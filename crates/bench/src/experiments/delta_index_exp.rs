@@ -21,7 +21,7 @@
 
 use crate::Table;
 use rolljoin_common::{tup, Error, Result, TimeInterval};
-use rolljoin_core::{materialize, roll_to, CompactionPolicy, DeltaWorker, ExecTuning, PropQuery};
+use rolljoin_core::{materialize, roll_to, DeltaWorker, ExecTuning, PropQuery};
 use rolljoin_relalg::{net_effect, NetEffect};
 use rolljoin_workload::Star;
 use std::time::{Duration, Instant};
@@ -83,7 +83,6 @@ fn run_config(
     let ctx = star.ctx().with_tuning(
         ExecTuning::default()
             .with_workers(workers)
-            .with_compaction(CompactionPolicy::Off)
             .with_delta_probe(probe),
     );
     let mat = materialize(&ctx)?;

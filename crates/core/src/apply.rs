@@ -10,10 +10,11 @@
 //! paper's point-in-time refresh.
 
 use crate::execute::MaintCtx;
-use rolljoin_common::{Csn, Error, Result, TimeInterval};
+use rolljoin_common::{Csn, Error, Result, TimeInterval, Tuple};
 use rolljoin_obs::JournalEntry;
 use rolljoin_relalg::{exec, fetch, SlotSource};
 use rolljoin_storage::LockMode;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Outcome of a point-in-time refresh.
@@ -49,9 +50,10 @@ pub fn materialize(ctx: &MaintCtx) -> Result<Csn> {
         slot_rows.push(fetch(&ctx.engine, &mut txn, &SlotSource::Base(*base))?);
     }
     let (rows, _) = exec::execute(slot_rows, &view.spec, 1)?;
-    for row in rows {
-        txn.apply_count(ctx.mv.mv_table, &row.tuple, row.count)?;
-    }
+    txn.apply_counts(
+        ctx.mv.mv_table,
+        rows.into_iter().map(|r| (r.tuple, r.count)).collect(),
+    )?;
     // The materialization CSN is this transaction's own commit time, not
     // knowable before commit. Persisting the pre-commit clock value is
     // safe: the base tables are S-locked, so nothing relevant commits in
@@ -109,17 +111,10 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
     let net = ctx
         .engine
         .vd_net_range(ctx.mv.vd_table, TimeInterval::new(mat, target))?;
-    let mut insertions = 0i64;
-    let mut deletions = 0i64;
     let tuples_changed = net.len();
-    for (tuple, count) in net {
-        if count > 0 {
-            insertions += count;
-        } else {
-            deletions += -count;
-        }
-        txn.apply_count(ctx.mv.mv_table, &tuple, count)?;
-    }
+    let insertions: i64 = net.values().filter(|c| **c > 0).sum();
+    let deletions: i64 = -net.values().filter(|c| **c < 0).sum::<i64>();
+    txn.apply_counts(ctx.mv.mv_table, net.into_iter().collect())?;
     // Publish the new materialization time while the MV X lock is still
     // held (commit releases it): a reader that S-locks the MV and then
     // reads `mat_time` must never see the new contents with the old time.
@@ -197,21 +192,11 @@ pub fn full_refresh(ctx: &MaintCtx) -> Result<Csn> {
     // Diff against the current MV contents rather than truncating, so the
     // WAL/microcosm stays sane (and deletes are real deletes).
     let current = txn.scan_counts(ctx.mv.mv_table)?;
-    let mut desired: std::collections::HashMap<_, i64> = std::collections::HashMap::new();
+    let mut diff: HashMap<Tuple, i64> = current.iter().map(|(t, c)| (t.clone(), -c)).collect();
     for row in rows {
-        *desired.entry(row.tuple).or_insert(0) += row.count;
+        *diff.entry(row.tuple).or_insert(0) += row.count;
     }
-    for (tuple, have) in &current {
-        let want = desired.get(tuple).copied().unwrap_or(0);
-        if want != *have {
-            txn.apply_count(ctx.mv.mv_table, tuple, want - have)?;
-        }
-    }
-    for (tuple, want) in &desired {
-        if !current.contains_key(tuple) {
-            txn.apply_count(ctx.mv.mv_table, tuple, *want)?;
-        }
-    }
+    txn.apply_counts(ctx.mv.mv_table, diff.into_iter().collect())?;
     // Safe for the same reason as in `materialize`.
     let conservative = ctx.engine.current_csn();
     ctx.mv

@@ -17,12 +17,12 @@
 
 use crate::control::MaterializedView;
 use crate::metering::CoreMeters;
-use crate::policy::{CompactionPolicy, ExecTuning};
+use crate::policy::ExecTuning;
 use crate::query::{PropQuery, Slot};
 use crate::stats::{CompactionReport, PropStats};
 use rolljoin_common::{Csn, Error, Result};
 use rolljoin_obs::{JournalEntry, Obs, ObsConfig};
-use rolljoin_relalg::{exec, fetch, fetch_cached, BuildCache, SlotInput, SlotSource};
+use rolljoin_relalg::{exec, fetch, fetch_cached, net_rows, BuildCache, SlotInput, SlotSource};
 use rolljoin_storage::{Engine, LockMode, ReadFloor, ScanCache};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -149,12 +149,6 @@ impl MaintCtx {
         self
     }
 
-    /// Set the φ-compaction policy.
-    pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.tuning.compaction = policy;
-        self
-    }
-
     /// This view's read floor: no future delta-range read or roll of this
     /// view starts below it. Propagation reads start at per-relation
     /// frontiers, all ≥ the view-delta HWM; apply reads start at the
@@ -235,17 +229,15 @@ impl MaintCtx {
     }
 
     /// Fetch one delta slot's *full* range through the step-scoped scan
-    /// cache, recording cache and scan-compaction stats.
+    /// cache, recording cache stats.
     fn fetch_delta_full(
         &self,
         txn: &mut rolljoin_storage::Txn,
         table: rolljoin_common::TableId,
         iv: rolljoin_common::TimeInterval,
-        compact: bool,
     ) -> Result<SlotInput> {
         let source = SlotSource::Delta(table, iv);
-        let (input, hit, raw) =
-            fetch_cached(&self.engine, txn, &source, &self.scan_cache, compact)?;
+        let (input, hit) = fetch_cached(&self.engine, txn, &source, &self.scan_cache)?;
         self.stats.record_scan_cache(hit, input.len() as u64);
         if self.obs.metrics_on() {
             if hit {
@@ -254,11 +246,25 @@ impl MaintCtx {
                 self.meters.scan_cache_misses.inc(1);
             }
         }
-        if compact && !hit {
-            self.stats
-                .record_scan_compaction(raw as u64, input.len() as u64);
-        }
         Ok(input)
+    }
+
+    /// Exact pre-join netting of a fetched delta slot
+    /// ([`PropQuery::net_clamp`]): timestamps clamp to `clamp` and rows
+    /// with equal `(ts, tuple)` merge. Keeps the fetched input — and its
+    /// shared cache identity — when nothing merges.
+    fn net_slot(&self, input: SlotInput, clamp: Option<Csn>) -> SlotInput {
+        let Some(clamp) = clamp else {
+            return input;
+        };
+        let (rows, outcome) = net_rows(input.rows(), clamp);
+        self.stats
+            .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
+        if outcome.rows_saved() == 0 {
+            input
+        } else {
+            SlotInput::Owned(rows)
+        }
     }
 
     /// Fetch all slot row sets of a propagation query within `txn`: the
@@ -282,7 +288,9 @@ impl MaintCtx {
     /// callers must already hold the base-table locks; under striped
     /// granularity the fetches acquire IS + key-stripe S locks (or table S
     /// for scans) on demand — keyed delta probes take the same footprint
-    /// as keyed base probes.
+    /// as keyed base probes. With two or more delta slots, each delta slot
+    /// is netted exactly as it is fetched ([`PropQuery::net_clamp`]), so
+    /// the netted rows also shrink the key sets that probe its neighbors.
     pub fn fetch_slots(
         &self,
         txn: &mut rolljoin_storage::Txn,
@@ -297,7 +305,6 @@ impl MaintCtx {
                 .position(|w| col >= w[0] && col < w[1])
                 .expect("validated column")
         };
-        let compact = self.tuning.compaction.compact_on_scan();
         let mut slot_rows: Vec<Option<SlotInput>> = (0..n).map(|_| None).collect();
 
         // Seed the cascade. With delta probing on, only the smallest delta
@@ -329,7 +336,8 @@ impl MaintCtx {
                 deltas
             };
         for (i, iv) in prefetch {
-            slot_rows[i] = Some(self.fetch_delta_full(txn, view.bases[i], iv, compact)?);
+            let input = self.fetch_delta_full(txn, view.bases[i], iv)?;
+            slot_rows[i] = Some(self.net_slot(input, q.net_clamp(i)));
         }
 
         let mut remaining: Vec<usize> = (0..n).filter(|&i| slot_rows[i].is_none()).collect();
@@ -406,8 +414,8 @@ impl MaintCtx {
                 }
             }
             match picked {
-                // Keyed delta probe: per-key posting slices, φ-compacted,
-                // bypassing the scan cache (the result is key-set-specific).
+                // Keyed delta probe: per-key posting slices, bypassing the
+                // scan cache (the result is key-set-specific).
                 Some((i, col, keys, Some(iv))) => {
                     let source = SlotSource::DeltaKeyed {
                         table: view.bases[i],
@@ -415,18 +423,14 @@ impl MaintCtx {
                         col,
                         keys: std::sync::Arc::new(keys),
                     };
-                    let (input, _, raw) =
-                        fetch_cached(&self.engine, txn, &source, &self.scan_cache, compact)?;
-                    self.stats.record_delta_decision(true, raw as u64);
-                    if compact {
-                        self.stats
-                            .record_scan_compaction(raw as u64, input.len() as u64);
-                    }
+                    let rows = fetch(&self.engine, txn, &source)?;
+                    let raw = rows.len() as u64;
+                    self.stats.record_delta_decision(true, raw);
                     if self.obs.metrics_on() {
                         self.meters.delta_index_probes.inc(1);
-                        self.meters.delta_index_probe_rows.inc(raw as u64);
+                        self.meters.delta_index_probe_rows.inc(raw);
                     }
-                    slot_rows[i] = Some(input);
+                    slot_rows[i] = Some(self.net_slot(SlotInput::Owned(rows), q.net_clamp(i)));
                     remaining.retain(|&x| x != i);
                 }
                 Some((i, col, keys, None)) => {
@@ -452,8 +456,8 @@ impl MaintCtx {
                             Slot::Delta(iv) => iv,
                             Slot::Base => unreachable!("filtered to delta slots"),
                         };
-                        slot_rows[i] =
-                            Some(self.fetch_delta_full(txn, view.bases[i], iv, compact)?);
+                        let input = self.fetch_delta_full(txn, view.bases[i], iv)?;
+                        slot_rows[i] = Some(self.net_slot(input, q.net_clamp(i)));
                         self.stats.record_delta_decision(false, 0);
                         if self.obs.metrics_on() {
                             self.meters.delta_index_scans.inc(1);
@@ -478,8 +482,11 @@ impl MaintCtx {
     }
 
     /// Execute one propagation query (≥ 1 delta slot) as a transaction and
-    /// insert its results into the view delta table. `sign` scales counts
-    /// (−1 for compensation).
+    /// insert its results into the view delta table in one batch. `sign`
+    /// scales counts (−1 for compensation). With two or more delta slots
+    /// the results are merged on equal `(ts, tuple)` first — the view
+    /// delta is a multiset over `(ts, tuple)`, so every `σ_{a,b}` of it is
+    /// unchanged.
     pub fn execute(&self, q: &PropQuery, sign: i64) -> Result<ExecOutcome> {
         self.execute_traced(q, sign, QuerySpanCtx::default())
             .map(|(outcome, _)| outcome)
@@ -540,9 +547,9 @@ impl MaintCtx {
         let mut txn = self.engine.begin();
         // Table granularity: pre-lock base-table slots S in TableId order
         // (deadlock avoidance among maintenance transactions). The view
-        // delta table's X lock is taken lazily by the first `vd_insert` —
-        // after the fetch and join — so writers contend on it only for
-        // the insert+commit tail of the query; the lock order is still
+        // delta table's X lock is taken lazily by `vd_write` — after the
+        // fetch and join — so writers contend on it only for the
+        // insert+commit tail of the query; the lock order is still
         // globally consistent because the view delta table was created
         // after every base (larger `TableId`).
         //
@@ -576,18 +583,17 @@ impl MaintCtx {
 
         let (rows, stats) = {
             let _s = self.obs.span("join");
-            exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?
-        };
-        let mut written = 0u64;
-        for row in rows {
-            let ts = row.ts.ok_or_else(|| {
-                Error::Internal("propagation result row lost its timestamp".into())
-            })?;
-            if row.count != 0 {
-                txn.vd_insert(self.mv.vd_table, ts, row.count, row.tuple)?;
-                written += 1;
+            let (mut rows, stats) =
+                exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?;
+            if q.delta_count() >= 2 {
+                let (netted, outcome) = net_rows(&rows, Csn::MAX);
+                self.stats
+                    .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
+                rows = netted;
             }
-        }
+            (rows, stats)
+        };
+        let written = txn.vd_write(self.mv.vd_table, rows)? as u64;
         let lock_wait = txn.lock_wait();
         let exec_csn = {
             let _s = self.obs.span("commit");
@@ -656,7 +662,7 @@ impl MaintCtx {
 
     /// Fold the cold-path sources into the metrics registry — the lock
     /// manager's per-granularity stats, store-level compaction totals,
-    /// scan-level compaction counters — and refresh the lag gauges.
+    /// netting counters — and refresh the lag gauges.
     /// Call before exporting; [`MaintCtx::prometheus`] does.
     pub fn observe_now(&self) -> Result<()> {
         if !self.obs.metrics_on() {

@@ -50,8 +50,8 @@ pub use driver::{
 pub use execute::{ExecOutcome, MaintCtx, QuerySpanCtx};
 pub use metering::CoreMeters;
 pub use policy::{
-    CompactionPolicy, ExecTuning, FullWidth, IntervalPolicy, LatencyBudget, PerRelationInterval,
-    TargetRows, UniformInterval,
+    ExecTuning, FullWidth, IntervalPolicy, LatencyBudget, PerRelationInterval, TargetRows,
+    UniformInterval,
 };
 pub use propagate::Propagator;
 pub use query::{PropQuery, Slot};

@@ -215,18 +215,18 @@ impl CoreMeters {
         }
     }
 
-    /// Mirror the scan-level φ-compaction counters from [`PropStatsSnapshot`].
+    /// Mirror the netting counters from [`PropStatsSnapshot`].
     pub fn fold_prop_stats(&self, meter: &Meter, s: &PropStatsSnapshot) {
         meter
             .counter(
-                "rolljoin_scan_compact_rows_in_total",
-                "Raw delta rows that entered scan-level φ-compaction.",
+                "rolljoin_net_rows_in_total",
+                "Rows that entered exact (ts, tuple) netting.",
             )
             .set(s.compact_rows_in);
         meter
             .counter(
-                "rolljoin_scan_compact_rows_saved_total",
-                "Rows eliminated by scan-level φ-compaction.",
+                "rolljoin_net_rows_saved_total",
+                "Rows eliminated by exact (ts, tuple) netting.",
             )
             .set(s.compact_rows_saved);
         meter

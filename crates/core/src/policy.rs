@@ -12,30 +12,6 @@ use rolljoin_common::{Csn, Result};
 use rolljoin_storage::LockGranularity;
 use std::time::Duration;
 
-/// Whether delta streams are φ-compacted (net-effect reduced) ahead of
-/// consumption. φ is linear over SPJ propagation (paper Lemma 4.2), so
-/// collapsing same-tuple churn *before* it reaches a join or a cache
-/// changes no net effect — only how many rows carry it. (Store history is
-/// never rewritten: [`MaintCtx::compact_stores`] prunes it below the
-/// engine's low-water mark under either policy.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompactionPolicy {
-    /// Never compact (seed behavior).
-    #[default]
-    Off,
-    /// φ-reduce freshly materialized delta ranges before they enter the
-    /// scan cache, so joins, build sides, and cache memory all see net
-    /// churn instead of raw churn.
-    OnScan,
-}
-
-impl CompactionPolicy {
-    /// Should freshly materialized delta ranges be φ-reduced at scan time?
-    pub fn compact_on_scan(&self) -> bool {
-        *self == CompactionPolicy::OnScan
-    }
-}
-
 /// Executor tuning knobs, separate from the interval policy: the interval
 /// decides *what* each step covers, these decide *how* the step's queries
 /// run.
@@ -70,10 +46,6 @@ pub struct ExecTuning {
     /// the engine by [`MaintCtx::with_tuning`] — set it before concurrent
     /// activity starts.
     pub lock_granularity: LockGranularity,
-    /// Early scan-level φ-compaction of delta streams.
-    /// `Off` is the seed behavior: every raw change record flows through
-    /// every join.
-    pub compaction: CompactionPolicy,
     /// How much observability the maintenance paths record: `Off` (the
     /// default — instrumented paths reduce to a few atomic loads),
     /// `Metrics` (counters/gauges/histograms), or `Full` (metrics plus
@@ -93,7 +65,6 @@ impl Default for ExecTuning {
             delta_probe: true,
             delta_probe_ratio: 1,
             lock_granularity: LockGranularity::Table,
-            compaction: CompactionPolicy::Off,
             obs: rolljoin_obs::ObsConfig::Off,
         }
     }
@@ -135,12 +106,6 @@ impl ExecTuning {
     /// Set the lock granularity.
     pub fn with_lock_granularity(mut self, g: LockGranularity) -> Self {
         self.lock_granularity = g;
-        self
-    }
-
-    /// Set the φ-compaction policy.
-    pub fn with_compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.compaction = policy;
         self
     }
 
@@ -322,15 +287,6 @@ mod tests {
                 .with_lock_granularity(LockGranularity::Striped(64))
                 .lock_granularity,
             LockGranularity::Striped(64)
-        );
-        assert_eq!(t.compaction, CompactionPolicy::Off);
-        assert!(!CompactionPolicy::Off.compact_on_scan());
-        assert!(CompactionPolicy::OnScan.compact_on_scan());
-        assert_eq!(
-            ExecTuning::sequential()
-                .with_compaction(CompactionPolicy::OnScan)
-                .compaction,
-            CompactionPolicy::OnScan
         );
         assert_eq!(t.obs, rolljoin_obs::ObsConfig::Off);
         assert_eq!(

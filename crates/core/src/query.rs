@@ -78,6 +78,29 @@ impl PropQuery {
             .max()
     }
 
+    /// The timestamp clamp of delta slot `j` for exact pre-join netting:
+    /// the smallest upper bound among the *other* delta slots, returned
+    /// only when it cuts into slot `j`'s own interval (`< hi_j`) — with a
+    /// single delta slot, or when every other slot ends at or after
+    /// `hi_j`, clamping changes nothing. A join result's timestamp is the
+    /// minimum over its delta rows, and every row that could set it is
+    /// already at or below the clamp, so rows of slot `j` may take
+    /// `min(ts, clamp)` and merge on equal `(ts, tuple)` (DESIGN §7).
+    pub fn net_clamp(&self, j: usize) -> Option<Csn> {
+        let Slot::Delta(own) = self.slots[j] else {
+            return None;
+        };
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| match s {
+                Slot::Delta(iv) if i != j => Some(iv.hi),
+                _ => None,
+            })
+            .min()
+            .filter(|&c| c < own.hi)
+    }
+
     /// Replace slot `i` with a delta binding.
     pub fn with_delta(&self, i: usize, interval: TimeInterval) -> PropQuery {
         let mut slots = self.slots.clone();
@@ -155,6 +178,17 @@ mod tests {
 
     fn iv(a: Csn, b: Csn) -> TimeInterval {
         TimeInterval::new(a, b)
+    }
+
+    #[test]
+    fn net_clamp_is_the_least_other_delta_bound() {
+        let fwd = PropQuery::all_base(3).with_delta(0, iv(0, 10));
+        assert_eq!(fwd.net_clamp(0), None, "one delta slot: nothing to clamp");
+        assert_eq!(fwd.net_clamp(1), None, "base slots never clamp");
+        let comp = fwd.with_delta(1, iv(10, 25)).with_delta(2, iv(0, 30));
+        assert_eq!(comp.net_clamp(0), None, "others end after 10");
+        assert_eq!(comp.net_clamp(1), Some(10));
+        assert_eq!(comp.net_clamp(2), Some(10));
     }
 
     #[test]

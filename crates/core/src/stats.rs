@@ -36,11 +36,12 @@ pub struct PropStats {
     pub scan_cache_misses: AtomicU64,
     /// Rows served from the scan cache instead of re-materializing.
     pub scan_cache_rows: AtomicU64,
-    /// Raw delta rows that entered scan-level φ-compaction (cache misses
-    /// with [`crate::policy::CompactionPolicy::compact_on_scan`] set).
+    /// Rows that entered exact `(ts, tuple)` netting: clamped delta slots
+    /// of queries with two or more delta slots before the join, and those
+    /// queries' results before the view-delta write
+    /// ([`rolljoin_relalg::net_rows`]).
     pub compact_rows_in: AtomicU64,
-    /// Rows eliminated by scan-level φ-compaction before any join, build
-    /// side, or cache entry saw them.
+    /// Rows that netting merged away or dropped as zero-count groups.
     pub compact_rows_saved: AtomicU64,
     /// Total nanoseconds workers spent executing queries (summed across
     /// workers; divide by elapsed wall time for average busy workers).
@@ -126,12 +127,11 @@ impl PropStats {
         }
     }
 
-    /// Record one scan-level φ-compaction: `raw` rows materialized,
-    /// `served` survived into the cache entry.
-    pub(crate) fn record_scan_compaction(&self, raw: u64, served: u64) {
+    /// Record one netting pass: `raw` rows in, `kept` rows out.
+    pub(crate) fn record_netting(&self, raw: u64, kept: u64) {
         self.compact_rows_in.fetch_add(raw, Ordering::Relaxed);
         self.compact_rows_saved
-            .fetch_add(raw.saturating_sub(served), Ordering::Relaxed);
+            .fetch_add(raw.saturating_sub(kept), Ordering::Relaxed);
     }
 
     /// Record one query's wall-clock time.
@@ -202,9 +202,9 @@ impl PropStatsSnapshot {
         self.base_rows_read + self.delta_rows_read
     }
 
-    /// Fraction of raw delta rows eliminated by scan-level φ-compaction,
-    /// in `[0, 1]`; `0` when compaction never ran.
-    pub fn scan_compaction_save_rate(&self) -> f64 {
+    /// Fraction of rows entering netting that it eliminated, in `[0, 1]`;
+    /// `0` when netting never ran.
+    pub fn netting_save_rate(&self) -> f64 {
         if self.compact_rows_in == 0 {
             0.0
         } else {
@@ -419,13 +419,13 @@ mod tests {
     #[test]
     fn scan_compaction_counters_and_rate() {
         let s = PropStats::new();
-        assert_eq!(s.snapshot().scan_compaction_save_rate(), 0.0);
-        s.record_scan_compaction(10, 4);
-        s.record_scan_compaction(2, 2);
+        assert_eq!(s.snapshot().netting_save_rate(), 0.0);
+        s.record_netting(10, 4);
+        s.record_netting(2, 2);
         let snap = s.snapshot();
         assert_eq!(snap.compact_rows_in, 12);
         assert_eq!(snap.compact_rows_saved, 6);
-        assert_eq!(snap.scan_compaction_save_rate(), 0.5);
+        assert_eq!(snap.netting_save_rate(), 0.5);
     }
 
     #[test]

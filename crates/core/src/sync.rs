@@ -104,16 +104,7 @@ pub fn sync_propagate_eq1(ctx: &MaintCtx, from: Csn) -> Result<SyncOutcome> {
         let slot_rows = ctx.fetch_slots(&mut txn, &q)?;
         rows_read += slot_rows.iter().map(|s| s.len()).sum::<usize>();
         let (rows, _) = exec::execute_shared(slot_rows, &view.spec, sign, None)?;
-        for row in rows {
-            if row.count == 0 {
-                continue;
-            }
-            let ts = row
-                .ts
-                .ok_or_else(|| Error::Internal("sync result lost timestamp".into()))?;
-            txn.vd_insert(ctx.mv.vd_table, ts, row.count, row.tuple)?;
-            rows_written += 1;
-        }
+        rows_written += txn.vd_write(ctx.mv.vd_table, rows)?;
     }
 
     let to = txn.commit()?;
@@ -159,16 +150,7 @@ pub fn sync_propagate_eq2(ctx: &MaintCtx, from: Csn, to: Csn) -> Result<SyncOutc
         }
         rows_read += slot_rows.iter().map(Vec::len).sum::<usize>();
         let (rows, _) = exec::execute(slot_rows, &view.spec, 1)?;
-        for row in rows {
-            if row.count == 0 {
-                continue;
-            }
-            let ts = row
-                .ts
-                .ok_or_else(|| Error::Internal("sync result lost timestamp".into()))?;
-            txn.vd_insert(ctx.mv.vd_table, ts, row.count, row.tuple)?;
-            rows_written += 1;
-        }
+        rows_written += txn.vd_write(ctx.mv.vd_table, rows)?;
     }
     txn.commit()?;
     ctx.mv.set_hwm(to);

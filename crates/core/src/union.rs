@@ -110,9 +110,10 @@ impl UnionView {
                 slot_rows.push(fetch(engine, &mut txn, &SlotSource::Base(*base))?);
             }
             let (rows, _) = exec::execute(slot_rows, &branch.view.spec, 1)?;
-            for row in rows {
-                txn.apply_count(self.mv_table, &row.tuple, row.count)?;
-            }
+            txn.apply_counts(
+                self.mv_table,
+                rows.into_iter().map(|r| (r.tuple, r.count)).collect(),
+            )?;
         }
         let csn = txn.commit()?;
         self.mat_time.store(csn, Ordering::Release);
@@ -152,15 +153,9 @@ impl UnionView {
         txn.lock(self.mv_table, LockMode::Exclusive)?;
         let net = engine.vd_net_range(self.vd_table, TimeInterval::new(mat, target))?;
         let tuples_changed = net.len();
-        let (mut insertions, mut deletions) = (0i64, 0i64);
-        for (tuple, count) in net {
-            if count > 0 {
-                insertions += count;
-            } else {
-                deletions += -count;
-            }
-            txn.apply_count(self.mv_table, &tuple, count)?;
-        }
+        let insertions: i64 = net.values().filter(|c| **c > 0).sum();
+        let deletions: i64 = -net.values().filter(|c| **c < 0).sum::<i64>();
+        txn.apply_counts(self.mv_table, net.into_iter().collect())?;
         txn.commit()?;
         self.mat_time.store(target, Ordering::Release);
         for branch in &self.branches {

@@ -1,22 +1,24 @@
-//! φ-equivalence oracle for early compaction and store pruning: under any
-//! update history, propagation running with `CompactionPolicy::OnScan`,
-//! with or without `compact_stores` pruning between steps, must produce a
-//! view delta with the same net effect (`φ`, Definition 4.1) as the
-//! uncompacted run, and refresh from it must land the MV exactly on the
-//! oracle state. Scan-level compaction changes *how many rows carry* a net
-//! effect, never the net effect itself — φ is linear over SPJ propagation
-//! (Lemma 4.2) — and pruning only drops history below the engine's
-//! low-water mark, which no future read starts under. These tests are the
-//! executable form of that claim, including with a live background
-//! compactor racing concurrent updaters.
+//! Exact netting and store pruning against the Definition 4.2 oracle.
+//!
+//! Propagation nets compensation queries exactly: each delta slot's
+//! timestamps clamp to the least upper bound of the other delta slots and
+//! rows with equal `(ts, tuple)` merge, before the join and again on its
+//! result (DESIGN §7). Netting may change how many rows carry a change,
+//! never *when* it happened: Definition 4.2,
+//! `φ(σ_{a,b}(VD) + V_a) = φ(V_b)`, must hold on every sub-interval, not
+//! only on whole propagation windows. Pruning only drops history below the
+//! engine's low-water mark, which no future read starts under. These tests
+//! check both on random 2–4-way chains under hot-key churn, with parallel
+//! workers, mid-run rolls, and a live background compactor racing
+//! concurrent updaters.
 
 use proptest::prelude::*;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Schema, TableId, TimeInterval, Tuple};
 use rolljoin_core::{
-    compute_delta, materialize, oracle, roll_to, spawn_compaction_driver, CompactionPolicy,
-    DeltaWorker, MaintCtx, MaterializedView, PropQuery, ViewDef,
+    compute_delta, materialize, oracle, roll_to, spawn_compaction_driver, DeltaWorker, MaintCtx,
+    MaterializedView, PropQuery, ViewDef,
 };
-use rolljoin_relalg::{add, negate, net_effect, JoinSpec, NetEffect};
+use rolljoin_relalg::{add, exec, negate, net_effect, JoinSpec, NetEffect};
 use rolljoin_storage::{Engine, LockGranularity};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -109,30 +111,33 @@ fn apply_ops(ctx: &MaintCtx, tables: &[TableId], ops: &[Op]) {
     }
 }
 
-/// Replay `ops` on a fresh n-way chain and propagate the whole history in
-/// `steps` windows under the given compaction policy, pruning the stores
-/// between steps when `prune` is set; halfway through, the MV is rolled to
-/// the frontier (a mid-run `roll_to`, below which pruning drops the view
-/// delta). Returns the context, materialization time `mat`, history end,
-/// and the net effect of everything propagated over `(mat, end]`: the MV's
-/// movement from `mat` to the current materialization time `mat′`, plus
+/// One propagated run: the context, materialization time, history end,
+/// the window boundaries it propagated through, and the net effect of
+/// everything propagated over `(mat, end]`: the MV's movement from `mat`
+/// to the current materialization time `mat′`, plus
 /// `φ(σ_{mat′,end}(VD))`.
-fn run_chain(
-    name: &str,
-    n: usize,
-    ops: &[Op],
-    (policy, prune): (CompactionPolicy, bool),
-    workers: usize,
-    steps: usize,
-) -> (MaintCtx, Csn, Csn, NetEffect) {
+struct Run {
+    ctx: MaintCtx,
+    mat: Csn,
+    end: Csn,
+    bounds: Vec<Csn>,
+    phi: NetEffect,
+}
+
+/// Replay `ops` on a fresh n-way chain and propagate the whole history in
+/// `steps` windows, pruning the stores between steps when `prune` is set;
+/// halfway through, the MV is rolled to the frontier (a mid-run
+/// `roll_to`, below which pruning drops the view delta).
+fn run_chain(name: &str, n: usize, ops: &[Op], prune: bool, workers: usize, steps: usize) -> Run {
     let (ctx, tables) = chain(name, n);
-    let ctx = ctx.with_workers(workers).with_compaction(policy);
+    let ctx = ctx.with_workers(workers);
     let mat = materialize(&ctx).unwrap();
     let mv_at_mat = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
     apply_ops(&ctx, &tables, ops);
     let end = ctx.engine.current_csn();
     let span = end - mat;
     let mut frontier = mat;
+    let mut bounds = vec![mat];
     for s in 1..=steps {
         let hi = if s == steps {
             end
@@ -145,6 +150,7 @@ fn run_chain(
         compute_delta(&ctx, &PropQuery::all_base(n), 1, &vec![frontier; n], hi).unwrap();
         ctx.mv.set_hwm(hi);
         frontier = hi;
+        bounds.push(hi);
         if s == steps / 2 {
             roll_to(&ctx, frontier).unwrap();
         }
@@ -160,7 +166,44 @@ fn run_chain(
         .engine
         .vd_range(ctx.mv.vd_table, TimeInterval::new(ctx.mv.mat_time(), end))
         .unwrap();
-    (ctx, mat, end, add(&moved, &net_effect(vd)))
+    let phi = add(&moved, &net_effect(vd));
+    Run {
+        ctx,
+        mat,
+        end,
+        bounds,
+        phi,
+    }
+}
+
+/// Definition 4.2 on `(a, b]`, reported with both sides on failure.
+fn check_def42(ctx: &MaintCtx, a: Csn, b: Csn) -> Result<(), TestCaseError> {
+    let (lhs, rhs) = oracle::check_timed_delta(&ctx.engine, &ctx.mv, a, b).unwrap();
+    prop_assert_eq!(lhs, rhs, "Def. 4.2 fails on ({}, {}]", a, b);
+    Ok(())
+}
+
+/// Definition 4.2 on every pair of window boundaries at or above `floor`,
+/// and on the interior pairs `picks` selects from `[floor, end]`.
+fn check_subintervals(
+    run: &Run,
+    floor: Csn,
+    picks: &[(prop::sample::Index, prop::sample::Index)],
+) -> Result<(), TestCaseError> {
+    let bounds: Vec<Csn> = run.bounds.iter().copied().filter(|&b| b >= floor).collect();
+    for (i, &a) in bounds.iter().enumerate() {
+        for &b in &bounds[i + 1..] {
+            check_def42(&run.ctx, a, b)?;
+        }
+    }
+    let width = (run.end - floor + 1) as usize;
+    for (x, y) in picks {
+        let (x, y) = (floor + x.index(width) as Csn, floor + y.index(width) as Csn);
+        if x != y {
+            check_def42(&run.ctx, x.min(y), x.max(y))?;
+        }
+    }
+    Ok(())
 }
 
 /// Roll to the end of history and compare the MV against the oracle.
@@ -171,23 +214,29 @@ fn check_final_state(ctx: &MaintCtx, end: Csn) -> Result<(), TestCaseError> {
     }
     let got = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
     let want = oracle::view_at(&ctx.engine, &ctx.mv.view, end).unwrap();
-    prop_assert_eq!(got, want, "compacted MV diverged from oracle at t={}", end);
+    prop_assert_eq!(got, want, "MV diverged from oracle at t={}", end);
     Ok(())
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// 2..4-way chains: propagation under `OnScan`, alone and with a
-    /// store prune after every step (with mid-run rolls), φ-matches the
-    /// uncompacted run on the same history, and refresh from the
-    /// compacted delta hits the oracle at the end of history.
+    /// 2..4-way chains under hot-key churn, with 1–2 workers: the view
+    /// delta propagated in `steps` windows satisfies Definition 4.2 on
+    /// every pair of window boundaries and on random interior CSN pairs,
+    /// and φ-matches a single-window run. With a store prune after every
+    /// step (and a mid-run roll), the same holds above the final floor,
+    /// and refresh lands the MV on the oracle at the end of history.
     #[test]
     fn compaction_policies_phi_match(
         n in 2usize..5,
-        ops in arb_ops(4, 20),
+        ops in arb_ops(4, 24),
         workers in 1usize..3,
-        steps in 1usize..4,
+        steps in 1usize..5,
+        picks in prop::collection::vec(
+            (any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            8,
+        ),
     ) {
         let ops: Vec<Op> = ops
             .iter()
@@ -196,80 +245,97 @@ proptest! {
             })
             .cloned()
             .collect();
-        let (_, mat_off, end_off, phi_off) =
-            run_chain("co", n, &ops, (CompactionPolicy::Off, false), workers, 1);
-        let (ctx_scan, mat_s, end_s, phi_scan) =
-            run_chain("cs", n, &ops, (CompactionPolicy::OnScan, false), workers, steps);
-        let (ctx_pr, mat_p, end_p, phi_pr) =
-            run_chain("cp", n, &ops, (CompactionPolicy::OnScan, true), workers, steps);
-        prop_assert_eq!((mat_off, end_off), (mat_s, end_s), "identical histories");
-        prop_assert_eq!((mat_off, end_off), (mat_p, end_p), "identical histories");
-        prop_assert_eq!(&phi_off, &phi_scan, "φ(OnScan) ≠ φ(Off)");
-        prop_assert_eq!(&phi_off, &phi_pr, "φ(OnScan + prune) ≠ φ(Off)");
-        check_final_state(&ctx_scan, end_s)?;
-        check_final_state(&ctx_pr, end_p)?;
+        let whole = run_chain("cw", n, &ops, false, workers, 1);
+        let stepped = run_chain("cs", n, &ops, false, workers, steps);
+        let pruned = run_chain("cp", n, &ops, true, workers, steps);
+        prop_assert_eq!((whole.mat, whole.end), (stepped.mat, stepped.end), "identical histories");
+        prop_assert_eq!((whole.mat, whole.end), (pruned.mat, pruned.end), "identical histories");
+        prop_assert_eq!(&whole.phi, &stepped.phi, "φ(stepped) ≠ φ(one window)");
+        prop_assert_eq!(&whole.phi, &pruned.phi, "φ(stepped + prune) ≠ φ(one window)");
+        check_subintervals(&whole, whole.mat, &picks)?;
+        check_subintervals(&stepped, stepped.mat, &picks)?;
+        // Pruning drops history at or below the final floor.
+        let floor = pruned.ctx.mv.mat_time();
+        check_subintervals(&pruned, floor, &picks)?;
+        check_final_state(&stepped.ctx, stepped.end)?;
+        check_final_state(&pruned.ctx, pruned.end)?;
     }
 }
 
-/// Scan-level compaction visibly reduces what the joins read: a hot key
-/// churned up and down nets to a single surviving insert, and the OnScan
-/// run reports the eliminated rows while producing the same view delta.
+/// Exact netting shrinks compensation on a hot key: a forward query over
+/// `ΔR(mat, e]` sees `S` after 30 insert/delete pairs on a joining tuple
+/// committed past `e`, so its compensation `ΔR(mat, e] ⋈ ΔS(mat, t_x]`
+/// joins 61 × 60 raw rows. Clamped to `e`, the `ΔS` churn nets to nothing
+/// and the compensation writes no view-delta row — while Definition 4.2
+/// still holds on every sub-interval of the window.
 #[test]
-fn on_scan_compaction_shrinks_hot_key_churn() {
-    let build = |policy| {
-        let (ctx, tables) = chain(
-            if policy == CompactionPolicy::Off {
-                "hk0"
-            } else {
-                "hk1"
-            },
-            2,
-        );
-        let ctx = ctx.with_compaction(policy);
-        let mat = materialize(&ctx).unwrap();
-        // Matching row on the far side so the hot key joins.
+fn exact_netting_shrinks_hot_key_churn() {
+    let (ctx, tables) = chain("hk", 2);
+    let commit = |t: TableId, tuple: Tuple, insert: bool| {
         let mut txn = ctx.engine.begin();
-        txn.insert(tables[1], tup![7, 7]).unwrap();
-        txn.commit().unwrap();
-        // Hot-key churn on the near side: 30 insert/delete pairs + 1 net insert.
-        for _ in 0..30 {
-            let mut txn = ctx.engine.begin();
-            txn.insert(tables[0], tup![1, 7]).unwrap();
-            txn.commit().unwrap();
-            let mut txn = ctx.engine.begin();
-            txn.delete_one(tables[0], &tup![1, 7]).unwrap();
-            txn.commit().unwrap();
+        if insert {
+            txn.insert(t, tuple).unwrap();
+        } else {
+            txn.delete_one(t, &tuple).unwrap();
         }
-        let mut txn = ctx.engine.begin();
-        txn.insert(tables[0], tup![1, 7]).unwrap();
-        txn.commit().unwrap();
-        let end = ctx.engine.current_csn();
-        compute_delta(&ctx, &PropQuery::all_base(2), 1, &[mat; 2], end).unwrap();
-        ctx.mv.set_hwm(end);
-        let vd = ctx
-            .engine
-            .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, end))
-            .unwrap();
-        (ctx, net_effect(vd))
+        txn.commit().unwrap()
     };
-    let (ctx_off, phi_off) = build(CompactionPolicy::Off);
-    let (ctx_on, phi_on) = build(CompactionPolicy::OnScan);
-    assert_eq!(phi_off, phi_on, "φ must be preserved");
-    assert_eq!(phi_on[&tup![1, 7]], 1);
-    let off = ctx_off.stats.snapshot();
-    let on = ctx_on.stats.snapshot();
-    assert_eq!(off.compact_rows_saved, 0, "Off never compacts");
+    // Matching row on the far side so the hot key joins.
+    commit(tables[1], tup![7, 7], true);
+    let mat = materialize(&ctx).unwrap();
+    // Hot-key churn on the near side: 30 insert/delete pairs + 1 net insert.
+    for _ in 0..30 {
+        commit(tables[0], tup![1, 7], true);
+        commit(tables[0], tup![1, 7], false);
+    }
+    let e = commit(tables[0], tup![1, 7], true);
+    // Far-side churn past the window: the forward query sees it, and its
+    // compensation must take it back out.
+    for _ in 0..30 {
+        commit(tables[1], tup![7, 8], true);
+        commit(tables[1], tup![7, 8], false);
+    }
+    let end = ctx.engine.current_csn();
+    ctx.engine.capture_catch_up().unwrap();
+    let raw_comp = {
+        let spec = &ctx.mv.view.spec;
+        let r = ctx
+            .engine
+            .delta_range(tables[0], TimeInterval::new(mat, e))
+            .unwrap();
+        let s = ctx
+            .engine
+            .delta_range(tables[1], TimeInterval::new(mat, end))
+            .unwrap();
+        exec::execute(vec![r, s], spec, -1).unwrap().0.len()
+    };
+    assert_eq!(raw_comp, 61 * 60, "raw compensation rows");
+
+    compute_delta(&ctx, &PropQuery::all_base(2), 1, &[mat; 2], e).unwrap();
+    ctx.mv.set_hwm(e);
+    let snap = ctx.stats.snapshot();
+    assert!(snap.comp_queries >= 1, "the window needed compensation");
+    // Forward: one VD row per ΔR row (61). Compensation: none.
+    assert_eq!(ctx.engine.vd_len(ctx.mv.vd_table).unwrap(), 61);
+    assert_eq!(snap.vd_rows_written, 61);
     assert!(
-        on.compact_rows_saved >= 60,
-        "61 raw churn rows collapse to 1 (saved {})",
-        on.compact_rows_saved
+        snap.compact_rows_saved >= 60,
+        "the 60 far-side churn rows net away (saved {})",
+        snap.compact_rows_saved
     );
-    assert!(
-        on.delta_rows_read < off.delta_rows_read,
-        "joins read net churn ({} < {})",
-        on.delta_rows_read,
-        off.delta_rows_read
-    );
+    for a in mat..e {
+        for b in a + 1..=e {
+            assert!(
+                oracle::timed_delta_holds(&ctx.engine, &ctx.mv, a, b).unwrap(),
+                "Def. 4.2 fails on ({a}, {b}]"
+            );
+        }
+    }
+    let vd = ctx
+        .engine
+        .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, e))
+        .unwrap();
+    assert_eq!(net_effect(vd)[&tup![1, 7]], 1);
 }
 
 /// Store pruning below the LWM: after propagation and a roll to the end
@@ -334,8 +400,7 @@ fn background_compactor_with_concurrent_updaters_matches_oracle() {
     let (ctx, tables) = chain("bgc", N);
     let ctx = ctx
         .with_workers(2)
-        .with_lock_granularity(LockGranularity::Striped(64))
-        .with_compaction(CompactionPolicy::OnScan);
+        .with_lock_granularity(LockGranularity::Striped(64));
     let mat = materialize(&ctx).unwrap();
     let mut txn = ctx.engine.begin();
     for k in 0..KEYS {

@@ -7,14 +7,14 @@
 //! equi-join neighbor's keys — sound because every join result must match
 //! the neighbor on that column — so it changes *which rows are fetched*,
 //! never the query result. These tests are the executable form of that
-//! claim under both compaction policies, with and without store pruning,
-//! including with a live background compactor racing concurrent updaters.
+//! claim with and without store pruning, including with a live background
+//! compactor racing concurrent updaters.
 
 use proptest::prelude::*;
 use rolljoin_common::{tup, ColumnType, Csn, Error, Schema, TableId, TimeInterval, Tuple};
 use rolljoin_core::{
-    compute_delta, materialize, oracle, roll_to, spawn_compaction_driver, CompactionPolicy,
-    DeltaWorker, ExecTuning, MaintCtx, MaterializedView, PropQuery, ViewDef,
+    compute_delta, materialize, oracle, roll_to, spawn_compaction_driver, DeltaWorker, ExecTuning,
+    MaintCtx, MaterializedView, PropQuery, ViewDef,
 };
 use rolljoin_relalg::{add, negate, net_effect, JoinSpec, NetEffect};
 use rolljoin_storage::{Engine, LockGranularity};
@@ -127,7 +127,7 @@ fn run_chain(
     name: &str,
     n: usize,
     ops: &[Op],
-    (policy, prune): (CompactionPolicy, bool),
+    prune: bool,
     workers: usize,
     steps: usize,
     indexed: bool,
@@ -136,7 +136,6 @@ fn run_chain(
     let ctx = ctx.with_tuning(
         ExecTuning::default()
             .with_workers(workers)
-            .with_compaction(policy)
             .with_delta_probe(indexed),
     );
     let mat = materialize(&ctx).unwrap();
@@ -190,8 +189,8 @@ fn check_final_state(ctx: &MaintCtx, end: Csn) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// 2..4-way chains under every compaction policy, with and without
-    /// pruning: the keyed-probe run φ-matches the full-scan run on the same
+    /// 2..4-way chains, with and without pruning: the keyed-probe run
+    /// φ-matches the full-scan run on the same
     /// history, and refresh from the probed delta hits the oracle at the
     /// end of history.
     #[test]
@@ -208,11 +207,7 @@ proptest! {
             })
             .cloned()
             .collect();
-        for (tag, arm) in [
-            ("off", (CompactionPolicy::Off, false)),
-            ("scan", (CompactionPolicy::OnScan, false)),
-            ("prune", (CompactionPolicy::OnScan, true)),
-        ] {
+        for (tag, arm) in [("plain", false), ("prune", true)] {
             let (_, mat_s, end_s, phi_scan) = run_chain(
                 &format!("ds_{tag}"), n, &ops, arm, workers, steps, false,
             );
@@ -235,11 +230,7 @@ proptest! {
 fn recursion_probes_cut_delta_rows_read() {
     let build = |indexed: bool| {
         let (ctx, tables) = chain(if indexed { "rp1" } else { "rp0" }, 3, indexed);
-        let ctx = ctx.with_tuning(
-            ExecTuning::sequential()
-                .with_delta_probe(indexed)
-                .with_compaction(CompactionPolicy::Off),
-        );
+        let ctx = ctx.with_tuning(ExecTuning::sequential().with_delta_probe(indexed));
         let mat = materialize(&ctx).unwrap();
         // Deep distinct-key history on R2 and R3 (one commit each → deep
         // CSN history), then a single matching R1 row at the very end.
@@ -293,8 +284,7 @@ fn probes_with_concurrent_updaters_and_compactor_match_oracle() {
     let ctx = ctx.with_tuning(
         ExecTuning::default()
             .with_workers(2)
-            .with_lock_granularity(LockGranularity::Striped(64))
-            .with_compaction(CompactionPolicy::OnScan),
+            .with_lock_granularity(LockGranularity::Striped(64)),
     );
     let mat = materialize(&ctx).unwrap();
     let mut txn = ctx.engine.begin();

@@ -26,7 +26,7 @@ pub use exec::{
 };
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use net_effect::{
-    add, compact_rows, is_multiset, negate, net_effect, net_effect_ref, to_rows, CompactionOutcome,
+    add, is_multiset, negate, net_effect, net_effect_ref, net_rows, to_rows, CompactionOutcome,
     NetEffect,
 };
 pub use ops::JoinIndex;

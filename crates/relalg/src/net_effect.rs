@@ -9,7 +9,8 @@
 //! 4.1–4.2, Theorems 4.1–4.3) — so it is also the vocabulary of this
 //! reproduction's oracles and property tests.
 
-use rolljoin_common::{DeltaRow, Tuple};
+use rolljoin_common::{Csn, DeltaRow, Tuple};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 /// Canonical net effect: `tuple → summed count`, zero counts dropped.
@@ -52,7 +53,7 @@ where
     out
 }
 
-/// Counters from one scan-level φ-compaction ([`compact_rows`]).
+/// Counters from one exact netting pass ([`net_rows`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionOutcome {
     /// Rows in the raw stream.
@@ -64,34 +65,41 @@ pub struct CompactionOutcome {
 }
 
 impl CompactionOutcome {
-    /// Rows eliminated before they could reach a join or cache.
+    /// Rows eliminated before they could reach a join or the view delta.
     pub fn rows_saved(&self) -> usize {
         self.rows_in - self.rows_out
     }
 }
 
-/// Timestamp-preserving `φ` over a timestamp-ordered delta slice:
-/// same-tuple rows merge into one row carrying the summed count and the
-/// group's **minimum** timestamp (the §3.3 rule — the first occurrence,
-/// since the input is ordered), and zero-sum groups are dropped. Output
-/// stays timestamp-ordered.
+/// Exact, timestamp-respecting netting: each row's timestamp becomes
+/// `min(ts, clamp)`, rows with equal `(timestamp, tuple)` merge into one
+/// row carrying the summed count, and zero-sum groups are dropped.
+/// Untimestamped rows keep `ts = None`. Output is in first-occurrence
+/// order, so a timestamp-ordered input stays timestamp-ordered (the clamp
+/// is monotone).
 ///
-/// Unlike [`net_effect`], which nulls timestamps and produces a canonical
-/// map, the result is still a delta-row stream usable as a join input:
-/// joined result rows inherit a real (minimum) timestamp, which the
-/// propagation executor requires. The trade-off is granularity — within
-/// the compacted stream, intermediate per-timestamp states are collapsed,
-/// so the stream is exact for consumers reading it whole (a propagation
-/// step reads its delta slot whole) but not for sub-interval reads.
-pub fn compact_rows(rows: &[DeltaRow]) -> (Vec<DeltaRow>, CompactionOutcome) {
-    let mut pos: HashMap<Tuple, usize> = HashMap::with_capacity(rows.len());
+/// With `clamp = Csn::MAX` this is the multiset identity on `(ts, tuple)`:
+/// every `σ_{a,b}` of the stream keeps its net effect. A finite clamp is
+/// exact *for a join input* whose partners all come from delta slots with
+/// upper bounds `≥ clamp`: a join result's timestamp is the minimum over
+/// its delta rows (§3.3), and every partner timestamp that could be
+/// smaller is already `≤ clamp`, so clamping never moves a result's
+/// minimum and merged rows yield results that merge too (counts multiply,
+/// so merging sums the products). See DESIGN §7.
+pub fn net_rows(rows: &[DeltaRow], clamp: Csn) -> (Vec<DeltaRow>, CompactionOutcome) {
+    let mut pos: HashMap<(Option<Csn>, &Tuple), usize> = HashMap::with_capacity(rows.len());
     let mut out: Vec<DeltaRow> = Vec::with_capacity(rows.len());
     for r in rows {
-        match pos.get(&r.tuple) {
-            Some(&i) => out[i].count += r.count,
-            None => {
-                pos.insert(r.tuple.clone(), out.len());
-                out.push(r.clone());
+        let ts = r.ts.map(|t| t.min(clamp));
+        match pos.entry((ts, &r.tuple)) {
+            Entry::Occupied(e) => out[*e.get()].count += r.count,
+            Entry::Vacant(e) => {
+                e.insert(out.len());
+                out.push(DeltaRow {
+                    ts,
+                    count: r.count,
+                    tuple: r.tuple.clone(),
+                });
             }
         }
     }
@@ -169,24 +177,42 @@ mod tests {
     }
 
     #[test]
-    fn compact_rows_merges_at_min_ts_and_drops_zeros() {
+    fn net_rows_merges_by_clamped_ts_and_drops_zeros() {
         // rows() stamps ts = position + 1.
         let r = rows(&[(1, 10), (1, 20), (2, 10), (-1, 20), (1, 30)]);
-        let (c, o) = compact_rows(&r);
-        assert_eq!(c.len(), 2);
-        assert_eq!((c[0].ts, c[0].count, &c[0].tuple), (Some(1), 3, &tup![10]));
-        assert_eq!((c[1].ts, c[1].count, &c[1].tuple), (Some(5), 1, &tup![30]));
-        assert_eq!((o.rows_in, o.rows_out, o.zero_groups), (5, 2, 1));
+        // No binding clamp: distinct timestamps never merge.
+        let (c, o) = net_rows(&r, Csn::MAX);
+        assert_eq!(c, r);
+        assert_eq!(o.rows_saved(), 0);
+        // Clamp 3: ts 1..3 stay, ts 4..6 become 3. Key 10 merges at ts 3
+        // (+2 − 1) but not with its ts-1 row; key 30 cancels at ts 3.
+        let r = rows(&[(1, 10), (1, 20), (2, 10), (-1, 10), (1, 30), (-1, 30)]);
+        let (c, o) = net_rows(&r, 3);
+        assert_eq!(
+            c.iter()
+                .map(|r| (r.ts, r.count, r.tuple.clone()))
+                .collect::<Vec<_>>(),
+            vec![
+                (Some(1), 1, tup![10]),
+                (Some(2), 1, tup![20]),
+                (Some(3), 1, tup![10]),
+            ]
+        );
+        assert_eq!((o.rows_in, o.rows_out, o.zero_groups), (6, 3, 1));
         assert_eq!(o.rows_saved(), 3);
-        // φ of the compacted stream equals φ of the raw stream.
+        // φ of the netted stream equals φ of the raw stream.
         assert_eq!(net_effect_ref(&c), net_effect_ref(&r));
+        // Untimestamped rows merge by tuple alone.
+        let base = vec![DeltaRow::base(tup![1]), DeltaRow::base(tup![1])];
+        let (c, _) = net_rows(&base, 0);
+        assert_eq!((c.len(), c[0].ts, c[0].count), (1, None, 2));
     }
 
     #[test]
-    fn compact_rows_is_idempotent() {
+    fn net_rows_is_idempotent() {
         let r = rows(&[(1, 1), (1, 1), (-2, 2), (1, 2)]);
-        let (once, _) = compact_rows(&r);
-        let (twice, o) = compact_rows(&once);
+        let (once, _) = net_rows(&r, 2);
+        let (twice, o) = net_rows(&once, 2);
         assert_eq!(once, twice);
         assert_eq!(o.rows_saved(), 0);
     }

@@ -142,57 +142,23 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
 /// [`ScanCache`]. The same range requested by several constituent queries
 /// of one propagation step is materialized once and shared. Non-delta
 /// sources are fetched fresh each time (base reads are transactional and
-/// must see the executing transaction's state).
+/// must see the executing transaction's state); keyed delta probes are
+/// key-set-specific, so they bypass the cache too.
 ///
-/// With `compact` set, a freshly materialized delta range is φ-reduced
-/// ([`crate::net_effect::compact_rows`]) *before* it enters the cache, so
-/// every consumer of the entry — join probes, build sides, the cache
-/// itself — works on net churn rather than raw churn.
-///
-/// Returns the slot input, whether the rows came from the cache, and the
-/// raw (pre-compaction) row count of the range, for stats.
+/// Returns the slot input and whether the rows came from the cache.
 pub fn fetch_cached(
     engine: &Engine,
     txn: &mut Txn,
     source: &SlotSource,
     cache: &ScanCache,
-    compact: bool,
-) -> Result<(SlotInput, bool, usize)> {
+) -> Result<(SlotInput, bool)> {
     match source {
         SlotSource::Delta(table, interval) => {
-            let mut raw_rows = 0usize;
-            let (rows, hit) = cache.get_or_fetch(*table, *interval, || {
-                let fetched = engine.delta_range(*table, *interval)?;
-                raw_rows = fetched.len();
-                if compact {
-                    Ok(crate::net_effect::compact_rows(&fetched).0)
-                } else {
-                    Ok(fetched)
-                }
-            })?;
-            if hit {
-                raw_rows = rows.len();
-            }
-            Ok((SlotInput::Shared(rows, *table, *interval), hit, raw_rows))
+            let (rows, hit) =
+                cache.get_or_fetch(*table, *interval, || engine.delta_range(*table, *interval))?;
+            Ok((SlotInput::Shared(rows, *table, *interval), hit))
         }
-        // Keyed delta probes are key-set-specific, so they bypass the scan
-        // cache (an entry would only ever serve the query that made it) but
-        // still get φ-compacted so downstream joins see net churn.
-        keyed @ SlotSource::DeltaKeyed { .. } => {
-            let fetched = fetch(engine, txn, keyed)?;
-            let raw_rows = fetched.len();
-            let rows = if compact {
-                crate::net_effect::compact_rows(&fetched).0
-            } else {
-                fetched
-            };
-            Ok((SlotInput::Owned(rows), false, raw_rows))
-        }
-        other => {
-            let rows = fetch(engine, txn, other)?;
-            let n = rows.len();
-            Ok((SlotInput::Owned(rows), false, n))
-        }
+        other => Ok((SlotInput::Owned(fetch(engine, txn, other)?), false)),
     }
 }
 
@@ -256,10 +222,9 @@ mod tests {
         let cache = ScanCache::new();
         let src = SlotSource::Delta(t, TimeInterval::new(0, c1));
         let mut txn = e.begin();
-        let (first, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, false).unwrap();
+        let (first, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
         assert!(!hit);
-        assert_eq!(raw, 1);
-        let (second, hit, _) = fetch_cached(&e, &mut txn, &src, &cache, false).unwrap();
+        let (second, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
         assert!(hit);
         match (&first, &second) {
             (SlotInput::Shared(a, ta, iva), SlotInput::Shared(b, tb, ivb)) => {
@@ -270,17 +235,17 @@ mod tests {
             _ => panic!("delta fetch should be shared"),
         }
         // Base reads bypass the cache.
-        let (base, hit, _) =
-            fetch_cached(&e, &mut txn, &SlotSource::Base(t), &cache, false).unwrap();
+        let (base, hit) = fetch_cached(&e, &mut txn, &SlotSource::Base(t), &cache).unwrap();
         assert!(!hit);
         assert!(matches!(base, SlotInput::Owned(_)));
         assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]
-    fn fetch_cached_compacts_before_caching() {
+    fn fetch_cached_serves_raw_history() {
         let (e, t) = engine();
-        // Hot-key churn netting to +1 of tup![1] plus +1 of tup![2].
+        // Hot-key churn: the cache holds every change record as captured,
+        // timestamps intact, so any sub-range read stays exact.
         let mut w = e.begin();
         w.insert(t, tup![1]).unwrap();
         w.commit().unwrap();
@@ -295,23 +260,13 @@ mod tests {
         let cache = ScanCache::new();
         let src = SlotSource::Delta(t, TimeInterval::new(0, c3));
         let mut txn = e.begin();
-        let (input, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, true).unwrap();
+        let (input, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
         assert!(!hit);
-        assert_eq!(raw, 4, "raw churn reported for stats");
-        assert_eq!(input.len(), 2, "cache entry holds the φ-reduced run");
-        // The *compacted* rows are what the cache serves from now on.
-        let (again, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, true).unwrap();
-        assert!(hit);
-        assert_eq!(raw, 2);
-        assert_eq!(again.len(), 2);
-        // Min-timestamp rule: the surviving tup![1] row carries ts = 1.
-        match &input {
-            SlotInput::Shared(rows, ..) => {
-                let one = rows.iter().find(|r| r.tuple == tup![1]).unwrap();
-                assert_eq!((one.ts, one.count), (Some(1), 1));
-            }
-            _ => panic!("delta fetch should be shared"),
-        }
+        assert_eq!(
+            input.rows(),
+            &e.delta_range(t, TimeInterval::new(0, c3)).unwrap()[..]
+        );
+        assert_eq!(input.len(), 4);
     }
 
     #[test]
@@ -366,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_cached_keyed_delta_is_owned_and_compacted() {
+    fn fetch_cached_keyed_delta_bypasses_cache() {
         let (e, t) = engine();
         // Churn on key 1 netting to zero, plus a surviving key-2 row.
         let mut w = e.begin();
@@ -386,10 +341,9 @@ mod tests {
             keys: Arc::new(vec![Value::Int(1), Value::Int(2)]),
         };
         let mut txn = e.begin();
-        let (input, hit, raw) = fetch_cached(&e, &mut txn, &src, &cache, true).unwrap();
+        let (input, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
         assert!(!hit, "keyed probes bypass the scan cache");
-        assert_eq!(raw, 3, "raw churn reported for stats");
-        assert_eq!(input.len(), 1, "φ-compaction nets the key-1 churn away");
+        assert_eq!(input.len(), 3, "every keyed change record, unnetted");
         assert!(matches!(input, SlotInput::Owned(_)));
         assert_eq!(cache.stats().misses, 0, "scan cache untouched");
     }

@@ -59,19 +59,20 @@ impl CompactionCounters {
     }
 }
 
+/// Rough heap footprint of one value (shallow enum + string payload),
+/// for the `bytes_reclaimed` counter and the postings gauge.
+fn value_bytes(v: &Value) -> u64 {
+    std::mem::size_of::<Value>() as u64
+        + match v {
+            Value::Str(s) => s.len() as u64,
+            _ => 0,
+        }
+}
+
 /// Rough heap footprint of a tuple's value payload, used only for the
 /// `bytes_reclaimed` counter.
 fn approx_tuple_bytes(t: &Tuple) -> u64 {
-    t.values()
-        .iter()
-        .map(|v| {
-            (std::mem::size_of::<Value>()
-                + match v {
-                    Value::Str(s) => s.len(),
-                    _ => 0,
-                }) as u64
-        })
-        .sum()
+    t.values().iter().map(value_bytes).sum()
 }
 
 /// Rough heap footprint of one change record (shallow struct + payload).
@@ -115,27 +116,43 @@ type Posting = (usize, Csn);
 #[derive(Default)]
 struct KeyIndex {
     cols: HashMap<usize, HashMap<Value, VecDeque<Posting>>>,
+    /// Running [`KeyIndex::recount_bytes`], kept up to date by every
+    /// push and pop so the gauge that reads it is O(1).
+    bytes: u64,
 }
 
-/// Record `row`, held at absolute position `pos`, in one column's postings.
-/// NULL never equi-joins, so it is kept out of postings.
+/// Approximate heap bytes of one posting; a posting list's key adds
+/// [`value_bytes`].
+const POSTING_BYTES: u64 = std::mem::size_of::<Posting>() as u64;
+
+/// Record `row`, held at absolute position `pos`, in one column's postings;
+/// returns the bytes added. NULL never equi-joins, so it is kept out of
+/// postings.
 fn push_posting(
     map: &mut HashMap<Value, VecDeque<Posting>>,
     col: usize,
     pos: usize,
     row: &DeltaRow,
-) {
+) -> u64 {
     let v = row.tuple.get(col);
-    if *v != Value::Null {
-        map.entry(v.clone()).or_default().push_back((pos, ts(row)));
+    if *v == Value::Null {
+        return 0;
     }
+    let mut added = POSTING_BYTES;
+    map.entry(v.clone())
+        .or_insert_with(|| {
+            added += value_bytes(v);
+            VecDeque::new()
+        })
+        .push_back((pos, ts(row)));
+    added
 }
 
 impl KeyIndex {
     /// Add postings for `row`, appended at absolute position `pos`.
     fn push(&mut self, pos: usize, row: &DeltaRow) {
         for (col, map) in &mut self.cols {
-            push_posting(map, *col, pos, row);
+            self.bytes += push_posting(map, *col, pos, row);
         }
     }
 
@@ -150,8 +167,10 @@ impl KeyIndex {
             };
             let front = list.pop_front();
             debug_assert_eq!(front.map(|(p, _)| p), Some(pos), "stale posting");
+            self.bytes -= POSTING_BYTES;
             if list.is_empty() {
                 map.remove(v);
+                self.bytes -= value_bytes(v);
             }
         }
     }
@@ -164,21 +183,15 @@ impl KeyIndex {
         )
     }
 
-    /// Approximate heap bytes held by postings (capacity is ignored; this
-    /// feeds a monitoring gauge, not an allocator).
-    fn approx_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for map in self.cols.values() {
-            for (key, list) in map {
-                total += std::mem::size_of::<Value>() as u64
-                    + match key {
-                        Value::Str(s) => s.len() as u64,
-                        _ => 0,
-                    }
-                    + (list.len() * std::mem::size_of::<Posting>()) as u64;
-            }
-        }
-        total
+    /// Approximate heap bytes held by postings, by walking every list
+    /// (capacity is ignored; this feeds a monitoring gauge, not an
+    /// allocator). O(keys): the running `bytes` field is what readers use.
+    fn recount_bytes(&self) -> u64 {
+        self.cols
+            .values()
+            .flat_map(|map| map.iter())
+            .map(|(key, list)| value_bytes(key) + list.len() as u64 * POSTING_BYTES)
+            .sum()
     }
 }
 
@@ -309,9 +322,11 @@ impl DeltaStore {
             return;
         }
         let map = index.cols.entry(col).or_default();
+        let mut added = 0;
         for (i, r) in h.rows.iter().enumerate() {
-            push_posting(map, col, h.offset + i, r);
+            added += push_posting(map, col, h.offset + i, r);
         }
+        index.bytes += added;
     }
 
     /// Whether `col` has a keyed time-range index.
@@ -381,9 +396,16 @@ impl DeltaStore {
     }
 
     /// Approximate heap bytes held by the keyed index's postings (feeds
-    /// the `rolljoin_delta_postings_bytes` gauge).
+    /// the `rolljoin_delta_postings_bytes` gauge). O(1): a running count
+    /// maintained by appends and prunes.
     pub fn postings_bytes(&self) -> u64 {
-        self.index.read().approx_bytes()
+        self.index.read().bytes
+    }
+
+    /// [`DeltaStore::postings_bytes`] recomputed by walking every posting
+    /// list — O(keys), the check that the running count is right.
+    pub fn postings_bytes_recount(&self) -> u64 {
+        self.index.read().recount_bytes()
     }
 
     /// Number of change records with timestamp in `(a, b]` (cheap; used by
@@ -448,14 +470,6 @@ pub struct ViewDeltaStore {
     compaction: CompactionCounters,
 }
 
-/// Undo handle for transactional view-delta inserts: positions to truncate
-/// on abort.
-#[derive(Debug, Clone, Copy)]
-pub struct VdUndo {
-    pub ts: Csn,
-    pub index: usize,
-}
-
 impl ViewDeltaStore {
     pub fn new(table: TableId) -> Self {
         ViewDeltaStore {
@@ -474,32 +488,44 @@ impl ViewDeltaStore {
         self.table
     }
 
-    /// Insert one view-delta record; returns an undo handle.
-    pub fn insert(&self, ts: Csn, count: i64, tuple: Tuple) -> VdUndo {
-        let mut rows = self.rows.write();
-        let bucket = rows.entry(ts).or_default();
-        bucket.push((count, tuple));
-        VdUndo {
-            ts,
-            index: bucket.len() - 1,
+    /// Insert a batch of timestamped records under one write lock.
+    /// Returns each touched timestamp bucket's length before the batch
+    /// (`0` for a bucket the batch created), in ascending timestamp order:
+    /// the undo record [`ViewDeltaStore::truncate_to`] restores the store
+    /// from.
+    pub fn insert_rows(&self, mut rows: Vec<DeltaRow>) -> Vec<(Csn, usize)> {
+        // Join output is mostly timestamp-ordered already, which the
+        // stable sort handles in near-linear time; runs of one timestamp
+        // then cost one bucket lookup.
+        rows.sort_by_key(ts);
+        let mut store = self.rows.write();
+        let mut prior: Vec<(Csn, usize)> = Vec::new();
+        let mut rows = rows.into_iter().peekable();
+        while let Some(first) = rows.next() {
+            let t = ts(&first);
+            let bucket = store.entry(t).or_default();
+            prior.push((t, bucket.len()));
+            bucket.push((first.count, first.tuple));
+            while let Some(r) = rows.next_if(|r| r.ts == first.ts) {
+                bucket.push((r.count, r.tuple));
+            }
         }
+        prior
     }
 
-    /// Remove a record previously inserted (abort path). Undos must be
-    /// applied in reverse insertion order.
-    pub fn undo(&self, u: VdUndo) -> Result<()> {
-        let mut rows = self.rows.write();
-        let bucket = rows
-            .get_mut(&u.ts)
-            .ok_or_else(|| Error::Internal(format!("vd undo: no bucket at ts {}", u.ts)))?;
-        if bucket.len() != u.index + 1 {
-            return Err(Error::Internal("vd undo applied out of order".to_string()));
+    /// Undo an [`ViewDeltaStore::insert_rows`] batch: cut each bucket back
+    /// to its recorded prior length, dropping buckets that end up empty.
+    /// Batches must be undone in reverse order of insertion.
+    pub fn truncate_to(&self, prior: &[(Csn, usize)]) {
+        let mut store = self.rows.write();
+        for &(t, len) in prior {
+            if let Some(bucket) = store.get_mut(&t) {
+                bucket.truncate(len);
+                if bucket.is_empty() {
+                    store.remove(&t);
+                }
+            }
         }
-        bucket.pop();
-        if bucket.is_empty() {
-            rows.remove(&u.ts);
-        }
-        Ok(())
     }
 
     /// `σ_{a,b}` over the view delta: records with timestamp in `(a, b]`,
@@ -507,10 +533,7 @@ impl ViewDeltaStore {
     pub fn range(&self, interval: TimeInterval) -> Vec<DeltaRow> {
         let rows = self.rows.read();
         let mut out = Vec::new();
-        for (&ts, bucket) in rows.range((
-            std::ops::Bound::Excluded(interval.lo),
-            std::ops::Bound::Included(interval.hi),
-        )) {
+        for (&ts, bucket) in rows.range(Self::bounds(interval)) {
             out.extend(
                 bucket
                     .iter()
@@ -522,14 +545,29 @@ impl ViewDeltaStore {
 
     /// Net effect `φ(σ_{a,b}(VD))`: tuple → summed count, zeros dropped.
     /// This is what the apply process installs into the materialized view.
+    /// Folds the held records under the read lock, cloning a tuple only
+    /// on its group's first occurrence.
     pub fn net_range(&self, interval: TimeInterval) -> HashMap<Tuple, i64> {
+        let rows = self.rows.read();
         let mut out: HashMap<Tuple, i64> = HashMap::new();
-        for row in self.range(interval) {
-            let e = out.entry(row.tuple).or_insert(0);
-            *e += row.count;
+        for (count, tuple) in rows.range(Self::bounds(interval)).flat_map(|(_, b)| b) {
+            match out.get_mut(tuple) {
+                Some(c) => *c += count,
+                None => {
+                    out.insert(tuple.clone(), *count);
+                }
+            }
         }
         out.retain(|_, c| *c != 0);
         out
+    }
+
+    /// `(a, b]` as B-tree range bounds.
+    fn bounds(interval: TimeInterval) -> (std::ops::Bound<Csn>, std::ops::Bound<Csn>) {
+        (
+            std::ops::Bound::Excluded(interval.lo),
+            std::ops::Bound::Included(interval.hi),
+        )
     }
 
     /// Drop all records with timestamp ≤ `t` (space reclamation after the
@@ -759,9 +797,9 @@ mod tests {
     #[test]
     fn view_delta_out_of_order_inserts_and_range() {
         let vd = ViewDeltaStore::new(TableId(9));
-        vd.insert(5, 1, tup!["late"]);
-        vd.insert(2, -1, tup!["early"]); // compensation for an old time
-        vd.insert(5, 1, tup!["late2"]);
+        vd.insert_rows(vec![DeltaRow::change(5, 1, tup!["late"])]);
+        vd.insert_rows(vec![DeltaRow::change(2, -1, tup!["early"])]); // compensation for an old time
+        vd.insert_rows(vec![DeltaRow::change(5, 1, tup!["late2"])]);
         let r = vd.range(TimeInterval::new(0, 5));
         assert_eq!(r.len(), 3);
         assert_eq!(r[0].ts, Some(2), "range is timestamp-ordered");
@@ -772,9 +810,9 @@ mod tests {
     #[test]
     fn view_delta_net_range_cancels() {
         let vd = ViewDeltaStore::new(TableId(9));
-        vd.insert(3, 1, tup!["x"]);
-        vd.insert(4, -1, tup!["x"]);
-        vd.insert(4, 1, tup!["y"]);
+        vd.insert_rows(vec![DeltaRow::change(3, 1, tup!["x"])]);
+        vd.insert_rows(vec![DeltaRow::change(4, -1, tup!["x"])]);
+        vd.insert_rows(vec![DeltaRow::change(4, 1, tup!["y"])]);
         let net = vd.net_range(TimeInterval::new(0, 4));
         assert_eq!(net.len(), 1);
         assert_eq!(net[&tup!["y"]], 1);
@@ -783,15 +821,27 @@ mod tests {
     #[test]
     fn view_delta_undo_reverses_insert() {
         let vd = ViewDeltaStore::new(TableId(9));
-        let u1 = vd.insert(3, 1, tup!["a"]);
-        let u2 = vd.insert(3, 1, tup!["b"]);
-        vd.undo(u2).unwrap();
-        vd.undo(u1).unwrap();
-        assert!(vd.is_empty());
-        // Out-of-order undo is an internal error.
-        let u3 = vd.insert(3, 1, tup!["a"]);
-        let _u4 = vd.insert(3, 1, tup!["b"]);
-        assert!(vd.undo(u3).is_err());
+        vd.insert_rows(vec![
+            DeltaRow::change(3, 1, tup!["a"]),
+            DeltaRow::change(5, 1, tup!["b"]),
+        ]);
+        let before = vd.range(TimeInterval::new(0, 10));
+        // One batch touching an existing bucket (3) and new ones (4, 7),
+        // out of timestamp order.
+        let prior = vd.insert_rows(vec![
+            DeltaRow::change(7, -1, tup!["c"]),
+            DeltaRow::change(3, 2, tup!["d"]),
+            DeltaRow::change(4, 1, tup!["e"]),
+            DeltaRow::change(3, -1, tup!["a"]),
+        ]);
+        assert_eq!(prior, vec![(3, 1), (4, 0), (7, 0)], "one entry per bucket");
+        assert_eq!(vd.len(), 6);
+        vd.truncate_to(&prior);
+        assert_eq!(vd.range(TimeInterval::new(0, 10)), before);
+        assert_eq!(vd.len(), 2);
+        assert_eq!(vd.rows.read().len(), 2, "created buckets are removed");
+        vd.truncate_to(&vd.insert_rows(Vec::new()));
+        assert_eq!(vd.range(TimeInterval::new(0, 10)), before);
     }
 
     #[test]
@@ -916,7 +966,9 @@ mod tests {
         d.append_commit(7, [(1, tup![1, 3])]);
         let got = d.range_keyed(TimeInterval::new(2, 7), 0, &keys).unwrap();
         assert_eq!(got.last().map(|r| r.ts), Some(Some(7)));
+        assert_eq!(d.postings_bytes(), d.postings_bytes_recount());
         assert_eq!(d.prune_through(6), 3);
+        assert_eq!(d.postings_bytes(), d.postings_bytes_recount());
         assert_eq!(d.range_keyed(all, 0, &keys).unwrap().len(), 0);
         assert_eq!(
             d.range_keyed(TimeInterval::new(6, 7), 0, &keys)
@@ -942,9 +994,9 @@ mod tests {
     #[test]
     fn prune_drops_old_records() {
         let vd = ViewDeltaStore::new(TableId(9));
-        vd.insert(1, 1, tup![1]);
-        vd.insert(2, 1, tup![2]);
-        vd.insert(3, 1, tup![3]);
+        vd.insert_rows(vec![DeltaRow::change(1, 1, tup![1])]);
+        vd.insert_rows(vec![DeltaRow::change(2, 1, tup![2])]);
+        vd.insert_rows(vec![DeltaRow::change(3, 1, tup![3])]);
         assert_eq!(vd.prune_through(2), 2);
         assert_eq!(vd.len(), 1);
         assert_eq!(vd.range(TimeInterval::new(0, 10)).len(), 1);

@@ -24,7 +24,7 @@
 //! ```
 
 use crate::capture::Capture;
-use crate::delta::{DeltaStore, VdUndo, ViewDeltaStore};
+use crate::delta::{DeltaStore, ViewDeltaStore};
 use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager, LockMode};
 use crate::signal::Signal;
 use crate::table::BaseTable;
@@ -757,14 +757,17 @@ enum UndoOp {
     Insert { table: TableId, tuple: Tuple },
     /// Undo a delete: re-insert one copy.
     Delete { table: TableId, tuple: Tuple },
-    /// Undo a consolidated apply: apply the negated count.
+    /// Undo a batch of consolidated applies: apply the negated counts.
     Apply {
         table: TableId,
-        count: i64,
-        tuple: Tuple,
+        counts: Vec<(Tuple, i64)>,
     },
-    /// Undo a view-delta insert.
-    Vd { table: TableId, undo: VdUndo },
+    /// Undo a view-delta batch: cut each touched timestamp bucket back to
+    /// its length before the batch.
+    Vd {
+        table: TableId,
+        prior: Vec<(Csn, usize)>,
+    },
 }
 
 /// A strict-2PL transaction handle.
@@ -819,12 +822,17 @@ impl Txn {
         Ok(())
     }
 
-    /// Lock `table` for writing `tuple`. Table granularity: a plain X.
+    /// Lock `table` for writing `tuples`. Table granularity: a plain X.
     /// Striped: IX at the table plus X on the stripe of each indexed
-    /// column's value — the stripes any keyed probe for this tuple would
-    /// S-lock. Stripes are acquired in ascending order (after the table
-    /// intention lock), matching the global `(TableId, stripe)` order.
-    fn write_lock(&mut self, table: TableId, tuple: &Tuple) -> Result<()> {
+    /// column's value of each tuple — the stripes any keyed probe for
+    /// those tuples would S-lock. Stripes are acquired in ascending order
+    /// (after the table intention lock), matching the global
+    /// `(TableId, stripe)` order.
+    fn write_lock<'t>(
+        &mut self,
+        table: TableId,
+        tuples: impl IntoIterator<Item = &'t Tuple>,
+    ) -> Result<()> {
         let n = match self.engine.lock_granularity() {
             LockGranularity::Table => return self.lock(table, LockMode::Exclusive),
             LockGranularity::Striped(n) => n.max(1),
@@ -840,11 +848,13 @@ impl Txn {
             return Ok(());
         }
         self.lock(table, LockMode::IntentExclusive)?;
-        let mut stripes: Vec<u32> = self
-            .engine
-            .indexed_cols(table)?
+        let cols = self.engine.indexed_cols(table)?;
+        let mut stripes: Vec<u32> = tuples
             .into_iter()
-            .map(|col| stripe_of(col, tuple.get(col), n))
+            .flat_map(|tuple| {
+                cols.iter()
+                    .map(move |&col| stripe_of(col, tuple.get(col), n))
+            })
             .collect();
         stripes.sort_unstable();
         stripes.dedup();
@@ -857,7 +867,7 @@ impl Txn {
     /// Insert one copy of `tuple` into `table`.
     pub fn insert(&mut self, table: TableId, tuple: Tuple) -> Result<()> {
         self.check_active()?;
-        self.write_lock(table, &tuple)?;
+        self.write_lock(table, [&tuple])?;
         let entry = self.engine.base_entry(table)?;
         match &entry.store {
             TableStore::Base { table: t, .. } => t.lock().insert(tuple.clone())?,
@@ -875,7 +885,7 @@ impl Txn {
     /// Delete one copy of `tuple` from `table`.
     pub fn delete_one(&mut self, table: TableId, tuple: &Tuple) -> Result<()> {
         self.check_active()?;
-        self.write_lock(table, tuple)?;
+        self.write_lock(table, [tuple])?;
         let entry = self.engine.base_entry(table)?;
         match &entry.store {
             TableStore::Base { table: t, .. } => t.lock().delete_one(tuple)?,
@@ -1022,47 +1032,82 @@ impl Txn {
         self.engine.delta_range_keyed(table, interval, col, keys)
     }
 
-    /// Apply a signed count to a base table (the apply process's write
-    /// primitive when installing net view deltas into an MV).
-    ///
-    /// Consolidated: one lock acquisition, one WAL [`WalRecord::Apply`]
-    /// record, and one undo entry per `(tuple, count)` — not `|n|` of each
-    /// — so capture also stages a single counted delta row.
+    /// Apply a signed count to a base table: [`Txn::apply_counts`] of one.
     pub fn apply_count(&mut self, table: TableId, tuple: &Tuple, n: i64) -> Result<()> {
-        if n == 0 {
+        self.apply_counts(table, vec![(tuple.clone(), n)])
+    }
+
+    /// Apply signed counts to a base table (the apply process's write
+    /// primitive when installing net view deltas into an MV) as one batch.
+    ///
+    /// Consolidated: one [`WalRecord::Apply`] record per `(tuple, count)`
+    /// — not `|n|` of each — so capture also stages one counted delta row
+    /// per tuple. The batch takes the per-tuple lock footprint in one go
+    /// (table X, or IX plus the sorted union of the tuples' stripes),
+    /// holds the table mutex once, writes its frames with one
+    /// [`Wal::append_many`], and pushes one undo record. All or nothing:
+    /// if any count cannot apply (an over-delete, a schema mismatch), the
+    /// table and the WAL are left as they were. Zero counts are skipped.
+    pub fn apply_counts(&mut self, table: TableId, mut counts: Vec<(Tuple, i64)>) -> Result<()> {
+        counts.retain(|(_, n)| *n != 0);
+        if counts.is_empty() {
             return Ok(());
         }
         self.check_active()?;
-        self.write_lock(table, tuple)?;
+        self.write_lock(table, counts.iter().map(|(t, _)| t))?;
         let entry = self.engine.base_entry(table)?;
         match &entry.store {
-            TableStore::Base { table: t, .. } => t.lock().apply_count(tuple, n)?,
+            TableStore::Base { table: t, .. } => {
+                let mut t = t.lock();
+                for (i, (tuple, n)) in counts.iter().enumerate() {
+                    if let Err(e) = t.apply_count(tuple, *n) {
+                        for (tuple, n) in counts[..i].iter().rev() {
+                            t.apply_count(tuple, -n)
+                                .expect("reverting a just-applied count");
+                        }
+                        return Err(e);
+                    }
+                }
+            }
             _ => unreachable!(),
         }
-        self.engine.inner.wal.append(&WalRecord::Apply {
-            txn: self.id,
-            table,
-            count: n,
-            tuple: tuple.clone(),
-        });
-        self.undo.push(UndoOp::Apply {
-            table,
-            count: n,
-            tuple: tuple.clone(),
-        });
+        let records: Vec<WalRecord> = counts
+            .iter()
+            .map(|(tuple, n)| WalRecord::Apply {
+                txn: self.id,
+                table,
+                count: *n,
+                tuple: tuple.clone(),
+            })
+            .collect();
+        self.engine.inner.wal.append_many(&records);
+        self.undo.push(UndoOp::Apply { table, counts });
         Ok(())
     }
 
-    /// Insert a view-delta record under an X lock on the VD table.
-    pub fn vd_insert(&mut self, table: TableId, ts: Csn, count: i64, tuple: Tuple) -> Result<()> {
+    /// Insert a batch of timestamped view-delta records under an X lock on
+    /// the VD table: one lock request, one write lock on the store, one
+    /// undo record. Zero-count rows are skipped; an empty batch takes no
+    /// lock. Returns the number of records written.
+    pub fn vd_write(&mut self, table: TableId, mut rows: Vec<DeltaRow>) -> Result<usize> {
+        rows.retain(|r| r.count != 0);
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        if rows.iter().any(|r| r.ts.is_none()) {
+            return Err(Error::Internal(
+                "view-delta records must be timestamped".into(),
+            ));
+        }
         self.check_active()?;
         self.lock(table, LockMode::Exclusive)?;
         let entry = self.engine.entry(table)?;
         match &entry.store {
             TableStore::ViewDelta(vd) => {
-                let undo = vd.insert(ts, count, tuple);
-                self.undo.push(UndoOp::Vd { table, undo });
-                Ok(())
+                let n = rows.len();
+                let prior = vd.insert_rows(rows);
+                self.undo.push(UndoOp::Vd { table, prior });
+                Ok(n)
             }
             _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
         }
@@ -1127,23 +1172,21 @@ impl Txn {
                         }
                     }
                 }
-                UndoOp::Apply {
-                    table,
-                    count,
-                    tuple,
-                } => {
+                UndoOp::Apply { table, counts } => {
                     if let Ok(entry) = self.engine.base_entry(table) {
                         if let TableStore::Base { table: t, .. } = &entry.store {
-                            t.lock()
-                                .apply_count(&tuple, -count)
-                                .expect("undo of apply must invert cleanly");
+                            let mut t = t.lock();
+                            for (tuple, count) in counts.iter().rev() {
+                                t.apply_count(tuple, -count)
+                                    .expect("undo of apply must invert cleanly");
+                            }
                         }
                     }
                 }
-                UndoOp::Vd { table, undo } => {
+                UndoOp::Vd { table, prior } => {
                     if let Ok(entry) = self.engine.entry(table) {
                         if let TableStore::ViewDelta(vd) = &entry.store {
-                            vd.undo(undo).expect("vd undo applies in reverse order");
+                            vd.truncate_to(&prior);
                         }
                     }
                 }
@@ -1297,15 +1340,111 @@ mod tests {
             .create_view_delta("vd", Schema::new([("a", ColumnType::Int)]))
             .unwrap();
         let mut txn = e.begin();
-        txn.vd_insert(vd, 3, 1, tup![1]).unwrap();
+        let rows = vec![
+            DeltaRow::change(3, 1, tup![1]),
+            DeltaRow::change(5, 2, tup![2]),
+            DeltaRow::change(3, 0, tup![9]),
+        ];
+        assert_eq!(txn.vd_write(vd, rows).unwrap(), 2, "zero counts skipped");
+        txn.commit().unwrap();
+        let before = e.vd_range(vd, TimeInterval::new(0, 10)).unwrap();
+        // One batch across existing (3, 5) and new (4, 8) buckets, then a
+        // second batch in the same transaction; abort restores the store.
+        let mut txn = e.begin();
+        txn.vd_write(
+            vd,
+            vec![
+                DeltaRow::change(8, 1, tup![3]),
+                DeltaRow::change(3, -1, tup![1]),
+                DeltaRow::change(4, 1, tup![4]),
+                DeltaRow::change(5, 1, tup![5]),
+            ],
+        )
+        .unwrap();
+        txn.vd_write(vd, vec![DeltaRow::change(4, 1, tup![6])])
+            .unwrap();
+        assert_eq!(e.vd_len(vd).unwrap(), 7);
+        txn.abort();
+        assert_eq!(e.vd_len(vd).unwrap(), 2);
+        assert_eq!(e.vd_range(vd, TimeInterval::new(0, 10)).unwrap(), before);
+        // Untimestamped rows are refused; an empty batch takes no lock.
+        let mut txn = e.begin();
+        assert!(txn.vd_write(vd, vec![DeltaRow::base(tup![1])]).is_err());
+        assert_eq!(txn.vd_write(vd, Vec::new()).unwrap(), 0);
+        assert!(!e
+            .locks()
+            .holds_key(txn.id(), LockKey::table(vd), LockMode::Exclusive));
+    }
+
+    #[test]
+    fn apply_counts_is_all_or_nothing() {
+        let (e, t) = engine_with_table();
+        e.create_index(t, 0).unwrap();
+        let mut txn = e.begin();
+        txn.apply_counts(t, vec![(tup![1, "a"], 2), (tup![2, "b"], 1)])
+            .unwrap();
+        txn.commit().unwrap();
+        let counts = |e: &Engine| {
+            let mut r = e.begin();
+            let c = r.scan_counts(t).unwrap();
+            let k1 = r
+                .lookup_keys(t, 0, &[rolljoin_common::Value::Int(1)])
+                .unwrap();
+            r.commit().unwrap();
+            (c, k1)
+        };
+        let before = counts(&e);
+        let (wal_bytes, len) = (e.wal().byte_len(), e.table_len(t).unwrap());
+        // The middle entry over-deletes: the first must be rolled back and
+        // nothing may reach the WAL.
+        let mut txn = e.begin();
+        let begin_bytes = e.wal().byte_len();
+        let err = txn
+            .apply_counts(
+                t,
+                vec![(tup![1, "a"], -2), (tup![2, "b"], -5), (tup![3, "c"], 4)],
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::TupleNotFound { .. }));
+        assert_eq!(e.wal().byte_len(), begin_bytes, "no frame written");
+        assert_eq!(e.table_len(t).unwrap(), len);
+        drop(txn);
+        assert_eq!(counts(&e), before, "table and index unchanged");
+        assert!(e.wal().byte_len() > wal_bytes, "only begin/abort frames");
+    }
+
+    #[test]
+    fn recovery_after_batched_apply_is_exact() {
+        let (e, t) = engine_with_table();
+        let mut txn = e.begin();
+        txn.apply_counts(t, vec![(tup![1, "a"], 3), (tup![2, "b"], 1)])
+            .unwrap();
         txn.commit().unwrap();
         let mut txn = e.begin();
-        txn.vd_insert(vd, 4, -1, tup![1]).unwrap();
+        txn.apply_counts(
+            t,
+            vec![(tup![1, "a"], -2), (tup![3, "c"], 2), (tup![2, "b"], 0)],
+        )
+        .unwrap();
+        txn.commit().unwrap();
+        let mut txn = e.begin();
+        txn.apply_counts(t, vec![(tup![9, "x"], 1)]).unwrap();
         txn.abort();
-        assert_eq!(e.vd_len(vd).unwrap(), 1);
-        let rows = e.vd_range(vd, TimeInterval::new(0, 10)).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].ts, Some(3));
+        let r = Engine::recover_from_bytes(&e.wal().snapshot_bytes()).unwrap();
+        let scan = |e: &Engine| {
+            let mut txn = e.begin();
+            let c = txn.scan_counts(t).unwrap();
+            txn.commit().unwrap();
+            c
+        };
+        assert_eq!(scan(&r), scan(&e));
+        assert_eq!(
+            scan(&r),
+            HashMap::from([(tup![1, "a"], 1), (tup![2, "b"], 1), (tup![3, "c"], 2)])
+        );
+        // Capture stages one counted delta row per batch entry.
+        r.capture_catch_up().unwrap();
+        assert_eq!(r.delta_store(t).unwrap().len(), 4);
     }
 
     #[test]

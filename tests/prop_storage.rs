@@ -214,6 +214,8 @@ fn check_delta_store(
             Some(non_null)
         );
     }
+    // The running postings byte count is the full walk's.
+    prop_assert_eq!(d.postings_bytes(), d.postings_bytes_recount());
     Ok(())
 }
 
