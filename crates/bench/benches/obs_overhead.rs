@@ -1,8 +1,7 @@
 //! Observability overhead: the same propagation-churn step under
-//! `ObsConfig::Off`, `Metrics`, and `Full`. Guards the tentpole's cost
-//! contract — the disabled path must stay within noise of a build that
-//! never heard of observability, and even `Full` (spans + journal) must
-//! stay a small constant factor.
+//! `ObsConfig::Off` (metrics only — the registry is always on) and `Full`
+//! (metrics + spans + journal). `Full` must stay a small constant factor
+//! of `Off`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolljoin_common::tup;
@@ -42,11 +41,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("obs_overhead");
     g.sample_size(10);
 
-    for (label, obs) in [
-        ("off", ObsConfig::Off),
-        ("metrics", ObsConfig::Metrics),
-        ("full", ObsConfig::Full),
-    ] {
+    for (label, obs) in [("off", ObsConfig::Off), ("full", ObsConfig::Full)] {
         g.bench_function(format!("propagate_churn_{label}"), |b| {
             b.iter_batched(
                 || setup(obs),

@@ -37,7 +37,7 @@ fn main() {
     };
 
     let journal = Journal::new();
-    let meter = Meter::new(true);
+    let meter = Meter::new();
     let runs = |outcome: &'static str| {
         meter.counter_l(
             "harness_runs_total",

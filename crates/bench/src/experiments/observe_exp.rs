@@ -1,13 +1,13 @@
 //! E19 — observability overhead and artifact audit.
 //!
 //! The same churn + rolling-propagation + roll workload runs under each
-//! `ObsConfig` tier. `Off` must price in at a few untaken branches —
-//! within noise of the pre-observability code — while `Metrics` (relaxed
-//! atomics) and `Full` (spans + journal) are allowed a small constant
-//! factor. Under `Full` the run also audits the three artifacts the layer
-//! promises: compensation spans parented into the recursion tree, both
-//! headline gauges at 0 after the quiesced roll, and one journal entry per
-//! rolling step. Results land in `BENCH_obs.json` (EXPERIMENTS.md E19).
+//! `ObsConfig` tier. Metrics are always on, so `Off` is the cost of the
+//! registry alone; `Full` (spans + journal) is allowed a small constant
+//! factor. Both tiers audit the headline gauges: at 0 after the quiesced
+//! roll. Under `Full` the run also audits the tracing artifacts:
+//! compensation spans parented into the recursion tree and one journal
+//! entry per rolling step. Results land in `BENCH_obs.json`
+//! (EXPERIMENTS.md E19).
 
 use crate::Table;
 use rolljoin_common::{Error, Result};
@@ -37,7 +37,6 @@ struct RunOutcome {
 fn tier_name(obs: ObsConfig) -> &'static str {
     match obs {
         ObsConfig::Off => "off",
-        ObsConfig::Metrics => "metrics",
         ObsConfig::Full => "full",
     }
 }
@@ -61,13 +60,9 @@ fn run_config(obs: ObsConfig, trial: usize) -> Result<RunOutcome> {
         .iter()
         .filter(|s| s.name == "comp" && s.parent != 0)
         .count();
-    let gauges_zero = if obs.metrics_enabled() {
-        let prom = ctx.prometheus()?;
-        prom.contains("rolljoin_propagation_lag_csn 0\n")
-            && prom.contains("rolljoin_view_staleness_csn 0\n")
-    } else {
-        false
-    };
+    let prom = ctx.prometheus()?;
+    let gauges_zero = prom.contains("rolljoin_propagation_lag_csn 0\n")
+        && prom.contains("rolljoin_view_staleness_csn 0\n");
     Ok(RunOutcome {
         wall,
         spans: spans.len(),
@@ -103,15 +98,15 @@ pub fn e19() -> Result<()> {
     let mut json_rows: Vec<String> = Vec::new();
     let mut base_wall = Duration::ZERO;
 
-    for obs in [ObsConfig::Off, ObsConfig::Metrics, ObsConfig::Full] {
+    for obs in [ObsConfig::Off, ObsConfig::Full] {
         let out = run_best(obs)?;
         if obs == ObsConfig::Off {
             base_wall = out.wall;
         }
         assert_eq!(out.verify, "ok", "oracle mismatch under {obs:?}");
+        assert!(out.gauges_zero, "gauges must hit 0 after quiesced roll");
         if obs == ObsConfig::Full {
             assert!(out.comp_spans > 0, "Full run must trace compensation");
-            assert!(out.gauges_zero, "gauges must hit 0 after quiesced roll");
             assert!(out.journal_entries > 0, "Full run must journal steps");
         }
         let ratio = out.wall.as_secs_f64() / base_wall.as_secs_f64().max(1e-9);
@@ -122,11 +117,7 @@ pub fn e19() -> Result<()> {
             out.spans.to_string(),
             out.comp_spans.to_string(),
             out.journal_entries.to_string(),
-            if obs.metrics_enabled() {
-                out.gauges_zero.to_string()
-            } else {
-                "-".to_string()
-            },
+            out.gauges_zero.to_string(),
             out.verify.clone(),
         ]);
         json_rows.push(format!(

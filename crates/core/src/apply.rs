@@ -10,6 +10,7 @@
 //! paper's point-in-time refresh.
 
 use crate::execute::MaintCtx;
+use crate::stats::StepKind;
 use rolljoin_common::{Csn, Error, Result, TimeInterval, Tuple};
 use rolljoin_obs::JournalEntry;
 use rolljoin_relalg::{exec, fetch, SlotSource};
@@ -64,7 +65,6 @@ pub fn materialize(ctx: &MaintCtx) -> Result<Csn> {
     let csn = txn.commit()?;
     ctx.mv.set_mat_time(csn);
     ctx.mv.set_hwm(csn);
-    ctx.refresh_gauges();
     Ok(csn)
 }
 
@@ -145,10 +145,7 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
                 .with_hwm(target),
         );
     }
-    if ctx.obs.metrics_on() {
-        ctx.meters.record_step(&ctx.obs.meter, "apply", false);
-        ctx.refresh_gauges();
-    }
+    ctx.stats.record_step(StepKind::Apply, false);
     Ok(ApplyOutcome {
         rolled_to: target,
         tuples_changed,
@@ -207,6 +204,5 @@ pub fn full_refresh(ctx: &MaintCtx) -> Result<Csn> {
     // View-delta records at or below the new materialization time are now
     // stale; drop them so a later roll cannot double-apply.
     ctx.engine.vd_prune(ctx.mv.vd_table, csn)?;
-    ctx.refresh_gauges();
     Ok(csn)
 }

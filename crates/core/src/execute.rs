@@ -16,12 +16,11 @@
 //! mutex, so the propagation thread and a capture driver share it.
 
 use crate::control::MaterializedView;
-use crate::metering::CoreMeters;
 use crate::policy::ExecTuning;
 use crate::query::{PropQuery, Slot};
-use crate::stats::{CompactionReport, PropStats};
+use crate::stats::{fold_compaction, fold_lock_stats, CompactionReport, PropStats, StepKind};
 use rolljoin_common::{Csn, Error, Result};
-use rolljoin_obs::{JournalEntry, Obs, ObsConfig};
+use rolljoin_obs::{JournalEntry, Meter, Obs, ObsConfig};
 use rolljoin_relalg::{exec, fetch, fetch_cached, net_rows, BuildCache, SlotInput, SlotSource};
 use rolljoin_storage::{Engine, LockMode, ReadFloor, ScanCache};
 use std::sync::Arc;
@@ -58,6 +57,11 @@ pub struct ExecOutcome {
 pub struct MaintCtx {
     pub engine: Engine,
     pub mv: Arc<MaterializedView>,
+    /// The metrics registry: every counter, gauge and histogram this
+    /// context exports. Created once with the context and shared by its
+    /// clones, workers and drivers; tuning changes never replace it.
+    pub meter: Arc<Meter>,
+    /// Propagation counters — handles into [`MaintCtx::meter`].
     pub stats: Arc<PropStats>,
     /// Skip a propagation query (and its entire compensation subtree) when
     /// its newly-introduced delta slot is empty — every query in the
@@ -75,28 +79,26 @@ pub struct MaintCtx {
     pub scan_cache: Arc<ScanCache>,
     /// Step-scoped cache of hash-join build sides over shared delta ranges.
     pub build_cache: Arc<BuildCache>,
-    /// Observability handle (spans, metrics, journal), at the level set by
-    /// `tuning.obs`. Shared across clones, workers, and drivers.
+    /// Tracing handle (spans, journal), at the level set by `tuning.obs`.
+    /// Shared across clones, workers, and drivers.
     pub obs: Arc<Obs>,
-    /// Cached metric handles for the hot execute path.
-    pub meters: Arc<CoreMeters>,
 }
 
 impl MaintCtx {
     /// Build a context.
     pub fn new(engine: Engine, mv: Arc<MaterializedView>) -> Self {
-        let obs = Obs::disabled();
-        let meters = Arc::new(CoreMeters::new(&obs.meter));
+        let meter = Arc::new(Meter::new());
+        let stats = Arc::new(PropStats::new(&meter, mv.view.n()));
         MaintCtx {
             engine,
             mv,
-            stats: Arc::new(PropStats::new()),
+            meter,
+            stats,
             skip_empty: true,
             tuning: ExecTuning::default(),
             scan_cache: Arc::new(ScanCache::new()),
             build_cache: Arc::new(BuildCache::new()),
-            obs,
-            meters,
+            obs: Obs::disabled(),
         }
     }
 
@@ -116,20 +118,20 @@ impl MaintCtx {
 
     /// Replace the executor tuning. The lock granularity in the tuning is
     /// applied to the shared engine — set it before concurrent activity.
-    /// A changed `tuning.obs` level rebuilds the observability handle, so
-    /// set it before handing clones to drivers or workers.
+    /// A changed `tuning.obs` level rebuilds the tracing handle (spans and
+    /// journal, not the metrics registry), so set it before handing clones
+    /// to drivers or workers.
     pub fn with_tuning(mut self, tuning: ExecTuning) -> Self {
         if tuning.obs != self.tuning.obs {
             self.obs = Obs::new(tuning.obs);
-            self.meters = Arc::new(CoreMeters::new(&self.obs.meter));
         }
         self.tuning = tuning;
         self.engine.set_lock_granularity(tuning.lock_granularity);
         self
     }
 
-    /// Set the observability level (rebuilds the handle — set it before
-    /// concurrent activity starts).
+    /// Set the tracing level (rebuilds the spans-and-journal handle — set
+    /// it before concurrent activity starts).
     pub fn with_obs_config(self, config: ObsConfig) -> Self {
         let tuning = self.tuning.with_obs(config);
         self.with_tuning(tuning)
@@ -162,8 +164,8 @@ impl MaintCtx {
     /// Prune settled history: each base delta store of this view through
     /// the engine-wide low-water mark (which every view over the same
     /// bases holds down to its own floor), and this view's private view
-    /// delta store through its materialization time. Returns total
-    /// records removed.
+    /// delta store through its materialization time. Counts one
+    /// `compaction` step per pass. Returns total records removed.
     pub fn compact_stores(&self) -> Result<usize> {
         let started = Instant::now();
         let mut span = self.obs.span("compaction_pass");
@@ -175,6 +177,7 @@ impl MaintCtx {
         removed += self.engine.vd_prune(self.mv.vd_table, self.mv.mat_time())?;
         span.arg("removed", removed as i64);
         span.arg("lwm", lwm as i64);
+        self.stats.record_step(StepKind::Compaction, false);
         if self.obs.tracing_on() && removed > 0 {
             self.obs.journal_step(
                 JournalEntry::new("compaction")
@@ -239,13 +242,6 @@ impl MaintCtx {
         let source = SlotSource::Delta(table, iv);
         let (input, hit) = fetch_cached(&self.engine, txn, &source, &self.scan_cache)?;
         self.stats.record_scan_cache(hit, input.len() as u64);
-        if self.obs.metrics_on() {
-            if hit {
-                self.meters.scan_cache_hits.inc(1);
-            } else {
-                self.meters.scan_cache_misses.inc(1);
-            }
-        }
         Ok(input)
     }
 
@@ -426,10 +422,6 @@ impl MaintCtx {
                     let rows = fetch(&self.engine, txn, &source)?;
                     let raw = rows.len() as u64;
                     self.stats.record_delta_decision(true, raw);
-                    if self.obs.metrics_on() {
-                        self.meters.delta_index_probes.inc(1);
-                        self.meters.delta_index_probe_rows.inc(raw);
-                    }
                     slot_rows[i] = Some(self.net_slot(SlotInput::Owned(rows), q.net_clamp(i)));
                     remaining.retain(|&x| x != i);
                 }
@@ -459,9 +451,6 @@ impl MaintCtx {
                         let input = self.fetch_delta_full(txn, view.bases[i], iv)?;
                         slot_rows[i] = Some(self.net_slot(input, q.net_clamp(i)));
                         self.stats.record_delta_decision(false, 0);
-                        if self.obs.metrics_on() {
-                            self.meters.delta_index_scans.inc(1);
-                        }
                         remaining.retain(|&x| x != i);
                     } else {
                         let &i = remaining
@@ -600,8 +589,6 @@ impl MaintCtx {
             txn.commit()?
         };
         let wall = wall_start.elapsed();
-        self.stats.record_query_wall(wall.as_nanos() as u64);
-        self.stats.record_lock_wait(lock_wait.as_nanos() as u64);
 
         let (mut base_rows, mut delta_rows) = (0u64, 0u64);
         for (slot, n) in q.slots.iter().zip(&stats.rows_in) {
@@ -610,23 +597,14 @@ impl MaintCtx {
                 Slot::Delta(_) => delta_rows += *n as u64,
             }
         }
-        self.stats
-            .record_query(is_forward, base_rows, delta_rows, written);
-
-        if self.obs.metrics_on() {
-            let m = &self.meters;
-            if is_forward {
-                m.forward_queries.inc(1);
-            } else {
-                m.comp_queries.inc(1);
-            }
-            m.base_rows_read.inc(base_rows);
-            m.delta_rows_read.inc(delta_rows);
-            m.vd_rows_written.inc(written);
-            m.query_wall_us.observe(wall.as_micros() as u64);
-            m.query_lock_wait_us.observe(lock_wait.as_micros() as u64);
-            self.refresh_gauges();
-        }
+        self.stats.record_query(
+            is_forward,
+            base_rows,
+            delta_rows,
+            written,
+            wall.as_nanos() as u64,
+            lock_wait.as_nanos() as u64,
+        );
         if !qspan.is_noop() {
             qspan.arg("rows_read", (base_rows + delta_rows) as i64);
             qspan.arg("rows_out", written as i64);
@@ -637,43 +615,56 @@ impl MaintCtx {
         Ok((ExecOutcome { exec_csn, stats }, span_id))
     }
 
-    /// Recompute the lag gauges from the current frontiers:
+    /// Bring the scrape-time series up to date: the Fig. 3 frontier
+    /// gauges, computed from the current frontiers —
     /// `propagation_lag = capture_hwm − prop_hwm` and
-    /// `view_staleness = capture_hwm − mat_time` (saturating — apply and
+    /// `view_staleness = capture_hwm − mat_time` (saturating: apply and
     /// propagation commits themselves advance the engine clock past the
-    /// capture HWM, so the raw differences can transiently run negative).
-    /// No-op unless metrics are on.
-    pub fn refresh_gauges(&self) {
-        if !self.obs.metrics_on() {
-            return;
-        }
+    /// capture HWM, so the raw differences can transiently run negative)
+    /// — plus the postings-bytes gauge and the lock manager's and stores'
+    /// own counters. Call before exporting; [`MaintCtx::prometheus`] does.
+    pub fn observe_now(&self) -> Result<()> {
         let capture = self.engine.capture_hwm();
         let hwm = self.mv.hwm();
         let mat = self.mv.mat_time();
-        let m = &self.meters;
-        m.capture_hwm.set(capture as i64);
-        m.prop_hwm.set(hwm as i64);
-        m.mat_time.set(mat as i64);
-        m.propagation_lag.set(capture.saturating_sub(hwm) as i64);
-        m.view_staleness.set(capture.saturating_sub(mat) as i64);
-        m.delta_postings_bytes
-            .set(self.engine.delta_postings_bytes() as i64);
-    }
-
-    /// Fold the cold-path sources into the metrics registry — the lock
-    /// manager's per-granularity stats, store-level compaction totals,
-    /// netting counters — and refresh the lag gauges.
-    /// Call before exporting; [`MaintCtx::prometheus`] does.
-    pub fn observe_now(&self) -> Result<()> {
-        if !self.obs.metrics_on() {
-            return Ok(());
+        let m = &self.meter;
+        let gauges = [
+            (
+                "rolljoin_capture_hwm_csn",
+                "Log-capture high-water mark, CSNs.",
+                capture,
+            ),
+            (
+                "rolljoin_prop_hwm_csn",
+                "View-delta high-water mark (min tcomp, Theorem 4.3), CSNs.",
+                hwm,
+            ),
+            (
+                "rolljoin_mat_time_csn",
+                "Materialization time of the view, CSNs.",
+                mat,
+            ),
+            (
+                "rolljoin_propagation_lag_csn",
+                "capture_hwm minus prop_hwm: how far the view delta trails capture, CSNs.",
+                capture.saturating_sub(hwm),
+            ),
+            (
+                "rolljoin_view_staleness_csn",
+                "capture_hwm minus mat_time: how far the materialized view trails, CSNs.",
+                capture.saturating_sub(mat),
+            ),
+            (
+                "rolljoin_delta_postings_bytes",
+                "Approximate heap bytes held by keyed delta-index postings.",
+                self.engine.delta_postings_bytes(),
+            ),
+        ];
+        for (name, help, v) in gauges {
+            m.gauge(name, help).set(v as i64);
         }
-        self.refresh_gauges();
-        let m = &self.meters;
-        let meter = &self.obs.meter;
-        m.fold_lock_stats(meter, &self.engine.locks().stats().snapshot_full());
-        m.fold_compaction(meter, &self.compaction_report()?);
-        m.fold_prop_stats(meter, &self.stats.snapshot());
+        fold_lock_stats(m, &self.engine.locks().stats().snapshot_full());
+        fold_compaction(m, &self.compaction_report()?);
         Ok(())
     }
 
@@ -681,7 +672,7 @@ impl MaintCtx {
     /// format.
     pub fn prometheus(&self) -> Result<String> {
         self.observe_now()?;
-        Ok(self.obs.meter.prometheus())
+        Ok(self.meter.prometheus())
     }
 }
 
@@ -920,7 +911,6 @@ mod tests {
     #[test]
     fn delta_index_metrics_reach_prometheus() {
         let (ctx, r, s) = two_table_ctx();
-        let ctx = ctx.with_obs_config(rolljoin_obs::ObsConfig::Metrics);
         let e = &ctx.engine;
         e.create_delta_index(s, 0).unwrap();
         let mut last = 0;
@@ -996,5 +986,47 @@ mod tests {
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].count, -1);
         assert_eq!(ctx.stats.snapshot().comp_queries, 1);
+    }
+
+    #[test]
+    fn prometheus_agrees_with_prop_stats_across_obs_changes() {
+        let (ctx, r, s) = two_table_ctx();
+        let e = &ctx.engine;
+        let mut w = e.begin();
+        w.insert(r, tup![1, 10]).unwrap();
+        w.insert(s, tup![10, 100]).unwrap();
+        let c = w.commit().unwrap();
+        let fwd = PropQuery::all_base(2).with_delta(0, TimeInterval::new(0, c));
+        ctx.execute(&fwd, 1).unwrap();
+        let comp = fwd.with_delta(1, TimeInterval::new(0, c));
+        ctx.execute(&comp, -1).unwrap();
+
+        let ctx = ctx.with_obs_config(ObsConfig::Full);
+        let snap = ctx.stats.snapshot();
+        assert_eq!((snap.forward_queries, snap.comp_queries), (1, 1));
+        let text = ctx.prometheus().unwrap();
+        let sample = |series: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("{series} not exported"))
+        };
+        for (series, want) in [
+            (
+                "rolljoin_queries_total{kind=\"forward\"}",
+                snap.forward_queries,
+            ),
+            ("rolljoin_queries_total{kind=\"comp\"}", snap.comp_queries),
+            (
+                "rolljoin_rows_read_total{slot=\"base\"}",
+                snap.base_rows_read,
+            ),
+            (
+                "rolljoin_rows_read_total{slot=\"delta\"}",
+                snap.delta_rows_read,
+            ),
+            ("rolljoin_vd_rows_written_total", snap.vd_rows_written),
+        ] {
+            assert_eq!(sample(series), want, "{series}");
+        }
     }
 }

@@ -28,7 +28,6 @@ pub mod compute_delta;
 pub mod control;
 pub mod driver;
 pub mod execute;
-pub mod metering;
 pub mod oracle;
 pub mod policy;
 pub mod propagate;
@@ -48,7 +47,6 @@ pub use driver::{
     DriverHandle,
 };
 pub use execute::{ExecOutcome, MaintCtx, QuerySpanCtx};
-pub use metering::CoreMeters;
 pub use policy::{
     ExecTuning, FullWidth, IntervalPolicy, LatencyBudget, PerRelationInterval, TargetRows,
     UniformInterval,

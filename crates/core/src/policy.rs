@@ -46,11 +46,10 @@ pub struct ExecTuning {
     /// the engine by [`MaintCtx::with_tuning`] — set it before concurrent
     /// activity starts.
     pub lock_granularity: LockGranularity,
-    /// How much observability the maintenance paths record: `Off` (the
-    /// default — instrumented paths reduce to a few atomic loads),
-    /// `Metrics` (counters/gauges/histograms), or `Full` (metrics plus
-    /// span tracing and the propagation journal). Applied to the context
-    /// by [`MaintCtx::with_tuning`].
+    /// Whether the maintenance paths record spans and the propagation
+    /// journal: `Off` (the default) or `Full`. Metrics are not gated —
+    /// the context's registry always records. Applied to the context by
+    /// [`MaintCtx::with_tuning`].
     pub obs: rolljoin_obs::ObsConfig,
 }
 

@@ -19,6 +19,7 @@
 use crate::compute_delta::DeltaWorker;
 use crate::execute::MaintCtx;
 use crate::query::PropQuery;
+use crate::stats::StepKind;
 use rolljoin_common::{Csn, Error, Result};
 use rolljoin_obs::JournalEntry;
 use std::time::Instant;
@@ -104,12 +105,7 @@ impl Propagator {
                     .with_hwm(self.t_cur),
             );
         }
-        if self.ctx.obs.metrics_on() {
-            self.ctx
-                .meters
-                .record_step(&self.ctx.obs.meter, "propagate", false);
-            self.ctx.refresh_gauges();
-        }
+        self.ctx.stats.record_step(StepKind::Propagate, false);
         Ok(self.t_cur)
     }
 

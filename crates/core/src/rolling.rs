@@ -51,7 +51,7 @@ use crate::compute_delta::DeltaWorker;
 use crate::execute::{MaintCtx, QuerySpanCtx};
 use crate::policy::IntervalPolicy;
 use crate::query::PropQuery;
-use crate::stats::PropStatsSnapshot;
+use crate::stats::{PropStatsSnapshot, StepKind};
 use rolljoin_common::{Csn, Error, Result, TimeInterval};
 use rolljoin_obs::JournalEntry;
 use std::collections::VecDeque;
@@ -279,12 +279,7 @@ impl RollingPropagator {
                     .with_hwm(hwm),
             );
         }
-        if self.ctx.obs.metrics_on() {
-            self.ctx
-                .meters
-                .record_step(&self.ctx.obs.meter, "rolling", false);
-            self.ctx.refresh_gauges();
-        }
+        self.ctx.stats.record_step(StepKind::Rolling, false);
         Ok(Some(RollingStep {
             relation: p.rel,
             width: p.width,
@@ -318,11 +313,7 @@ impl RollingPropagator {
         step_span.arg("rel", i as i64);
         step_span.arg("lo", t_s0 as i64);
         step_span.arg("hi", t_hi as i64);
-        if self.ctx.obs.metrics_on() {
-            self.ctx
-                .meters
-                .record_interval_width(&self.ctx.obs.meter, i, delta);
-        }
+        self.ctx.stats.record_interval_width(i, delta);
         self.ctx.ensure_captured(t_hi)?;
         self.prune_query_lists();
 
@@ -352,12 +343,7 @@ impl RollingPropagator {
                         .with_hwm(hwm),
                 );
             }
-            if self.ctx.obs.metrics_on() {
-                self.ctx
-                    .meters
-                    .record_step(&self.ctx.obs.meter, "rolling", true);
-                self.ctx.refresh_gauges();
-            }
+            self.ctx.stats.record_step(StepKind::Rolling, true);
             return Ok(RollingStep {
                 relation: i,
                 width: delta,
@@ -443,7 +429,6 @@ impl RollingPropagator {
             // even while idle.
             self.prune_query_lists();
             self.ctx.mv.set_hwm(self.hwm());
-            self.ctx.refresh_gauges();
             return Ok(None);
         }
         let from = self.tfwd[i];
@@ -525,7 +510,6 @@ impl RollingPropagator {
             self.prune_query_lists();
         }
         self.ctx.mv.set_hwm(self.hwm());
-        self.ctx.refresh_gauges();
         Ok(self.hwm())
     }
 }

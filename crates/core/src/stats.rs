@@ -2,191 +2,338 @@
 //!
 //! Every propagation query reports what it read and wrote; the experiment
 //! harness compares algorithms (Propagate vs. RollingPropagate vs. the
-//! synchronous baselines) by these counters.
+//! synchronous baselines) by these counters. They live in one place, the
+//! maintenance context's metrics registry: [`PropStats`] caches the
+//! registry handles, each event is recorded once through them, and
+//! [`PropStats::snapshot`] reads them back as a [`PropStatsSnapshot`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use rolljoin_obs::{Counter, Gauge, Histogram, Meter};
 
 pub use rolljoin_storage::{
     CompactionStats, GranStatsSnapshot, LockStatsSnapshot, WAIT_HIST_BUCKETS,
 };
 
-/// Counters accumulated by a propagation process.
-#[derive(Default)]
+/// A maintenance step, as counted by `rolljoin_steps_total{kind}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StepKind {
+    /// One `Propagator` step (Fig. 5).
+    Propagate,
+    /// One `RollingPropagator` step (Fig. 10).
+    Rolling,
+    /// One roll of the materialized view.
+    Apply,
+    /// One compaction pass.
+    Compaction,
+}
+
+impl StepKind {
+    const ALL: [StepKind; 4] = [
+        StepKind::Propagate,
+        StepKind::Rolling,
+        StepKind::Apply,
+        StepKind::Compaction,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            StepKind::Propagate => "propagate",
+            StepKind::Rolling => "rolling",
+            StepKind::Apply => "apply",
+            StepKind::Compaction => "compaction",
+        }
+    }
+}
+
+/// The propagation counters of one maintenance context: handles into its
+/// metrics registry, registered once at construction, so recording is a
+/// few relaxed atomic ops with no registry lock and no allocation.
 pub struct PropStats {
+    forward_queries: Counter,
+    comp_queries: Counter,
+    base_rows_read: Counter,
+    delta_rows_read: Counter,
+    vd_rows_written: Counter,
+    max_txn_rows: Gauge,
+    scan_cache_hits: Counter,
+    scan_cache_misses: Counter,
+    scan_cache_rows: Counter,
+    net_rows_in: Counter,
+    net_rows_saved: Counter,
+    worker_busy_ns: Counter,
+    query_wall: Histogram,
+    query_lock_wait: Histogram,
+    max_queue_depth: Gauge,
+    delta_probes: Counter,
+    delta_scans: Counter,
+    delta_probe_rows: Counter,
+    steps: [Counter; 4],
+    steps_skipped_empty: Counter,
+    interval_width: Vec<Gauge>,
+}
+
+/// A point-in-time read of [`PropStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PropStatsSnapshot {
     /// Forward queries executed (exactly one delta slot, sign +1, issued
     /// directly by `Propagate`/`RollingPropagate`).
-    pub forward_queries: AtomicU64,
+    pub forward_queries: u64,
     /// Compensation queries executed (issued by `ComputeDelta` recursion or
     /// the rolling compensation loop).
-    pub comp_queries: AtomicU64,
+    pub comp_queries: u64,
     /// Rows fetched from base-table slots.
-    pub base_rows_read: AtomicU64,
+    pub base_rows_read: u64,
     /// Rows fetched from delta-range slots.
-    pub delta_rows_read: AtomicU64,
+    pub delta_rows_read: u64,
     /// Rows written into the view delta table.
-    pub vd_rows_written: AtomicU64,
-    /// Total propagation transactions committed.
-    pub transactions: AtomicU64,
+    pub vd_rows_written: u64,
+    /// Total propagation transactions committed (one per query).
+    pub transactions: u64,
     /// Largest number of rows read by any single propagation transaction —
     /// the per-transaction "size" the interval knob controls (paper §3.3).
-    pub max_txn_rows: AtomicU64,
+    pub max_txn_rows: u64,
     /// Delta-range fetches served from the step-scoped scan cache.
-    pub scan_cache_hits: AtomicU64,
+    pub scan_cache_hits: u64,
     /// Delta-range fetches that materialized fresh rows.
-    pub scan_cache_misses: AtomicU64,
+    pub scan_cache_misses: u64,
     /// Rows served from the scan cache instead of re-materializing.
-    pub scan_cache_rows: AtomicU64,
+    pub scan_cache_rows: u64,
     /// Rows that entered exact `(ts, tuple)` netting: clamped delta slots
     /// of queries with two or more delta slots before the join, and those
     /// queries' results before the view-delta write
     /// ([`rolljoin_relalg::net_rows`]).
-    pub compact_rows_in: AtomicU64,
+    pub compact_rows_in: u64,
     /// Rows that netting merged away or dropped as zero-count groups.
-    pub compact_rows_saved: AtomicU64,
+    pub compact_rows_saved: u64,
     /// Total nanoseconds workers spent executing queries (summed across
     /// workers; divide by elapsed wall time for average busy workers).
-    pub worker_busy_nanos: AtomicU64,
+    pub worker_busy_nanos: u64,
     /// Total per-query wall-clock nanoseconds (lock wait + fetch + join +
     /// commit), summed over all queries.
-    pub query_wall_nanos: AtomicU64,
+    pub query_wall_nanos: u64,
     /// Nanoseconds propagation transactions spent blocked on locks,
     /// summed over all committed queries — the portion of
     /// `query_wall_nanos` that is contention, not work. Per-granularity
     /// breakdowns (table vs stripe, with wait-time histograms) live on
     /// the engine's lock manager: `engine.locks().stats().snapshot_full()`.
-    pub lock_wait_nanos: AtomicU64,
+    pub lock_wait_nanos: u64,
     /// Deepest the worker's pending-unit queue ever got.
-    pub max_queue_depth: AtomicU64,
+    pub max_queue_depth: u64,
     /// Pending delta slots the planner resolved by a keyed delta-index
     /// probe (per-key posting slices) instead of a full range scan.
-    pub delta_probe_decisions: AtomicU64,
+    pub delta_probe_decisions: u64,
     /// Pending delta slots that fell back to a full range scan (no index,
     /// or the posting-length estimate said probing wouldn't pay).
-    pub delta_scan_decisions: AtomicU64,
-    /// Rows fetched through keyed delta-index probes.
-    pub delta_probe_rows: AtomicU64,
-}
-
-/// A point-in-time copy of [`PropStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PropStatsSnapshot {
-    pub forward_queries: u64,
-    pub comp_queries: u64,
-    pub base_rows_read: u64,
-    pub delta_rows_read: u64,
-    pub vd_rows_written: u64,
-    pub transactions: u64,
-    pub max_txn_rows: u64,
-    pub scan_cache_hits: u64,
-    pub scan_cache_misses: u64,
-    pub scan_cache_rows: u64,
-    pub compact_rows_in: u64,
-    pub compact_rows_saved: u64,
-    pub worker_busy_nanos: u64,
-    pub query_wall_nanos: u64,
-    pub lock_wait_nanos: u64,
-    pub max_queue_depth: u64,
-    pub delta_probe_decisions: u64,
     pub delta_scan_decisions: u64,
+    /// Rows fetched through keyed delta-index probes.
     pub delta_probe_rows: u64,
 }
 
 impl PropStats {
-    pub fn new() -> Self {
-        Self::default()
+    /// Register the propagation instruments on `meter` — including one
+    /// interval-width gauge per view relation, `relations` of them.
+    /// Registering again on the same meter shares the same series.
+    pub fn new(meter: &Meter, relations: usize) -> Self {
+        let queries = |kind| {
+            meter.counter_l(
+                "rolljoin_queries_total",
+                Some(("kind", kind)),
+                "Propagation queries executed, by kind (forward vs compensation).",
+            )
+        };
+        let rows_read = |slot| {
+            meter.counter_l(
+                "rolljoin_rows_read_total",
+                Some(("slot", slot)),
+                "Rows fetched by propagation queries, by slot kind.",
+            )
+        };
+        let cache = |outcome| {
+            meter.counter_l(
+                "rolljoin_scan_cache_total",
+                Some(("outcome", outcome)),
+                "Delta-range fetches, by scan-cache outcome.",
+            )
+        };
+        let decisions = |decision| {
+            meter.counter_l(
+                "rolljoin_delta_index_total",
+                Some(("decision", decision)),
+                "Pending delta slots planned, by keyed-index decision.",
+            )
+        };
+        PropStats {
+            forward_queries: queries("forward"),
+            comp_queries: queries("comp"),
+            base_rows_read: rows_read("base"),
+            delta_rows_read: rows_read("delta"),
+            vd_rows_written: meter.counter(
+                "rolljoin_vd_rows_written_total",
+                "Rows written into the view delta table.",
+            ),
+            max_txn_rows: meter.gauge(
+                "rolljoin_max_txn_rows",
+                "Largest row count read by any single propagation transaction.",
+            ),
+            scan_cache_hits: cache("hit"),
+            scan_cache_misses: cache("miss"),
+            scan_cache_rows: meter.counter(
+                "rolljoin_scan_cache_rows_total",
+                "Rows served from the scan cache instead of re-materializing.",
+            ),
+            net_rows_in: meter.counter(
+                "rolljoin_net_rows_in_total",
+                "Rows that entered exact (ts, tuple) netting.",
+            ),
+            net_rows_saved: meter.counter(
+                "rolljoin_net_rows_saved_total",
+                "Rows eliminated by exact (ts, tuple) netting.",
+            ),
+            worker_busy_ns: meter.counter(
+                "rolljoin_worker_busy_ns_total",
+                "Nanoseconds workers spent executing queries, summed over workers.",
+            ),
+            query_wall: meter.histogram_scaled(
+                "rolljoin_query_wall_us",
+                "Per-query wall time (capture wait + fetch + join + commit), microseconds.",
+                1_000,
+            ),
+            query_lock_wait: meter.histogram_scaled(
+                "rolljoin_query_lock_wait_us",
+                "Per-query time blocked on locks, microseconds.",
+                1_000,
+            ),
+            max_queue_depth: meter.gauge(
+                "rolljoin_max_queue_depth",
+                "Deepest the worker's pending-unit queue ever got.",
+            ),
+            delta_probes: decisions("probe"),
+            delta_scans: decisions("scan"),
+            delta_probe_rows: meter.counter(
+                "rolljoin_delta_index_probe_rows_total",
+                "Rows fetched through keyed delta-index probes.",
+            ),
+            steps: StepKind::ALL.map(|kind| {
+                meter.counter_l(
+                    "rolljoin_steps_total",
+                    Some(("kind", kind.label())),
+                    "Propagation, apply and compaction steps completed, by kind.",
+                )
+            }),
+            steps_skipped_empty: meter.counter(
+                "rolljoin_steps_skipped_empty_total",
+                "Steps that advanced the frontier without issuing queries.",
+            ),
+            interval_width: (0..relations)
+                .map(|rel| {
+                    meter.gauge_l(
+                        "rolljoin_interval_width_csn",
+                        Some(("rel", &rel.to_string())),
+                        "Width of the last forward-query interval, per relation, CSNs.",
+                    )
+                })
+                .collect(),
+        }
     }
 
+    /// Record one executed propagation query: its kind, the rows its base
+    /// and delta slots read, the view-delta rows it wrote, and its wall
+    /// and lock-wait times.
     pub(crate) fn record_query(
         &self,
         is_forward: bool,
         base_rows: u64,
         delta_rows: u64,
         rows_out: u64,
+        wall_nanos: u64,
+        lock_wait_nanos: u64,
     ) {
         if is_forward {
-            self.forward_queries.fetch_add(1, Ordering::Relaxed);
+            self.forward_queries.inc(1);
         } else {
-            self.comp_queries.fetch_add(1, Ordering::Relaxed);
+            self.comp_queries.inc(1);
         }
-        self.base_rows_read.fetch_add(base_rows, Ordering::Relaxed);
-        self.delta_rows_read
-            .fetch_add(delta_rows, Ordering::Relaxed);
-        self.vd_rows_written.fetch_add(rows_out, Ordering::Relaxed);
-        self.transactions.fetch_add(1, Ordering::Relaxed);
-        self.max_txn_rows
-            .fetch_max(base_rows + delta_rows, Ordering::Relaxed);
+        self.base_rows_read.inc(base_rows);
+        self.delta_rows_read.inc(delta_rows);
+        self.vd_rows_written.inc(rows_out);
+        self.max_txn_rows.fetch_max((base_rows + delta_rows) as i64);
+        self.query_wall.observe(wall_nanos);
+        self.query_lock_wait.observe(lock_wait_nanos);
     }
 
     /// Record one scan-cache lookup outcome.
     pub(crate) fn record_scan_cache(&self, hit: bool, rows: u64) {
         if hit {
-            self.scan_cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.scan_cache_rows.fetch_add(rows, Ordering::Relaxed);
+            self.scan_cache_hits.inc(1);
+            self.scan_cache_rows.inc(rows);
         } else {
-            self.scan_cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.scan_cache_misses.inc(1);
         }
     }
 
     /// Record one netting pass: `raw` rows in, `kept` rows out.
     pub(crate) fn record_netting(&self, raw: u64, kept: u64) {
-        self.compact_rows_in.fetch_add(raw, Ordering::Relaxed);
-        self.compact_rows_saved
-            .fetch_add(raw.saturating_sub(kept), Ordering::Relaxed);
-    }
-
-    /// Record one query's wall-clock time.
-    pub(crate) fn record_query_wall(&self, nanos: u64) {
-        self.query_wall_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Record one query's time blocked on locks.
-    pub(crate) fn record_lock_wait(&self, nanos: u64) {
-        self.lock_wait_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.net_rows_in.inc(raw);
+        self.net_rows_saved.inc(raw.saturating_sub(kept));
     }
 
     /// Record one worker's busy time for a batch of executions.
     pub(crate) fn record_worker_busy(&self, nanos: u64) {
-        self.worker_busy_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.worker_busy_ns.inc(nanos);
     }
 
     /// Record the pending-queue depth observed before a round.
     pub(crate) fn record_queue_depth(&self, depth: u64) {
-        self.max_queue_depth.fetch_max(depth, Ordering::Relaxed);
+        self.max_queue_depth.fetch_max(depth as i64);
     }
 
     /// Record one delta-slot planner decision: a keyed index probe that
     /// fetched `rows`, or a full range scan (`rows` ignored).
     pub(crate) fn record_delta_decision(&self, probed: bool, rows: u64) {
         if probed {
-            self.delta_probe_decisions.fetch_add(1, Ordering::Relaxed);
-            self.delta_probe_rows.fetch_add(rows, Ordering::Relaxed);
+            self.delta_probes.inc(1);
+            self.delta_probe_rows.inc(rows);
         } else {
-            self.delta_scan_decisions.fetch_add(1, Ordering::Relaxed);
+            self.delta_scans.inc(1);
         }
     }
 
-    /// Snapshot all counters.
+    /// Record one completed maintenance step.
+    pub(crate) fn record_step(&self, kind: StepKind, skipped_empty: bool) {
+        self.steps[kind as usize].inc(1);
+        if skipped_empty {
+            self.steps_skipped_empty.inc(1);
+        }
+    }
+
+    /// Record the interval width a rolling step chose for relation `rel`.
+    pub(crate) fn record_interval_width(&self, rel: usize, width: u64) {
+        self.interval_width[rel].set(width as i64);
+    }
+
+    /// Read all counters.
     pub fn snapshot(&self) -> PropStatsSnapshot {
+        let forward_queries = self.forward_queries.get();
+        let comp_queries = self.comp_queries.get();
         PropStatsSnapshot {
-            forward_queries: self.forward_queries.load(Ordering::Relaxed),
-            comp_queries: self.comp_queries.load(Ordering::Relaxed),
-            base_rows_read: self.base_rows_read.load(Ordering::Relaxed),
-            delta_rows_read: self.delta_rows_read.load(Ordering::Relaxed),
-            vd_rows_written: self.vd_rows_written.load(Ordering::Relaxed),
-            transactions: self.transactions.load(Ordering::Relaxed),
-            max_txn_rows: self.max_txn_rows.load(Ordering::Relaxed),
-            scan_cache_hits: self.scan_cache_hits.load(Ordering::Relaxed),
-            scan_cache_misses: self.scan_cache_misses.load(Ordering::Relaxed),
-            scan_cache_rows: self.scan_cache_rows.load(Ordering::Relaxed),
-            compact_rows_in: self.compact_rows_in.load(Ordering::Relaxed),
-            compact_rows_saved: self.compact_rows_saved.load(Ordering::Relaxed),
-            worker_busy_nanos: self.worker_busy_nanos.load(Ordering::Relaxed),
-            query_wall_nanos: self.query_wall_nanos.load(Ordering::Relaxed),
-            lock_wait_nanos: self.lock_wait_nanos.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            delta_probe_decisions: self.delta_probe_decisions.load(Ordering::Relaxed),
-            delta_scan_decisions: self.delta_scan_decisions.load(Ordering::Relaxed),
-            delta_probe_rows: self.delta_probe_rows.load(Ordering::Relaxed),
+            forward_queries,
+            comp_queries,
+            base_rows_read: self.base_rows_read.get(),
+            delta_rows_read: self.delta_rows_read.get(),
+            vd_rows_written: self.vd_rows_written.get(),
+            transactions: forward_queries + comp_queries,
+            max_txn_rows: self.max_txn_rows.get() as u64,
+            scan_cache_hits: self.scan_cache_hits.get(),
+            scan_cache_misses: self.scan_cache_misses.get(),
+            scan_cache_rows: self.scan_cache_rows.get(),
+            compact_rows_in: self.net_rows_in.get(),
+            compact_rows_saved: self.net_rows_saved.get(),
+            worker_busy_nanos: self.worker_busy_ns.get(),
+            query_wall_nanos: self.query_wall.raw_sum(),
+            lock_wait_nanos: self.query_lock_wait.raw_sum(),
+            max_queue_depth: self.max_queue_depth.get() as u64,
+            delta_probe_decisions: self.delta_probes.get(),
+            delta_scan_decisions: self.delta_scans.get(),
+            delta_probe_rows: self.delta_probe_rows.get(),
         }
     }
 }
@@ -316,15 +463,105 @@ pub fn format_lock_breakdown(s: &LockStatsSnapshot) -> String {
     )
 }
 
+/// Mirror the lock manager's per-granularity counters and wait-time
+/// histograms into `meter` (absolute fold on scrape: the lock manager owns
+/// the counters, the registry just exposes them).
+pub(crate) fn fold_lock_stats(meter: &Meter, s: &LockStatsSnapshot) {
+    for (gran, g) in [("table", &s.table), ("stripe", &s.stripe)] {
+        let label = Some(("gran", gran));
+        meter
+            .counter_l(
+                "rolljoin_lock_waits_total",
+                label,
+                "Lock acquisitions that blocked, by granularity.",
+            )
+            .set(g.waits);
+        meter
+            .counter_l(
+                "rolljoin_lock_acquisitions_total",
+                label,
+                "Lock acquisitions, by granularity.",
+            )
+            .set(g.acquisitions);
+        meter
+            .counter_l(
+                "rolljoin_lock_timeouts_total",
+                label,
+                "Lock timeouts (deadlock resolutions), by granularity.",
+            )
+            .set(g.timeouts);
+        meter
+            .histogram_l(
+                "rolljoin_lock_wait_us",
+                label,
+                "Lock wait times, by granularity, microseconds.",
+            )
+            .set_buckets(&g.wait_hist_us, g.wait_nanos / 1_000);
+    }
+}
+
+/// Mirror store-level pruning totals into `meter` (absolute fold on
+/// scrape: the stores own the counters).
+pub(crate) fn fold_compaction(meter: &Meter, report: &CompactionReport) {
+    for (store, s) in [("base", &report.base), ("vd", &report.vd)] {
+        let label = Some(("store", store));
+        meter
+            .counter_l(
+                "rolljoin_compaction_rows_removed_total",
+                label,
+                "Records removed by store-level pruning, by store.",
+            )
+            .set(s.rows_removed);
+        meter
+            .counter_l(
+                "rolljoin_compaction_bytes_reclaimed_total",
+                label,
+                "Estimated heap bytes reclaimed by pruning, by store.",
+            )
+            .set(s.bytes_reclaimed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn counters_are_the_registry_series() {
+        let meter = Meter::new();
+        let s = PropStats::new(&meter, 2);
+        s.record_query(false, 3, 4, 5, 2_000, 0);
+        s.record_step(StepKind::Compaction, false);
+        s.record_step(StepKind::Rolling, true);
+        s.record_interval_width(1, 8);
+        // A second registration on the same meter shares the series.
+        assert_eq!(PropStats::new(&meter, 2).snapshot(), s.snapshot());
+        let text = meter.prometheus();
+        for line in [
+            "rolljoin_queries_total{kind=\"comp\"} 1",
+            "rolljoin_queries_total{kind=\"forward\"} 0",
+            "rolljoin_rows_read_total{slot=\"base\"} 3",
+            "rolljoin_rows_read_total{slot=\"delta\"} 4",
+            "rolljoin_vd_rows_written_total 5",
+            "rolljoin_max_txn_rows 7",
+            "rolljoin_query_wall_us_sum 2",
+            "rolljoin_query_wall_us_count 1",
+            "rolljoin_steps_total{kind=\"compaction\"} 1",
+            "rolljoin_steps_total{kind=\"rolling\"} 1",
+            "rolljoin_steps_total{kind=\"apply\"} 0",
+            "rolljoin_steps_skipped_empty_total 1",
+            "rolljoin_interval_width_csn{rel=\"0\"} 0",
+            "rolljoin_interval_width_csn{rel=\"1\"} 8",
+        ] {
+            assert!(text.contains(&format!("{line}\n")), "{line} in\n{text}");
+        }
+    }
+
+    #[test]
     fn records_and_snapshots() {
-        let s = PropStats::new();
-        s.record_query(true, 10, 5, 3);
-        s.record_query(false, 0, 7, 2);
+        let s = PropStats::new(&Meter::new(), 2);
+        s.record_query(true, 10, 5, 3, 0, 0);
+        s.record_query(false, 0, 7, 2, 0, 0);
         let snap = s.snapshot();
         assert_eq!(snap.forward_queries, 1);
         assert_eq!(snap.comp_queries, 1);
@@ -334,14 +571,15 @@ mod tests {
         assert_eq!(snap.total_rows_read(), 22);
         assert_eq!(snap.vd_rows_written, 5);
         assert_eq!(snap.transactions, 2);
+        assert_eq!(snap.max_txn_rows, 15);
     }
 
     #[test]
     fn since_subtracts() {
-        let s = PropStats::new();
-        s.record_query(true, 1, 1, 1);
+        let s = PropStats::new(&Meter::new(), 2);
+        s.record_query(true, 1, 1, 1, 0, 0);
         let a = s.snapshot();
-        s.record_query(false, 2, 2, 2);
+        s.record_query(false, 2, 2, 2, 0, 0);
         let b = s.snapshot();
         let d = b.since(&a);
         assert_eq!(d.comp_queries, 1);
@@ -418,7 +656,7 @@ mod tests {
 
     #[test]
     fn scan_compaction_counters_and_rate() {
-        let s = PropStats::new();
+        let s = PropStats::new(&Meter::new(), 2);
         assert_eq!(s.snapshot().netting_save_rate(), 0.0);
         s.record_netting(10, 4);
         s.record_netting(2, 2);
@@ -430,7 +668,7 @@ mod tests {
 
     #[test]
     fn delta_decision_counters_and_rate() {
-        let s = PropStats::new();
+        let s = PropStats::new(&Meter::new(), 2);
         assert_eq!(s.snapshot().delta_probe_rate(), 0.0);
         s.record_delta_decision(true, 4);
         s.record_delta_decision(true, 2);
@@ -448,10 +686,12 @@ mod tests {
 
     #[test]
     fn lock_wait_accumulates_and_formats() {
-        let s = PropStats::new();
-        s.record_lock_wait(1_500);
-        s.record_lock_wait(500);
-        assert_eq!(s.snapshot().lock_wait_nanos, 2_000);
+        let s = PropStats::new(&Meter::new(), 2);
+        s.record_query(true, 0, 1, 0, 9_000, 1_500);
+        s.record_query(true, 0, 1, 0, 3_000, 500);
+        let snap = s.snapshot();
+        assert_eq!(snap.lock_wait_nanos, 2_000, "nanosecond precision kept");
+        assert_eq!(snap.query_wall_nanos, 12_000);
         let line = format_lock_breakdown(&LockStatsSnapshot::default());
         assert!(line.contains("table 0"));
         assert!(line.contains("stripe 0"));

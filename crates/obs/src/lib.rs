@@ -19,10 +19,11 @@
 //! * [`journal::Journal`] — an append-only per-step event log of what each
 //!   propagation step chose, issued, and produced.
 //!
-//! Everything is gated by [`ObsConfig`]: `Off` costs a couple of atomic
-//! loads per query, `Metrics` enables the registry, `Full` adds spans and
-//! the journal. The crate depends only on `rolljoin-common` (for the CSN
-//! type) and the standard library.
+//! The registry is always on: a maintenance context records every counter
+//! into its one [`Meter`], and its propagation statistics are a typed read
+//! of those instruments. [`ObsConfig`] gates only spans and the journal:
+//! `Off` records neither, `Full` records both. The crate depends only on
+//! `rolljoin-common` (for the CSN type) and the standard library.
 
 pub mod journal;
 pub mod metrics;
@@ -34,27 +35,20 @@ pub use span::{FinishedSpan, SpanGuard, SpanRecorder, TraceSummaryRow};
 
 use std::sync::Arc;
 
-/// How much observability the maintenance stack records.
+/// Whether the maintenance stack records spans and the journal. Metrics
+/// are not gated: the registry always records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsConfig {
-    /// Record nothing. The instrumented paths reduce to a few atomic
-    /// loads (the gate checks themselves).
+    /// No spans and no journal entries. The span and journal call sites
+    /// reduce to one branch each.
     #[default]
     Off,
-    /// Maintain the metrics registry (counters, gauges, histograms) but
-    /// record no spans and no journal entries.
-    Metrics,
-    /// Metrics plus span tracing of the full propagate path and the
-    /// per-step propagation journal.
+    /// Span tracing of the full propagate path and the per-step
+    /// propagation journal.
     Full,
 }
 
 impl ObsConfig {
-    /// True when the metrics registry records.
-    pub fn metrics_enabled(&self) -> bool {
-        !matches!(self, ObsConfig::Off)
-    }
-
     /// True when spans and the journal record.
     pub fn tracing_enabled(&self) -> bool {
         matches!(self, ObsConfig::Full)
@@ -64,13 +58,13 @@ impl ObsConfig {
 /// Default capacity of the span ring buffer (finished spans retained).
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
-/// The combined observability handle one maintenance context threads
-/// through its propagate, apply, and compaction paths. Shared by `Arc`
-/// across workers and background drivers.
+/// The tracing handle one maintenance context threads through its
+/// propagate, apply, and compaction paths: spans and the journal, at the
+/// level set by [`ObsConfig`]. Shared by `Arc` across workers and
+/// background drivers. (The metrics registry is not part of it: a
+/// context keeps one [`Meter`] for its whole life.)
 pub struct Obs {
     config: ObsConfig,
-    /// The metrics registry.
-    pub meter: Meter,
     /// The span recorder.
     pub spans: SpanRecorder,
     /// The propagation journal.
@@ -82,7 +76,6 @@ impl Obs {
     pub fn new(config: ObsConfig) -> Arc<Obs> {
         Arc::new(Obs {
             config,
-            meter: Meter::new(config.metrics_enabled()),
             spans: SpanRecorder::new(DEFAULT_SPAN_CAPACITY),
             journal: Journal::new(),
         })
@@ -96,12 +89,6 @@ impl Obs {
     /// The configuration this handle records at.
     pub fn config(&self) -> ObsConfig {
         self.config
-    }
-
-    /// True when metrics record.
-    #[inline]
-    pub fn metrics_on(&self) -> bool {
-        self.config.metrics_enabled()
     }
 
     /// True when spans and the journal record.
@@ -167,11 +154,7 @@ mod tests {
 
     #[test]
     fn config_gating() {
-        assert!(!ObsConfig::Off.metrics_enabled());
         assert!(!ObsConfig::Off.tracing_enabled());
-        assert!(ObsConfig::Metrics.metrics_enabled());
-        assert!(!ObsConfig::Metrics.tracing_enabled());
-        assert!(ObsConfig::Full.metrics_enabled());
         assert!(ObsConfig::Full.tracing_enabled());
     }
 

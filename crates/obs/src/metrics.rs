@@ -63,6 +63,12 @@ impl Gauge {
         self.0.fetch_add(d, Ordering::Relaxed);
     }
 
+    /// Raise the value to `v` if it is larger — for high-water marks.
+    #[inline]
+    pub fn fetch_max(&self, v: i64) {
+        self.0.fetch_max(v, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -71,12 +77,19 @@ impl Gauge {
 
 struct HistCore {
     buckets: [AtomicU64; HIST_BUCKETS],
+    /// Sum of observations in the recorded unit.
     sum: AtomicU64,
     count: AtomicU64,
+    /// Recorded units per exported unit (1, or e.g. 1000 for a histogram
+    /// recorded in nanoseconds and exported in microseconds).
+    scale: u64,
 }
 
 /// A histogram over non-negative integer values (the unit — µs, rows, … —
-/// is the instrument's, named in its help text).
+/// is the instrument's, named in its help text). A histogram registered
+/// with [`Meter::histogram_scaled`] records in a finer unit than it
+/// exports: buckets and exported sums are in the coarse unit, and
+/// [`Histogram::raw_sum`] keeps full precision.
 #[derive(Clone)]
 pub struct Histogram(Arc<HistCore>);
 
@@ -92,7 +105,7 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn observe(&self, v: u64) {
-        self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.0.buckets[bucket_of(v / self.0.scale)].fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
     }
@@ -100,7 +113,7 @@ impl Histogram {
     /// Overwrite all buckets from counts maintained elsewhere (e.g. the
     /// lock manager's wait-time histograms). `counts` longer than
     /// [`HIST_BUCKETS`] is truncated; shorter is zero-extended. `sum` is
-    /// the total observed value in the histogram's unit.
+    /// the total observed value in the histogram's recorded unit.
     pub fn set_buckets(&self, counts: &[u64], sum: u64) {
         let mut total = 0u64;
         for (i, b) in self.0.buckets.iter().enumerate() {
@@ -112,7 +125,13 @@ impl Histogram {
         self.0.count.store(total, Ordering::Relaxed);
     }
 
-    /// Copy out the current state.
+    /// Sum of every observation, in the recorded unit.
+    #[inline]
+    pub fn raw_sum(&self) -> u64 {
+        self.0.sum.load(Ordering::Relaxed)
+    }
+
+    /// Copy out the current state (sum in the exported unit).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = [0u64; HIST_BUCKETS];
         for (o, b) in buckets.iter_mut().zip(&self.0.buckets) {
@@ -120,7 +139,7 @@ impl Histogram {
         }
         HistogramSnapshot {
             buckets,
-            sum: self.0.sum.load(Ordering::Relaxed),
+            sum: self.raw_sum() / self.0.scale,
             count: self.0.count.load(Ordering::Relaxed),
         }
     }
@@ -150,26 +169,15 @@ struct Family {
 }
 
 /// The metrics registry.
+#[derive(Default)]
 pub struct Meter {
-    enabled: bool,
     families: Mutex<BTreeMap<&'static str, Family>>,
 }
 
 impl Meter {
-    /// A registry; `enabled` is advisory (call sites gate on it — the
-    /// instruments themselves always work, so exporters and tests can
-    /// use a meter directly).
-    pub fn new(enabled: bool) -> Self {
-        Meter {
-            enabled,
-            families: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Whether instrumented call sites should record.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+    /// An empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn register(
@@ -249,11 +257,34 @@ impl Meter {
         label: Option<(&str, &str)>,
         help: &'static str,
     ) -> Histogram {
+        self.register_histogram(name, label, help, 1)
+    }
+
+    /// Register (or look up) an unlabeled histogram that records `scale`
+    /// units per exported unit (e.g. nanoseconds recorded, microseconds
+    /// exported: `scale = 1000`).
+    pub fn histogram_scaled(
+        &self,
+        name: &'static str,
+        help: &'static str,
+        scale: u64,
+    ) -> Histogram {
+        self.register_histogram(name, None, help, scale.max(1))
+    }
+
+    fn register_histogram(
+        &self,
+        name: &'static str,
+        label: Option<(&str, &str)>,
+        help: &'static str,
+        scale: u64,
+    ) -> Histogram {
         match self.register(name, label, "histogram", help, || {
             Instrument::H(Histogram(Arc::new(HistCore {
                 buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                 sum: AtomicU64::new(0),
                 count: AtomicU64::new(0),
+                scale,
             })))
         }) {
             Instrument::H(h) => h,
@@ -349,7 +380,7 @@ mod tests {
 
     #[test]
     fn instruments_record_and_cache() {
-        let m = Meter::new(true);
+        let m = Meter::new();
         let c = m.counter("x_total", "things");
         c.inc(2);
         m.counter("x_total", "things").inc(3);
@@ -358,6 +389,10 @@ mod tests {
         g.set(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
+        g.fetch_max(2);
+        assert_eq!(g.get(), 4, "fetch_max never lowers");
+        g.fetch_max(9);
+        assert_eq!(g.get(), 9);
         let h = m.histogram("wait_us", "waits");
         h.observe(0);
         h.observe(1);
@@ -372,8 +407,21 @@ mod tests {
     }
 
     #[test]
+    fn scaled_histogram_buckets_coarse_and_keeps_the_fine_sum() {
+        let m = Meter::new();
+        let h = m.histogram_scaled("wall_us", "ns recorded, µs exported", 1000);
+        h.observe(999); // 0 µs → bucket 0
+        h.observe(4_500); // 4 µs → bucket 2
+        assert_eq!(h.raw_sum(), 5_499);
+        let s = h.snapshot();
+        assert_eq!((s.count, s.sum), (2, 5));
+        assert_eq!((s.buckets[0], s.buckets[2]), (1, 1));
+        assert!(m.prometheus().contains("wall_us_sum 5\n"));
+    }
+
+    #[test]
     fn set_buckets_mirrors_external_histograms() {
-        let m = Meter::new(true);
+        let m = Meter::new();
         let h = m.histogram("lock_wait_us", "folded");
         let mut counts = [0u64; HIST_BUCKETS];
         counts[3] = 5;
@@ -392,7 +440,7 @@ mod tests {
     /// and without labels, a gauge, and a histogram — exact text, pinned.
     #[test]
     fn prometheus_golden() {
-        let m = Meter::new(true);
+        let m = Meter::new();
         m.counter_l(
             "rolljoin_queries_total",
             Some(("kind", "forward")),
@@ -451,7 +499,7 @@ rolljoin_query_wall_us_count 3
 
     #[test]
     fn labeled_histogram_buckets_carry_the_label() {
-        let m = Meter::new(true);
+        let m = Meter::new();
         m.histogram_l("h_us", Some(("gran", "table")), "x")
             .observe(1);
         let text = m.prometheus();
@@ -461,7 +509,7 @@ rolljoin_query_wall_us_count 3
 
     #[test]
     fn json_snapshot_contains_all_kinds() {
-        let m = Meter::new(true);
+        let m = Meter::new();
         m.counter("c_total", "c").inc(1);
         m.gauge("g", "g").set(-2);
         m.histogram("h_us", "h").observe(9);

@@ -56,6 +56,11 @@ fn main() -> rolljoin::Result<()> {
         if i == 49 {
             five_pm_csn = csn;
             five_pm_wallclock = engine.now_micros();
+            // Commit wallclocks have microsecond resolution: let the clock
+            // tick past the marker so the next commit is strictly later.
+            while engine.now_micros() <= five_pm_wallclock {
+                std::hint::spin_loop();
+            }
         }
     }
     let close_csn = engine.current_csn();
