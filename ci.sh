@@ -13,15 +13,19 @@ echo "== live benchmark builds and passes its tests =="
 cargo test -q --release --manifest-path livebench/Cargo.toml
 cargo build -q --release --manifest-path livebench/Cargo.toml
 
-echo "== live benchmark: short seeded run per workload ends oracle-correct =="
+echo "== live benchmark: short seeded runs per workload end oracle-correct =="
+# --trace 0 is the end-to-end run; --trace 1 adds the traced drivers that
+# report the per-layer metrics (and runs an untraced child first).
 for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
-    result=$(livebench/target/release/livebench \
-        --workload "$workload" --seed 7 --seconds 3 --trace 0 | tail -n 1)
-    echo "$workload: $result"
-    if ! grep -q '"correct": true' <<<"$result"; then
-        echo "livebench $workload: oracle check failed" >&2
-        exit 1
-    fi
+    for trace in 0 1; do
+        result=$(livebench/target/release/livebench \
+            --workload "$workload" --seed 7 --seconds 3 --trace "$trace" | tail -n 1)
+        echo "$workload (trace $trace): $result"
+        if ! grep -q '"correct": true' <<<"$result"; then
+            echo "livebench $workload (trace $trace): oracle check failed" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "== rustfmt =="

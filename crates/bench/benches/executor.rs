@@ -1,9 +1,9 @@
-//! Executor microbenchmarks: the left-deep hash-join pipeline that every
+//! Executor microbenchmarks: the left-deep hash join that every
 //! propagation query runs through, and the net-effect operator.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rolljoin_common::{tup, ColumnType, DeltaRow, Schema};
-use rolljoin_relalg::{exec, net_effect, ops, JoinSpec};
+use rolljoin_relalg::{exec, net_effect, JoinSpec};
 
 fn rows(n: usize, keys: i64) -> Vec<DeltaRow> {
     (0..n)
@@ -88,34 +88,47 @@ fn bench_net_effect(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_row_ops(c: &mut Criterion) {
-    // Guards the in-place row operators: negate/scale mutate counts
-    // without reallocating, and identity projections keep the original
-    // tuple allocation (an `Arc` bump instead of a rebuild). Compensation
-    // queries run every row through negate+project, so a regression here
-    // taxes every propagation step.
-    let mut g = c.benchmark_group("row_ops");
+fn bench_star_forward(c: &mut Criterion) {
+    // A star forward query: a 256-row fact delta F(id, d1, d2, d3) probing
+    // three 10k-row dimensions D_i(k, v) on their keys, every fact row
+    // matching once per dimension — four slots per output row.
+    let mut g = c.benchmark_group("star_forward");
     g.sample_size(20);
-    let rows: Vec<DeltaRow> = (0..100_000)
-        .map(|i| DeltaRow::change(i as u64 + 1, 1, tup![i as i64, (i as i64) % 97]))
+    let dim_schema = Schema::new([("k", ColumnType::Int), ("v", ColumnType::Int)]);
+    let spec = JoinSpec {
+        slot_schemas: vec![
+            Schema::new([
+                ("id", ColumnType::Int),
+                ("d1", ColumnType::Int),
+                ("d2", ColumnType::Int),
+                ("d3", ColumnType::Int),
+            ]),
+            dim_schema.clone(),
+            dim_schema.clone(),
+            dim_schema,
+        ],
+        equi: vec![(1, 4), (2, 6), (3, 8)],
+        filter: None,
+        projection: vec![0, 5, 7, 9],
+    };
+    let delta: Vec<DeltaRow> = (0..256i64)
+        .map(|i| {
+            DeltaRow::change(
+                i as u64 + 1,
+                1,
+                tup![i, i * 7 % 10_000, i * 13 % 10_000, i * 31 % 10_000],
+            )
+        })
         .collect();
-    g.throughput(Throughput::Elements(rows.len() as u64));
-    g.bench_function("negate_scale_100k", |b| {
+    let dim: Vec<DeltaRow> = (0..10_000i64)
+        .map(|k| DeltaRow::base(tup![k, k * 3]))
+        .collect();
+    g.throughput(Throughput::Elements(delta.len() as u64));
+    g.bench_function("star_forward_256x3", |b| {
         b.iter(|| {
-            let it = ops::scale(ops::negate(ops::scan(rows.clone())), 3);
-            it.map(|r| r.count).sum::<i64>()
-        });
-    });
-    g.bench_function("identity_project_100k", |b| {
-        b.iter(|| {
-            let it = ops::project(ops::scan(rows.clone()), vec![0, 1]);
-            it.count()
-        });
-    });
-    g.bench_function("narrowing_project_100k", |b| {
-        b.iter(|| {
-            let it = ops::project(ops::scan(rows.clone()), vec![1]);
-            it.count()
+            let slots = vec![delta.clone(), dim.clone(), dim.clone(), dim.clone()];
+            let (out, _) = exec::execute(slots, &spec, 1).unwrap();
+            out.len()
         });
     });
     g.finish();
@@ -126,6 +139,6 @@ criterion_group!(
     bench_join,
     bench_delta_join,
     bench_net_effect,
-    bench_row_ops
+    bench_star_forward
 );
 criterion_main!(benches);

@@ -48,22 +48,6 @@ impl DeltaRow {
             tuple: self.tuple.clone(),
         }
     }
-
-    /// Combine two joined rows per paper §2: count is the **product** of
-    /// counts, timestamp is the **minimum** of the (non-null) timestamps.
-    pub fn join_combine(&self, other: &DeltaRow) -> DeltaRow {
-        let ts = match (self.ts, other.ts) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        };
-        DeltaRow {
-            ts,
-            count: self.count * other.count,
-            tuple: self.tuple.concat(&other.tuple),
-        }
-    }
 }
 
 impl fmt::Display for DeltaRow {
@@ -79,26 +63,6 @@ impl fmt::Display for DeltaRow {
 mod tests {
     use super::*;
     use crate::tup;
-
-    #[test]
-    fn join_combine_takes_min_timestamp_and_product_count() {
-        let a = DeltaRow::change(5, -1, tup![1]);
-        let b = DeltaRow::change(3, -1, tup![2]);
-        let j = a.join_combine(&b);
-        assert_eq!(j.ts, Some(3));
-        assert_eq!(j.count, 1); // (-1) * (-1)
-        assert_eq!(j.tuple, tup![1, 2]);
-    }
-
-    #[test]
-    fn join_combine_ignores_null_base_timestamps() {
-        let base = DeltaRow::base(tup!["r"]);
-        let delta = DeltaRow::change(9, 2, tup!["s"]);
-        assert_eq!(base.join_combine(&delta).ts, Some(9));
-        assert_eq!(delta.join_combine(&base).ts, Some(9));
-        assert_eq!(base.join_combine(&base.clone()).ts, None);
-        assert_eq!(base.join_combine(&delta).count, 2);
-    }
 
     #[test]
     fn negate_flips_count_only() {

@@ -37,14 +37,6 @@ impl Tuple {
         &self.0[idx]
     }
 
-    /// Concatenate two tuples (used when composing join results).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Tuple(Arc::from(v))
-    }
-
     /// Project onto the given column indexes (in order, duplicates allowed).
     pub fn project(&self, cols: &[usize]) -> Tuple {
         Tuple(cols.iter().map(|&c| self.0[c].clone()).collect())
@@ -102,14 +94,6 @@ mod tests {
         assert_eq!(t[0], Value::Int(1));
         assert_eq!(t[1], Value::str("a"));
         assert_eq!(t[2], Value::Float(2.5));
-    }
-
-    #[test]
-    fn concat_joins_rows() {
-        let l = tup![1, 2];
-        let r = tup!["x"];
-        let j = l.concat(&r);
-        assert_eq!(j, tup![1, 2, "x"]);
     }
 
     #[test]

@@ -161,18 +161,21 @@ impl MaintCtx {
         self.mv.read_floor()
     }
 
-    /// Prune settled history: each base delta store of this view through
-    /// the engine-wide low-water mark (which every view over the same
-    /// bases holds down to its own floor), and this view's private view
-    /// delta store through its materialization time. Counts one
-    /// `compaction` step per pass. Returns total records removed.
+    /// Prune settled history: the captured history of each base table
+    /// this view touches — its bases, its MV table (every roll's install)
+    /// and the control table (every materialization-time update) —
+    /// through the engine-wide low-water mark (which every view reading
+    /// those stores, a view stacked on this one's MV included, holds down
+    /// to its own floor), and this view's private view delta store
+    /// through its materialization time. Counts one `compaction` step per
+    /// pass. Returns total records removed.
     pub fn compact_stores(&self) -> Result<usize> {
         let started = Instant::now();
         let mut span = self.obs.span("compaction_pass");
         let lwm = self.engine.low_water_mark();
         let mut removed = 0usize;
-        for base in self.distinct_bases() {
-            removed += self.engine.prune_delta_history(base, lwm)?;
+        for table in self.history_tables() {
+            removed += self.engine.prune_delta_history(table, lwm)?;
         }
         removed += self.engine.vd_prune(self.mv.vd_table, self.mv.mat_time())?;
         span.arg("removed", removed as i64);
@@ -192,21 +195,25 @@ impl MaintCtx {
     /// Lifetime pruning counters for this view's stores.
     pub fn compaction_report(&self) -> Result<CompactionReport> {
         let mut report = CompactionReport::default();
-        for base in self.distinct_bases() {
+        for table in self.history_tables() {
             report
                 .base
-                .merge(&self.engine.delta_compaction_stats(base)?);
+                .merge(&self.engine.delta_compaction_stats(table)?);
         }
         report.vd = self.engine.vd_compaction_stats(self.mv.vd_table)?;
         Ok(report)
     }
 
-    /// This view's base tables, each once (a self-join lists one twice).
-    fn distinct_bases(&self) -> Vec<rolljoin_common::TableId> {
-        let mut bases = self.mv.view.bases.clone();
-        bases.sort();
-        bases.dedup();
-        bases
+    /// The base tables whose captured history [`MaintCtx::compact_stores`]
+    /// prunes, each once (a self-join lists a base twice): the view's
+    /// bases, its MV table and the control table (if one was created).
+    fn history_tables(&self) -> Vec<rolljoin_common::TableId> {
+        let mut tables = self.mv.view.bases.clone();
+        tables.push(self.mv.mv_table);
+        tables.extend(self.engine.table_id(crate::control::CONTROL_TABLE).ok());
+        tables.sort();
+        tables.dedup();
+        tables
     }
 
     /// Make sure the capture HWM has reached `csn`, stepping capture inline
@@ -373,14 +380,15 @@ impl MaintCtx {
                     }
                     let nrows = slot_rows[nslot].as_ref().expect("neighbor fetched");
                     let nlocal = ncol - offsets[nslot];
-                    let keys: Vec<rolljoin_common::Value> = nrows
+                    let mut keys: Vec<rolljoin_common::Value> = nrows
                         .rows()
                         .iter()
-                        .map(|r| r.tuple.get(nlocal).clone())
+                        .map(|r| r.tuple.get(nlocal))
                         .filter(|v| !v.is_null())
-                        .collect::<std::collections::HashSet<_>>()
-                        .into_iter()
+                        .cloned()
                         .collect();
+                    keys.sort_unstable();
+                    keys.dedup();
                     match delta_iv {
                         // Delta side: the posting-slice count is exact, so
                         // compare estimated matching rows against the full

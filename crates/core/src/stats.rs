@@ -430,7 +430,8 @@ impl PropStatsSnapshot {
 /// [`crate::execute::MaintCtx::compaction_report`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompactionReport {
-    /// Merged counters of every base table's delta store.
+    /// Merged counters of every base-table delta store the view prunes:
+    /// its bases', its MV table's and the control table's.
     pub base: CompactionStats,
     /// Counters of the view delta store.
     pub vd: CompactionStats,

@@ -3,12 +3,14 @@
 //! A propagation query has the same *shape* as the view definition — `n`
 //! slots joined by equi predicates, an optional selection, and a projection
 //! — with each slot bound to either a base table or a delta range (paper
-//! §2). This module plans and executes that shape over already-fetched slot
-//! row sets: a left-deep hash-join pipeline with residual predicates as
-//! filters, then selection, then projection.
+//! §2). This module plans that shape over already-fetched slot row sets —
+//! each equi pair becomes a probe key of the later slot or a same-slot
+//! check, and each build side is hashed fresh or taken from the
+//! [`BuildCache`] — and hands the plan to the late-materializing join
+//! kernel in [`crate::ops`].
 
 use crate::expr::Expr;
-use crate::ops::{self, JoinIndex};
+use crate::ops::{JoinIndex, Kernel};
 use parking_lot::RwLock;
 use rolljoin_common::{DeltaRow, Error, Result, Schema, TableId, TimeInterval};
 use std::collections::HashMap;
@@ -165,14 +167,6 @@ impl SlotInput {
             SlotInput::Shared(v, ..) => v,
         }
     }
-
-    /// Rows by value (clones shared rows — cheap `Arc` bumps).
-    fn into_rows(self) -> Vec<DeltaRow> {
-        match self {
-            SlotInput::Owned(v) => v,
-            SlotInput::Shared(v, ..) => Arc::try_unwrap(v).unwrap_or_else(|arc| (*arc).clone()),
-        }
-    }
 }
 
 /// Counters of the build-side cache (point-in-time copy).
@@ -237,21 +231,22 @@ impl BuildCache {
         }
     }
 
-    /// Get the index for `(table, interval, keys)`, building it from
-    /// `rows` on a miss.
-    pub fn get_or_build(
+    /// Get the index for `(table, interval, keys)`, building it over
+    /// `rows` on a miss. A hit resolves positions against the rows the
+    /// entry was built from, never against `rows`.
+    fn get_or_build(
         &self,
         table: TableId,
         interval: TimeInterval,
         keys: &[usize],
-        rows: &[DeltaRow],
+        rows: &Arc<Vec<DeltaRow>>,
     ) -> Arc<JoinIndex> {
         let key = (table, interval, keys.to_vec());
         if let Some(idx) = self.inner.read().indexes.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return idx.clone();
         }
-        let idx = Arc::new(JoinIndex::build(rows, keys.to_vec()));
+        let idx = Arc::new(JoinIndex::build(rows.clone(), keys.to_vec()));
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.write();
         inner
@@ -298,6 +293,10 @@ pub fn execute(
 /// Execute the join over owned or shared per-slot row sets, optionally
 /// consulting `build_cache` for prebuilt hash indexes on shared build
 /// sides. Semantics are identical to [`execute`].
+///
+/// Output rows come probe-major: for each slot-0 row in order, its slot-1
+/// matches in build order, each followed by its slot-2 matches, and so on
+/// — the order of a pipelined left-deep hash join.
 pub fn execute_shared(
     slot_rows: Vec<SlotInput>,
     spec: &JoinSpec,
@@ -312,55 +311,65 @@ pub fn execute_shared(
             spec.arity()
         )));
     }
+    let n = spec.arity();
     let offsets = spec.offsets();
+    let at = |col: usize| {
+        let slot = spec.slot_of(col, &offsets);
+        (slot, col - offsets[slot])
+    };
     let rows_in: Vec<usize> = slot_rows.iter().map(SlotInput::len).collect();
+    assert!(
+        rows_in.iter().all(|&len| u32::try_from(len).is_ok()),
+        "slot rows are addressed by u32 positions"
+    );
 
     // Assign each equi pair to the first left-deep step where both sides
-    // are available; pairs within a single slot become residual filters.
-    let n = spec.arity();
-    let mut step_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (acc_col, local_col)
-    let mut residual: Vec<(usize, usize)> = Vec::new();
+    // are available; pairs within a single slot are checked in place when
+    // that slot's row joins.
+    let mut probe_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    let mut build_keys: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut residual: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     for &(a, b) in &spec.equi {
-        let (sa, sb) = (spec.slot_of(a, &offsets), spec.slot_of(b, &offsets));
+        let ((sa, ca), (sb, cb)) = (at(a), at(b));
         if sa == sb {
-            residual.push((a, b));
+            residual[sa].push((ca, cb));
             continue;
         }
         // The later slot decides the join step.
-        let (acc_col, late_col, late_slot) = if sa < sb { (a, b, sb) } else { (b, a, sa) };
-        step_keys[late_slot].push((acc_col, late_col - offsets[late_slot]));
+        let (early, (late, late_col)) = if sa < sb {
+            ((sa, ca), (sb, cb))
+        } else {
+            ((sb, cb), (sa, ca))
+        };
+        probe_keys[late].push(early);
+        build_keys[late].push(late_col);
     }
 
-    let mut rows_iter = slot_rows.into_iter();
-    let mut pipeline: ops::RowIter = match rows_iter.next().expect("≥1 slot") {
-        SlotInput::Owned(rows) => ops::scan(rows),
-        SlotInput::Shared(rows, ..) => ops::scan_shared(rows),
-    };
-    for (k, build) in rows_iter.enumerate() {
-        let k = k + 1;
-        let (probe_keys, build_keys): (Vec<usize>, Vec<usize>) =
-            step_keys[k].iter().copied().unzip();
-        pipeline = match (&build, build_cache) {
+    let mut slots = slot_rows.into_iter();
+    let scan = slots.next().expect("≥1 slot");
+    let indexes: Vec<Arc<JoinIndex>> = slots
+        .zip(build_keys.into_iter().skip(1))
+        .map(|(input, keys)| match (input, build_cache) {
             // A shared build side with a cache: hash it once per step.
             (SlotInput::Shared(rows, table, interval), Some(cache)) => {
-                let idx = cache.get_or_build(*table, *interval, &build_keys, rows);
-                ops::hash_join_indexed(pipeline, idx, probe_keys)
+                cache.get_or_build(table, interval, &keys, &rows)
             }
-            _ => ops::hash_join(pipeline, build.into_rows(), probe_keys, build_keys),
-        };
-    }
-    for (a, b) in residual {
-        pipeline = ops::filter(pipeline, Expr::col(a).eq(Expr::col(b)));
-    }
-    if let Some(f) = &spec.filter {
-        pipeline = ops::filter(pipeline, f.clone());
-    }
-    if sign != 1 {
-        pipeline = ops::scale(pipeline, sign);
-    }
-    pipeline = ops::project(pipeline, spec.projection.clone());
-
-    let out: Vec<DeltaRow> = pipeline.collect();
+            (SlotInput::Shared(rows, ..), None) => Arc::new(JoinIndex::build(rows, keys)),
+            (SlotInput::Owned(rows), _) => Arc::new(JoinIndex::build(Arc::new(rows), keys)),
+        })
+        .collect();
+    let kernel = Kernel {
+        rows: std::iter::once(scan.rows())
+            .chain(indexes.iter().map(|idx| idx.rows()))
+            .collect(),
+        indexes: &indexes,
+        probe_keys,
+        residual,
+        projection: spec.projection.iter().map(|&c| at(c)).collect(),
+        filter: spec.filter.as_ref(),
+        sign,
+    };
+    let out = kernel.run();
     let stats = ExecStats {
         rows_in,
         rows_out: out.len(),
@@ -372,7 +381,7 @@ pub fn execute_shared(
 mod tests {
     use super::*;
     use crate::net_effect::net_effect;
-    use rolljoin_common::{tup, ColumnType, Tuple};
+    use rolljoin_common::{tup, ColumnType};
 
     fn schema2(a: &str, b: &str) -> Schema {
         Schema::new([(a, ColumnType::Int), (b, ColumnType::Int)])
@@ -433,12 +442,7 @@ mod tests {
         };
         let (shared, shared_stats) =
             execute_shared(shared_slots(), &spec, -1, Some(&cache)).unwrap();
-        // Compare φ over borrowed rows: net_effect_ref clones one tuple
-        // per group instead of every row.
-        assert_eq!(
-            crate::net_effect::net_effect_ref(&owned),
-            crate::net_effect::net_effect_ref(&shared)
-        );
+        assert_eq!(owned, shared, "same rows in the same order");
         assert_eq!(owned_stats, shared_stats);
         // Two shared build sides were hashed fresh; re-running hits both.
         assert_eq!(
@@ -500,6 +504,29 @@ mod tests {
         let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
         assert_eq!(out[0].count, 2);
         assert_eq!(out[0].ts, Some(4));
+    }
+
+    #[test]
+    fn cached_build_reads_the_rows_it_indexed() {
+        // A second query presenting the same delta-range identity gets the
+        // cached index, whose positions resolve against the rows it was
+        // built from — not against the vector this query passed in.
+        let cache = BuildCache::new();
+        let iv = TimeInterval::new(0, 5);
+        let s = Arc::new(base_rows(&[(10, 100), (20, 200), (20, 201)]));
+        let run = |s: Arc<Vec<DeltaRow>>| {
+            let slots = vec![
+                SlotInput::Owned(base_rows(&[(2, 20)])),
+                SlotInput::Shared(s, TableId(1), iv),
+            ];
+            execute_shared(slots, &spec_rs(), 1, Some(&cache))
+                .unwrap()
+                .0
+        };
+        let first = run(s.clone());
+        assert_eq!(first, base_rows(&[(2, 200), (2, 201)]));
+        assert_eq!(run(Arc::new(Vec::new())), first);
+        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
@@ -580,6 +607,5 @@ mod tests {
         let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
         assert_eq!(out.len(), 2);
         assert!(net_effect(out).is_empty());
-        let _ = Tuple::empty();
     }
 }

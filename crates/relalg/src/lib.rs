@@ -5,11 +5,14 @@
 //! slots are bound to base tables or delta ranges. This crate provides:
 //!
 //! * [`expr`] — scalar expressions / selection predicates (3-valued logic).
-//! * [`ops`] — Volcano-style operators over `(timestamp, count, tuple)`
-//!   rows, implementing the paper's delta algebra: product counts,
-//!   **minimum** timestamps on join, negation, multiset union, `σ_{a,b}`.
 //! * [`exec`] — the [`exec::JoinSpec`] shape shared by a view and its
-//!   propagation queries, plus a left-deep hash-join executor with stats.
+//!   propagation queries, and the executor that plans it, with stats and
+//!   the step-scoped build cache.
+//! * [`ops`] — the executor's join kernel: a late-materializing
+//!   left-deep hash join over `(timestamp, count, tuple)` rows that keeps
+//!   row positions until the output tuple is built, implementing the
+//!   paper's delta algebra ([`ops::join_stamp`]: product counts,
+//!   **minimum** timestamps on join).
 //! * [`source`] — slot bindings: base table, delta range, or time-travel
 //!   snapshot (oracle use only).
 //! * [`mod@net_effect`] — the paper's `φ` operator (Definition 4.1), the
@@ -29,5 +32,5 @@ pub use net_effect::{
     add, is_multiset, negate, net_effect, net_effect_ref, net_rows, to_rows, CompactionOutcome,
     NetEffect,
 };
-pub use ops::JoinIndex;
+pub use ops::join_stamp;
 pub use source::{fetch, fetch_cached, SlotSource};

@@ -1,361 +1,430 @@
-//! Volcano-style operators over streams of [`DeltaRow`]s.
+//! The late-materializing join kernel behind [`crate::exec`].
 //!
-//! Every operator consumes and produces `(timestamp, count, tuple)` rows,
-//! implementing the paper's delta-table algebra:
-//!
-//! * joins multiply counts and take the **minimum** non-null timestamp
-//!   (paper §2/§3.3 — the load-bearing rule that makes asynchronous
-//!   compensation sound);
-//! * `negate` flips count signs (the `-R` operator);
-//! * `union` is multiset union `R + S`;
-//! * `project` keeps count and timestamp (paper §4 requires projections not
-//!   to eliminate them);
-//! * `ts_range` is the `σ_{a,b}` timestamp selection.
+//! A propagation query's join runs left-deep: slot 0 is scanned and every
+//! later slot is probed through a `JoinIndex` of row positions. A
+//! partial join row is only a row position per joined slot plus a running
+//! `(timestamp, count)` folded by [`join_stamp`]. Join keys and same-slot
+//! equi pairs are read in place from the slot rows; the output tuple is
+//! built once, straight from the slots, by the projection.
 
 use crate::expr::Expr;
-use rolljoin_common::{DeltaRow, TimeInterval, Tuple, Value};
+use rolljoin_common::{Csn, DeltaRow, Tuple, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A stream of delta rows.
-pub type RowIter = Box<dyn Iterator<Item = DeltaRow>>;
-
-/// Scan a materialized vector.
-pub fn scan(rows: Vec<DeltaRow>) -> RowIter {
-    Box::new(rows.into_iter())
+/// The paper's join rule for delta rows (§2, relied on by §3.3's
+/// compensation): a joined row's count is the **product** of the input
+/// counts and its timestamp the **minimum** of the non-null input
+/// timestamps (base rows carry none).
+pub fn join_stamp(a: (Option<Csn>, i64), b: (Option<Csn>, i64)) -> (Option<Csn>, i64) {
+    let ts = match (a.0, b.0) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, y) => x.or(y),
+    };
+    (ts, a.1 * b.1)
 }
 
-/// Scan a shared (cached) vector without taking ownership. Rows are cloned
-/// lazily — a [`DeltaRow`] clone is an `Arc` bump plus two words.
-pub fn scan_shared(rows: Arc<Vec<DeltaRow>>) -> RowIter {
-    Box::new((0..rows.len()).map(move |i| rows[i].clone()))
+/// The build side of a hash join: the positions of a slot's rows grouped
+/// by their values on a fixed column list (NULL keys never join). It keeps
+/// the `Arc` of the rows it indexes, so a shared index — handed out by the
+/// step-scoped [`BuildCache`](crate::exec::BuildCache) so each delta range is hashed once per step
+/// — always resolves positions against the rows it was built from.
+pub(crate) struct JoinIndex {
+    rows: Arc<Vec<DeltaRow>>,
+    map: KeyMap,
 }
 
-/// Selection `σ_pred`. The predicate sees only attribute columns, never
-/// count or timestamp.
-pub fn filter(input: RowIter, pred: Expr) -> RowIter {
-    Box::new(input.filter(move |r| pred.eval_bool(&r.tuple)))
-}
-
-/// Projection `π_cols`, keeping count and timestamp. An identity
-/// projection (`cols = 0..arity`) passes rows through untouched, reusing
-/// the tuple allocation — count and timestamp are mutated in place either
-/// way, so no row is reconstructed.
-pub fn project(input: RowIter, cols: Vec<usize>) -> RowIter {
-    let identity = cols.iter().enumerate().all(|(i, &c)| i == c);
-    Box::new(input.map(move |mut r| {
-        if !(identity && r.tuple.arity() == cols.len()) {
-            r.tuple = r.tuple.project(&cols);
-        }
-        r
-    }))
-}
-
-/// Negation `-R`: flip every count in place (no tuple clone).
-pub fn negate(input: RowIter) -> RowIter {
-    Box::new(input.map(|mut r| {
-        r.count = -r.count;
-        r
-    }))
-}
-
-/// Scale counts by a signed factor in place (used to carry the
-/// compensation sign through recursive `ComputeDelta` calls; factor `-1`
-/// ≡ [`negate`]).
-pub fn scale(input: RowIter, factor: i64) -> RowIter {
-    Box::new(input.map(move |mut r| {
-        r.count *= factor;
-        r
-    }))
-}
-
-/// Multiset union `R + S`.
-pub fn union(a: RowIter, b: RowIter) -> RowIter {
-    Box::new(a.chain(b))
-}
-
-/// Timestamp selection `σ_{a,b}`: rows with `ts ∈ (a, b]`. Rows with null
-/// timestamps (base rows) are never selected.
-pub fn ts_range(input: RowIter, interval: TimeInterval) -> RowIter {
-    Box::new(input.filter(move |r| r.ts.is_some_and(|t| interval.contains(t))))
-}
-
-/// An equi-join key whose hash is computed once at construction. `Hash`
-/// replays the stored value, so hash-table growth (which re-hashes every
-/// resident key) and repeated probes against shared build indexes cost one
-/// `u64` write instead of re-walking every [`Value`] — the build side of a
-/// join hashes each key exactly once.
-#[derive(PartialEq, Eq)]
-pub(crate) struct JoinKey {
-    hash: u64,
-    vals: Vec<Value>,
-}
-
-impl JoinKey {
-    fn new(vals: Vec<Value>) -> JoinKey {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        vals.hash(&mut h);
-        JoinKey {
-            hash: h.finish(),
-            vals,
-        }
-    }
-}
-
-impl std::hash::Hash for JoinKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-fn key_of(tuple: &Tuple, cols: &[usize]) -> Option<JoinKey> {
-    let mut key = Vec::with_capacity(cols.len());
-    for &c in cols {
-        let v = tuple.get(c);
-        if v.is_null() {
-            return None; // NULL never equi-joins
-        }
-        key.push(v.clone());
-    }
-    Some(JoinKey::new(key))
-}
-
-/// Hash equi-join.
-///
-/// Builds a hash table on `build` keyed by `build_keys`, probes with the
-/// `probe` stream keyed by `probe_keys`, and emits
-/// `probe_row.join_combine(build_row)` — so output columns are probe's then
-/// build's, counts multiply, and the output timestamp is the minimum of the
-/// non-null input timestamps.
-///
-/// With empty key lists this degenerates to a cross product (every row
-/// matches), which is what a join with no equi predicate means here; any
-/// non-equi join condition is applied as a residual filter downstream.
-pub fn hash_join(
-    probe: RowIter,
-    build: Vec<DeltaRow>,
-    probe_keys: Vec<usize>,
-    build_keys: Vec<usize>,
-) -> RowIter {
-    assert_eq!(probe_keys.len(), build_keys.len(), "key arity mismatch");
-    let mut table: HashMap<JoinKey, Vec<DeltaRow>> = HashMap::new();
-    for row in build {
-        if let Some(key) = key_of(&row.tuple, &build_keys) {
-            table.entry(key).or_default().push(row);
-        }
-    }
-    Box::new(probe.flat_map(move |p| {
-        let matches: Vec<DeltaRow> = match key_of(&p.tuple, &probe_keys) {
-            Some(key) => table
-                .get(&key)
-                .map(|rows| rows.iter().map(|b| p.join_combine(b)).collect())
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
-        matches.into_iter()
-    }))
-}
-
-/// A prebuilt build side of a hash join: rows grouped by their key values
-/// on a fixed column list. Sharable across queries (and threads) via
-/// `Arc` — the step-scoped build cache hands these out so each delta range
-/// is hashed once per step instead of once per constituent query.
-pub struct JoinIndex {
-    /// Local (slot-relative) build key columns the index was built on.
-    keys: Vec<usize>,
-    map: HashMap<JoinKey, Vec<DeltaRow>>,
-    rows: usize,
+enum KeyMap {
+    /// A single key column: the value itself is the key.
+    One(HashMap<Value, Vec<u32>>),
+    /// Zero or several key columns; with none, every row sits under the
+    /// empty key and the join is a cross product.
+    Many(HashMap<Vec<Value>, Vec<u32>>),
 }
 
 impl JoinIndex {
-    /// Hash `build` on `keys` (NULL keys never join, matching
-    /// [`hash_join`]). Key hashes are computed once here and reused for
-    /// every probe of the shared index.
-    pub fn build(build: &[DeltaRow], keys: Vec<usize>) -> JoinIndex {
-        let mut map: HashMap<JoinKey, Vec<DeltaRow>> = HashMap::new();
-        for row in build {
-            if let Some(key) = key_of(&row.tuple, &keys) {
-                map.entry(key).or_default().push(row.clone());
+    pub(crate) fn build(rows: Arc<Vec<DeltaRow>>, keys: Vec<usize>) -> JoinIndex {
+        let map = match keys[..] {
+            [col] => {
+                let mut map: HashMap<Value, Vec<u32>> = HashMap::with_capacity(rows.len());
+                for (p, row) in rows.iter().enumerate() {
+                    let v = row.tuple.get(col);
+                    if !v.is_null() {
+                        map.entry(v.clone()).or_default().push(p as u32);
+                    }
+                }
+                KeyMap::One(map)
             }
-        }
-        JoinIndex {
-            keys,
-            map,
-            rows: build.len(),
-        }
+            _ => {
+                let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+                for (p, row) in rows.iter().enumerate() {
+                    let key: Option<Vec<Value>> = keys
+                        .iter()
+                        .map(|&c| Some(row.tuple.get(c)).filter(|v| !v.is_null()).cloned())
+                        .collect();
+                    if let Some(key) = key {
+                        map.entry(key).or_default().push(p as u32);
+                    }
+                }
+                KeyMap::Many(map)
+            }
+        };
+        JoinIndex { rows, map }
     }
 
-    /// The build key columns.
-    pub fn keys(&self) -> &[usize] {
-        &self.keys
-    }
-
-    /// Number of build rows the index was built from (indexed or not).
-    pub fn rows(&self) -> usize {
-        self.rows
+    /// The rows the positions in this index point into.
+    pub(crate) fn rows(&self) -> &[DeltaRow] {
+        &self.rows
     }
 }
 
-/// Hash equi-join against a prebuilt, shared build index. Identical
-/// semantics to [`hash_join`] with the same keys; the build phase is
-/// skipped.
-pub fn hash_join_indexed(probe: RowIter, index: Arc<JoinIndex>, probe_keys: Vec<usize>) -> RowIter {
-    assert_eq!(
-        probe_keys.len(),
-        index.keys.len(),
-        "key arity mismatch against prebuilt index"
-    );
-    Box::new(probe.flat_map(move |p| {
-        let matches: Vec<DeltaRow> = match key_of(&p.tuple, &probe_keys) {
-            Some(key) => index
-                .map
-                .get(&key)
-                .map(|rows| rows.iter().map(|b| p.join_combine(b)).collect())
-                .unwrap_or_default(),
-            None => Vec::new(),
+/// One execution of the join: slot rows, build indexes and the plan, with
+/// every column reference resolved to `(slot, local column)`.
+pub(crate) struct Kernel<'a> {
+    /// Each slot's rows; a build slot's are its index's own.
+    pub(crate) rows: Vec<&'a [DeltaRow]>,
+    /// Build indexes of slots `1..n` (entry `k - 1` is slot `k`'s).
+    pub(crate) indexes: &'a [Arc<JoinIndex>],
+    /// Per slot: the earlier slots' key columns its probe reads.
+    pub(crate) probe_keys: Vec<Vec<(usize, usize)>>,
+    /// Per slot: same-slot equi pairs.
+    pub(crate) residual: Vec<Vec<(usize, usize)>>,
+    /// Output columns as `(slot, local column)`.
+    pub(crate) projection: Vec<(usize, usize)>,
+    pub(crate) filter: Option<&'a Expr>,
+    /// Scales every output count (−1 for compensation queries).
+    pub(crate) sign: i64,
+}
+
+impl Kernel<'_> {
+    /// Join every slot-0 row, in order, with its matches in the later
+    /// slots: probe-major output, each slot's matches in build order.
+    pub(crate) fn run(&self) -> Vec<DeltaRow> {
+        let mut out = Vec::new();
+        let mut pos = vec![0u32; self.rows.len()];
+        let mut scratch = Vec::new();
+        for (p, row) in self.rows[0].iter().enumerate() {
+            if self.residual_holds(0, row) {
+                pos[0] = p as u32;
+                self.descend(1, &mut pos, (row.ts, row.count), &mut scratch, &mut out);
+            }
+        }
+        out
+    }
+
+    fn row(&self, pos: &[u32], slot: usize) -> &DeltaRow {
+        &self.rows[slot][pos[slot] as usize]
+    }
+
+    /// SQL equality of each same-slot equi pair (NULL never matches).
+    fn residual_holds(&self, slot: usize, row: &DeltaRow) -> bool {
+        self.residual[slot]
+            .iter()
+            .all(|&(a, b)| row.tuple.get(a).sql_eq(row.tuple.get(b)) == Some(true))
+    }
+
+    /// Extend the partial row `pos[..k]` (stamped `stamp`) by every
+    /// matching row of slot `k`, in build order, emitting complete rows.
+    fn descend(
+        &self,
+        k: usize,
+        pos: &mut [u32],
+        stamp: (Option<Csn>, i64),
+        scratch: &mut Vec<Value>,
+        out: &mut Vec<DeltaRow>,
+    ) {
+        if k == self.rows.len() {
+            self.emit(pos, stamp, out);
+            return;
+        }
+        // A probe key holding NULL finds nothing: no such key is indexed.
+        let keys = &self.probe_keys[k];
+        let matches = match &self.indexes[k - 1].map {
+            KeyMap::One(map) => {
+                let (s, c) = keys[0];
+                map.get(self.row(pos, s).tuple.get(c))
+            }
+            KeyMap::Many(map) => {
+                scratch.clear();
+                for &(s, c) in keys {
+                    scratch.push(self.row(pos, s).tuple.get(c).clone());
+                }
+                map.get(scratch.as_slice())
+            }
         };
-        matches.into_iter()
-    }))
+        for &p in matches.map_or(&[][..], Vec::as_slice) {
+            let row = &self.rows[k][p as usize];
+            if self.residual_holds(k, row) {
+                pos[k] = p;
+                self.descend(
+                    k + 1,
+                    pos,
+                    join_stamp(stamp, (row.ts, row.count)),
+                    scratch,
+                    out,
+                );
+            }
+        }
+    }
+
+    /// Apply the selection to a complete row and build its output tuple.
+    fn emit(&self, pos: &[u32], (ts, count): (Option<Csn>, i64), out: &mut Vec<DeltaRow>) {
+        if let Some(filter) = self.filter {
+            let global = Tuple::new(
+                (0..self.rows.len()).flat_map(|s| self.row(pos, s).tuple.values().iter().cloned()),
+            );
+            if !filter.eval_bool(&global) {
+                return;
+            }
+        }
+        out.push(DeltaRow {
+            ts,
+            count: count * self.sign,
+            tuple: Tuple::new(
+                self.projection
+                    .iter()
+                    .map(|&(s, c)| self.row(pos, s).tuple.get(c).clone()),
+            ),
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rolljoin_common::tup;
+    use crate::exec::{execute, execute_shared, BuildCache, JoinSpec, SlotInput};
+    use rolljoin_common::{tup, ColumnType, Schema, TableId, TimeInterval};
 
-    fn base(rows: Vec<(i64, Tuple)>) -> Vec<DeltaRow> {
-        rows.into_iter()
-            .map(|(c, t)| DeltaRow {
-                ts: None,
-                count: c,
-                tuple: t,
-            })
+    fn schema2(a: &str, b: &str) -> Schema {
+        Schema::new([(a, ColumnType::Int), (b, ColumnType::Int)])
+    }
+
+    fn base_rows(rows: &[(i64, i64)]) -> Vec<DeltaRow> {
+        rows.iter()
+            .map(|&(x, y)| DeltaRow::base(tup![x, y]))
             .collect()
     }
 
-    #[test]
-    fn filter_selects() {
-        let rows = base(vec![(1, tup![1]), (1, tup![2]), (1, tup![3])]);
-        let out: Vec<_> = filter(scan(rows), Expr::col(0).gt(Expr::lit(1))).collect();
-        assert_eq!(out.len(), 2);
-    }
-
-    #[test]
-    fn project_keeps_count_and_ts() {
-        let rows = vec![DeltaRow::change(7, -2, tup![1, "x"])];
-        let out: Vec<_> = project(scan(rows), vec![1]).collect();
-        assert_eq!(out[0].ts, Some(7));
-        assert_eq!(out[0].count, -2);
-        assert_eq!(out[0].tuple, tup!["x"]);
-    }
-
-    #[test]
-    fn ts_range_excludes_base_rows() {
-        let rows = vec![
-            DeltaRow::base(tup![1]),
-            DeltaRow::change(3, 1, tup![2]),
-            DeltaRow::change(5, 1, tup![3]),
-        ];
-        let out: Vec<_> = ts_range(scan(rows), TimeInterval::new(2, 4)).collect();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].tuple, tup![2]);
+    fn spec_rs() -> JoinSpec {
+        // R(a,b) ⋈ S(c,d) on b = c, project (a, d).
+        JoinSpec {
+            slot_schemas: vec![schema2("a", "b"), schema2("c", "d")],
+            equi: vec![(1, 2)],
+            filter: None,
+            projection: vec![0, 3],
+        }
     }
 
     #[test]
     fn hash_join_equi_semantics() {
-        // R(a,b) ⋈ S(b,c) on b.
-        let r = base(vec![(1, tup![1, 10]), (2, tup![2, 20])]);
-        let s = vec![
-            DeltaRow::change(5, 1, tup![10, "x"]),
-            DeltaRow::change(3, -1, tup![20, "y"]),
-            DeltaRow::change(9, 1, tup![30, "z"]),
+        // R(a,b) ⋈ S(b,c) on b, every column kept: probe-major output,
+        // products of counts, minimum timestamps.
+        let spec = JoinSpec {
+            projection: vec![0, 1, 2, 3],
+            ..spec_rs()
+        };
+        let r = vec![
+            DeltaRow::base(tup![1, 10]),
+            DeltaRow {
+                ts: None,
+                count: 2,
+                tuple: tup![2, 20],
+            },
         ];
-        let out: Vec<_> = hash_join(scan(r), s, vec![1], vec![0]).collect();
-        assert_eq!(out.len(), 2);
-        let first = out.iter().find(|r| r.tuple[0] == Value::Int(1)).unwrap();
-        assert_eq!(first.tuple, tup![1, 10, 10, "x"]);
-        assert_eq!(first.count, 1);
-        assert_eq!(first.ts, Some(5));
-        let second = out.iter().find(|r| r.tuple[0] == Value::Int(2)).unwrap();
-        assert_eq!(second.count, -2, "counts multiply");
-        assert_eq!(second.ts, Some(3));
-    }
-
-    #[test]
-    fn hash_join_min_timestamp() {
-        let r = vec![DeltaRow::change(8, 1, tup![1])];
-        let s = vec![DeltaRow::change(3, 1, tup![1])];
-        let out: Vec<_> = hash_join(scan(r), s, vec![0], vec![0]).collect();
-        assert_eq!(out[0].ts, Some(3), "minimum of the two timestamps");
+        let s = vec![
+            DeltaRow::change(5, 1, tup![10, 7]),
+            DeltaRow::change(3, -1, tup![20, 8]),
+            DeltaRow::change(9, 1, tup![30, 9]),
+            DeltaRow::change(4, 1, tup![10, 6]),
+        ];
+        let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
+        assert_eq!(
+            out,
+            vec![
+                DeltaRow::change(5, 1, tup![1, 10, 10, 7]),
+                DeltaRow::change(4, 1, tup![1, 10, 10, 6]),
+                DeltaRow::change(3, -2, tup![2, 20, 20, 8]),
+            ]
+        );
     }
 
     #[test]
     fn hash_join_null_keys_never_match() {
-        let r = base(vec![(1, tup![Value::Null])]);
-        let s = vec![DeltaRow::base(tup![Value::Null])];
-        let out: Vec<_> = hash_join(scan(r), s, vec![0], vec![0]).collect();
+        let null_row = |x: i64| DeltaRow::base(tup![x, Value::Null]);
+        let r = vec![null_row(1), DeltaRow::base(tup![2, 10])];
+        let s = vec![
+            DeltaRow::base(tup![Value::Null, 5]),
+            DeltaRow::base(tup![10, 6]),
+        ];
+        let (out, _) = execute(vec![r.clone(), s.clone()], &spec_rs(), 1).unwrap();
+        assert_eq!(out, vec![DeltaRow::base(tup![2, 6])]);
+        // A two-column key with a NULL in either column never matches.
+        let spec = JoinSpec {
+            equi: vec![(1, 2), (0, 3)],
+            ..spec_rs()
+        };
+        let r = vec![null_row(6), DeltaRow::base(tup![Value::Null, 10])];
+        let s = vec![
+            DeltaRow::base(tup![Value::Null, 6]),
+            DeltaRow::base(tup![10, Value::Null]),
+        ];
+        let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
+    fn project_keeps_count_and_ts() {
+        let spec = JoinSpec {
+            projection: vec![3, 0, 3],
+            ..spec_rs()
+        };
+        let r = vec![DeltaRow::change(7, -2, tup![1, 10])];
+        let s = vec![DeltaRow::base(tup![10, "x"])];
+        let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
+        assert_eq!(out, vec![DeltaRow::change(7, -2, tup!["x", 1, "x"])]);
+    }
+
+    #[test]
+    fn join_stamp_takes_min_timestamp_and_product_count() {
+        assert_eq!(join_stamp((Some(5), -1), (Some(3), -1)), (Some(3), 1));
+        assert_eq!(join_stamp((Some(2), 3), (Some(8), -2)), (Some(2), -6));
+    }
+
+    #[test]
+    fn join_stamp_ignores_null_base_timestamps() {
+        assert_eq!(join_stamp((None, 1), (Some(9), 2)), (Some(9), 2));
+        assert_eq!(join_stamp((Some(9), 2), (None, 1)), (Some(9), 2));
+        assert_eq!(join_stamp((None, 1), (None, 1)), (None, 1));
+    }
+
+    #[test]
+    fn hash_join_min_timestamp() {
+        // R(a,b) ⋈ S(b,c) ⋈ T(c,d): the minimum sits in the middle slot,
+        // and a base row (no timestamp) does not lower it.
+        let spec = JoinSpec {
+            slot_schemas: vec![schema2("a", "b"), schema2("b", "c"), schema2("c", "d")],
+            equi: vec![(1, 2), (3, 4)],
+            filter: None,
+            projection: vec![0, 5],
+        };
+        let r = vec![DeltaRow::change(8, 1, tup![1, 10])];
+        let s = vec![DeltaRow::change(3, 1, tup![10, 100])];
+        let t = vec![
+            DeltaRow::change(6, 1, tup![100, 7]),
+            DeltaRow::base(tup![100, 8]),
+        ];
+        let (out, _) = execute(vec![r, s, t], &spec, 1).unwrap();
+        assert_eq!(
+            out,
+            vec![
+                DeltaRow::change(3, 1, tup![1, 7]),
+                DeltaRow::change(3, 1, tup![1, 8]),
+            ],
+            "minimum of the non-null timestamps"
+        );
+    }
+
+    #[test]
     fn empty_keys_is_cross_product() {
-        let r = base(vec![(1, tup![1]), (1, tup![2])]);
-        let s = base(vec![(1, tup!["a"]), (1, tup!["b"]), (1, tup!["c"])]);
-        let out: Vec<_> = hash_join(scan(r), s, vec![], vec![]).collect();
-        assert_eq!(out.len(), 6);
+        let spec = JoinSpec {
+            equi: vec![],
+            ..spec_rs()
+        };
+        let r = vec![
+            DeltaRow::change(4, 2, tup![1, 0]),
+            DeltaRow::base(tup![2, 0]),
+        ];
+        let s = vec![
+            DeltaRow::base(tup![0, 7]),
+            DeltaRow::change(2, -1, tup![0, 8]),
+            DeltaRow::base(tup![0, 9]),
+        ];
+        let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
+        // Every pair, probe-major with matches in build order.
+        assert_eq!(
+            out,
+            vec![
+                DeltaRow::change(4, 2, tup![1, 7]),
+                DeltaRow::change(2, -2, tup![1, 8]),
+                DeltaRow::change(4, 2, tup![1, 9]),
+                DeltaRow::base(tup![2, 7]),
+                DeltaRow::change(2, -1, tup![2, 8]),
+                DeltaRow::base(tup![2, 9]),
+            ]
+        );
+    }
+
+    #[test]
+    fn filter_selects() {
+        // The filter reads a column the projection drops, from the build
+        // side, over the joined row.
+        let spec = JoinSpec {
+            filter: Some(Expr::col(2).gt(Expr::lit(10))),
+            equi: vec![(0, 3)],
+            ..spec_rs()
+        };
+        let r = base_rows(&[(1, 0), (2, 0), (3, 0)]);
+        let s = base_rows(&[(10, 1), (20, 2), (30, 3), (40, 2)]);
+        let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
+        assert_eq!(out, base_rows(&[(2, 2), (2, 2), (3, 3)]));
     }
 
     #[test]
     fn negate_and_scale() {
-        let rows = vec![DeltaRow::change(1, 2, tup![1])];
-        let out: Vec<_> = negate(scan(rows.clone())).collect();
-        assert_eq!(out[0].count, -2);
-        let out: Vec<_> = scale(scan(rows), -3).collect();
-        assert_eq!(out[0].count, -6);
+        let r = vec![DeltaRow::change(1, 2, tup![1, 10])];
+        let s = vec![DeltaRow::change(5, -3, tup![10, 100])];
+        for (sign, count) in [(1, -6), (-1, 6)] {
+            let (out, _) = execute(vec![r.clone(), s.clone()], &spec_rs(), sign).unwrap();
+            assert_eq!(out, vec![DeltaRow::change(1, count, tup![1, 100])]);
+        }
     }
 
     #[test]
     fn indexed_join_matches_hash_join() {
-        let r = base(vec![(1, tup![1, 10]), (2, tup![2, 20])]);
+        // A build side indexed by one query and probed from the cache by
+        // another gives what a fresh hash join of the second query gives.
+        let cache = BuildCache::new();
         let s = vec![
-            DeltaRow::change(5, 1, tup![10, "x"]),
-            DeltaRow::change(3, -1, tup![20, "y"]),
-            DeltaRow::change(9, 1, tup![30, "z"]),
+            DeltaRow::change(5, 1, tup![10, 1]),
+            DeltaRow::change(3, -1, tup![20, 2]),
+            DeltaRow::change(9, 1, tup![10, 3]),
         ];
-        let direct: Vec<_> = hash_join(scan(r.clone()), s.clone(), vec![1], vec![0]).collect();
-        let idx = Arc::new(JoinIndex::build(&s, vec![0]));
-        assert_eq!(idx.rows(), 3);
-        assert_eq!(idx.keys(), &[0]);
-        let via_index: Vec<_> = hash_join_indexed(scan(r), idx, vec![1]).collect();
-        assert_eq!(direct, via_index);
+        let shared = Arc::new(s.clone());
+        let (table, iv) = (TableId(3), TimeInterval::new(0, 9));
+        for r in [
+            base_rows(&[(1, 20)]),
+            base_rows(&[(2, 10), (3, 30), (4, 20)]),
+        ] {
+            let slots = vec![
+                SlotInput::Owned(r.clone()),
+                SlotInput::Shared(shared.clone(), table, iv),
+            ];
+            let (indexed, _) = execute_shared(slots, &spec_rs(), 1, Some(&cache)).unwrap();
+            let (fresh, _) = execute(vec![r, s.clone()], &spec_rs(), 1).unwrap();
+            assert_eq!(indexed, fresh);
+        }
+        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
     }
 
     #[test]
     fn scan_shared_yields_all_rows() {
-        let rows = Arc::new(base(vec![(1, tup![1]), (2, tup![2])]));
-        let out: Vec<_> = scan_shared(rows.clone()).collect();
-        assert_eq!(out.len(), 2);
+        // A one-slot query over a shared slot passes every row through.
+        let rows = Arc::new(vec![
+            DeltaRow::base(tup![1, 2]),
+            DeltaRow::change(4, -2, tup![3, 4]),
+        ]);
+        let spec = JoinSpec {
+            slot_schemas: vec![schema2("a", "b")],
+            equi: vec![],
+            filter: None,
+            projection: vec![0, 1],
+        };
+        let slots = vec![SlotInput::Shared(
+            rows.clone(),
+            TableId(1),
+            TimeInterval::new(0, 4),
+        )];
+        let (out, _) = execute_shared(slots, &spec, 1, None).unwrap();
         assert_eq!(out, *rows);
-    }
-
-    #[test]
-    fn identity_projection_reuses_tuples() {
-        let t = tup![1, 2];
-        let rows = vec![DeltaRow::change(3, 1, t.clone())];
-        let out: Vec<_> = project(scan(rows), vec![0, 1]).collect();
-        assert_eq!(out[0].tuple, t);
-        // Non-identity still projects.
-        let rows = vec![DeltaRow::change(3, 1, tup![1, 2])];
-        let out: Vec<_> = project(scan(rows), vec![1]).collect();
-        assert_eq!(out[0].tuple, tup![2]);
-    }
-
-    #[test]
-    fn union_concatenates() {
-        let a = vec![DeltaRow::change(1, 1, tup![1])];
-        let b = vec![DeltaRow::change(2, -1, tup![1])];
-        let out: Vec<_> = union(scan(a), scan(b)).collect();
-        assert_eq!(out.len(), 2);
     }
 }

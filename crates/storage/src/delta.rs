@@ -14,7 +14,7 @@
 //! records undo positions so an aborted propagation transaction leaves no
 //! trace.
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, TableId, TimeInterval, Tuple, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -195,8 +195,7 @@ impl KeyIndex {
     }
 }
 
-/// A delta store's held change records plus the snapshot that replaced
-/// its pruned prefix.
+/// A delta store's held change records.
 #[derive(Default)]
 struct History {
     /// Change records with timestamp > `through`, in CSN order.
@@ -204,10 +203,8 @@ struct History {
     /// Records pruned so far: `rows[i]` sits at absolute position
     /// `offset + i`, which is what postings record.
     offset: usize,
-    /// Highest CSN folded into `base`: the read floor.
+    /// Highest CSN folded into the prune snapshot: the read floor.
     through: Csn,
-    /// The table's multiset state as of `through`.
-    base: HashMap<Tuple, i64>,
 }
 
 impl History {
@@ -228,6 +225,9 @@ impl History {
 pub struct DeltaStore {
     table: TableId,
     history: RwLock<History>,
+    /// The table's multiset state as of `history.through`: the pruned
+    /// prefix, folded. Always acquired *after* `history`.
+    base: Mutex<HashMap<Tuple, i64>>,
     /// Keyed time-range index (posting lists per indexed column). Always
     /// acquired *after* `history` — see [`KeyIndex`].
     index: RwLock<KeyIndex>,
@@ -239,6 +239,7 @@ impl DeltaStore {
         DeltaStore {
             table,
             history: RwLock::new(History::default()),
+            base: Mutex::new(HashMap::new()),
             index: RwLock::new(KeyIndex::default()),
             compaction: CompactionCounters::default(),
         }
@@ -261,23 +262,32 @@ impl DeltaStore {
     /// folded. Maintenance must no longer need ranges starting below
     /// `through` (i.e. every propagation frontier has passed it). Costs
     /// O(records folded): each pops the front of the held rows and of its
-    /// keys' posting lists.
+    /// keys' posting lists under the history lock, and is hashed into the
+    /// snapshot after that lock is released — holding only the snapshot's
+    /// lock, which reconstructions take next — so capture keeps appending
+    /// while a large prefix (a materialization's install) folds.
     pub fn prune_through(&self, through: Csn) -> usize {
-        let mut guard = self.history.write();
-        let h = &mut *guard;
+        let mut h = self.history.write();
+        let folding = h.lower_bound(through);
+        let pruned: Vec<DeltaRow> = h.rows.drain(..folding).collect();
         let mut index = self.index.write();
-        let (mut rows, mut bytes) = (0u64, 0u64);
-        while h.rows.front().is_some_and(|r| ts(r) <= through) {
-            let r = h.rows.pop_front().expect("front checked");
-            index.pop(h.offset, &r);
-            h.offset += 1;
-            rows += 1;
-            bytes += approx_row_bytes(&r);
-            add_count(&mut h.base, r.tuple, r.count);
+        for (i, r) in pruned.iter().enumerate() {
+            index.pop(h.offset + i, r);
         }
+        drop(index);
+        h.offset += folding;
         h.through = h.through.max(through);
-        self.compaction.record(rows, bytes);
-        rows as usize
+        let mut base = self.base.lock();
+        drop(h);
+        base.reserve(folding);
+        let mut bytes = 0u64;
+        for r in pruned {
+            bytes += approx_row_bytes(&r);
+            add_count(&mut base, r.tuple, r.count);
+        }
+        drop(base);
+        self.compaction.record(folding as u64, bytes);
+        folding
     }
 
     /// The base table this delta describes.
@@ -455,7 +465,7 @@ impl DeltaStore {
                 pruned_through: h.through,
             });
         }
-        let mut out = h.base.clone();
+        let mut out = self.base.lock().clone();
         for r in h.rows.range(..h.lower_bound(t)) {
             add_count(&mut out, r.tuple.clone(), r.count);
         }
@@ -546,11 +556,13 @@ impl ViewDeltaStore {
     /// Net effect `φ(σ_{a,b}(VD))`: tuple → summed count, zeros dropped.
     /// This is what the apply process installs into the materialized view.
     /// Folds the held records under the read lock, cloning a tuple only
-    /// on its group's first occurrence.
+    /// on its group's first occurrence. The map is sized to the window's
+    /// record count up front, so it never rehashes while growing.
     pub fn net_range(&self, interval: TimeInterval) -> HashMap<Tuple, i64> {
         let rows = self.rows.read();
-        let mut out: HashMap<Tuple, i64> = HashMap::new();
-        for (count, tuple) in rows.range(Self::bounds(interval)).flat_map(|(_, b)| b) {
+        let window = || rows.range(Self::bounds(interval)).map(|(_, b)| b);
+        let mut out: HashMap<Tuple, i64> = HashMap::with_capacity(window().map(Vec::len).sum());
+        for (count, tuple) in window().flatten() {
             match out.get_mut(tuple) {
                 Some(c) => *c += count,
                 None => {

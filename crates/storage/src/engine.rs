@@ -1388,7 +1388,14 @@ mod tests {
             let mut r = e.begin();
             let c = r.scan_counts(t).unwrap();
             let k1 = r
-                .lookup_keys(t, 0, &[rolljoin_common::Value::Int(1)])
+                .lookup_keys(
+                    t,
+                    0,
+                    &[
+                        rolljoin_common::Value::Int(1),
+                        rolljoin_common::Value::Int(2),
+                    ],
+                )
                 .unwrap();
             r.commit().unwrap();
             (c, k1)
@@ -1411,6 +1418,17 @@ mod tests {
         drop(txn);
         assert_eq!(counts(&e), before, "table and index unchanged");
         assert!(e.wal().byte_len() > wal_bytes, "only begin/abort frames");
+        // Over-deleting an absent tuple fails the same way.
+        let mut txn = e.begin();
+        let begin_bytes = e.wal().byte_len();
+        let err = txn
+            .apply_counts(t, vec![(tup![2, "b"], -1), (tup![9, "z"], -1)])
+            .unwrap_err();
+        assert!(matches!(err, Error::TupleNotFound { .. }));
+        assert_eq!(e.wal().byte_len(), begin_bytes, "no frame written");
+        assert_eq!(e.table_len(t).unwrap(), len);
+        drop(txn);
+        assert_eq!(counts(&e), before, "table and index unchanged");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! write-ahead log alone; recovery rebuilds tables by replaying it.
 
 use rolljoin_common::{Error, Result, Schema, TableId, Tuple, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A multiset of tuples with a fixed schema, stored as tuple → multiplicity,
@@ -118,41 +119,37 @@ impl BaseTable {
     }
 
     /// Apply a signed count: insert `n` copies (`n > 0`) or delete `-n`
-    /// copies (`n < 0`), in O(1) of `|n|`. Inserts check the schema; a
-    /// delete of more copies than exist fails with
-    /// [`Error::TupleNotFound`] and changes nothing.
+    /// copies (`n < 0`), in O(1) of `|n|` with one lookup in the tuple
+    /// map. Inserts check the schema; a delete of more copies than exist
+    /// fails with [`Error::TupleNotFound`] and changes nothing.
     pub fn apply_count(&mut self, tuple: &Tuple, n: i64) -> Result<()> {
-        if n > 0 {
-            self.schema.check(tuple)?;
-        } else if n < 0 {
-            let have = self.count_of(tuple) as i64;
-            if have < -n {
-                return Err(Error::TupleNotFound {
-                    table: self.id,
-                    detail: format!("need {} copies of {tuple}, have {have}", -n),
-                });
-            }
-        } else {
+        if n == 0 {
             return Ok(());
         }
-        self.add(tuple, n);
-        Ok(())
-    }
-
-    /// Add `n` to `tuple`'s multiplicity in the map and in every secondary
-    /// index, dropping entries that reach zero. Callers have checked that
-    /// the result is non-negative.
-    fn add(&mut self, tuple: &Tuple, n: i64) {
-        add_count(&mut self.counts, tuple, n);
+        if n > 0 {
+            self.schema.check(tuple)?;
+        }
+        if let Err(have) = add_count(&mut self.counts, tuple, n) {
+            return Err(Error::TupleNotFound {
+                table: self.id,
+                detail: format!("need {} copies of {tuple}, have {have}", -n),
+            });
+        }
         self.len = self.len.wrapping_add_signed(n);
         for (col, idx) in &mut self.secondary {
-            let key = tuple.get(*col);
-            let bucket = idx.entry(key.clone()).or_default();
-            add_count(bucket, tuple, n);
-            if bucket.is_empty() {
-                idx.remove(key);
+            match idx.entry(tuple.get(*col).clone()) {
+                Entry::Occupied(mut bucket) => {
+                    add_count(bucket.get_mut(), tuple, n).expect("index agrees with the map");
+                    if bucket.get().is_empty() {
+                        bucket.remove();
+                    }
+                }
+                Entry::Vacant(bucket) => {
+                    bucket.insert(HashMap::from([(tuple.clone(), n)]));
+                }
             }
         }
+        Ok(())
     }
 
     /// Scan all tuples (with multiplicity: duplicates appear repeatedly),
@@ -176,13 +173,27 @@ impl BaseTable {
     }
 }
 
-/// Add `n` to `tuple`'s entry in `m`, removing it if it reaches zero.
-fn add_count(m: &mut HashMap<Tuple, i64>, tuple: &Tuple, n: i64) {
-    let c = m.entry(tuple.clone()).or_insert(0);
-    *c += n;
-    if *c == 0 {
-        m.remove(tuple);
+/// Add `n` to `tuple`'s entry in `m` with one hash lookup, removing it if
+/// it reaches zero. A result below zero leaves `m` unchanged and returns
+/// the count held.
+fn add_count(m: &mut HashMap<Tuple, i64>, tuple: &Tuple, n: i64) -> std::result::Result<(), i64> {
+    match m.entry(tuple.clone()) {
+        Entry::Occupied(mut e) => {
+            let have = *e.get();
+            match have + n {
+                c if c < 0 => return Err(have),
+                0 => {
+                    e.remove();
+                }
+                c => *e.get_mut() = c,
+            }
+        }
+        Entry::Vacant(_) if n < 0 => return Err(0),
+        Entry::Vacant(e) => {
+            e.insert(n);
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]

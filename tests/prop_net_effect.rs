@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rolljoin::common::{DeltaRow, Tuple, Value};
-use rolljoin::relalg::{add, is_multiset, negate, net_effect, to_rows};
+use rolljoin::relalg::{add, is_multiset, join_stamp, negate, net_effect, to_rows};
 
 fn arb_tuple() -> impl Strategy<Value = Tuple> {
     // Small domains so collisions (groups with several rows) are common.
@@ -77,7 +77,9 @@ proptest! {
             for x in xs {
                 for y in ys {
                     if x.tuple[0] == y.tuple[0] {
-                        out.push(x.join_combine(y));
+                        let (ts, count) = join_stamp((x.ts, x.count), (y.ts, y.count));
+                        let tuple = Tuple::new(x.tuple.values().iter().chain(y.tuple.values()).cloned());
+                        out.push(DeltaRow { ts, count, tuple });
                     }
                 }
             }
