@@ -25,6 +25,18 @@ for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
             echo "livebench $workload (trace $trace): oracle check failed" >&2
             exit 1
         fi
+        # The traced run's catch-up work counters repeat exactly per seed:
+        # any drift from the committed golden fails.
+        if [ "$trace" = 1 ]; then
+            got=$(jq -S '.metrics | with_entries(select(.key | startswith("catchup.exact.")))
+                | map_values(.value)' <<<"$result")
+            want=$(jq -S --arg w "$workload" '.[$w]' ci/catchup_exact_seed7.json)
+            if [ "$got" != "$want" ]; then
+                echo "livebench $workload: catchup.exact.* drifted from ci/catchup_exact_seed7.json" >&2
+                diff <(echo "$want") <(echo "$got") >&2 || true
+                exit 1
+            fi
+        fi
     done
 done
 

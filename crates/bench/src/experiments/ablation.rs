@@ -104,8 +104,10 @@ pub fn e12() -> Result<()> {
             .collect())
     };
 
-    let r_at_exec = side(ctx.engine.scan_asof(w.r, exec)?);
-    let s_at_exec = side(ctx.engine.scan_asof(w.s, exec)?);
+    let mut txn = ctx.engine.begin();
+    let r_at_exec = side(txn.scan_asof(w.r, exec)?);
+    let s_at_exec = side(txn.scan_asof(w.s, exec)?);
+    txn.commit()?;
     let d_r_ab = deltas(w.r, TimeInterval::new(mat, end))?;
     let d_s_ab = deltas(w.s, TimeInterval::new(mat, end))?;
     let d_s_b_exec = deltas(w.s, TimeInterval::new(end, exec))?;

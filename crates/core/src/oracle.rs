@@ -9,19 +9,44 @@
 //! ```
 //!
 //! The oracle reconstructs `V_t` by time-travelling every base table to `t`
-//! (possible only because our substrate keeps full delta history — the
-//! maintenance algorithms themselves never do this).
+//! (the live table rewound by its delta suffix, possible only at or above
+//! the delta stores' read floor — the maintenance algorithms themselves
+//! never do this).
 
 use crate::control::MaterializedView;
 use crate::view::ViewDef;
-use rolljoin_common::{Csn, Result, TimeInterval};
+use rolljoin_common::{Csn, Error, Result, TimeInterval};
 use rolljoin_relalg::{exec, fetch, net_effect, NetEffect, SlotSource};
-use rolljoin_storage::Engine;
+use rolljoin_storage::{Engine, LockMode};
+
+/// Reads [`view_at`] makes before it returns a lock timeout.
+const VIEW_AT_ATTEMPTS: usize = 3;
 
 /// `φ(V_t)`: the view's state at time `t`, recomputed from scratch.
-/// Requires the capture HWM ≥ `t`.
+/// Requires `t` at or below the latest commit and at or above every base
+/// delta store's read floor. Time travel S-locks each base table; they
+/// are locked up front in `TableId` order, the order propagation locks
+/// in, so the read cannot deadlock with propagation or single-table
+/// updaters. A read that still times out (a holder outlasting the lock
+/// timeout) is retried whole, up to `VIEW_AT_ATTEMPTS` reads in all.
 pub fn view_at(engine: &Engine, view: &ViewDef, t: Csn) -> Result<NetEffect> {
+    let mut attempts = 1;
+    loop {
+        match try_view_at(engine, view, t) {
+            Err(Error::LockTimeout { .. }) if attempts < VIEW_AT_ATTEMPTS => attempts += 1,
+            other => return other,
+        }
+    }
+}
+
+fn try_view_at(engine: &Engine, view: &ViewDef, t: Csn) -> Result<NetEffect> {
     let mut txn = engine.begin();
+    let mut tables = view.bases.clone();
+    tables.sort();
+    tables.dedup();
+    for table in tables {
+        txn.lock(table, LockMode::Shared)?;
+    }
     let mut slot_rows = Vec::with_capacity(view.n());
     for base in &view.bases {
         slot_rows.push(fetch(engine, &mut txn, &SlotSource::AsOf(*base, t))?);

@@ -11,8 +11,8 @@
 //!   but the `i`-th query must see relations left of the delta at the
 //!   interval start `t_a` and those right of it at the end `t_b`. The paper
 //!   points out these results are **not realizable** by any serializable
-//!   transaction; we can only demonstrate the method because our substrate
-//!   keeps full delta history for time travel. It exists for the E4
+//!   transaction; we can only demonstrate the method by time travel (each
+//!   base table rewound by its delta suffix). It exists for the E4
 //!   experiment and as documentation-by-code.
 
 use crate::execute::MaintCtx;
@@ -121,8 +121,9 @@ pub fn sync_propagate_eq1(ctx: &MaintCtx, from: Csn) -> Result<SyncOutcome> {
 
 /// Equation 2: propagate `(from, to]` using `n` queries, the `i`-th being
 /// `R^1_a … R^{i-1}_a ΔR^i_{a,b} R^{i+1}_b … R^n_b`. Not realizable live
-/// (paper §3.1) — implemented via time-travel snapshots, so it requires
-/// `to ≤` capture HWM. Demonstration/baseline only.
+/// (paper §3.1) — implemented via time travel ([`SlotSource::AsOf`],
+/// read through the propagation transaction), so it requires `to ≤`
+/// capture HWM. Demonstration/baseline only.
 pub fn sync_propagate_eq2(ctx: &MaintCtx, from: Csn, to: Csn) -> Result<SyncOutcome> {
     if to < from {
         return Err(Error::Invalid(format!("empty interval ({from},{to}]")));

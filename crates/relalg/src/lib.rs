@@ -14,7 +14,7 @@
 //!   paper's delta algebra ([`ops::join_stamp`]: product counts,
 //!   **minimum** timestamps on join).
 //! * [`source`] — slot bindings: base table, delta range, or time-travel
-//!   snapshot (oracle use only).
+//!   state (oracle use only).
 //! * [`mod@net_effect`] — the paper's `φ` operator (Definition 4.1), the
 //!   vocabulary of every correctness check.
 

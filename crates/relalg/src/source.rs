@@ -5,11 +5,12 @@
 //! commit so "seen at the commit time" is literally true), a **delta
 //! range** `R_{a,b}` (an immutable, capture-complete slice — no lock
 //! needed), or, for oracles and the paper's unrealizable Equation 2
-//! baseline only, a **time-travel** snapshot `R_a` reconstructed from the
-//! delta history. A keyed probe ([`SlotSource::BaseKeyed`]) reads the base
-//! table restricted to an index key set; under striped lock granularity it
-//! takes IS at the table plus S on only the stripes its keys hash to, so
-//! it conflicts with updaters of colliding keys instead of the whole table.
+//! baseline only, a **time-travel** state `R_a`: the live table, read
+//! under its S lock, rewound by its delta suffix. A keyed probe
+//! ([`SlotSource::BaseKeyed`]) reads the base table restricted to an
+//! index key set; under striped lock granularity it takes IS at the table
+//! plus S on only the stripes its keys hash to, so it conflicts with
+//! updaters of colliding keys instead of the whole table.
 
 use crate::exec::SlotInput;
 use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Value};
@@ -23,7 +24,8 @@ pub enum SlotSource {
     Base(TableId),
     /// The delta range `R^i_{a,b}` — `σ_{a,b}(Δ^{R^i})`.
     Delta(TableId, TimeInterval),
-    /// Snapshot `R^i_a` via time travel (oracle / Eq. 2 only).
+    /// State `R^i_a` via time travel: the live table rewound by its
+    /// delta suffix (oracle / Eq. 2 only).
     AsOf(TableId, Csn),
     /// The base table restricted by an index probe: only rows whose `col`
     /// matches one of `keys` — a semi-join pushdown from an
@@ -74,10 +76,10 @@ impl std::fmt::Display for SlotSource {
     }
 }
 
-/// Fetch the rows of one slot. Base reads go through `txn` (acquiring a
-/// table S lock for full scans, or — under striped granularity — IS plus
-/// key-stripe S locks for keyed probes); delta/as-of reads are lock-free
-/// against immutable history.
+/// Fetch the rows of one slot. Base and as-of reads go through `txn`
+/// (acquiring a table S lock for full scans and time travel, or — under
+/// striped granularity — IS plus key-stripe S locks for keyed probes);
+/// delta reads are lock-free against immutable history.
 pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<DeltaRow>> {
     match source {
         SlotSource::Base(table) => {
@@ -93,7 +95,7 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
         }
         SlotSource::Delta(table, interval) => engine.delta_range(*table, *interval),
         SlotSource::AsOf(table, csn) => {
-            let counts = engine.scan_asof(*table, *csn)?;
+            let counts = txn.scan_asof(*table, *csn)?;
             Ok(counts
                 .into_iter()
                 .map(|(tuple, count)| DeltaRow {

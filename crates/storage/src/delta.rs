@@ -14,9 +14,8 @@
 //! records undo positions so an aborted propagation transaction leaves no
 //! trace.
 
-use parking_lot::{Mutex, RwLock};
-use rolljoin_common::{Csn, DeltaRow, Error, Result, TableId, TimeInterval, Tuple, Value};
-use std::collections::hash_map::Entry;
+use parking_lot::RwLock;
+use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Tuple, Value};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -82,23 +81,6 @@ fn approx_row_bytes(r: &DeltaRow) -> u64 {
 
 fn ts(r: &DeltaRow) -> Csn {
     r.ts.expect("delta rows are timestamped")
-}
-
-/// Add `count` copies of `tuple` to a multiset, dropping it at zero.
-fn add_count(counts: &mut HashMap<Tuple, i64>, tuple: Tuple, count: i64) {
-    match counts.entry(tuple) {
-        Entry::Occupied(mut e) => {
-            *e.get_mut() += count;
-            if *e.get() == 0 {
-                e.remove();
-            }
-        }
-        Entry::Vacant(e) => {
-            if count != 0 {
-                e.insert(count);
-            }
-        }
-    }
 }
 
 /// One posting: the row's absolute position in the store (see
@@ -203,7 +185,7 @@ struct History {
     /// Records pruned so far: `rows[i]` sits at absolute position
     /// `offset + i`, which is what postings record.
     offset: usize,
-    /// Highest CSN folded into the prune snapshot: the read floor.
+    /// Highest CSN pruned through: the read floor.
     through: Csn,
 }
 
@@ -225,9 +207,6 @@ impl History {
 pub struct DeltaStore {
     table: TableId,
     history: RwLock<History>,
-    /// The table's multiset state as of `history.through`: the pruned
-    /// prefix, folded. Always acquired *after* `history`.
-    base: Mutex<HashMap<Tuple, i64>>,
     /// Keyed time-range index (posting lists per indexed column). Always
     /// acquired *after* `history` — see [`KeyIndex`].
     index: RwLock<KeyIndex>,
@@ -239,15 +218,14 @@ impl DeltaStore {
         DeltaStore {
             table,
             history: RwLock::new(History::default()),
-            base: Mutex::new(HashMap::new()),
             index: RwLock::new(KeyIndex::default()),
             compaction: CompactionCounters::default(),
         }
     }
 
-    /// The read floor: history at or below this CSN has been folded into
-    /// a snapshot, so ranges starting below it and reconstructions at
-    /// times below it are unavailable.
+    /// The read floor: history at or below this CSN has been dropped, so
+    /// ranges starting below it and time travel to times below it are
+    /// unavailable.
     pub fn pruned_through(&self) -> Csn {
         self.history.read().through
     }
@@ -257,37 +235,29 @@ impl DeltaStore {
         self.compaction.snapshot()
     }
 
-    /// Fold all change records with timestamp ≤ `through` into the base
-    /// snapshot, reclaiming their space. Returns the number of records
-    /// folded. Maintenance must no longer need ranges starting below
-    /// `through` (i.e. every propagation frontier has passed it). Costs
-    /// O(records folded): each pops the front of the held rows and of its
-    /// keys' posting lists under the history lock, and is hashed into the
-    /// snapshot after that lock is released — holding only the snapshot's
-    /// lock, which reconstructions take next — so capture keeps appending
-    /// while a large prefix (a materialization's install) folds.
+    /// Drop all change records with timestamp ≤ `through`, reclaiming
+    /// their space, and raise the read floor to `through`. Returns the
+    /// number of records dropped. Maintenance must no longer need ranges
+    /// starting below `through` (i.e. every propagation frontier has
+    /// passed it). Costs O(records dropped): each pops the front of the
+    /// held rows and of its keys' posting lists.
     pub fn prune_through(&self, through: Csn) -> usize {
         let mut h = self.history.write();
-        let folding = h.lower_bound(through);
-        let pruned: Vec<DeltaRow> = h.rows.drain(..folding).collect();
+        let dropping = h.lower_bound(through);
+        let pruned: Vec<DeltaRow> = h.rows.drain(..dropping).collect();
         let mut index = self.index.write();
         for (i, r) in pruned.iter().enumerate() {
             index.pop(h.offset + i, r);
         }
         drop(index);
-        h.offset += folding;
+        h.offset += dropping;
         h.through = h.through.max(through);
-        let mut base = self.base.lock();
+        // Measure and free the dropped rows outside the history lock, so
+        // capture never waits on a large prune (a materialization install).
         drop(h);
-        base.reserve(folding);
-        let mut bytes = 0u64;
-        for r in pruned {
-            bytes += approx_row_bytes(&r);
-            add_count(&mut base, r.tuple, r.count);
-        }
-        drop(base);
-        self.compaction.record(folding as u64, bytes);
-        folding
+        let bytes = pruned.iter().map(approx_row_bytes).sum();
+        self.compaction.record(dropping as u64, bytes);
+        dropping
     }
 
     /// The base table this delta describes.
@@ -449,27 +419,6 @@ impl DeltaStore {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Reconstruct the base table's multiset state at time `t` by
-    /// net-effecting `σ_{0,t}(Δ^R)` (Definition 4.1 applied from the empty
-    /// table). This is the time-travel primitive used by the test oracle
-    /// and by the (paper-acknowledged-unrealizable) Equation 2 baseline —
-    /// the rolling algorithms themselves never need it.
-    pub fn reconstruct_at(&self, t: Csn) -> Result<HashMap<Tuple, i64>> {
-        let h = self.history.read();
-        if t < h.through {
-            return Err(Error::HistoryPruned {
-                table: self.table,
-                requested: t,
-                pruned_through: h.through,
-            });
-        }
-        let mut out = self.base.lock().clone();
-        for r in h.rows.range(..h.lower_bound(t)) {
-            add_count(&mut out, r.tuple.clone(), r.count);
-        }
-        Ok(out)
     }
 }
 
@@ -756,24 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_replays_history() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![1]), (1, tup![2])]);
-        d.append_commit(2, [(-1, tup![1])]);
-        d.append_commit(4, [(2, tup![2])]);
-        let s0 = d.reconstruct_at(0).unwrap();
-        assert!(s0.is_empty());
-        let s1 = d.reconstruct_at(1).unwrap();
-        assert_eq!(s1[&tup![1]], 1);
-        assert_eq!(s1[&tup![2]], 1);
-        let s2 = d.reconstruct_at(2).unwrap();
-        assert!(!s2.contains_key(&tup![1]), "zero counts dropped");
-        let s4 = d.reconstruct_at(4).unwrap();
-        assert_eq!(s4[&tup![2]], 3);
-    }
-
-    #[test]
-    fn prune_folds_history_into_snapshot() {
+    fn prune_drops_history_below_floor() {
         let d = DeltaStore::new(TableId(1));
         d.append_commit(1, [(1, tup![1]), (1, tup![2])]);
         d.append_commit(2, [(-1, tup![1])]);
@@ -782,20 +714,6 @@ mod tests {
         assert_eq!(d.prune_through(4), 4);
         assert_eq!(d.pruned_through(), 4);
         assert_eq!(d.len(), 1, "only the ts=6 record remains");
-        // Reconstruction at or after the prune point still works…
-        let s4 = d.reconstruct_at(4).unwrap();
-        assert_eq!(s4[&tup![2]], 3);
-        assert!(!s4.contains_key(&tup![1]));
-        let s6 = d.reconstruct_at(6).unwrap();
-        assert_eq!(s6[&tup![3]], 1);
-        // …but below it the history is gone.
-        assert!(matches!(
-            d.reconstruct_at(3),
-            Err(Error::HistoryPruned {
-                pruned_through: 4,
-                ..
-            })
-        ));
         // Ranges above the prune point are unaffected.
         assert_eq!(d.range(TimeInterval::new(4, 6)).len(), 1);
         // Pruning is idempotent / monotone.

@@ -27,7 +27,7 @@ use crate::capture::Capture;
 use crate::delta::{DeltaStore, ViewDeltaStore};
 use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager, LockMode};
 use crate::signal::Signal;
-use crate::table::BaseTable;
+use crate::table::{add_count, BaseTable};
 use crate::uow::UnitOfWork;
 use crate::wal::{Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
@@ -404,9 +404,11 @@ impl Engine {
         }
     }
 
-    /// Read `σ_{a,b}(Δ^R)`. Requires the capture HWM to have reached the
-    /// upper bound, so the range is complete and immutable (lock-free).
-    pub fn delta_range(&self, table: TableId, interval: TimeInterval) -> Result<Vec<DeltaRow>> {
+    /// The delta store of `table`, checked for a read of `interval`: the
+    /// capture HWM must have reached its upper end, so the range is
+    /// complete and immutable, and the read floor must not lie above its
+    /// lower end — pruned rows are gone, so the read would be partial.
+    fn delta_for(&self, table: TableId, interval: TimeInterval) -> Result<Arc<DeltaStore>> {
         let hwm = self.capture_hwm();
         if interval.hi > hwm {
             return Err(Error::CaptureBehind {
@@ -416,8 +418,6 @@ impl Engine {
             });
         }
         let store = self.delta_store(table)?;
-        // Below the floor rows were folded into the prune snapshot, so a
-        // range starting there would be wrong, not merely incomplete.
         let floor = store.pruned_through();
         if interval.lo < floor {
             return Err(Error::HistoryPruned {
@@ -426,43 +426,27 @@ impl Engine {
                 pruned_through: floor,
             });
         }
-        Ok(store.range(interval))
+        Ok(store)
+    }
+
+    /// Read `σ_{a,b}(Δ^R)`. Requires the capture HWM to have reached the
+    /// upper bound, so the range is complete and immutable (lock-free),
+    /// and the lower bound to be at or above the read floor.
+    pub fn delta_range(&self, table: TableId, interval: TimeInterval) -> Result<Vec<DeltaRow>> {
+        Ok(self.delta_for(table, interval)?.range(interval))
     }
 
     /// Count of delta records in a range (for interval policies). Same
-    /// HWM requirement as [`Engine::delta_range`].
+    /// HWM and floor requirements as [`Engine::delta_range`].
     pub fn delta_count(&self, table: TableId, interval: TimeInterval) -> Result<usize> {
-        let hwm = self.capture_hwm();
-        if interval.hi > hwm {
-            return Err(Error::CaptureBehind {
-                table,
-                requested: interval.hi,
-                hwm,
-            });
-        }
-        Ok(self.delta_store(table)?.count_in(interval))
+        Ok(self.delta_for(table, interval)?.count_in(interval))
     }
 
-    /// Time-travel: the multiset state of `table` at time `t`, reconstructed
-    /// from its delta history. Oracle/baseline use only — the maintenance
-    /// algorithms never call this.
-    pub fn scan_asof(&self, table: TableId, t: Csn) -> Result<HashMap<Tuple, i64>> {
-        let hwm = self.capture_hwm();
-        if t > hwm {
-            return Err(Error::CaptureBehind {
-                table,
-                requested: t,
-                hwm,
-            });
-        }
-        self.delta_store(table)?.reconstruct_at(t)
-    }
-
-    /// Fold delta history of `table` at or below `through` into a base
-    /// snapshot, reclaiming space. Time travel and delta ranges below
+    /// Drop delta history of `table` at or below `through`, reclaiming
+    /// space. Time travel ([`Txn::scan_asof`]) and delta ranges below
     /// `through` become unavailable ([`Error::HistoryPruned`]); callers
     /// must ensure every maintenance frontier and roll target has passed
-    /// `through`. Returns the number of records folded.
+    /// `through`. Returns the number of records dropped.
     pub fn prune_delta_history(&self, table: TableId, through: Csn) -> Result<usize> {
         let hwm = self.capture_hwm();
         if through > hwm {
@@ -516,30 +500,15 @@ impl Engine {
         col: usize,
         keys: &[rolljoin_common::Value],
     ) -> Result<Option<Vec<DeltaRow>>> {
-        let hwm = self.capture_hwm();
-        if interval.hi > hwm {
-            return Err(Error::CaptureBehind {
-                table,
-                requested: interval.hi,
-                hwm,
-            });
-        }
-        let store = self.delta_store(table)?;
-        let floor = store.pruned_through();
-        if interval.lo < floor {
-            return Err(Error::HistoryPruned {
-                table,
-                requested: interval.lo,
-                pruned_through: floor,
-            });
-        }
-        Ok(store.range_keyed(interval, col, keys))
+        Ok(self
+            .delta_for(table, interval)?
+            .range_keyed(interval, col, keys))
     }
 
     /// Exact number of rows [`Engine::delta_range_keyed`] would return
     /// (posting-list slice lengths, at binary-search cost) — the planner's
-    /// probe-vs-scan estimate. Same HWM requirement; `None` without an
-    /// index on `col`.
+    /// probe-vs-scan estimate. Same HWM and floor requirements; `None`
+    /// without an index on `col`.
     pub fn delta_keyed_estimate(
         &self,
         table: TableId,
@@ -547,16 +516,8 @@ impl Engine {
         col: usize,
         keys: &[rolljoin_common::Value],
     ) -> Result<Option<usize>> {
-        let hwm = self.capture_hwm();
-        if interval.hi > hwm {
-            return Err(Error::CaptureBehind {
-                table,
-                requested: interval.hi,
-                hwm,
-            });
-        }
         Ok(self
-            .delta_store(table)?
+            .delta_for(table, interval)?
             .keyed_count_estimate(interval, col, keys))
     }
 
@@ -931,6 +892,36 @@ impl Txn {
         }
     }
 
+    /// Time travel: `table`'s multiset state at time `t`, computed as the
+    /// live table rewound by its delta suffix `σ_{t,hwm}(Δ^R)`. The live
+    /// counts are read under the table's S lock (through
+    /// [`Txn::scan_counts`]), so no commit to `table` lands after capture
+    /// catches up to the log end here: every committed change above `t`
+    /// is then in the delta store, and undoing them newest first walks
+    /// back through states the table really held. The maintenance
+    /// algorithms never call this; the test oracle and the Equation 2
+    /// baseline do. `t` beyond the capture HWM is
+    /// [`Error::CaptureBehind`]; `t` below the read floor is
+    /// [`Error::HistoryPruned`].
+    pub fn scan_asof(&mut self, table: TableId, t: Csn) -> Result<HashMap<Tuple, i64>> {
+        let mut counts = self.scan_counts(table)?;
+        self.engine.capture_catch_up()?;
+        let suffix = TimeInterval::new(t, self.engine.capture_hwm().max(t));
+        let store = self.engine.delta_for(table, suffix)?;
+        for r in store.range(suffix).iter().rev() {
+            add_count(&mut counts, &r.tuple, -r.count).map_err(|have| {
+                Error::Internal(format!(
+                    "{table} disagrees with its delta: cannot undo {:+} of {} (holds {have})",
+                    r.count, r.tuple
+                ))
+            })?;
+        }
+        // The floor only rises: re-checking it after the read refuses a
+        // suffix a concurrent prune past `t` cut short.
+        self.engine.delta_for(table, suffix)?;
+        Ok(counts)
+    }
+
     /// Multiplicity of one tuple under an S lock.
     pub fn count_of(&mut self, table: TableId, tuple: &Tuple) -> Result<u64> {
         self.check_active()?;
@@ -1219,6 +1210,7 @@ impl Drop for Txn {
 mod tests {
     use super::*;
     use rolljoin_common::{tup, ColumnType};
+    use std::sync::atomic::AtomicBool;
 
     fn engine_with_table() -> (Engine, TableId) {
         let e = Engine::new();
@@ -1299,11 +1291,110 @@ mod tests {
         assert_eq!(rows[2].count, -1);
 
         // Time travel.
-        let at1 = e.scan_asof(t, c1).unwrap();
+        let mut txn = e.begin();
+        let at1 = txn.scan_asof(t, c1).unwrap();
         assert_eq!(at1.len(), 2);
-        let at2 = e.scan_asof(t, c2).unwrap();
+        let at2 = txn.scan_asof(t, c2).unwrap();
         assert_eq!(at2.len(), 1);
         assert_eq!(at2[&tup![2, "b"]], 1);
+        txn.commit().unwrap();
+    }
+
+    #[test]
+    fn delta_count_refuses_pruned_history() {
+        let (e, t) = engine_with_table();
+        for i in 0..8 {
+            let mut txn = e.begin();
+            txn.insert(t, tup![i, "x"]).unwrap();
+            txn.commit().unwrap();
+        }
+        e.capture_catch_up().unwrap();
+        e.create_delta_index(t, 0).unwrap();
+        e.prune_delta_history(t, 5).unwrap();
+        let iv = TimeInterval::new(2, 8);
+        let keys = [rolljoin_common::Value::Int(3)];
+        // Rows (2, 5] are gone: a count would be partial, not merely low.
+        assert!(matches!(
+            e.delta_count(t, iv),
+            Err(Error::HistoryPruned {
+                requested: 2,
+                pruned_through: 5,
+                ..
+            })
+        ));
+        assert!(matches!(
+            e.delta_keyed_estimate(t, iv, 0, &keys),
+            Err(Error::HistoryPruned { .. })
+        ));
+        assert_eq!(e.delta_count(t, TimeInterval::new(5, 8)).unwrap(), 3);
+    }
+
+    #[test]
+    fn scan_asof_is_exact_under_concurrent_commits() {
+        let (e, t) = engine_with_table();
+        let mut txn = e.begin();
+        for i in 0..10 {
+            txn.insert(t, tup![i, "base"]).unwrap();
+        }
+        let at = txn.commit().unwrap();
+        let want = {
+            let mut txn = e.begin();
+            txn.scan_counts(t).unwrap()
+        };
+        // Forced interleaving: the read starts while a writer holds
+        // uncommitted changes, queues for its S lock behind the writer's
+        // X, and must catch capture up past the commit that releases it.
+        let mut w = e.begin();
+        w.delete_one(t, &tup![0, "base"]).unwrap();
+        w.insert(t, tup![0, "base"]).unwrap();
+        w.insert(t, tup![99, "new"]).unwrap();
+        let waits = || e.locks().stats().snapshot().1;
+        let before = waits();
+        let reader = {
+            let e = e.clone();
+            std::thread::spawn(move || e.begin().scan_asof(t, at))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while waits() == before {
+            assert!(Instant::now() < deadline, "the read never queued for S");
+            std::thread::yield_now();
+        }
+        let committed = w.commit().unwrap();
+        assert_eq!(reader.join().unwrap().unwrap(), want);
+        assert_eq!(e.capture_hwm(), committed);
+        let stop = Arc::new(AtomicBool::new(false));
+        let rounds = Arc::new(AtomicU64::new(0));
+        let writer = {
+            let (e, stop, rounds) = (e.clone(), stop.clone(), rounds.clone());
+            std::thread::spawn(move || {
+                for i in 0i64.. {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    // Churn the state at `at`: delete a base row and put
+                    // it back, and grow the table.
+                    let mut txn = e.begin();
+                    txn.delete_one(t, &tup![i % 10, "base"]).unwrap();
+                    txn.insert(t, tup![100 + i, "new"]).unwrap();
+                    txn.commit().unwrap();
+                    let mut txn = e.begin();
+                    txn.insert(t, tup![i % 10, "base"]).unwrap();
+                    txn.commit().unwrap();
+                    rounds.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        };
+        // Keep reading until the writer has committed many rounds, so the
+        // reads interleave with its commits.
+        let mut reads = 0;
+        while reads < 50 || (rounds.load(Ordering::Relaxed) < 50 && !writer.is_finished()) {
+            let mut txn = e.begin();
+            assert_eq!(txn.scan_asof(t, at).unwrap(), want, "read {reads}");
+            txn.commit().unwrap();
+            reads += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
     }
 
     #[test]

@@ -176,7 +176,11 @@ impl BaseTable {
 /// Add `n` to `tuple`'s entry in `m` with one hash lookup, removing it if
 /// it reaches zero. A result below zero leaves `m` unchanged and returns
 /// the count held.
-fn add_count(m: &mut HashMap<Tuple, i64>, tuple: &Tuple, n: i64) -> std::result::Result<(), i64> {
+pub(crate) fn add_count(
+    m: &mut HashMap<Tuple, i64>,
+    tuple: &Tuple,
+    n: i64,
+) -> std::result::Result<(), i64> {
     match m.entry(tuple.clone()) {
         Entry::Occupied(mut e) => {
             let have = *e.get();

@@ -318,7 +318,12 @@ fn delta_history_pruning_reclaims_space_without_breaking_maintenance() {
             .unwrap_err(),
         rolljoin::Error::HistoryPruned { .. }
     ));
-    assert!(ctx.engine.scan_asof(w.r, mat).is_err());
+    let mut txn = ctx.engine.begin();
+    assert!(matches!(
+        txn.scan_asof(w.r, mat).unwrap_err(),
+        rolljoin::Error::HistoryPruned { .. }
+    ));
+    drop(txn);
 
     // …while maintenance continues above it, oracle-exact.
     for i in 30..45i64 {

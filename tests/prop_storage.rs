@@ -1,13 +1,14 @@
 //! Property tests for the storage substrate: codec round-trips, WAL
 //! record round-trips and recovery, base tables under arbitrary
-//! insert/delete/apply/index sequences, and delta stores under arbitrary
-//! append/prune/index sequences.
+//! insert/delete/apply/index sequences, delta stores under arbitrary
+//! append/prune/index sequences, and engine time travel under arbitrary
+//! commit/abort/prune sequences.
 
 use proptest::prelude::*;
 use rolljoin::common::{
     tup, ColumnType, Csn, DeltaRow, Error, Schema, TableId, TimeInterval, Tuple, TxnId, Value,
 };
-use rolljoin::storage::{BaseTable, DeltaStore, Wal, WalRecord};
+use rolljoin::storage::{BaseTable, DeltaStore, Engine, Wal, WalRecord};
 use std::collections::{BTreeSet, HashMap};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -187,20 +188,6 @@ fn check_delta_store(
             prop_assert_eq!(d.nth_ts_after(lo, k), want);
         }
     }
-    for t in 0..=last + 1 {
-        let got = d.reconstruct_at(t);
-        if t < floor {
-            let pruned = matches!(got, Err(Error::HistoryPruned { .. }));
-            prop_assert!(pruned, "reconstruct_at({}) below floor {}", t, floor);
-        } else {
-            let mut want: HashMap<Tuple, i64> = HashMap::new();
-            for r in model.iter().filter(|r| ts(r) <= t) {
-                *want.entry(r.tuple.clone()).or_insert(0) += r.count;
-            }
-            want.retain(|_, c| *c != 0);
-            prop_assert_eq!(got.unwrap(), want);
-        }
-    }
     // No stale postings: even over an interval reaching below the floor,
     // the postings are exactly the held rows with a non-NULL key.
     let everything = TimeInterval::new(0, last + 1);
@@ -359,9 +346,125 @@ proptest! {
         let left = d.count_in(TimeInterval::new(0, s));
         let right = d.count_in(TimeInterval::new(s, t));
         prop_assert_eq!(whole, left + right);
-        // And reconstruct_at is consistent with a manual fold.
-        let rec = d.reconstruct_at(t).unwrap();
-        let total: i64 = rec.values().sum();
-        prop_assert_eq!(total, commits.len() as i64);
+    }
+}
+
+/// One engine operation in a generated time-travel history.
+#[derive(Debug, Clone)]
+enum EngineOp {
+    /// One transaction of inserts (`Ok`) and deletes of a live tuple
+    /// picked by index (`Err`); committed when the flag is set, else
+    /// aborted.
+    Txn(Vec<std::result::Result<Tuple, prop::sample::Index>>, bool),
+    /// `prune_delta_history(latest CSN − back)`, saturating at 0.
+    Prune(Csn),
+}
+
+fn arb_engine_op() -> impl Strategy<Value = EngineOp> {
+    let tuple = (0..DOMAIN, 0..DOMAIN).prop_map(|(a, b)| tup![a, b]);
+    let change = prop_oneof![
+        3 => tuple.prop_map(Ok),
+        2 => any::<prop::sample::Index>().prop_map(Err),
+    ];
+    prop_oneof![
+        6 => (prop::collection::vec(change, 1..4), 0u8..8)
+            .prop_map(|(changes, roll)| EngineOp::Txn(changes, roll != 0)),
+        1 => (0u64..5).prop_map(EngineOp::Prune),
+    ]
+}
+
+/// Every `Txn::scan_asof(t)` of `table` against the model: the committed
+/// states (`states[c]` is the table after CSN `c`) for `t` at or above the
+/// floor, `HistoryPruned` below it, `CaptureBehind` past the last commit.
+fn check_time_travel(
+    engine: &Engine,
+    table: TableId,
+    states: &[HashMap<Tuple, i64>],
+    floor: Csn,
+) -> Result<(), TestCaseError> {
+    let last = states.len() as Csn - 1;
+    let mut txn = engine.begin();
+    for t in 0..=last {
+        let got = txn.scan_asof(table, t);
+        if t < floor {
+            let pruned = matches!(
+                got,
+                Err(Error::HistoryPruned { pruned_through, .. }) if pruned_through == floor
+            );
+            prop_assert!(pruned, "scan_asof({}) below floor {}", t, floor);
+        } else {
+            prop_assert_eq!(&got.unwrap(), &states[t as usize], "scan_asof({})", t);
+        }
+    }
+    let behind = matches!(
+        txn.scan_asof(table, last + 1),
+        Err(Error::CaptureBehind { .. })
+    );
+    prop_assert!(behind, "scan_asof past the last commit {}", last);
+    drop(txn);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Time travel on a real engine: seeded inserts and deletes commit (or
+    /// abort) through transactions, interleaved with delta-history prunes;
+    /// the live table rewound by its delta suffix equals the model state
+    /// at every time at or above the floor, and below it the history is
+    /// refused.
+    #[test]
+    fn time_travel_model_check(ops in prop::collection::vec(arb_engine_op(), 0..30)) {
+        let engine = Engine::new();
+        let table = engine
+            .create_table("r", Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]))
+            .unwrap();
+        // Empty before the first commit; one state per later CSN.
+        let mut states: Vec<HashMap<Tuple, i64>> = vec![HashMap::new()];
+        let mut floor: Csn = 0;
+        for op in ops {
+            match op {
+                EngineOp::Txn(changes, commit) => {
+                    let mut state = states.last().unwrap().clone();
+                    let mut txn = engine.begin();
+                    for change in changes {
+                        match change {
+                            Ok(tuple) => {
+                                txn.insert(table, tuple.clone()).unwrap();
+                                *state.entry(tuple).or_insert(0) += 1;
+                            }
+                            Err(pick) => {
+                                let mut live: Vec<&Tuple> = state.keys().collect();
+                                if live.is_empty() {
+                                    continue;
+                                }
+                                live.sort();
+                                let victim = live[pick.index(live.len())].clone();
+                                txn.delete_one(table, &victim).unwrap();
+                                let n = state.get_mut(&victim).unwrap();
+                                *n -= 1;
+                                if *n == 0 {
+                                    state.remove(&victim);
+                                }
+                            }
+                        }
+                    }
+                    if commit {
+                        let csn = txn.commit().unwrap();
+                        prop_assert_eq!(csn, states.len() as Csn);
+                        states.push(state);
+                    } else {
+                        txn.abort();
+                    }
+                }
+                EngineOp::Prune(back) => {
+                    engine.capture_catch_up().unwrap();
+                    let through = engine.current_csn().saturating_sub(back);
+                    engine.prune_delta_history(table, through).unwrap();
+                    floor = floor.max(through);
+                }
+            }
+            check_time_travel(&engine, table, &states, floor)?;
+        }
     }
 }

@@ -63,9 +63,11 @@ fn delta_history_and_time_travel_survive() {
     let rows = e2.delta_range(w.r, TimeInterval::new(0, c2)).unwrap();
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[1].count, -1);
-    let at1 = e2.scan_asof(w.r, c1).unwrap();
+    let mut txn = e2.begin();
+    let at1 = txn.scan_asof(w.r, c1).unwrap();
     assert_eq!(at1[&tup![1, 1]], 1);
-    assert!(e2.scan_asof(w.r, c2).unwrap().is_empty());
+    assert!(txn.scan_asof(w.r, c2).unwrap().is_empty());
+    txn.commit().unwrap();
     // Unit-of-work survived.
     assert!(e2.uow().wallclock_of_csn(c1).is_some());
 }
