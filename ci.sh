@@ -59,6 +59,9 @@ cargo bench --workspace --no-run
 echo "== observability overhead bench =="
 cargo bench -p rolljoin-bench --bench obs_overhead
 
+echo "== live-shaped star forward query bench (keyed probes, join, view-delta write) =="
+cargo bench -p rolljoin-bench --bench executor -- star_forward_keyed_256x3
+
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -1,9 +1,12 @@
 //! Executor microbenchmarks: the left-deep hash join that every
-//! propagation query runs through, and the net-effect operator.
+//! propagation query runs through, the net-effect operator, and one live
+//! star forward query end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rolljoin_common::{tup, ColumnType, DeltaRow, Schema};
+use rolljoin_common::{tup, ColumnType, DeltaRow, Schema, TimeInterval};
+use rolljoin_core::{materialize, PropQuery};
 use rolljoin_relalg::{exec, net_effect, JoinSpec};
+use rolljoin_workload::Star;
 
 fn rows(n: usize, keys: i64) -> Vec<DeltaRow> {
     (0..n)
@@ -134,11 +137,53 @@ fn bench_star_forward(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_star_forward_keyed(c: &mut Criterion) {
+    // A star forward query as the live pipeline runs it: a 256-row fact
+    // delta (256 commits) through `MaintCtx::execute` against three indexed
+    // 10k-row dimensions, so each dimension is probed by the delta's keys,
+    // joined, and the view delta written in one transaction. Iterations
+    // cycle through 40 such deltas with pseudo-random foreign keys, so the
+    // probes spread over the whole dimensions as a catch-up's do, instead
+    // of re-reading one cached key set.
+    let mut g = c.benchmark_group("star_forward");
+    g.sample_size(20);
+    let star = Star::setup("bench", 3, 10_000).unwrap();
+    let ctx = star.ctx();
+    let mut from = materialize(&ctx).unwrap();
+    let mut queries = Vec::new();
+    let mut key = 1u64;
+    let mut next_key = || {
+        key = key
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((key >> 33) % 10_000) as i64
+    };
+    for q in 0..40i64 {
+        let mut to = from;
+        for i in 0..256 {
+            let mut txn = ctx.engine.begin();
+            let fact = tup![next_key(), next_key(), next_key(), q * 256 + i];
+            txn.insert(star.fact, fact).unwrap();
+            to = txn.commit().unwrap();
+        }
+        queries.push(PropQuery::all_base(star.n()).with_delta(0, TimeInterval::new(from, to)));
+        from = to;
+    }
+    ctx.engine.capture_catch_up().unwrap();
+    let mut round = queries.iter().cycle();
+    g.throughput(Throughput::Elements(256));
+    g.bench_function("star_forward_keyed_256x3", |b| {
+        b.iter(|| ctx.execute(round.next().unwrap(), 1).unwrap());
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_join,
     bench_delta_join,
     bench_net_effect,
-    bench_star_forward
+    bench_star_forward,
+    bench_star_forward_keyed
 );
 criterion_main!(benches);

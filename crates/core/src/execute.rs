@@ -439,7 +439,8 @@ impl MaintCtx {
                         col,
                         keys: std::sync::Arc::new(keys),
                     };
-                    slot_rows[i] = Some(SlotInput::Owned(fetch(&self.engine, txn, &source)?));
+                    let (input, _) = fetch_cached(&self.engine, txn, &source, &self.scan_cache)?;
+                    slot_rows[i] = Some(input);
                     remaining.retain(|&x| x != i);
                 }
                 None => {

@@ -12,8 +12,9 @@
 use crate::expr::Expr;
 use crate::ops::{JoinIndex, Kernel};
 use parking_lot::RwLock;
-use rolljoin_common::{DeltaRow, Error, Result, Schema, TableId, TimeInterval};
+use rolljoin_common::{DeltaRow, Error, Result, Schema, TableId, TimeInterval, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -133,27 +134,70 @@ impl ExecStats {
     }
 }
 
-/// One slot's fetched rows, owned or shared.
+/// One slot's fetched rows: owned, shared, or grouped by probe key.
 ///
 /// Shared slots come from the step-scoped scan cache: several constituent
 /// queries of one propagation step read the same delta range, so the rows
 /// arrive as a shared `Arc` with the `(table, interval)` identity that
 /// produced them — which doubles as the [`BuildCache`] key when the slot
-/// lands on the build side of a join.
+/// lands on the build side of a join. Grouped slots come from a keyed base
+/// probe, which returns its rows grouped per probe key; a build side
+/// joined on exactly the probed column reuses that grouping.
 pub enum SlotInput {
     /// Rows owned by this query alone.
     Owned(Vec<DeltaRow>),
     /// Rows shared across queries, with their delta-range identity.
     Shared(Arc<Vec<DeltaRow>>, TableId, TimeInterval),
+    /// Rows owned by this query, grouped by the key they hold in one column.
+    Grouped(Vec<DeltaRow>, KeyGroups),
+}
+
+/// How a keyed probe's rows are grouped: `keys` strictly ascending, and
+/// `keys[i]`'s rows — each holding `keys[i]` in column `col` — at
+/// positions `starts[i]..starts[i + 1]`.
+pub struct KeyGroups {
+    col: usize,
+    keys: Arc<Vec<Value>>,
+    starts: Vec<u32>,
+}
+
+impl KeyGroups {
+    /// The positions of the rows holding `key`. NULL joins nothing, as in
+    /// the hashed path. `Value`'s order and equality agree (floats by bit
+    /// pattern), so this finds exactly the rows a hash lookup would.
+    pub(crate) fn rows_of(&self, key: &Value) -> Range<u32> {
+        match self.keys.binary_search(key) {
+            Ok(i) if !key.is_null() => self.starts[i]..self.starts[i + 1],
+            _ => 0..0,
+        }
+    }
 }
 
 impl SlotInput {
+    /// The rows of a keyed probe on local column `col`, where `keys[i]`'s
+    /// rows are `rows[starts[i]..starts[i + 1]]` and hold `keys[i]` in
+    /// `col`. Unless the keys are strictly ascending and the bounds tile
+    /// `rows`, the grouping is dropped and the rows are plain owned rows.
+    pub fn grouped(
+        rows: Vec<DeltaRow>,
+        col: usize,
+        keys: Arc<Vec<Value>>,
+        starts: Vec<u32>,
+    ) -> SlotInput {
+        let tiles = starts.len() == keys.len() + 1
+            && starts.first() == Some(&0)
+            && starts.last().is_some_and(|&end| end as usize == rows.len())
+            && starts.windows(2).all(|w| w[0] <= w[1]);
+        if tiles && keys.windows(2).all(|w| w[0] < w[1]) {
+            SlotInput::Grouped(rows, KeyGroups { col, keys, starts })
+        } else {
+            SlotInput::Owned(rows)
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match self {
-            SlotInput::Owned(v) => v.len(),
-            SlotInput::Shared(v, ..) => v.len(),
-        }
+        self.rows().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -163,7 +207,7 @@ impl SlotInput {
     /// Borrow the rows.
     pub fn rows(&self) -> &[DeltaRow] {
         match self {
-            SlotInput::Owned(v) => v,
+            SlotInput::Owned(v) | SlotInput::Grouped(v, _) => v,
             SlotInput::Shared(v, ..) => v,
         }
     }
@@ -355,7 +399,14 @@ pub fn execute_shared(
                 cache.get_or_build(table, interval, &keys, &rows)
             }
             (SlotInput::Shared(rows, ..), None) => Arc::new(JoinIndex::build(rows, keys)),
-            (SlotInput::Owned(rows), _) => Arc::new(JoinIndex::build(Arc::new(rows), keys)),
+            // Joined on exactly the probed column: the probe's grouping
+            // is the index.
+            (SlotInput::Grouped(rows, groups), _) if keys == [groups.col] => {
+                Arc::new(JoinIndex::grouped(rows, groups))
+            }
+            (SlotInput::Owned(rows) | SlotInput::Grouped(rows, _), _) => {
+                Arc::new(JoinIndex::build(Arc::new(rows), keys))
+            }
         })
         .collect();
     let kernel = Kernel {

@@ -25,7 +25,7 @@ pub mod ops;
 pub mod source;
 
 pub use exec::{
-    execute, execute_shared, BuildCache, BuildCacheStats, ExecStats, JoinSpec, SlotInput,
+    execute, execute_shared, BuildCache, BuildCacheStats, ExecStats, JoinSpec, KeyGroups, SlotInput,
 };
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use net_effect::{

@@ -7,9 +7,11 @@
 //! equi pairs are read in place from the slot rows; the output tuple is
 //! built once, straight from the slots, by the projection.
 
+use crate::exec::KeyGroups;
 use crate::expr::Expr;
 use rolljoin_common::{Csn, DeltaRow, Tuple, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The paper's join rule for delta rows (§2, relied on by §3.3's
@@ -40,6 +42,33 @@ enum KeyMap {
     /// Zero or several key columns; with none, every row sits under the
     /// empty key and the join is a cross product.
     Many(HashMap<Vec<Value>, Vec<u32>>),
+    /// A keyed probe's rows, already grouped by its sorted key list, joined
+    /// on exactly the probed column: a key's rows are found by binary
+    /// search, never re-hashed.
+    Grouped(KeyGroups),
+}
+
+/// The build-side positions matching one probe row.
+enum Matches<'a> {
+    Listed(std::slice::Iter<'a, u32>),
+    Run(Range<u32>),
+}
+
+impl<'a> Matches<'a> {
+    fn listed(positions: Option<&'a Vec<u32>>) -> Self {
+        Matches::Listed(positions.map_or(&[][..], Vec::as_slice).iter())
+    }
+}
+
+impl Iterator for Matches<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Matches::Listed(it) => it.next().copied(),
+            Matches::Run(r) => r.next(),
+        }
+    }
 }
 
 impl JoinIndex {
@@ -70,6 +99,14 @@ impl JoinIndex {
             }
         };
         JoinIndex { rows, map }
+    }
+
+    /// Index a keyed probe's rows by the grouping it returned them in.
+    pub(crate) fn grouped(rows: Vec<DeltaRow>, groups: KeyGroups) -> JoinIndex {
+        JoinIndex {
+            rows: Arc::new(rows),
+            map: KeyMap::Grouped(groups),
+        }
     }
 
     /// The rows the positions in this index point into.
@@ -142,17 +179,21 @@ impl Kernel<'_> {
         let matches = match &self.indexes[k - 1].map {
             KeyMap::One(map) => {
                 let (s, c) = keys[0];
-                map.get(self.row(pos, s).tuple.get(c))
+                Matches::listed(map.get(self.row(pos, s).tuple.get(c)))
             }
             KeyMap::Many(map) => {
                 scratch.clear();
                 for &(s, c) in keys {
                     scratch.push(self.row(pos, s).tuple.get(c).clone());
                 }
-                map.get(scratch.as_slice())
+                Matches::listed(map.get(scratch.as_slice()))
+            }
+            KeyMap::Grouped(groups) => {
+                let (s, c) = keys[0];
+                Matches::Run(groups.rows_of(self.row(pos, s).tuple.get(c)))
             }
         };
-        for &p in matches.map_or(&[][..], Vec::as_slice) {
+        for p in matches {
             let row = &self.rows[k][p as usize];
             if self.residual_holds(k, row) {
                 pos[k] = p;

@@ -105,17 +105,7 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
                 })
                 .collect())
         }
-        SlotSource::BaseKeyed { table, col, keys } => {
-            let hits = txn.lookup_keys(*table, *col, keys)?;
-            Ok(hits
-                .into_iter()
-                .map(|(tuple, count)| DeltaRow {
-                    ts: None,
-                    count,
-                    tuple,
-                })
-                .collect())
-        }
+        SlotSource::BaseKeyed { table, col, keys } => Ok(txn.lookup_keys(*table, *col, keys)?.0),
         SlotSource::DeltaKeyed {
             table,
             interval,
@@ -145,7 +135,10 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
 /// of one propagation step is materialized once and shared. Non-delta
 /// sources are fetched fresh each time (base reads are transactional and
 /// must see the executing transaction's state); keyed delta probes are
-/// key-set-specific, so they bypass the cache too.
+/// key-set-specific, so they bypass the cache too. A keyed base probe
+/// keeps the per-key grouping its index lookup returns
+/// ([`SlotInput::grouped`]), so a join on the probed column need not
+/// re-hash its rows.
 ///
 /// Returns the slot input and whether the rows came from the cache.
 pub fn fetch_cached(
@@ -159,6 +152,10 @@ pub fn fetch_cached(
             let (rows, hit) =
                 cache.get_or_fetch(*table, *interval, || engine.delta_range(*table, *interval))?;
             Ok((SlotInput::Shared(rows, *table, *interval), hit))
+        }
+        SlotSource::BaseKeyed { table, col, keys } => {
+            let (rows, starts) = txn.lookup_keys(*table, *col, keys)?;
+            Ok((SlotInput::grouped(rows, *col, keys.clone(), starts), false))
         }
         other => Ok((SlotInput::Owned(fetch(engine, txn, other)?), false)),
     }
@@ -348,6 +345,41 @@ mod tests {
         assert_eq!(input.len(), 3, "every keyed change record, unnetted");
         assert!(matches!(input, SlotInput::Owned(_)));
         assert_eq!(cache.stats().misses, 0, "scan cache untouched");
+    }
+
+    #[test]
+    fn fetch_cached_keeps_a_keyed_probes_grouping() {
+        let (e, t) = engine();
+        e.create_index(t, 0).unwrap();
+        let mut w = e.begin();
+        for v in [1, 2, 2, 4] {
+            w.insert(t, tup![v]).unwrap();
+        }
+        w.commit().unwrap();
+        let cache = ScanCache::new();
+        let keyed = |keys: &[i64]| SlotSource::BaseKeyed {
+            table: t,
+            col: 0,
+            keys: Arc::new(keys.iter().map(|&k| Value::Int(k)).collect()),
+        };
+        let mut txn = e.begin();
+        let (input, hit) = fetch_cached(&e, &mut txn, &keyed(&[2, 3, 4]), &cache).unwrap();
+        assert!(!hit);
+        assert!(matches!(input, SlotInput::Grouped(..)));
+        let want = vec![
+            DeltaRow {
+                ts: None,
+                count: 2,
+                tuple: tup![2],
+            },
+            DeltaRow::base(tup![4]),
+        ];
+        assert_eq!(input.rows(), &want[..]);
+        assert_eq!(fetch(&e, &mut txn, &keyed(&[2, 3, 4])).unwrap(), want);
+        // Keys out of order cannot be binary-searched: plain rows.
+        let (input, _) = fetch_cached(&e, &mut txn, &keyed(&[4, 2]), &cache).unwrap();
+        assert!(matches!(input, SlotInput::Owned(_)));
+        assert_eq!(input.len(), 2);
     }
 
     #[test]

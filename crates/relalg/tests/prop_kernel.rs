@@ -7,6 +7,10 @@
 //! shared inputs through one [`BuildCache`] (a miss, then a hit per build
 //! side). Every run must emit exactly the reference's `(ts, count, tuple)`
 //! sequence: probe-major, each probe row's matches in build order.
+//!
+//! A second property feeds build sides grouped by a sorted key list, as a
+//! keyed base probe returns them, and checks the binary-searched join
+//! against the hashed one.
 
 use proptest::prelude::*;
 use rolljoin_common::{ColumnType, Csn, DeltaRow, Schema, TableId, TimeInterval, Tuple, Value};
@@ -185,4 +189,129 @@ proptest! {
         prop_assert_eq!(cache.stats().misses, builds);
         prop_assert_eq!(cache.stats().hits, builds);
     }
+}
+
+/// One value from a pool that stresses key equality: NULL, `0.0` and
+/// `-0.0`, two NaN bit patterns, and strings beside ints.
+fn key_value(g: &mut Gen) -> Value {
+    match g.range(0, 8) {
+        0 => Value::Null,
+        1 => Value::Int(0),
+        2 => Value::Int(1),
+        3 => Value::Float(0.0),
+        4 => Value::Float(-0.0),
+        5 => Value::Float(f64::NAN),
+        6 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        7 => Value::str("a"),
+        _ => Value::str("b"),
+    }
+}
+
+/// A build slot's grouping: the probed column, its sorted distinct keys,
+/// and the group bounds.
+type Grouping = (usize, Vec<Value>, Vec<u32>);
+
+/// A keyed-probe join: slot 0 holds probe rows, every later slot is a
+/// build side whose rows arrive grouped by a sorted, distinct key list on
+/// one column — the shape a keyed base probe hands the join — joined to a
+/// column of an earlier slot, sometimes with a second key column too.
+/// Returns the case and each build slot's grouping.
+fn gen_grouped_case(seed: u64) -> (Case, Vec<Grouping>) {
+    let mut g = Gen(seed);
+    let n = g.range(2, 4) as usize;
+    let probe: Vec<DeltaRow> = (0..g.range(0, 8))
+        .map(|_| {
+            let tuple = Tuple::new((0..2).map(|_| key_value(&mut g)));
+            DeltaRow::change(g.range(1, 9) as Csn, g.range(1, 2), tuple)
+        })
+        .collect();
+    let (mut slots, mut groups, mut equi) = (vec![probe], Vec::new(), Vec::new());
+    for k in 1..n {
+        let col = g.range(0, 1) as usize;
+        let mut keys: Vec<Value> = (0..g.range(0, 6)).map(|_| key_value(&mut g)).collect();
+        keys.sort();
+        keys.dedup();
+        let (mut rows, mut starts) = (Vec::new(), vec![0u32]);
+        for key in &keys {
+            // Zero to three rows per key: a key may be probed and absent.
+            for _ in 0..g.range(0, 3) {
+                let mut values = [key.clone(), key_value(&mut g)];
+                values.swap(0, col);
+                let count = if g.chance(3) { -1 } else { g.range(1, 3) };
+                rows.push(DeltaRow {
+                    ts: None,
+                    count,
+                    tuple: Tuple::new(values),
+                });
+            }
+            starts.push(rows.len() as u32);
+        }
+        let earlier = g.range(0, k as i64 - 1) as usize;
+        equi.push((2 * earlier + g.range(0, 1) as usize, 2 * k + col));
+        if g.chance(4) {
+            // A second key column: the group no longer is the index.
+            equi.push((2 * earlier + g.range(0, 1) as usize, 2 * k + 1 - col));
+        }
+        slots.push(rows);
+        groups.push((col, keys, starts));
+    }
+    let spec = JoinSpec {
+        slot_schemas: (0..n)
+            .map(|s| Schema::new((0..2).map(|c| (format!("s{s}c{c}"), ColumnType::Int))))
+            .collect(),
+        equi,
+        filter: None,
+        projection: (0..2 * n).collect(),
+    };
+    let sign = if g.chance(2) { 1 } else { -1 };
+    (Case { spec, slots, sign }, groups)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn grouped_build_sides_match_hashed_join(seed in any::<u64>()) {
+        let (case, groups) = gen_grouped_case(seed);
+        let (hashed, hashed_stats) = execute(case.slots.clone(), &case.spec, case.sign).unwrap();
+        prop_assert_eq!(&hashed, &reference(&case));
+
+        let mut inputs = vec![SlotInput::Owned(case.slots[0].clone())];
+        for (rows, (col, keys, starts)) in case.slots[1..].iter().zip(groups) {
+            let input = SlotInput::grouped(rows.clone(), col, Arc::new(keys), starts);
+            prop_assert!(matches!(input, SlotInput::Grouped(..)));
+            inputs.push(input);
+        }
+        let (grouped, grouped_stats) =
+            execute_shared(inputs, &case.spec, case.sign, None).unwrap();
+        prop_assert_eq!(grouped, hashed);
+        prop_assert_eq!(grouped_stats, hashed_stats);
+    }
+}
+
+#[test]
+fn unsorted_or_untiled_groups_fall_back_to_owned_rows() {
+    let rows = || vec![DeltaRow::base(Tuple::new([Value::Int(1)]))];
+    let keys = |k: &[i64]| Arc::new(k.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>());
+    let owned = |input: SlotInput| matches!(input, SlotInput::Owned(_));
+    assert!(!owned(SlotInput::grouped(
+        rows(),
+        0,
+        keys(&[1, 2]),
+        vec![0, 1, 1]
+    )));
+    assert!(owned(SlotInput::grouped(
+        rows(),
+        0,
+        keys(&[2, 1]),
+        vec![0, 0, 1]
+    )));
+    assert!(owned(SlotInput::grouped(
+        rows(),
+        0,
+        keys(&[1, 1]),
+        vec![0, 1, 1]
+    )));
+    assert!(owned(SlotInput::grouped(rows(), 0, keys(&[1]), vec![0, 2])));
+    assert!(owned(SlotInput::grouped(rows(), 0, keys(&[1]), vec![0])));
 }

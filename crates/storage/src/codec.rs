@@ -131,11 +131,16 @@ pub fn get_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
 /// Encode a whole tuple.
 pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + tuple.arity() * 4);
-    put_varint(&mut buf, tuple.arity() as u64);
-    for v in tuple.values() {
-        put_value(&mut buf, v);
-    }
+    put_tuple(&mut buf, tuple);
     buf
+}
+
+/// Append a whole tuple's encoding to `buf`.
+pub fn put_tuple(buf: &mut Vec<u8>, tuple: &Tuple) {
+    put_varint(buf, tuple.arity() as u64);
+    for v in tuple.values() {
+        put_value(buf, v);
+    }
 }
 
 /// Decode a tuple from the front of `buf`, advancing `pos`.

@@ -29,7 +29,7 @@ use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager,
 use crate::signal::Signal;
 use crate::table::{add_count, BaseTable};
 use crate::uow::UnitOfWork;
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{put_apply, Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, Schema, TableId, TimeInterval, Tuple, TxnId};
 use std::collections::HashMap;
@@ -933,8 +933,11 @@ impl Txn {
         }
     }
 
-    /// Index probe: all `(tuple, count)` pairs of `table` whose `col`
-    /// matches any of `keys`. Requires an index on `col`.
+    /// Index probe: every row of `table` whose `col` matches one of
+    /// `keys`, as base slot rows (no timestamp, count = multiplicity),
+    /// grouped by key in `keys` order. The second result bounds the
+    /// groups: `keys[i]`'s rows are `rows[starts[i]..starts[i + 1]]`.
+    /// Requires an index on `col`.
     ///
     /// Table granularity locks the whole table S (the seed behavior).
     /// Striped granularity takes IS at the table plus S on only the
@@ -948,7 +951,7 @@ impl Txn {
         table: TableId,
         col: usize,
         keys: &[rolljoin_common::Value],
-    ) -> Result<Vec<(Tuple, i64)>> {
+    ) -> Result<(Vec<DeltaRow>, Vec<u32>)> {
         self.check_active()?;
         match self.engine.lock_granularity() {
             LockGranularity::Table => self.lock(table, LockMode::Shared)?,
@@ -963,11 +966,20 @@ impl Txn {
                         "no index on column {col} of {table}"
                     )));
                 }
-                let mut out = Vec::new();
+                let mut rows = Vec::with_capacity(keys.len());
+                let mut starts = Vec::with_capacity(keys.len() + 1);
+                starts.push(0);
                 for key in keys {
-                    t.for_each_lookup(col, key, |tuple, count| out.push((tuple.clone(), count)));
+                    t.for_each_lookup(col, key, |tuple, count| {
+                        rows.push(DeltaRow {
+                            ts: None,
+                            count,
+                            tuple: tuple.clone(),
+                        })
+                    });
+                    starts.push(u32::try_from(rows.len()).expect("probe rows fit u32 positions"));
                 }
-                Ok(out)
+                Ok((rows, starts))
             }
             _ => unreachable!(),
         }
@@ -1035,8 +1047,9 @@ impl Txn {
     /// — not `|n|` of each — so capture also stages one counted delta row
     /// per tuple. The batch takes the per-tuple lock footprint in one go
     /// (table X, or IX plus the sorted union of the tuples' stripes),
-    /// holds the table mutex once, writes its frames with one
-    /// [`Wal::append_many`], and pushes one undo record. All or nothing:
+    /// holds the table mutex once, encodes its frames straight from the
+    /// counts into one buffer appended under one hold of the log mutex,
+    /// and pushes one undo record. All or nothing:
     /// if any count cannot apply (an over-delete, a schema mismatch), the
     /// table and the WAL are left as they were. Zero counts are skipped.
     pub fn apply_counts(&mut self, table: TableId, mut counts: Vec<(Tuple, i64)>) -> Result<()> {
@@ -1062,16 +1075,12 @@ impl Txn {
             }
             _ => unreachable!(),
         }
-        let records: Vec<WalRecord> = counts
-            .iter()
-            .map(|(tuple, n)| WalRecord::Apply {
-                txn: self.id,
-                table,
-                count: *n,
-                tuple: tuple.clone(),
-            })
-            .collect();
-        self.engine.inner.wal.append_many(&records);
+        self.engine
+            .inner
+            .wal
+            .append_each(&counts, |(tuple, n), buf| {
+                put_apply(buf, self.id, table, *n, tuple)
+            });
         self.undo.push(UndoOp::Apply { table, counts });
         Ok(())
     }
@@ -1468,6 +1477,38 @@ mod tests {
     }
 
     #[test]
+    fn lookup_keys_groups_rows_per_key() {
+        let (e, t) = engine_with_table();
+        e.create_index(t, 0).unwrap();
+        let mut w = e.begin();
+        w.apply_counts(
+            t,
+            vec![(tup![1, "a"], 2), (tup![2, "b"], 1), (tup![2, "c"], 1)],
+        )
+        .unwrap();
+        w.commit().unwrap();
+        let mut r = e.begin();
+        let keys = [1, 3, 2].map(rolljoin_common::Value::Int);
+        let (rows, starts) = r.lookup_keys(t, 0, &keys).unwrap();
+        assert_eq!(starts, vec![0, 1, 1, 3], "key 3 has an empty group");
+        assert_eq!(
+            rows[0],
+            DeltaRow {
+                ts: None,
+                count: 2,
+                tuple: tup![1, "a"],
+            }
+        );
+        let mut two = rows[1..].to_vec();
+        two.sort_by(|x, y| x.tuple.cmp(&y.tuple));
+        assert_eq!(
+            two,
+            vec![DeltaRow::base(tup![2, "b"]), DeltaRow::base(tup![2, "c"])]
+        );
+        assert!(r.lookup_keys(t, 1, &keys).is_err(), "no index on column 1");
+    }
+
+    #[test]
     fn apply_counts_is_all_or_nothing() {
         let (e, t) = engine_with_table();
         e.create_index(t, 0).unwrap();
@@ -1654,7 +1695,7 @@ mod tests {
         let hits = r
             .lookup_keys(t, 0, &[rolljoin_common::Value::Int(7)])
             .unwrap();
-        assert_eq!(hits, vec![(tup![7, 1], 1)]);
+        assert_eq!(hits, (vec![DeltaRow::base(tup![7, 1])], vec![0, 1]));
     }
 
     #[test]

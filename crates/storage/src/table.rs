@@ -22,8 +22,50 @@ pub struct BaseTable {
     counts: HashMap<Tuple, i64>,
     /// Total multiplicity: the sum of `counts`.
     len: u64,
-    /// column → key value → tuple → multiplicity.
-    secondary: HashMap<usize, HashMap<Value, HashMap<Tuple, i64>>>,
+    /// column → key value → the tuples holding it, with multiplicity.
+    secondary: HashMap<usize, HashMap<Value, Bucket>>,
+}
+
+/// The tuples of one secondary-index key. Most keys (every key of a
+/// unique column) hold a single distinct tuple, which sits inline in the
+/// index map — a probe reads it with no further pointer chase. Only a key
+/// with several distinct tuples keeps a map of its own, so a hot key's
+/// updates stay O(1).
+enum Bucket {
+    One(Tuple, i64),
+    /// Two or more distinct tuples.
+    Many(HashMap<Tuple, i64>),
+}
+
+/// Add `n` to `tuple`'s count under `key` in `idx`, the same signed update
+/// [`add_count`] made to the tuple map (so it cannot over-delete), moving
+/// the key between the inline and map forms as its distinct tuples go
+/// 1 → 2 → 1.
+fn index_add(idx: &mut HashMap<Value, Bucket>, key: &Value, tuple: &Tuple, n: i64) {
+    let Some(bucket) = idx.get_mut(key) else {
+        debug_assert!(n > 0, "index agrees with the map");
+        idx.insert(key.clone(), Bucket::One(tuple.clone(), n));
+        return;
+    };
+    match bucket {
+        Bucket::One(t, c) if t == tuple => {
+            *c += n;
+            if *c == 0 {
+                idx.remove(key);
+            }
+        }
+        Bucket::One(t, c) => {
+            let first = (t.clone(), *c);
+            *bucket = Bucket::Many(HashMap::from([first, (tuple.clone(), n)]));
+        }
+        Bucket::Many(m) => {
+            add_count(m, tuple, n).expect("index agrees with the map");
+            if m.len() == 1 {
+                let (t, c) = m.drain().next().expect("one entry");
+                *bucket = Bucket::One(t, c);
+            }
+        }
+    }
 }
 
 impl BaseTable {
@@ -47,11 +89,9 @@ impl BaseTable {
                 self.schema
             )));
         }
-        let mut idx: HashMap<Value, HashMap<Tuple, i64>> = HashMap::new();
+        let mut idx = HashMap::new();
         for (tuple, n) in &self.counts {
-            idx.entry(tuple.get(col).clone())
-                .or_default()
-                .insert(tuple.clone(), *n);
+            index_add(&mut idx, tuple.get(col), tuple, *n);
         }
         self.secondary.insert(col, idx);
         Ok(())
@@ -75,10 +115,14 @@ impl BaseTable {
     /// required) without materializing a per-key vector — probe fetch
     /// paths push matches straight into their output through `f`.
     pub fn for_each_lookup(&self, col: usize, key: &Value, mut f: impl FnMut(&Tuple, i64)) {
-        if let Some(m) = self.secondary.get(&col).and_then(|idx| idx.get(key)) {
-            for (t, c) in m {
-                f(t, *c);
+        match self.secondary.get(&col).and_then(|idx| idx.get(key)) {
+            Some(Bucket::One(t, c)) => f(t, *c),
+            Some(Bucket::Many(m)) => {
+                for (t, c) in m {
+                    f(t, *c);
+                }
             }
+            None => {}
         }
     }
 
@@ -137,17 +181,7 @@ impl BaseTable {
         }
         self.len = self.len.wrapping_add_signed(n);
         for (col, idx) in &mut self.secondary {
-            match idx.entry(tuple.get(*col).clone()) {
-                Entry::Occupied(mut bucket) => {
-                    add_count(bucket.get_mut(), tuple, n).expect("index agrees with the map");
-                    if bucket.get().is_empty() {
-                        bucket.remove();
-                    }
-                }
-                Entry::Vacant(bucket) => {
-                    bucket.insert(HashMap::from([(tuple.clone(), n)]));
-                }
-            }
+            index_add(idx, tuple.get(*col), tuple, n);
         }
         Ok(())
     }

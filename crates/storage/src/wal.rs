@@ -83,6 +83,16 @@ const TAG_CREATE_INDEX: u8 = 7;
 const TAG_APPLY: u8 = 8;
 const TAG_CREATE_DELTA_INDEX: u8 = 9;
 
+/// Append the payload of a [`WalRecord::Apply`] built from its parts, so a
+/// batch of counts is logged without cloning each tuple into a record.
+pub(crate) fn put_apply(buf: &mut Vec<u8>, txn: TxnId, table: TableId, count: i64, tuple: &Tuple) {
+    buf.push(TAG_APPLY);
+    codec::put_varint(buf, txn.0);
+    codec::put_varint(buf, u64::from(table.0));
+    codec::put_ivarint(buf, count);
+    codec::put_tuple(buf, tuple);
+}
+
 fn put_string(buf: &mut Vec<u8>, s: &str) {
     codec::put_varint(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
@@ -136,22 +146,28 @@ impl WalRecord {
     /// Encode the payload (without framing).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(16);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the payload (without framing) to `buf`.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             WalRecord::Begin { txn } => {
                 buf.push(TAG_BEGIN);
-                codec::put_varint(&mut buf, txn.0);
+                codec::put_varint(buf, txn.0);
             }
             WalRecord::Insert { txn, table, tuple } => {
                 buf.push(TAG_INSERT);
-                codec::put_varint(&mut buf, txn.0);
-                codec::put_varint(&mut buf, u64::from(table.0));
-                buf.extend_from_slice(&codec::encode_tuple(tuple));
+                codec::put_varint(buf, txn.0);
+                codec::put_varint(buf, u64::from(table.0));
+                codec::put_tuple(buf, tuple);
             }
             WalRecord::Delete { txn, table, tuple } => {
                 buf.push(TAG_DELETE);
-                codec::put_varint(&mut buf, txn.0);
-                codec::put_varint(&mut buf, u64::from(table.0));
-                buf.extend_from_slice(&codec::encode_tuple(tuple));
+                codec::put_varint(buf, txn.0);
+                codec::put_varint(buf, u64::from(table.0));
+                codec::put_tuple(buf, tuple);
             }
             WalRecord::Commit {
                 txn,
@@ -159,13 +175,13 @@ impl WalRecord {
                 wallclock_micros,
             } => {
                 buf.push(TAG_COMMIT);
-                codec::put_varint(&mut buf, txn.0);
-                codec::put_varint(&mut buf, *csn);
-                codec::put_varint(&mut buf, *wallclock_micros);
+                codec::put_varint(buf, txn.0);
+                codec::put_varint(buf, *csn);
+                codec::put_varint(buf, *wallclock_micros);
             }
             WalRecord::Abort { txn } => {
                 buf.push(TAG_ABORT);
-                codec::put_varint(&mut buf, txn.0);
+                codec::put_varint(buf, txn.0);
             }
             WalRecord::CreateTable {
                 id,
@@ -174,39 +190,32 @@ impl WalRecord {
                 is_view_delta,
             } => {
                 buf.push(TAG_CREATE_TABLE);
-                codec::put_varint(&mut buf, u64::from(id.0));
-                put_string(&mut buf, name);
+                codec::put_varint(buf, u64::from(id.0));
+                put_string(buf, name);
                 buf.push(u8::from(*is_view_delta));
-                codec::put_varint(&mut buf, schema.arity() as u64);
+                codec::put_varint(buf, schema.arity() as u64);
                 for (col, ty) in schema.columns() {
-                    put_string(&mut buf, col);
+                    put_string(buf, col);
                     buf.push(type_tag(*ty));
                 }
             }
             WalRecord::CreateIndex { table, col } => {
                 buf.push(TAG_CREATE_INDEX);
-                codec::put_varint(&mut buf, u64::from(table.0));
-                codec::put_varint(&mut buf, u64::from(*col));
+                codec::put_varint(buf, u64::from(table.0));
+                codec::put_varint(buf, u64::from(*col));
             }
             WalRecord::CreateDeltaIndex { table, col } => {
                 buf.push(TAG_CREATE_DELTA_INDEX);
-                codec::put_varint(&mut buf, u64::from(table.0));
-                codec::put_varint(&mut buf, u64::from(*col));
+                codec::put_varint(buf, u64::from(table.0));
+                codec::put_varint(buf, u64::from(*col));
             }
             WalRecord::Apply {
                 txn,
                 table,
                 count,
                 tuple,
-            } => {
-                buf.push(TAG_APPLY);
-                codec::put_varint(&mut buf, txn.0);
-                codec::put_varint(&mut buf, u64::from(table.0));
-                codec::put_ivarint(&mut buf, *count);
-                buf.extend_from_slice(&codec::encode_tuple(tuple));
-            }
+            } => put_apply(buf, *txn, *table, *count, tuple),
         }
-        buf
     }
 
     /// Decode a payload produced by [`WalRecord::encode`].
@@ -340,22 +349,36 @@ impl Wal {
 
     /// Append records back to back under one hold of the log mutex,
     /// returning the first one's LSN. The frames are byte-for-byte what
-    /// one [`Wal::append`] per record would write; they are encoded and
-    /// checksummed before the mutex is taken.
+    /// one [`Wal::append`] per record would write.
     pub fn append_many(&self, recs: &[WalRecord]) -> Lsn {
-        let payloads: Vec<(Vec<u8>, u32)> = recs
-            .iter()
-            .map(|rec| {
-                let payload = rec.encode();
-                let crc = codec::crc32(&payload);
-                (payload, crc)
-            })
-            .collect();
+        self.append_each(recs, |rec, buf| rec.encode_into(buf))
+    }
+
+    /// Append one record per item, `encode` writing each payload, returning
+    /// the first one's LSN. Every frame is encoded and checksummed into one
+    /// buffer before the log mutex is taken; under it the buffer is copied
+    /// in once.
+    pub(crate) fn append_each<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        mut encode: impl FnMut(T, &mut Vec<u8>),
+    ) -> Lsn {
+        let (mut bytes, mut frames) = (Vec::new(), Vec::new());
+        for item in items {
+            let frame = bytes.len();
+            frames.push(frame);
+            bytes.extend_from_slice(&[0; 8]);
+            encode(item, &mut bytes);
+            let len = (bytes.len() - frame - 8) as u32;
+            let crc = codec::crc32(&bytes[frame + 8..]);
+            bytes[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+            bytes[frame + 4..frame + 8].copy_from_slice(&crc.to_le_bytes());
+        }
         let mut inner = self.inner.lock();
         let lsn = inner.offsets.len() as Lsn;
-        for (payload, crc) in &payloads {
-            inner.push_frame(payload, *crc);
-        }
+        let base = inner.bytes.len();
+        inner.offsets.extend(frames.iter().map(|f| base + f));
+        inner.bytes.extend_from_slice(&bytes);
         lsn
     }
 
@@ -560,6 +583,27 @@ mod tests {
         assert_eq!(many.read_from(2, 2).unwrap(), sample()[2..4].to_vec());
         assert_eq!(many.append_many(&[]), 7);
         assert_eq!(many.byte_len(), one.byte_len());
+    }
+
+    #[test]
+    fn apply_frames_from_parts_match_records() {
+        let counts = [(tup![1, "a"], 3), (tup![2, "b"], -1)];
+        let records: Vec<WalRecord> = counts
+            .iter()
+            .map(|(tuple, count)| WalRecord::Apply {
+                txn: TxnId(4),
+                table: TableId(2),
+                count: *count,
+                tuple: tuple.clone(),
+            })
+            .collect();
+        let (from_records, from_parts) = (Wal::new(), Wal::new());
+        from_records.append_many(&records);
+        from_parts.append_each(&counts, |(tuple, count), buf| {
+            put_apply(buf, TxnId(4), TableId(2), *count, tuple)
+        });
+        assert_eq!(from_parts.snapshot_bytes(), from_records.snapshot_bytes());
+        assert_eq!(from_parts.read_from(0, usize::MAX).unwrap(), records);
     }
 
     #[test]

@@ -330,6 +330,84 @@ proptest! {
         }
     }
 
+    /// Secondary-index upkeep under signed-count histories. Every key of
+    /// either indexed column moves between zero, one (stored inline) and
+    /// several distinct tuples; a scripted walk takes key 9 through
+    /// 0 → 1 → 2 → 1 → 0 with multiplicities above one and a rejected
+    /// over-delete, interleaved with the random steps. After every step each
+    /// key touched so far reads back, through `for_each_lookup`, exactly the
+    /// model filtered on it; at the end an index built over the populated
+    /// table agrees with the one kept up incrementally.
+    #[test]
+    fn secondary_index_model_check(
+        steps in prop::collection::vec((0..DOMAIN, 0..DOMAIN, -3i64..=3), 0..120),
+        at in prop::collection::vec(any::<prop::sample::Index>(), 6),
+    ) {
+        let schema = Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]);
+        let mut table = BaseTable::new(TableId(1), "r", schema.clone());
+        table.create_index(0).unwrap();
+        table.create_index(1).unwrap();
+        let script = [
+            (tup![9, 0], 2),
+            (tup![9, 1], 3),
+            (tup![9, 0], -3),
+            (tup![9, 0], -2),
+            (tup![9, 1], -1),
+            (tup![9, 1], -2),
+        ];
+        let mut history: Vec<(Tuple, i64)> =
+            steps.into_iter().map(|(a, b, n)| (tup![a, b], n)).collect();
+        let mut slots: Vec<usize> = at.iter().map(|i| i.index(history.len() + 1)).collect();
+        slots.sort_unstable();
+        for (step, slot) in script.into_iter().zip(slots).rev() {
+            history.insert(slot, step);
+        }
+        let mut model: HashMap<Tuple, i64> = HashMap::new();
+        let mut touched: BTreeSet<(usize, Value)> = BTreeSet::new();
+        let lookup = |t: &BaseTable, col: usize, key: &Value| {
+            let mut got = Vec::new();
+            t.for_each_lookup(col, key, |tuple, c| got.push((tuple.clone(), c)));
+            got.sort();
+            got
+        };
+        for (tuple, n) in history {
+            let have = model.get(&tuple).copied().unwrap_or(0);
+            let res = table.apply_count(&tuple, n);
+            prop_assert_eq!(res.is_ok(), have + n >= 0, "{} by {}", tuple, n);
+            if res.is_ok() {
+                match have + n {
+                    0 => model.remove(&tuple),
+                    c => model.insert(tuple.clone(), c),
+                };
+            }
+            touched.insert((0, tuple.get(0).clone()));
+            touched.insert((1, tuple.get(1).clone()));
+            for (col, key) in &touched {
+                let mut want: Vec<(Tuple, i64)> = model
+                    .iter()
+                    .filter(|(t, _)| t.get(*col) == key)
+                    .map(|(t, c)| (t.clone(), *c))
+                    .collect();
+                want.sort();
+                prop_assert_eq!(lookup(&table, *col, key), want);
+            }
+        }
+        let mut built = BaseTable::new(TableId(2), "built", schema);
+        for (tuple, n) in &model {
+            built.apply_count(tuple, *n).unwrap();
+        }
+        built.create_index(0).unwrap();
+        built.create_index(1).unwrap();
+        let incremental: Vec<_> = touched.iter().map(|(c, k)| lookup(&table, *c, k)).collect();
+        for (col, key) in &touched {
+            prop_assert_eq!(lookup(&built, *col, key), lookup(&table, *col, key));
+        }
+        table.create_index(0).unwrap();
+        table.create_index(1).unwrap();
+        let rebuilt: Vec<_> = touched.iter().map(|(c, k)| lookup(&table, *c, k)).collect();
+        prop_assert_eq!(rebuilt, incremental);
+    }
+
     /// Delta-store ranges partition: count(0,t] = count(0,s] + count(s,t].
     #[test]
     fn delta_range_partition(
