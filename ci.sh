@@ -9,6 +9,9 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== harness: E5 (query count = T(n), Def. 4.2) and E6 (exact tiling) fail on a mismatch =="
+./target/release/harness e5 e6
+
 echo "== live benchmark builds and passes its tests =="
 cargo test -q --release --manifest-path livebench/Cargo.toml
 cargo build -q --release --manifest-path livebench/Cargo.toml
@@ -42,9 +45,11 @@ done
 
 echo "== rustfmt =="
 cargo fmt --all --check
+cargo fmt --check --manifest-path livebench/Cargo.toml
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --release --manifest-path livebench/Cargo.toml --all-targets -- -D warnings
 
 echo "== examples (each asserts on its results; observe self-checks its artifacts) =="
 for example in examples/*.rs; do

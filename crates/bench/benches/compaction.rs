@@ -71,7 +71,7 @@ fn bench_compaction(c: &mut Criterion) {
             |(_w, ctx, mat, end)| {
                 let mut worker = DeltaWorker::new();
                 worker.enqueue(PropQuery::all_base(2), 1, vec![mat; 2], end);
-                worker.run_auto(&ctx).unwrap();
+                worker.run(&ctx).unwrap();
                 ctx.stats.snapshot().delta_rows_read
             },
             BatchSize::PerIteration,
@@ -86,7 +86,7 @@ fn bench_compaction(c: &mut Criterion) {
                 // (min of HWM and apply position) covers all the churn.
                 let mut worker = DeltaWorker::new();
                 worker.enqueue(PropQuery::all_base(2), 1, vec![mat; 2], end);
-                worker.run_auto(&ctx).unwrap();
+                worker.run(&ctx).unwrap();
                 ctx.mv.set_hwm(end);
                 roll_to(&ctx, end).unwrap();
                 (w, ctx)

@@ -48,7 +48,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
                 |(_w, ctx, mat, end)| {
                     let mut worker = DeltaWorker::new();
                     worker.enqueue(PropQuery::all_base(2), 1, vec![mat; 2], end);
-                    worker.run_auto(&ctx).unwrap();
+                    worker.run(&ctx).unwrap();
                     ctx.stats.snapshot().delta_rows_read
                 },
                 BatchSize::PerIteration,

@@ -49,7 +49,7 @@ fn bench_parallel(c: &mut Criterion) {
                     |(_c, ctx, mat, end)| {
                         let mut w = DeltaWorker::new();
                         w.enqueue(PropQuery::all_base(n), 1, vec![mat; n], end);
-                        w.run_auto(&ctx).unwrap();
+                        w.run(&ctx).unwrap();
                         ctx.stats.snapshot().total_queries()
                     },
                     BatchSize::PerIteration,

@@ -124,7 +124,7 @@ fn run_config(
     let t0 = Instant::now();
     let mut worker = DeltaWorker::new();
     worker.enqueue(PropQuery::all_base(star.n()), 1, vec![mat; star.n()], end);
-    worker.run_auto(&ctx)?;
+    worker.run(&ctx)?;
     let propagate_wall = t0.elapsed();
     ctx.mv.set_hwm(end);
     let since = ctx.stats.snapshot().since(&before);

@@ -149,7 +149,7 @@ fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
     let mut retries = 0u64;
     let t0 = Instant::now();
     loop {
-        match worker.run_auto(&ctx) {
+        match worker.run(&ctx) {
             Ok(()) => break,
             Err(Error::LockTimeout { .. }) => retries += 1,
             Err(e) => return Err(e),

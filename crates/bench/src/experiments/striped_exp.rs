@@ -198,7 +198,7 @@ fn run_config(
     let mut retries = 0u64;
     let run_window = |worker: &mut DeltaWorker, retries: &mut u64| -> Result<()> {
         loop {
-            match worker.run_auto(&ctx) {
+            match worker.run(&ctx) {
                 Ok(()) => return Ok(()),
                 Err(Error::LockTimeout { .. }) => *retries += 1,
                 Err(e) => return Err(e),

@@ -2,7 +2,7 @@
 //! counts, the asynchronous query structure, and region tiling.
 
 use crate::{ms, timed, Table};
-use rolljoin_common::{Result, TimeInterval};
+use rolljoin_common::{Error, Result, TimeInterval};
 use rolljoin_core::{
     compute_delta, eq1_query_count, eq2_query_count, expected_query_count, materialize, oracle,
     sync_propagate_eq1, sync_propagate_eq2, PropQuery,
@@ -27,6 +27,16 @@ fn churn_chain(c: &Chain, rows: usize, updates: usize, keys: i64) -> Result<u64>
         last = streams[i % k].step(&c.engine)?;
     }
     Ok(last)
+}
+
+/// `Err` naming every row whose check failed, so a mismatch fails the
+/// experiment after its tables have printed.
+fn fail_on_mismatch(rows: Vec<String>) -> Result<()> {
+    if rows.is_empty() {
+        Ok(())
+    } else {
+        Err(Error::Internal(format!("MISMATCH: {}", rows.join("; "))))
+    }
 }
 
 /// E4 (Eq. 1 vs Eq. 2): query counts `2^n − 1` vs `n`, with measured cost.
@@ -89,7 +99,9 @@ pub fn e4() -> Result<()> {
 /// E5 (Fig. 4): ComputeDelta's asynchronous structure — measured query
 /// count matches `T(n) = n·(1 + T(n−1))` when every table changed, and the
 /// compensation volume grows with how *late* propagation runs (drift).
+/// Fails if a measured count differs from `T(n)` or a Def. 4.2 check fails.
 pub fn e5() -> Result<()> {
+    let mut mismatches = Vec::new();
     let mut t = Table::new(&["n", "expected queries", "measured queries"]);
     for n in 1..=4usize {
         let c = Chain::setup(&format!("e5n{n}"), n)?;
@@ -97,11 +109,19 @@ pub fn e5() -> Result<()> {
         let mat = materialize(&ctx)?;
         let end = churn_chain(&c, 100, 3 * n, 50)?;
         compute_delta(&ctx, &PropQuery::all_base(n), 1, &vec![mat; n], end)?;
-        let snap = ctx.stats.snapshot();
+        let (expected, measured) = (
+            expected_query_count(n),
+            ctx.stats.snapshot().total_queries(),
+        );
+        if measured != expected {
+            mismatches.push(format!(
+                "E5a n={n}: measured {measured} queries, T(n) = {expected}"
+            ));
+        }
         t.row(vec![
             n.to_string(),
-            expected_query_count(n).to_string(),
-            snap.total_queries().to_string(),
+            expected.to_string(),
+            measured.to_string(),
         ]);
     }
     t.print("E5a (Fig. 4): ComputeDelta issues T(n) = n·(1+T(n−1)) queries");
@@ -128,6 +148,9 @@ pub fn e5() -> Result<()> {
         let snap = ctx.stats.snapshot();
         ctx.engine.capture_catch_up()?;
         let ok = oracle::timed_delta_holds(&ctx.engine, &ctx.mv, mat, end)?;
+        if !ok {
+            mismatches.push(format!("E5b lag={lag}: Def. 4.2 violated"));
+        }
         t.row(vec![
             lag.to_string(),
             snap.total_queries().to_string(),
@@ -139,13 +162,15 @@ pub fn e5() -> Result<()> {
     t.print(
         "E5b (Fig. 4): compensation volume grows with propagation lag; correctness never suffers",
     );
-    Ok(())
+    fail_on_mismatch(mismatches)
 }
 
 /// E6 (Figs. 6–7): the four queries of Equation 3 tile the L-shaped delta
 /// region exactly — raw view-delta rows overshoot (the overlapping
 /// rectangles), their net effect equals the oracle's `V_b − V_a` exactly.
+/// Fails if a row's net effect differs from the oracle's.
 pub fn e6() -> Result<()> {
+    let mut mismatches = Vec::new();
     let mut t = Table::new(&[
         "updates",
         "fwd queries",
@@ -172,6 +197,9 @@ pub fn e6() -> Result<()> {
         let v_a = oracle::view_at(&ctx.engine, &ctx.mv.view, mat)?;
         let v_b = oracle::view_at(&ctx.engine, &ctx.mv.view, end)?;
         let oracle_delta = rolljoin_relalg::add(&v_b, &rolljoin_relalg::negate(&v_a));
+        if net != oracle_delta {
+            mismatches.push(format!("E6 updates={updates}: net vd ≠ oracle delta"));
+        }
         t.row(vec![
             updates.to_string(),
             snap.forward_queries.to_string(),
@@ -188,5 +216,5 @@ pub fn e6() -> Result<()> {
         ]);
     }
     t.print("E6 (Figs. 6–7): forward + compensation queries tile V_{a,b} exactly (net = oracle)");
-    Ok(())
+    fail_on_mismatch(mismatches)
 }

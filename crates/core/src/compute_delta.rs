@@ -24,10 +24,20 @@
 //! timeout (deadlock resolution) halfway through leaves some results
 //! durably in the view delta. Re-running the whole computation would
 //! double-apply them. [`DeltaWorker`] therefore tracks the outstanding
-//! [`Frame`]s explicitly: a failed `Execute` pushes its frame back intact,
-//! and a later [`DeltaWorker::run`] resumes *exactly* where it stopped —
-//! the paper's prototype stores the equivalent progress in its control
-//! tables.
+//! work explicitly: a failed constituent query is re-queued (its
+//! transaction aborted, so re-running it is exactly-once), and a later
+//! [`DeltaWorker::run`] resumes *exactly* where it stopped — the paper's
+//! prototype stores the equivalent progress in its control tables.
+//!
+//! # Rounds
+//!
+//! The queue drains in rounds: expand every queued activation into its
+//! constituent queries, execute them, then schedule each success's
+//! compensation. The queries of a round are mutually independent — each
+//! commits separately and is compensated from its *own* commit CSN — so
+//! they may run in any order or concurrently: across a pool of
+//! `ctx.tuning.workers` threads, or inline on the calling thread when the
+//! pool would hold a single worker.
 
 use crate::execute::{MaintCtx, QuerySpanCtx};
 use crate::query::PropQuery;
@@ -36,15 +46,13 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 /// One outstanding `ComputeDelta` activation: propagate the delta of `q`
-/// from `tau` to `t_new` (scaled by `sign`), with slots before `next_slot`
-/// already expanded.
+/// from `tau` to `t_new`, scaled by `sign`.
 #[derive(Debug, Clone)]
-pub struct Frame {
-    pub q: PropQuery,
-    pub sign: i64,
-    pub tau: Vec<Csn>,
-    pub t_new: Csn,
-    next_slot: usize,
+struct Frame {
+    q: PropQuery,
+    sign: i64,
+    tau: Vec<Csn>,
+    t_new: Csn,
     /// Span id of the query (or step) that caused this activation — the
     /// parent of every query span the frame issues. `0` = root.
     parent: u64,
@@ -53,10 +61,9 @@ pub struct Frame {
 }
 
 /// One fully-substituted constituent query, ready to execute as its own
-/// transaction. Units are what the parallel executor hands to workers:
-/// they are mutually independent (each commits separately and is
-/// compensated from its *own* execution time), so executing them in any
-/// order — or concurrently — yields the same view delta under `φ`.
+/// transaction. Units are mutually independent (each commits separately
+/// and is compensated from its *own* execution time), so executing them
+/// in any order — or concurrently — yields the same view delta under `φ`.
 #[derive(Debug, Clone)]
 struct Unit {
     q: PropQuery,
@@ -75,12 +82,14 @@ struct Unit {
 }
 
 impl Unit {
-    fn span_ctx(&self) -> QuerySpanCtx {
-        QuerySpanCtx {
+    fn execute(&self, ctx: &MaintCtx) -> Result<(Csn, u64)> {
+        let sctx = QuerySpanCtx {
             parent: self.parent,
             depth: self.depth,
             rel: Some(self.rel),
-        }
+        };
+        ctx.execute_traced(&self.q, self.sign, sctx)
+            .map(|(o, span_id)| (o.exec_csn, span_id))
     }
 }
 
@@ -109,11 +118,6 @@ impl DeltaWorker {
         self.queue.is_empty()
     }
 
-    /// Outstanding frames (for monitoring).
-    pub fn pending_frames(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Schedule `ComputeDelta(q, tau, t_new)` scaled by `sign`.
     pub fn enqueue(&mut self, q: PropQuery, sign: i64, tau: Vec<Csn>, t_new: Csn) {
         self.enqueue_under(q, sign, tau, t_new, 0, 0);
@@ -137,71 +141,31 @@ impl DeltaWorker {
             sign,
             tau,
             t_new,
-            next_slot: 0,
             parent,
             depth,
         }));
     }
 
-    /// Drain the queue with [`DeltaWorker::run`] or
-    /// [`DeltaWorker::run_parallel`] according to `ctx.tuning.workers`.
-    pub fn run_auto(&mut self, ctx: &MaintCtx) -> Result<()> {
-        if ctx.tuning.workers > 1 {
-            self.run_parallel(ctx, ctx.tuning.workers)
-        } else {
-            self.run(ctx)
-        }
-    }
-
-    /// Drain the queue sequentially. On error (e.g. a lock timeout), all
-    /// unfinished work — including the failing item — remains queued; call
-    /// `run` again to resume without re-executing anything that committed.
-    pub fn run(&mut self, ctx: &MaintCtx) -> Result<()> {
-        while let Some(work) = self.queue.pop_front() {
-            ctx.stats.record_queue_depth(self.queue.len() as u64 + 1);
-            match work {
-                Work::Expand(mut frame) => {
-                    if let Err(e) = self.run_frame(ctx, &mut frame) {
-                        self.queue.push_front(Work::Expand(frame));
-                        return Err(e);
-                    }
-                }
-                Work::Exec(unit) => match ctx.execute_traced(&unit.q, unit.sign, unit.span_ctx()) {
-                    Ok((outcome, span_id)) => {
-                        self.push_compensation(&unit, outcome.exec_csn, span_id)
-                    }
-                    Err(e) => {
-                        self.queue.push_front(Work::Exec(unit));
-                        return Err(e);
-                    }
-                },
-            }
-        }
-        Ok(())
-    }
-
-    /// Drain the queue with a pool of `workers` threads executing
-    /// constituent queries concurrently, each as its own strict-2PL
+    /// Drain the queue, executing constituent queries on a pool of
+    /// `ctx.tuning.workers` threads, each as its own strict-2PL
     /// transaction.
     ///
     /// Each round: (1) expand every queued frame into its independent
-    /// single-query `Unit`s, (2) execute the units across the pool,
-    /// (3) enqueue the compensation frame of every success (timed by that
-    /// unit's own commit CSN) and re-queue every failure (its transaction
-    /// aborted, so re-execution cannot double-apply).
+    /// single-query `Unit`s, (2) execute the units, (3) enqueue the
+    /// compensation frame of every success (timed by that unit's own
+    /// commit CSN) and re-queue every failure (its transaction aborted, so
+    /// re-execution cannot double-apply).
     ///
-    /// The result is identical to [`DeltaWorker::run`] under the `φ`
-    /// net-effect: units never depend on each other's execution times —
-    /// compensation is always relative to the unit's *actual* commit CSN —
-    /// so interleaving only changes the (compensated-for) drift, not the
-    /// delta. Deadlock-freedom is preserved because every transaction
-    /// still acquires its base S locks in `TableId` order with the view
-    /// delta's X lock last.
-    pub fn run_parallel(&mut self, ctx: &MaintCtx, workers: usize) -> Result<()> {
-        loop {
-            if self.queue.is_empty() {
-                return Ok(());
-            }
+    /// On error (e.g. a lock timeout), all unfinished work remains queued;
+    /// call `run` again to resume without re-executing anything that
+    /// committed. The view delta does not depend on the worker count under
+    /// the `φ` net-effect: compensation is always relative to a unit's
+    /// *actual* commit CSN, so interleaving only changes the
+    /// (compensated-for) drift. Deadlock-freedom is preserved because every
+    /// transaction still acquires its base S locks in `TableId` order with
+    /// the view delta's X lock last.
+    pub fn run(&mut self, ctx: &MaintCtx) -> Result<()> {
+        while !self.queue.is_empty() {
             ctx.stats.record_queue_depth(self.queue.len() as u64);
 
             // Phase 1: expand frames into independent units. Expansion is
@@ -222,14 +186,11 @@ impl DeltaWorker {
                 }
             }
             if units.is_empty() {
-                return match first_err {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                };
+                return first_err.map_or(Ok(()), Err);
             }
 
-            // Phase 2: execute the round's units across the worker pool.
-            let results = execute_units(ctx, &units, workers);
+            // Phase 2: execute the round's units.
+            let results = execute_units(ctx, &units, ctx.tuning.workers);
 
             // Phase 3: successes schedule their compensation; failures go
             // back on the queue (their transactions aborted — no durable
@@ -237,12 +198,10 @@ impl DeltaWorker {
             let mut requeue = Vec::new();
             for (unit, res) in units.into_iter().zip(results) {
                 match res {
-                    Ok((exec_csn, span_id)) => self.push_compensation(&unit, exec_csn, span_id),
+                    Ok((exec_csn, span_id)) => self.push_compensation(unit, exec_csn, span_id),
                     Err(e) => {
                         requeue.push(Work::Exec(unit));
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
+                        first_err.get_or_insert(e);
                     }
                 }
             }
@@ -253,109 +212,61 @@ impl DeltaWorker {
                 return Err(e);
             }
         }
+        Ok(())
     }
 
     /// Schedule the compensation frame of an executed unit, if it needs
     /// one. The frame's spans nest under the executed query's span
     /// (`span_id`), one level deeper.
-    fn push_compensation(&mut self, unit: &Unit, exec_csn: Csn, span_id: u64) {
-        if let Some(tau) = &unit.comp_tau {
+    fn push_compensation(&mut self, unit: Unit, exec_csn: Csn, span_id: u64) {
+        if let Some(tau) = unit.comp_tau {
             self.queue.push_back(Work::Expand(Frame {
-                q: unit.q.clone(),
+                q: unit.q,
                 sign: -unit.sign,
-                tau: tau.clone(),
+                tau,
                 t_new: exec_csn,
-                next_slot: 0,
                 parent: span_id,
                 depth: unit.depth + 1,
             }));
         }
     }
-
-    fn run_frame(&mut self, ctx: &MaintCtx, frame: &mut Frame) -> Result<()> {
-        let n = frame.q.n();
-        ctx.ensure_captured(frame.t_new)?;
-        while frame.next_slot < n {
-            let i = frame.next_slot;
-            if frame.q.slots[i].is_delta() || frame.tau[i] >= frame.t_new {
-                frame.next_slot += 1;
-                continue;
-            }
-            let interval = TimeInterval::new(frame.tau[i], frame.t_new);
-            if ctx.skip_empty && ctx.engine.delta_count(ctx.mv.view.bases[i], interval)? == 0 {
-                // The introduced delta slot is empty, so this query and
-                // every query in its compensation subtree (all of which
-                // retain the same empty slot) are empty. Nothing to do.
-                frame.next_slot += 1;
-                continue;
-            }
-            // Q' ← Q[1]…Q[i−1] R^i_{τ_old[i], t_new} Q[i+1]…Q[n]
-            let q2 = frame.q.with_delta(i, interval);
-            let sctx = QuerySpanCtx {
-                parent: frame.parent,
-                depth: frame.depth,
-                rel: Some(i),
-            };
-            let (outcome, span_id) = ctx.execute_traced(&q2, frame.sign, sctx)?;
-            frame.next_slot += 1;
-            if q2.slots.iter().any(|s| !s.is_delta()) {
-                // Tables left of i were intended at τ_old, right of i at
-                // t_new (Equation 2's convention); they were actually seen
-                // at t_exec — compensate back, negated.
-                let tau_intended: Vec<Csn> = (0..n)
-                    .map(|j| match j.cmp(&i) {
-                        std::cmp::Ordering::Less => frame.tau[j],
-                        std::cmp::Ordering::Equal => 0, // delta slot: unused
-                        std::cmp::Ordering::Greater => frame.t_new,
-                    })
-                    .collect();
-                self.queue.push_back(Work::Expand(Frame {
-                    q: q2,
-                    sign: -frame.sign,
-                    tau: tau_intended,
-                    t_new: outcome.exec_csn,
-                    next_slot: 0,
-                    parent: span_id,
-                    depth: frame.depth + 1,
-                }));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Expand a frame into its independent constituent-query units (without
-/// executing anything). Mirrors [`DeltaWorker::run_frame`]'s slot loop:
-/// the `i`-th unit substitutes `R^i_{τ_old[i], t_new}` into slot `i` and —
-/// if base slots remain — carries the intended times that its eventual
-/// compensation must restore. Order-independent: `delta_count` reads
-/// capture-complete history that concurrent maintenance cannot change.
+/// executing anything): the `i`-th unit substitutes `R^i_{τ_old[i], t_new}`
+/// into slot `i` and — if base slots remain — carries the intended times
+/// that its eventual compensation must restore. Order-independent:
+/// `delta_count` reads capture-complete history that concurrent
+/// maintenance cannot change.
 fn expand(ctx: &MaintCtx, frame: &Frame) -> Result<Vec<Unit>> {
     let n = frame.q.n();
     ctx.ensure_captured(frame.t_new)?;
     let mut units = Vec::new();
-    for i in frame.next_slot..n {
+    for i in 0..n {
         if frame.q.slots[i].is_delta() || frame.tau[i] >= frame.t_new {
             continue;
         }
         let interval = TimeInterval::new(frame.tau[i], frame.t_new);
         if ctx.skip_empty && ctx.engine.delta_count(ctx.mv.view.bases[i], interval)? == 0 {
+            // The introduced delta slot is empty, so this query and every
+            // query in its compensation subtree (all of which retain the
+            // same empty slot) are empty. Nothing to do.
             continue;
         }
+        // Q' ← Q[1]…Q[i−1] R^i_{τ_old[i], t_new} Q[i+1]…Q[n]
         let q2 = frame.q.with_delta(i, interval);
-        let comp_tau = if q2.slots.iter().any(|s| !s.is_delta()) {
-            Some(
-                (0..n)
-                    .map(|j| match j.cmp(&i) {
-                        std::cmp::Ordering::Less => frame.tau[j],
-                        std::cmp::Ordering::Equal => 0, // delta slot: unused
-                        std::cmp::Ordering::Greater => frame.t_new,
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        // Tables left of i were intended at τ_old, right of i at t_new
+        // (Equation 2's convention); they will actually be seen at t_exec —
+        // the compensation frame restores them, negated.
+        let comp_tau = q2.slots.iter().any(|s| !s.is_delta()).then(|| {
+            (0..n)
+                .map(|j| match j.cmp(&i) {
+                    std::cmp::Ordering::Less => frame.tau[j],
+                    std::cmp::Ordering::Equal => 0, // delta slot: unused
+                    std::cmp::Ordering::Greater => frame.t_new,
+                })
+                .collect()
+        });
         units.push(Unit {
             q: q2,
             sign: frame.sign,
@@ -368,12 +279,16 @@ fn expand(ctx: &MaintCtx, frame: &Frame) -> Result<Vec<Unit>> {
     Ok(units)
 }
 
-/// Execute `units` across a pool of `workers` threads. Returns one result
-/// per unit — the commit CSN plus the query's span id — in unit order.
-/// Workers pull from a shared channel (work stealing by contention); each
+/// Execute `units`, returning one result per unit — the commit CSN plus
+/// the query's span id — in unit order. A pool of one runs the units in
+/// order on the calling thread. A wider pool spawns `workers` threads
+/// that pull from a shared channel (work stealing by contention); each
 /// records its busy time.
 fn execute_units(ctx: &MaintCtx, units: &[Unit], workers: usize) -> Vec<Result<(Csn, u64)>> {
-    let workers = workers.min(units.len()).max(1);
+    let workers = workers.min(units.len());
+    if workers <= 1 {
+        return units.iter().map(|unit| unit.execute(ctx)).collect();
+    }
     let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, &Unit)>();
     let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Result<(Csn, u64)>)>();
     for item in units.iter().enumerate() {
@@ -388,9 +303,7 @@ fn execute_units(ctx: &MaintCtx, units: &[Unit], workers: usize) -> Vec<Result<(
                 let mut busy = 0u64;
                 while let Ok((i, unit)) = work_rx.recv() {
                     let start = Instant::now();
-                    let res = ctx
-                        .execute_traced(&unit.q, unit.sign, unit.span_ctx())
-                        .map(|(o, span_id)| (o.exec_csn, span_id));
+                    let res = unit.execute(ctx);
                     busy += start.elapsed().as_nanos() as u64;
                     if res_tx.send((i, res)).is_err() {
                         break;
@@ -431,7 +344,7 @@ pub fn compute_delta(
 ) -> Result<()> {
     let mut worker = DeltaWorker::new();
     worker.enqueue(q.clone(), sign, tau_old.to_vec(), t_new);
-    worker.run_auto(ctx)
+    worker.run(ctx)
 }
 
 /// The number of propagation queries `ComputeDelta` issues for a query
@@ -463,6 +376,5 @@ mod tests {
     fn worker_starts_idle() {
         let w = DeltaWorker::new();
         assert!(w.is_idle());
-        assert_eq!(w.pending_frames(), 0);
     }
 }

@@ -17,10 +17,10 @@ use std::time::Duration;
 /// run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecTuning {
-    /// Worker threads for the parallel propagation executor. `1` keeps the
-    /// original sequential `DeltaWorker` path; `> 1` runs independent
-    /// constituent queries concurrently, each as its own strict-2PL
-    /// transaction.
+    /// Pool width of the propagation executor: up to this many threads
+    /// run a round's independent constituent queries concurrently, each as
+    /// its own strict-2PL transaction. A round that would use one thread
+    /// runs inline on the calling thread.
     pub workers: usize,
     /// Index-probe-vs-scan pushdown threshold: probe an indexed base slot
     /// only while `delta keys × ratio < distinct table keys`; otherwise
@@ -70,7 +70,8 @@ impl Default for ExecTuning {
 }
 
 impl ExecTuning {
-    /// Sequential tuning (one worker, default pushdown threshold).
+    /// Sequential tuning (a pool of one worker, so every round runs inline;
+    /// default pushdown threshold).
     pub fn sequential() -> Self {
         ExecTuning {
             workers: 1,

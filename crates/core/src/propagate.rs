@@ -58,7 +58,7 @@ impl Propagator {
     /// Finish any interval whose propagation previously failed partway.
     fn finish_pending(&mut self) -> Result<()> {
         if let Some(target) = self.pending_target {
-            self.worker.run_auto(&self.ctx)?;
+            self.worker.run(&self.ctx)?;
             self.t_cur = target;
             self.pending_target = None;
             self.ctx.mv.set_hwm(self.t_cur);

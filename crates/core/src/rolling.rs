@@ -234,7 +234,7 @@ impl RollingPropagator {
             return Ok(None);
         };
         loop {
-            self.worker.run_auto(&self.ctx)?;
+            self.worker.run(&self.ctx)?;
             if let Some(seg) = p.seg.take() {
                 p.t_s += seg;
                 p.rem -= seg;

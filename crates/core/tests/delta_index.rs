@@ -323,7 +323,7 @@ fn probes_with_concurrent_updaters_and_compactor_match_oracle() {
         }
         worker.enqueue(PropQuery::all_base(N), 1, vec![*frontier; N], end);
         loop {
-            match worker.run_auto(&ctx) {
+            match worker.run(&ctx) {
                 Ok(()) => break,
                 Err(Error::LockTimeout { .. }) => continue,
                 Err(e) => panic!("propagation failed: {e}"),

@@ -5,82 +5,45 @@
 
 use rolljoin_common::{tup, ColumnType, Schema, TableId, TimeInterval};
 use rolljoin_core::{
-    compute_delta, materialize, oracle, roll_to, MaintCtx, MaterializedView, PropQuery, Propagator,
-    ViewDef,
+    compute_delta, expected_query_count, materialize, oracle, roll_to, MaintCtx, MaterializedView,
+    PropQuery, Propagator, ViewDef,
 };
 use rolljoin_relalg::JoinSpec;
 use rolljoin_storage::Engine;
 
-/// R(a,b) ⋈ S(b,c) projected to (a,c).
-fn two_way() -> (MaintCtx, TableId, TableId) {
+/// An `n`-way chain `R0(k0,k1) ⋈ R1(k1,k2) ⋈ …` projected to
+/// `(k0, kn)`.
+fn chain(n: usize) -> (MaintCtx, Vec<TableId>) {
     let e = Engine::new();
-    let r = e
-        .create_table(
-            "r",
-            Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]),
-        )
-        .unwrap();
-    let s = e
-        .create_table(
-            "s",
-            Schema::new([("b", ColumnType::Int), ("c", ColumnType::Int)]),
-        )
-        .unwrap();
+    let tables: Vec<TableId> = (0..n)
+        .map(|i| {
+            let cols = [
+                (format!("k{i}"), ColumnType::Int),
+                (format!("k{}", i + 1), ColumnType::Int),
+            ];
+            e.create_table(&format!("r{i}"), Schema::new(cols)).unwrap()
+        })
+        .collect();
     let view = ViewDef::new(
         &e,
         "v",
-        vec![r, s],
+        tables.clone(),
         JoinSpec {
-            slot_schemas: vec![e.schema(r).unwrap(), e.schema(s).unwrap()],
-            equi: vec![(1, 2)],
+            slot_schemas: tables.iter().map(|t| e.schema(*t).unwrap()).collect(),
+            equi: (1..n).map(|i| (2 * i - 1, 2 * i)).collect(),
             filter: None,
-            projection: vec![0, 3],
+            projection: vec![0, 2 * n - 1],
         },
     )
     .unwrap();
     let mv = MaterializedView::register(&e, view).unwrap();
-    (MaintCtx::new(e, mv), r, s)
+    (MaintCtx::new(e, mv), tables)
 }
 
-/// R(a,b) ⋈ S(b,c) ⋈ T(c,d) projected to (a,d).
-fn three_way() -> (MaintCtx, Vec<TableId>) {
-    let e = Engine::new();
-    let r = e
-        .create_table(
-            "r",
-            Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]),
-        )
-        .unwrap();
-    let s = e
-        .create_table(
-            "s",
-            Schema::new([("b", ColumnType::Int), ("c", ColumnType::Int)]),
-        )
-        .unwrap();
-    let t = e
-        .create_table(
-            "t",
-            Schema::new([("c", ColumnType::Int), ("d", ColumnType::Int)]),
-        )
-        .unwrap();
-    let view = ViewDef::new(
-        &e,
-        "v3",
-        vec![r, s, t],
-        JoinSpec {
-            slot_schemas: vec![
-                e.schema(r).unwrap(),
-                e.schema(s).unwrap(),
-                e.schema(t).unwrap(),
-            ],
-            equi: vec![(1, 2), (3, 4)],
-            filter: None,
-            projection: vec![0, 5],
-        },
-    )
-    .unwrap();
-    let mv = MaterializedView::register(&e, view).unwrap();
-    (MaintCtx::new(e, mv), vec![r, s, t])
+/// R(a,b) ⋈ S(b,c) projected to (a,c).
+fn two_way() -> (MaintCtx, TableId, TableId) {
+    let (ctx, ts) = chain(2);
+    (ctx, ts[0], ts[1])
 }
 
 fn insert(ctx: &MaintCtx, t: TableId, tuple: rolljoin_common::Tuple) -> u64 {
@@ -259,7 +222,7 @@ fn point_in_time_refresh_hits_oracle_at_every_stop() {
 
 #[test]
 fn compute_delta_three_way_matches_oracle() {
-    let (ctx, ts) = three_way();
+    let (ctx, ts) = chain(3);
     let (r, s, t) = (ts[0], ts[1], ts[2]);
     insert(&ctx, r, tup![1, 10]);
     insert(&ctx, s, tup![10, 100]);
@@ -277,7 +240,7 @@ fn compute_delta_three_way_matches_oracle() {
 
 #[test]
 fn propagate_three_way_stepwise() {
-    let (ctx, ts) = three_way();
+    let (ctx, ts) = chain(3);
     let (r, s, t) = (ts[0], ts[1], ts[2]);
     let mat = materialize(&ctx).unwrap();
     let mut prop = Propagator::new(ctx.clone(), mat);
@@ -322,4 +285,33 @@ fn empty_intervals_are_cheap_and_harmless() {
         "empty-delta pruning skips all queries"
     );
     assert_timed_delta_everywhere(&ctx, 0, t2);
+}
+
+/// Fig. 4's query count `T(n) = n·(1 + T(n−1))` when every interval is
+/// non-empty, with one forward query per base slot — inline (one worker)
+/// and pooled alike.
+#[test]
+fn compute_delta_issues_t_n_queries_at_every_worker_count() {
+    for n in 1..=4usize {
+        for workers in [1, 2] {
+            let (ctx, ts) = chain(n);
+            let ctx = ctx.without_empty_skip().with_workers(workers);
+            let mut end = 0;
+            for (i, t) in ts.iter().enumerate() {
+                end = insert(&ctx, *t, tup![i as i64, i as i64 + 1]);
+            }
+            compute_delta(&ctx, &PropQuery::all_base(n), 1, &vec![0; n], end).unwrap();
+            let snap = ctx.stats.snapshot();
+            assert_eq!(
+                snap.total_queries(),
+                expected_query_count(n),
+                "n = {n}, workers = {workers}"
+            );
+            assert_eq!(
+                snap.forward_queries, n as u64,
+                "n = {n}, workers = {workers}"
+            );
+            assert_timed_delta_everywhere(&ctx, 0, end);
+        }
+    }
 }

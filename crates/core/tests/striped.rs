@@ -241,7 +241,7 @@ fn striped_propagation_with_concurrent_updaters_matches_oracle() {
             }
             worker.enqueue(PropQuery::all_base(N), 1, vec![*frontier; N], end);
             loop {
-                match worker.run_auto(&ctx) {
+                match worker.run(&ctx) {
                     Ok(()) => break,
                     Err(Error::LockTimeout { .. }) => continue,
                     Err(e) => panic!("propagation failed: {e}"),

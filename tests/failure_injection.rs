@@ -150,9 +150,17 @@ fn suspended_propagation_freezes_hwm_then_recovers() {
 
 #[test]
 fn maintenance_survives_lock_timeouts() {
-    // A hostile writer holds an X lock on a base table long enough for the
-    // propagation transaction to time out; the driver must retry and
-    // eventually finish correctly.
+    // Inline (one worker) and pooled execution both re-queue the timed-out
+    // query.
+    for workers in [1, 2] {
+        lock_timeout_run(workers);
+    }
+}
+
+/// A hostile writer holds an X lock on a base table long enough for the
+/// propagation transaction to time out; the driver must retry and
+/// eventually finish correctly, applying every query exactly once.
+fn lock_timeout_run(workers: usize) {
     let w = TwoWay::setup("timeout").unwrap();
     let engine = rolljoin::storage::Engine::with_lock_timeout(Duration::from_millis(40));
     // Rebuild the scenario on the short-timeout engine.
@@ -188,7 +196,7 @@ fn maintenance_survives_lock_timeouts() {
     )
     .unwrap();
     let mv = rolljoin::core::MaterializedView::register(&engine, view).unwrap();
-    let ctx = MaintCtx::new(engine.clone(), mv);
+    let ctx = MaintCtx::new(engine.clone(), mv).with_workers(workers);
     let mat = materialize(&ctx).unwrap();
 
     let mut txn = engine.begin();
@@ -198,17 +206,20 @@ fn maintenance_survives_lock_timeouts() {
     txn.insert(s, tup![1, 10]).unwrap();
     let end = txn.commit().unwrap();
 
-    // Hostile writer grabs X on r for 150 ms in a background thread.
+    // Hostile writer grabs X on r for 150 ms in a background thread, and
+    // says so once it holds it.
     let e2 = engine.clone();
+    let (held_tx, held_rx) = std::sync::mpsc::channel();
     let blocker = std::thread::spawn(move || {
         let mut hog = e2.begin();
         hog.lock(r, LockMode::Exclusive).unwrap();
+        held_tx.send(()).unwrap();
         std::thread::sleep(Duration::from_millis(150));
         hog.commit().unwrap();
     });
-    std::thread::sleep(Duration::from_millis(10));
+    held_rx.recv().unwrap();
 
-    // Direct propagation hits the timeout at least once…
+    // Direct propagation hits the 40 ms timeout at least once…
     let mut prop = Propagator::new(ctx.clone(), mat);
     let mut attempts = 0;
     loop {
@@ -220,13 +231,14 @@ fn maintenance_survives_lock_timeouts() {
         }
     }
     blocker.join().unwrap();
-    assert!(attempts >= 1);
+    assert!(attempts >= 2, "workers = {workers}: no lock timeout hit");
 
     roll_to(&ctx, end).unwrap();
     engine.capture_catch_up().unwrap();
     assert_eq!(
         oracle::mv_state(&engine, &ctx.mv).unwrap(),
-        oracle::view_at(&engine, &ctx.mv.view, end).unwrap()
+        oracle::view_at(&engine, &ctx.mv.view, end).unwrap(),
+        "workers = {workers}"
     );
 }
 
