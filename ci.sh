@@ -9,8 +9,8 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
-echo "== harness: E5 (query count = T(n), Def. 4.2) and E6 (exact tiling) fail on a mismatch =="
-./target/release/harness e5 e6
+echo "== harness: each experiment's checks fail the run on a mismatch =="
+./target/release/harness e3 e4 e5 e6 e10 e12 e14 e15 e18 e20
 
 echo "== live benchmark builds and passes its tests =="
 cargo test -q --release --manifest-path livebench/Cargo.toml

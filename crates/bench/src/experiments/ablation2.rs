@@ -2,6 +2,7 @@
 //! (DESIGN.md §4): the index-probe semi-join pushdown and the empty-delta
 //! subtree skip.
 
+use super::Checks;
 use crate::{ms, timed, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,8 +56,10 @@ fn two_way_indexed(name: &str, indexed: bool, rows: usize) -> Result<rolljoin_co
 
 /// E14: the semi-join pushdown is what makes maintenance-transaction size
 /// track the delta instead of the table — exactly what an index on the
-/// join column buys the paper's DB2 prototype.
+/// join column buys the paper's DB2 prototype. Fails if either arm's MV
+/// differs from the oracle.
 pub fn e14() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "join-column indexes",
         "base rows read",
@@ -98,18 +101,22 @@ pub fn e14() -> Result<()> {
             snap.delta_rows_read.to_string(),
             snap.max_txn_rows.to_string(),
             ms(wall),
-            if got == want { "ok" } else { "MISMATCH" }.to_string(),
+            checks.cell(got == want, || {
+                format!("E14 indexed={indexed}: rolled MV ≠ oracle")
+            }),
         ]);
     }
     t.print("E14 (ablation): index-probe semi-join pushdown — identical results, table-sized vs delta-sized transactions");
-    Ok(())
+    checks.finish()
 }
 
 /// E15: skipping a propagation query whose introduced delta slot is empty
 /// prunes its entire (provably empty) compensation subtree — the star
 /// schema's cold dimensions make this the difference between O(facts) and
-/// O(dimension-touches) work for the dimension relations.
+/// O(dimension-touches) work for the dimension relations. Fails if either
+/// arm's MV differs from the oracle.
 pub fn e15() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "empty-delta skip",
         "fwd queries",
@@ -148,9 +155,11 @@ pub fn e15() -> Result<()> {
             snap.comp_queries.to_string(),
             snap.total_rows_read().to_string(),
             ms(wall),
-            if got == want { "ok" } else { "MISMATCH" }.to_string(),
+            checks.cell(got == want, || {
+                format!("E15 skip={skip}: rolled MV ≠ oracle")
+            }),
         ]);
     }
     t.print("E15 (ablation): empty-delta subtree skip on a star schema with quiet dimensions");
-    Ok(())
+    checks.finish()
 }

@@ -1,7 +1,7 @@
 //! E10 / E11 — point-in-time refresh cost and the summary-delta
 //! aggregation extension.
 
-use super::{churn_two_way, loaded_two_way};
+use super::{churn_two_way, loaded_two_way, Checks};
 use crate::{ms, timed, Table};
 use rolljoin_common::Result;
 use rolljoin_core::{
@@ -12,8 +12,9 @@ use rolljoin_workload::Star;
 
 /// E10 (§1, §3.3): with the view delta staged, the apply process can roll
 /// to *any* intermediate time; cost scales with the rolled distance, and
-/// every stop lands exactly on the oracle.
+/// every stop lands exactly on the oracle, or the run fails.
 pub fn e10() -> Result<()> {
+    let mut checks = Checks::default();
     let (w, ctx, mat) = loaded_two_way("e10", 10_000, 10_000)?;
     let end = churn_two_way(&w, 3_000, 3, 10_000)?;
     let mut prop = Propagator::new(ctx.clone(), mat);
@@ -42,12 +43,14 @@ pub fn e10() -> Result<()> {
             (target - prev).to_string(),
             ms(d),
             out.tuples_changed.to_string(),
-            if got == want { "ok" } else { "MISMATCH" }.to_string(),
+            checks.cell(got == want, || {
+                format!("E10 target={target}: rolled MV ≠ oracle")
+            }),
         ]);
         prev = target;
     }
     t.print("E10: point-in-time refresh — roll cost vs distance, oracle-checked at every stop");
-    Ok(())
+    checks.finish()
 }
 
 /// E11 (§3/§6): aggregation views via summary-delta tables — incremental

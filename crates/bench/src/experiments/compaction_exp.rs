@@ -18,6 +18,7 @@
 //! view-delta net effect is asserted identical across arms, and the
 //! rolled MV is verified against the oracle.
 
+use super::{mv_matches_oracle, Checks};
 use crate::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,8 +80,8 @@ struct RunOutcome {
     /// Net effect of the full produced view delta, summed window by
     /// window before each roll (the `prune` arm drops applied windows).
     phi: NetEffect,
-    /// Oracle verification of the rolled MV ("ok" / "MISMATCH").
-    verify: String,
+    /// Does the rolled MV equal the oracle?
+    verify: bool,
 }
 
 /// One E18 arm: its name and whether the stores are pruned between
@@ -175,7 +176,7 @@ fn run_config((name, prune): Arm, theta: f64, workers: usize, trial: usize) -> R
     }
     let since = ctx.stats.snapshot().since(&before);
 
-    let verify = crate::experiments::verify_cell(&ctx);
+    let verify = mv_matches_oracle(&ctx)?;
     let report = ctx.compaction_report()?;
     Ok(RunOutcome {
         propagate_wall,
@@ -193,8 +194,11 @@ fn run_config((name, prune): Arm, theta: f64, workers: usize, trial: usize) -> R
 }
 
 /// E18: sweep compaction arm × Zipf skew × workers on Zipf hot-key
-/// churn; emit the results table and `BENCH_compaction.json`.
+/// churn; emit the results table and `BENCH_compaction.json`. Fails if an
+/// arm's view delta nets differently from the exact arm's or a rolled MV
+/// differs from the oracle.
 pub fn e18() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "arm",
         "theta",
@@ -219,11 +223,11 @@ pub fn e18() -> Result<()> {
                 let (base_wall, base_delta, base_phi) = baseline
                     .get_or_insert((out.propagate_wall, out.delta_rows, out.phi.clone()))
                     .clone();
-                assert_eq!(
-                    out.phi, base_phi,
-                    "view-delta divergence: {name} vs exact at theta={theta}"
-                );
-                assert_eq!(out.verify, "ok", "oracle mismatch under {name}");
+                let row = format!("E18 {name} theta={theta} workers={workers}");
+                let diverged = !checks.check(out.phi == base_phi, || {
+                    format!("{row}: view delta nets differently from the exact arm's")
+                });
+                let verify = checks.cell(out.verify, || format!("{row}: rolled MV ≠ oracle"));
                 let wall_ratio =
                     out.propagate_wall.as_secs_f64() / base_wall.as_secs_f64().max(1e-9);
                 let rows_ratio = out.delta_rows as f64 / (base_delta as f64).max(1e-9);
@@ -238,7 +242,7 @@ pub fn e18() -> Result<()> {
                     out.vd_written.to_string(),
                     out.net_saved.to_string(),
                     out.store_rows.to_string(),
-                    out.verify.clone(),
+                    verify.clone(),
                 ]);
                 json_rows.push(format!(
                     concat!(
@@ -249,7 +253,7 @@ pub fn e18() -> Result<()> {
                         "\"total_rows_read\": {}, \"vd_rows_written\": {}, ",
                         "\"net_rows_saved\": {}, \"store_rows_end\": {}, ",
                         "\"vd_rows_end\": {}, \"bytes_reclaimed\": {}, ",
-                        "\"view_delta_divergence\": false, \"oracle\": \"{}\"}}"
+                        "\"view_delta_divergence\": {}, \"oracle\": \"{}\"}}"
                     ),
                     name,
                     theta,
@@ -265,7 +269,8 @@ pub fn e18() -> Result<()> {
                     out.store_rows,
                     out.vd_rows,
                     out.bytes_reclaimed,
-                    out.verify,
+                    diverged,
+                    verify,
                 ));
             }
         }
@@ -298,5 +303,5 @@ pub fn e18() -> Result<()> {
         PAIR_FRAC * 100.0
     ));
     println!("  [wrote BENCH_compaction.json]");
-    Ok(())
+    checks.finish()
 }

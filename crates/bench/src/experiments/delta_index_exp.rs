@@ -19,6 +19,7 @@
 //! oracle-verified rolled MV; the probed run must cut the delta rows
 //! entering joins ≥5× on the selective cells.
 
+use super::{mv_matches_oracle, Checks};
 use crate::Table;
 use rolljoin_common::{tup, Error, Result, TimeInterval};
 use rolljoin_core::{materialize, roll_to, DeltaWorker, ExecTuning, PropQuery};
@@ -55,8 +56,8 @@ struct RunOutcome {
     postings_bytes: u64,
     /// Net effect of the produced view delta.
     phi: NetEffect,
-    /// Oracle verification of the rolled MV ("ok" / "MISMATCH").
-    verify: String,
+    /// Does the rolled MV equal the oracle?
+    verify: bool,
 }
 
 /// One configuration: seed a star, replay a deterministic deep fact
@@ -134,7 +135,7 @@ fn run_config(
             .vd_range(ctx.mv.vd_table, TimeInterval::new(mat, end))?,
     );
     roll_to(&ctx, end)?;
-    let verify = crate::experiments::verify_cell(&ctx);
+    let verify = mv_matches_oracle(&ctx)?;
     Ok(RunOutcome {
         propagate_wall,
         rows_in: since.delta_rows_read,
@@ -162,8 +163,11 @@ fn run_best(probe: bool, sel: usize, depth: usize, workers: usize) -> Result<Run
 }
 
 /// E20: sweep probe selectivity × fact-history depth × workers on the
-/// star; emit the results table and `BENCH_delta_index.json`.
+/// star; emit the results table and `BENCH_delta_index.json`. Fails if a
+/// rolled MV differs from the oracle, probing changes the view delta, or
+/// a selective cell reads under 5x fewer delta rows with probes.
 pub fn e20() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "probe",
         "sel keys",
@@ -187,16 +191,16 @@ pub fn e20() -> Result<()> {
         for depth in [300usize, 1200] {
             for workers in [1usize, 2] {
                 let base = run_best(false, sel, depth, workers)?;
-                assert_eq!(base.verify, "ok", "oracle mismatch with probing off");
                 for (probe, out) in [
                     (false, &base),
                     (true, &run_best(true, sel, depth, workers)?),
                 ] {
-                    assert_eq!(
-                        out.phi, base.phi,
-                        "view-delta divergence: probe={probe} vs scan at sel={sel} depth={depth}"
-                    );
-                    assert_eq!(out.verify, "ok", "oracle mismatch, probe={probe}");
+                    let row =
+                        format!("E20 probe={probe} sel={sel} depth={depth} workers={workers}");
+                    let diverged = !checks.check(out.phi == base.phi, || {
+                        format!("{row}: view delta differs from the scan arm's")
+                    });
+                    let verify = checks.cell(out.verify, || format!("{row}: rolled MV ≠ oracle"));
                     let wall_ratio = out.propagate_wall.as_secs_f64()
                         / base.propagate_wall.as_secs_f64().max(1e-9);
                     let reduction = base.rows_in as f64 / (out.rows_in as f64).max(1.0);
@@ -213,7 +217,7 @@ pub fn e20() -> Result<()> {
                         out.scan_decisions.to_string(),
                         format!("{:.2}", out.probe_rate),
                         format!("{} B", out.postings_bytes),
-                        out.verify.clone(),
+                        verify.clone(),
                     ]);
                     json_rows.push(format!(
                         concat!(
@@ -224,7 +228,7 @@ pub fn e20() -> Result<()> {
                             "\"vd_rows_written\": {}, \"probe_decisions\": {}, ",
                             "\"scan_decisions\": {}, \"probe_rows\": {}, ",
                             "\"probe_rate\": {:.3}, \"postings_bytes\": {}, ",
-                            "\"view_delta_divergence\": false, \"oracle\": \"{}\"}}"
+                            "\"view_delta_divergence\": {}, \"oracle\": \"{}\"}}"
                         ),
                         probe,
                         sel,
@@ -241,16 +245,15 @@ pub fn e20() -> Result<()> {
                         out.probe_rows,
                         out.probe_rate,
                         out.postings_bytes,
-                        out.verify,
+                        diverged,
+                        verify,
                     ));
                     if probe {
                         best_reduction = best_reduction.max(reduction);
                         if sel == 2 {
-                            assert!(
-                                reduction >= 5.0,
-                                "selective cell under 5x: sel={sel} depth={depth} \
-                                 workers={workers} reduction={reduction:.2}"
-                            );
+                            checks.check(reduction >= 5.0, || {
+                                format!("{row}: selective cell reduction {reduction:.2}x < 5x")
+                            });
                             headline.push(format!(
                                 concat!(
                                     "    {{\"sel_keys\": {}, \"depth\": {}, \"workers\": {}, ",
@@ -291,5 +294,5 @@ pub fn e20() -> Result<()> {
          within each (sel, depth, workers) cell; best reduction {best_reduction:.1}x"
     ));
     println!("  [wrote BENCH_delta_index.json]");
-    Ok(())
+    checks.finish()
 }

@@ -15,7 +15,7 @@ pub mod striped_exp;
 pub mod sync_async;
 pub mod timeline;
 
-use rolljoin_common::Result;
+use rolljoin_common::{Error, Result};
 use rolljoin_core::MaintCtx;
 use rolljoin_workload::{int_pair_stream, TwoWay, UpdateMix};
 
@@ -169,16 +169,47 @@ pub fn churn_two_way(w: &TwoWay, n: usize, seed: u64, key_domain: i64) -> Result
     Ok(last)
 }
 
-/// Verify the MV equals the oracle at its materialization time; returns a
-/// ✓/✗ cell.
-pub fn verify_cell(ctx: &MaintCtx) -> String {
-    ctx.engine.capture_catch_up().unwrap();
-    let got = rolljoin_core::oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
-    let want =
-        rolljoin_core::oracle::view_at(&ctx.engine, &ctx.mv.view, ctx.mv.mat_time()).unwrap();
-    if got == want {
-        "ok".to_string()
-    } else {
-        "MISMATCH".to_string()
+/// Does the MV equal the oracle at its materialization time?
+pub fn mv_matches_oracle(ctx: &MaintCtx) -> Result<bool> {
+    ctx.engine.capture_catch_up()?;
+    let got = rolljoin_core::oracle::mv_state(&ctx.engine, &ctx.mv)?;
+    let want = rolljoin_core::oracle::view_at(&ctx.engine, &ctx.mv.view, ctx.mv.mat_time())?;
+    Ok(got == want)
+}
+
+/// The failed checks of one experiment run. An experiment records each
+/// check as it fills its tables and ends with [`Checks::finish`], so a
+/// mismatch fails the run after its tables have printed.
+#[derive(Default)]
+pub struct Checks(Vec<String>);
+
+impl Checks {
+    /// Record one check; `row` names it in the error if it failed.
+    /// Returns `ok`.
+    pub fn check(&mut self, ok: bool, row: impl FnOnce() -> String) -> bool {
+        if !ok {
+            self.0.push(row());
+        }
+        ok
+    }
+
+    /// [`Checks::check`], returning the check's table cell: `ok` or
+    /// `MISMATCH`.
+    pub fn cell(&mut self, ok: bool, row: impl FnOnce() -> String) -> String {
+        if self.check(ok, row) {
+            "ok"
+        } else {
+            "MISMATCH"
+        }
+        .to_string()
+    }
+
+    /// `Err` naming every failed check, if any.
+    pub fn finish(self) -> Result<()> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(Error::Internal(format!("MISMATCH: {}", self.0.join("; "))))
+        }
     }
 }

@@ -9,6 +9,7 @@
 //! entry per rolling step. Results land in `BENCH_obs.json`
 //! (EXPERIMENTS.md E19).
 
+use super::Checks;
 use crate::Table;
 use rolljoin_common::{Error, Result};
 use rolljoin_core::{roll_to, ObsConfig, RollingPropagator, UniformInterval};
@@ -31,7 +32,8 @@ struct RunOutcome {
     comp_spans: usize,
     journal_entries: usize,
     gauges_zero: bool,
-    verify: String,
+    /// Does the rolled MV equal the oracle?
+    verify: bool,
 }
 
 fn tier_name(obs: ObsConfig) -> &'static str {
@@ -69,7 +71,7 @@ fn run_config(obs: ObsConfig, trial: usize) -> Result<RunOutcome> {
         comp_spans,
         journal_entries: ctx.obs.journal.len(),
         gauges_zero,
-        verify: super::verify_cell(&ctx),
+        verify: super::mv_matches_oracle(&ctx)?,
     })
 }
 
@@ -84,7 +86,10 @@ fn run_best(obs: ObsConfig) -> Result<RunOutcome> {
 }
 
 /// E19: ObsConfig tier sweep; emit the results table and `BENCH_obs.json`.
+/// Fails if a tier's rolled MV differs from the oracle, its gauges do not
+/// settle at 0, or `Full` records no compensation spans or journal entries.
 pub fn e19() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "obs",
         "wall",
@@ -103,11 +108,15 @@ pub fn e19() -> Result<()> {
         if obs == ObsConfig::Off {
             base_wall = out.wall;
         }
-        assert_eq!(out.verify, "ok", "oracle mismatch under {obs:?}");
-        assert!(out.gauges_zero, "gauges must hit 0 after quiesced roll");
+        let tier = tier_name(obs);
+        let verify = checks.cell(out.verify, || format!("E19 {tier}: rolled MV ≠ oracle"));
+        checks.check(out.gauges_zero, || {
+            format!("E19 {tier}: lag and staleness gauges not 0 after a quiesced roll")
+        });
         if obs == ObsConfig::Full {
-            assert!(out.comp_spans > 0, "Full run must trace compensation");
-            assert!(out.journal_entries > 0, "Full run must journal steps");
+            checks.check(out.comp_spans > 0 && out.journal_entries > 0, || {
+                format!("E19 {tier}: no compensation spans or journal entries")
+            });
         }
         let ratio = out.wall.as_secs_f64() / base_wall.as_secs_f64().max(1e-9);
         t.row(vec![
@@ -118,7 +127,7 @@ pub fn e19() -> Result<()> {
             out.comp_spans.to_string(),
             out.journal_entries.to_string(),
             out.gauges_zero.to_string(),
-            out.verify.clone(),
+            verify.clone(),
         ]);
         json_rows.push(format!(
             concat!(
@@ -134,7 +143,7 @@ pub fn e19() -> Result<()> {
             out.comp_spans,
             out.journal_entries,
             out.gauges_zero,
-            out.verify,
+            verify,
         ));
     }
 
@@ -162,5 +171,5 @@ pub fn e19() -> Result<()> {
          median of {TRIALS} trials); wall ratios are vs ObsConfig::Off"
     ));
     println!("  [wrote BENCH_obs.json]");
-    Ok(())
+    checks.finish()
 }

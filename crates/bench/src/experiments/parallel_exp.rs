@@ -12,9 +12,11 @@
 
 use crate::Table;
 use rolljoin_common::{tup, Error, Result};
-use rolljoin_core::{materialize, spawn_capture_driver, DeltaWorker, PropQuery};
+use rolljoin_core::{
+    expected_query_count, materialize, spawn_capture_driver, DeltaWorker, PropQuery,
+};
 use rolljoin_workload::Chain;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,9 +27,10 @@ const THINK: Duration = Duration::from_micros(2_000);
 const KEYS: i64 = 8;
 /// Churn commits to propagate, spread round-robin over the chain tables.
 const CHURN: usize = 24;
-/// Trials per configuration; the best wall time is reported. Scheduling
-/// noise at these millisecond scales only ever *adds* time, so the
-/// minimum is the least-noisy estimate of each configuration's cost.
+/// Trials per configuration; the best wall time is reported. Every trial
+/// does the same work (exactly `T(n)` queries), and scheduling noise at
+/// these millisecond scales only ever *adds* time, so the minimum is the
+/// least-noisy estimate of each configuration's cost.
 const TRIALS: usize = 3;
 
 struct RunOutcome {
@@ -53,32 +56,27 @@ impl RunOutcome {
     }
 }
 
-/// Best-wall trial of a configuration, compared at equal work: the
-/// propagation tree occasionally comes up short when a query slips through
-/// between the updaters' lock holds (its compensation intervals then prune
-/// as empty), and an unsaturated tree is cheaper to run. Picking the best
-/// wall among the trials that did the *most* queries keeps every worker
-/// count honest about the same query tree.
+/// Best-wall trial of a configuration.
 fn run_best(n: usize, workers: usize) -> Result<RunOutcome> {
     let mut outs = Vec::with_capacity(TRIALS);
     for trial in 0..TRIALS {
         outs.push(run_config(n, workers, trial)?);
     }
-    let maxq = outs.iter().map(|o| o.queries).max().unwrap_or(0);
-    outs.retain(|o| o.queries == maxq);
     outs.sort_by_key(|o| o.wall);
     Ok(outs.swap_remove(0))
 }
 
 /// One configuration: an n-way chain view, `workers` maintenance workers,
 /// one updater thread per table holding X locks with in-transaction think
-/// time.
+/// time. The empty-delta skip is off, so the measured step issues exactly
+/// `T(n)` queries at every worker count whatever the updaters commit
+/// meanwhile; any other count is an error.
 fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
     let c = Chain::setup(&format!("e16n{n}w{workers}t{trial}"), n)?;
-    let ctx = c.ctx().with_workers(workers);
+    let ctx = c.ctx().without_empty_skip().with_workers(workers);
     let mat = materialize(&ctx)?;
 
-    // Seed every table, then churn: the propagation work is identical
+    // Seed every table, then churn: the propagated window is identical
     // across worker counts (same commits, same CSNs).
     let mut txn = ctx.engine.begin();
     for t in 0..n {
@@ -105,19 +103,16 @@ fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
     // batch inside `release()`, and the updater's next X request queues
     // behind that batch — so the step alternates strictly: one updater
     // cycle, then one query *per idle worker*. The pool's win is exactly
-    // that batch width. Contending only these two tables also keeps the
-    // step's work deterministic: their delta intervals are never empty
-    // (they expand in every run) while the middle tables receive no
-    // commits after `end` (their prune decisions depend only on the
-    // pre-measured churn), so every worker count propagates an identical
-    // query tree.
+    // that batch width.
     let stop = Arc::new(AtomicBool::new(false));
+    let commits = Arc::new(AtomicUsize::new(0));
     let updaters: Vec<_> = [0usize, n - 1]
         .into_iter()
         .map(|u| {
             let engine = ctx.engine.clone();
             let table = c.tables[u];
             let stop = stop.clone();
+            let commits = commits.clone();
             std::thread::spawn(move || {
                 let mut lat: Vec<Duration> = Vec::new();
                 let mut k = u as i64;
@@ -129,6 +124,7 @@ fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
                             std::thread::sleep(THINK);
                             if txn.commit().is_ok() {
                                 lat.push(t0.elapsed());
+                                commits.fetch_add(1, Ordering::Release);
                             }
                         }
                         Err(_) => drop(txn),
@@ -144,6 +140,12 @@ fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
     // The measured step: propagate (mat, end] to the view delta. Lock
     // timeouts (deadlock resolution) re-queue the aborted unit; the
     // worker resumes without re-executing anything that committed.
+    // Start measuring once both updaters have committed, so every worker
+    // count meets the same contention (an inline `workers = 1` step could
+    // otherwise finish before the updater threads are scheduled).
+    while commits.load(Ordering::Acquire) < 2 {
+        std::thread::sleep(Duration::from_micros(100));
+    }
     let mut worker = DeltaWorker::new();
     worker.enqueue(PropQuery::all_base(n), 1, vec![mat; n], end);
     let mut retries = 0u64;
@@ -167,6 +169,13 @@ fn run_config(n: usize, workers: usize, trial: usize) -> Result<RunOutcome> {
     capture.stop()?;
 
     let s = ctx.stats.snapshot();
+    if s.total_queries() != expected_query_count(n) {
+        return Err(Error::Internal(format!(
+            "E16 chain-{n} workers={workers} trial {trial}: {} queries, T(n) = {}",
+            s.total_queries(),
+            expected_query_count(n)
+        )));
+    }
     let p99 = if lat.is_empty() {
         Duration::ZERO
     } else {

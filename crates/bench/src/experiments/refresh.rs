@@ -1,6 +1,6 @@
 //! E1 / E2 — Figures 1 and 2: the refresh cost structure.
 
-use super::{churn_two_way, loaded_two_way, verify_cell};
+use super::{churn_two_way, loaded_two_way, mv_matches_oracle, Checks};
 use crate::{ms, timed, Table};
 use rolljoin_common::Result;
 use rolljoin_core::{full_refresh, roll_to, sync_propagate_eq1, Propagator};
@@ -9,8 +9,10 @@ const ROWS: usize = 20_000;
 const KEYS: i64 = 20_000;
 
 /// E1 (Fig. 1): incremental refresh beats full recompute for small deltas;
-/// the advantage shrinks as the delta approaches the table size.
+/// the advantage shrinks as the delta approaches the table size. Fails if
+/// either refreshed MV differs from the oracle.
 pub fn e1() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "delta frac",
         "updates",
@@ -39,14 +41,18 @@ pub fn e1() -> Result<()> {
         });
         let _ = before;
         let incr_rows = out.rows_read;
-        let check_inc = verify_cell(&ctx);
+        let check_inc = checks.cell(mv_matches_oracle(&ctx)?, || {
+            format!("E1 frac={frac}: incremental MV ≠ oracle")
+        });
 
         // Full recompute on an identical twin.
         let (w2, ctx2, _) = loaded_two_way(&format!("e1f{updates}"), ROWS, KEYS)?;
         churn_two_way(&w2, updates, 42, KEYS)?;
         let full_rows = 2 * ROWS + updates; // both base scans (approx.)
         let (_, d_full) = timed(|| full_refresh(&ctx2).unwrap());
-        let check_full = verify_cell(&ctx2);
+        let check_full = checks.cell(mv_matches_oracle(&ctx2)?, || {
+            format!("E1 frac={frac}: fully refreshed MV ≠ oracle")
+        });
 
         let winner = if d_inc < d_full {
             "incremental"
@@ -65,13 +71,14 @@ pub fn e1() -> Result<()> {
         ]);
     }
     t.print("E1 (Fig. 1): incremental vs full refresh, 20k×20k two-way join");
-    Ok(())
+    checks.finish()
 }
 
 /// E2 (Fig. 2): splitting refresh into propagate + apply moves almost all
 /// of the cost off the refresh-time critical path — once the delta is
-/// staged, apply is cheap.
+/// staged, apply is cheap. Fails if a rolled MV differs from the oracle.
 pub fn e2() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "updates",
         "propagate ms (off critical path)",
@@ -88,7 +95,9 @@ pub fn e2() -> Result<()> {
         let mut prop = Propagator::new(ctx.clone(), mat);
         let (_, d_prop) = timed(|| prop.propagate_to(end, 64).unwrap());
         let (_, d_apply) = timed(|| roll_to(&ctx, end).unwrap());
-        let check = verify_cell(&ctx);
+        let check = checks.cell(mv_matches_oracle(&ctx)?, || {
+            format!("E2 updates={updates}: rolled MV ≠ oracle")
+        });
 
         // Monolithic: everything at refresh time (sync Eq. 1 + apply).
         let (w2, ctx2, mat2) = loaded_two_way(&format!("e2m{updates}"), ROWS, KEYS)?;
@@ -110,5 +119,5 @@ pub fn e2() -> Result<()> {
         ]);
     }
     t.print("E2 (Fig. 2): propagate/apply split — refresh-time cost is the apply share only");
-    Ok(())
+    checks.finish()
 }

@@ -1,7 +1,7 @@
 //! E7 / E8 — Figures 8–9 (Propagate vs RollingPropagate) and §3.3's
 //! interval-length knob.
 
-use super::verify_cell;
+use super::{mv_matches_oracle, Checks};
 use crate::{ms, timed, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,8 +48,10 @@ fn drive_star(star: &Star, seed: u64) -> Result<u64> {
 /// E7 (Figs. 8 vs 9): on a star schema with a hot fact table and cold
 /// dimensions, rolling propagation with per-relation intervals reads far
 /// fewer rows and issues far fewer compensations than aligned-interval
-/// `Propagate` — at identical output.
+/// `Propagate` — at identical output. Fails if a rolled MV differs from
+/// the oracle.
 pub fn e7() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "strategy",
         "fwd q",
@@ -60,8 +62,8 @@ pub fn e7() -> Result<()> {
         "wall ms",
         "check",
     ]);
-    let run = |name: &str,
-               f: &dyn Fn(&rolljoin_core::MaintCtx, u64, u64) -> Result<()>|
+    let mut run = |name: &str,
+                   f: &dyn Fn(&rolljoin_core::MaintCtx, u64, u64) -> Result<()>|
      -> Result<Vec<String>> {
         let star = Star::setup(name, DIMS, DIM_SIZE)?;
         let ctx = star.ctx();
@@ -78,7 +80,9 @@ pub fn e7() -> Result<()> {
             s.delta_rows_read.to_string(),
             s.vd_rows_written.to_string(),
             ms(wall),
-            verify_cell(&ctx),
+            checks.cell(mv_matches_oracle(&ctx)?, || {
+                format!("E7 {name}: rolled MV ≠ oracle")
+            }),
         ])
     };
 
@@ -123,13 +127,15 @@ pub fn e7() -> Result<()> {
     t.print(&format!(
         "E7 (Figs. 8–9): star schema, {FACTS} hot fact inserts vs {DIM_TOUCHES} dimension touches, {DIMS} dims"
     ));
-    Ok(())
+    checks.finish()
 }
 
 /// E8 (§3.3): the propagation-interval length trades per-transaction work
 /// (contention) against total overhead (query count). Small δ → many tiny
-/// transactions; large δ → few large ones.
+/// transactions; large δ → few large ones. Fails if a rolled MV differs
+/// from the oracle.
 pub fn e8() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "δ (csn)",
         "queries",
@@ -156,9 +162,11 @@ pub fn e8() -> Result<()> {
             avg.to_string(),
             s.max_txn_rows.to_string(),
             ms(wall),
-            verify_cell(&ctx),
+            checks.cell(mv_matches_oracle(&ctx)?, || {
+                format!("E8 δ={delta}: rolled MV ≠ oracle")
+            }),
         ]);
     }
     t.print("E8 (§3.3): interval length δ — per-transaction size vs total propagation work");
-    Ok(())
+    checks.finish()
 }

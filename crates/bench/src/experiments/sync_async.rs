@@ -1,8 +1,9 @@
 //! E4 / E5 / E6 — Equations 1–3 and Figures 4, 6–7: synchronous query
 //! counts, the asynchronous query structure, and region tiling.
 
+use super::Checks;
 use crate::{ms, timed, Table};
-use rolljoin_common::{Error, Result, TimeInterval};
+use rolljoin_common::{Result, TimeInterval};
 use rolljoin_core::{
     compute_delta, eq1_query_count, eq2_query_count, expected_query_count, materialize, oracle,
     sync_propagate_eq1, sync_propagate_eq2, PropQuery,
@@ -29,20 +30,11 @@ fn churn_chain(c: &Chain, rows: usize, updates: usize, keys: i64) -> Result<u64>
     Ok(last)
 }
 
-/// `Err` naming every row whose check failed, so a mismatch fails the
-/// experiment after its tables have printed.
-fn fail_on_mismatch(rows: Vec<String>) -> Result<()> {
-    if rows.is_empty() {
-        Ok(())
-    } else {
-        Err(Error::Internal(format!("MISMATCH: {}", rows.join("; "))))
-    }
-}
-
 /// E4 (Eq. 1 vs Eq. 2): query counts `2^n − 1` vs `n`, with measured cost.
 /// Eq. 2 is only demonstrable via time travel (the paper calls its results
-/// unrealizable); both must produce φ-identical deltas.
+/// unrealizable); both must produce φ-identical deltas, or the run fails.
 pub fn e4() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "n",
         "eq1 queries",
@@ -89,11 +81,13 @@ pub fn e4() -> Result<()> {
             out2.queries.to_string(),
             ms(d2),
             out2.rows_read.to_string(),
-            if n1 == n2 { "ok" } else { "MISMATCH" }.to_string(),
+            checks.cell(n1 == n2, || {
+                format!("E4 n={n}: Eq. 1 and Eq. 2 deltas differ")
+            }),
         ]);
     }
     t.print("E4 (Eq. 1 vs Eq. 2): 2^n−1 vs n synchronous propagation queries, n-way chains");
-    Ok(())
+    checks.finish()
 }
 
 /// E5 (Fig. 4): ComputeDelta's asynchronous structure — measured query
@@ -101,7 +95,7 @@ pub fn e4() -> Result<()> {
 /// compensation volume grows with how *late* propagation runs (drift).
 /// Fails if a measured count differs from `T(n)` or a Def. 4.2 check fails.
 pub fn e5() -> Result<()> {
-    let mut mismatches = Vec::new();
+    let mut checks = Checks::default();
     let mut t = Table::new(&["n", "expected queries", "measured queries"]);
     for n in 1..=4usize {
         let c = Chain::setup(&format!("e5n{n}"), n)?;
@@ -113,11 +107,9 @@ pub fn e5() -> Result<()> {
             expected_query_count(n),
             ctx.stats.snapshot().total_queries(),
         );
-        if measured != expected {
-            mismatches.push(format!(
-                "E5a n={n}: measured {measured} queries, T(n) = {expected}"
-            ));
-        }
+        checks.check(measured == expected, || {
+            format!("E5a n={n}: measured {measured} queries, T(n) = {expected}")
+        });
         t.row(vec![
             n.to_string(),
             expected.to_string(),
@@ -148,21 +140,18 @@ pub fn e5() -> Result<()> {
         let snap = ctx.stats.snapshot();
         ctx.engine.capture_catch_up()?;
         let ok = oracle::timed_delta_holds(&ctx.engine, &ctx.mv, mat, end)?;
-        if !ok {
-            mismatches.push(format!("E5b lag={lag}: Def. 4.2 violated"));
-        }
         t.row(vec![
             lag.to_string(),
             snap.total_queries().to_string(),
             snap.delta_rows_read.to_string(),
             snap.vd_rows_written.to_string(),
-            if ok { "ok" } else { "MISMATCH" }.to_string(),
+            checks.cell(ok, || format!("E5b lag={lag}: Def. 4.2 violated")),
         ]);
     }
     t.print(
         "E5b (Fig. 4): compensation volume grows with propagation lag; correctness never suffers",
     );
-    fail_on_mismatch(mismatches)
+    checks.finish()
 }
 
 /// E6 (Figs. 6–7): the four queries of Equation 3 tile the L-shaped delta
@@ -170,7 +159,7 @@ pub fn e5() -> Result<()> {
 /// rectangles), their net effect equals the oracle's `V_b − V_a` exactly.
 /// Fails if a row's net effect differs from the oracle's.
 pub fn e6() -> Result<()> {
-    let mut mismatches = Vec::new();
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "updates",
         "fwd queries",
@@ -197,9 +186,6 @@ pub fn e6() -> Result<()> {
         let v_a = oracle::view_at(&ctx.engine, &ctx.mv.view, mat)?;
         let v_b = oracle::view_at(&ctx.engine, &ctx.mv.view, end)?;
         let oracle_delta = rolljoin_relalg::add(&v_b, &rolljoin_relalg::negate(&v_a));
-        if net != oracle_delta {
-            mismatches.push(format!("E6 updates={updates}: net vd ≠ oracle delta"));
-        }
         t.row(vec![
             updates.to_string(),
             snap.forward_queries.to_string(),
@@ -207,14 +193,11 @@ pub fn e6() -> Result<()> {
             raw.to_string(),
             net.len().to_string(),
             oracle_delta.len().to_string(),
-            if net == oracle_delta {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
-            .to_string(),
+            checks.cell(net == oracle_delta, || {
+                format!("E6 updates={updates}: net vd ≠ oracle delta")
+            }),
         ]);
     }
     t.print("E6 (Figs. 6–7): forward + compensation queries tile V_{a,b} exactly (net = oracle)");
-    fail_on_mismatch(mismatches)
+    checks.finish()
 }

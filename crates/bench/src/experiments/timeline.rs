@@ -1,6 +1,6 @@
 //! E3 / E13 — Figure 3's high-water-mark picture and §5's capture lag.
 
-use super::loaded_two_way;
+use super::{loaded_two_way, Checks};
 use crate::Table;
 use rolljoin_common::Result;
 use rolljoin_core::{
@@ -12,8 +12,9 @@ use std::time::{Duration, Instant};
 /// E3 (Fig. 3): with capture, propagate, and apply all running
 /// continuously, sample the four clocks. The invariant of the figure —
 /// `mat_time ≤ vd HWM ≤ capture HWM ≤ current` — must hold in every
-/// sample, and the MV can be rolled to any point up to the HWM.
+/// sample, or the run fails.
 pub fn e3() -> Result<()> {
+    let mut checks = Checks::default();
     let (w, ctx, mat) = loaded_two_way("e3", 5_000, 5_000)?;
     let capture = spawn_capture_driver(w.engine.clone(), Duration::from_millis(1), 256);
     let prop = spawn_rolling_driver(
@@ -38,7 +39,6 @@ pub fn e3() -> Result<()> {
     ]);
     let started = Instant::now();
     let mut next_sample = Duration::from_millis(0);
-    let mut violations = 0;
     while started.elapsed() < Duration::from_millis(1_200) {
         streams.0.step(&w.engine)?;
         streams.1.step(&w.engine)?;
@@ -56,16 +56,16 @@ pub fn e3() -> Result<()> {
             // scan, not from deltas, so the HWM may legitimately sit at
             // `mat` before capture has seen that commit.
             let ok = matt <= hwm && hwm <= cap.max(mat) && cap <= now;
-            if !ok {
-                violations += 1;
-            }
+            let ms = started.elapsed().as_millis();
             t.row(vec![
-                started.elapsed().as_millis().to_string(),
+                ms.to_string(),
                 now.to_string(),
                 cap.to_string(),
                 hwm.to_string(),
                 matt.to_string(),
-                if ok { "ok" } else { "VIOLATED" }.to_string(),
+                checks.cell(ok, || {
+                    format!("E3 t={ms} ms: mat {matt} ≤ vd hwm {hwm} ≤ capture {cap} ≤ current {now} violated")
+                }),
             ]);
             next_sample += Duration::from_millis(150);
         }
@@ -74,15 +74,15 @@ pub fn e3() -> Result<()> {
     apply.stop()?;
     capture.stop()?;
     t.print("E3 (Fig. 3): the four clocks under continuous maintenance");
-    println!("invariant violations: {violations}");
-    Ok(())
+    checks.finish()
 }
 
 /// E13 (§5): a deliberately starved capture driver. Propagation steps
 /// capture inline for the deltas it needs, so the HWM keeps pace with the
 /// commits whatever the driver's rate, and point-in-time refresh lands
-/// exactly on the oracle.
+/// exactly on the oracle, or the run fails.
 pub fn e13() -> Result<()> {
+    let mut checks = Checks::default();
     let mut t = Table::new(&[
         "capture recs/step",
         "max capture lag (recs)",
@@ -125,13 +125,14 @@ pub fn e13() -> Result<()> {
             ctx.engine.capture_catch_up()?;
             let got = oracle::mv_state(&ctx.engine, &ctx.mv)?;
             let want = oracle::view_at(&ctx.engine, &ctx.mv.view, last)?;
-            if got == want {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
+            checks.cell(got == want, || {
+                format!("E13 {recs_per_step} recs/step: rolled MV ≠ oracle")
+            })
         } else {
-            "hwm never caught up"
+            checks.check(false, || {
+                format!("E13 {recs_per_step} recs/step: hwm never caught up")
+            });
+            "hwm never caught up".to_string()
         };
         t.row(vec![
             recs_per_step.to_string(),
@@ -141,5 +142,5 @@ pub fn e13() -> Result<()> {
         ]);
     }
     t.print("E13 (§5): a starved capture driver no longer narrows the roll window");
-    Ok(())
+    checks.finish()
 }

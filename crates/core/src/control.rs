@@ -16,15 +16,15 @@ use std::sync::Arc;
 
 /// Name of the persistent control table (paper Fig. 11: "control tables
 /// maintained in the database engine"). One row per materialized view:
-/// `(view_name, mat_time)`. Because it is an ordinary logged base table,
-/// the materialization time survives crash recovery.
+/// `(view_name, mat_time)`. Because it is a logged view-owned table, the
+/// materialization time survives crash recovery.
 pub const CONTROL_TABLE: &str = "__rolljoin_control";
 
 /// Get or create the control table.
 pub fn control_table(engine: &Engine) -> Result<TableId> {
     match engine.table_id(CONTROL_TABLE) {
         Ok(t) => Ok(t),
-        Err(_) => engine.create_table(
+        Err(_) => engine.create_view_table(
             CONTROL_TABLE,
             Schema::new([("view", ColumnType::Str), ("mat_time", ColumnType::Int)]),
         ),
@@ -61,7 +61,8 @@ impl MaterializedView {
     pub fn register(engine: &Engine, view: ViewDef) -> Result<Arc<MaterializedView>> {
         view.validate(engine)?;
         let out_schema = view.output_schema();
-        let mv_table = engine.create_table(&format!("{}__mv", view.name), out_schema.clone())?;
+        let mv_table =
+            engine.create_view_table(&format!("{}__mv", view.name), out_schema.clone())?;
         let vd_table = engine.create_view_delta(&format!("{}__vd", view.name), out_schema)?;
         // Persist the control row (mat_time = 0).
         let control = control_table(engine)?;

@@ -161,14 +161,11 @@ impl MaintCtx {
         self.mv.read_floor()
     }
 
-    /// Prune settled history: the captured history of each base table
-    /// this view touches — its bases, its MV table (every roll's install)
-    /// and the control table (every materialization-time update) —
-    /// through the engine-wide low-water mark (which every view reading
-    /// those stores, a view stacked on this one's MV included, holds down
-    /// to its own floor), and this view's private view delta store
-    /// through its materialization time. Counts one `compaction` step per
-    /// pass. Returns total records removed.
+    /// Prune settled history: the captured history of each of this view's
+    /// bases through the engine-wide low-water mark (which every view over
+    /// those bases holds down to its own floor), and this view's private
+    /// view delta store through its materialization time. Counts one
+    /// `compaction` step per pass. Returns total records removed.
     pub fn compact_stores(&self) -> Result<usize> {
         let started = Instant::now();
         let mut span = self.obs.span("compaction_pass");
@@ -204,13 +201,9 @@ impl MaintCtx {
         Ok(report)
     }
 
-    /// The base tables whose captured history [`MaintCtx::compact_stores`]
-    /// prunes, each once (a self-join lists a base twice): the view's
-    /// bases, its MV table and the control table (if one was created).
+    /// The view's bases, each once (a self-join lists a base twice).
     fn history_tables(&self) -> Vec<rolljoin_common::TableId> {
         let mut tables = self.mv.view.bases.clone();
-        tables.push(self.mv.mv_table);
-        tables.extend(self.engine.table_id(crate::control::CONTROL_TABLE).ok());
         tables.sort();
         tables.dedup();
         tables

@@ -121,7 +121,7 @@ impl SummaryView {
         }
         let sv_table = ctx
             .engine
-            .create_table(&format!("{}__sv", ctx.mv.view.name), Schema::new(cols))?;
+            .create_view_table(&format!("{}__sv", ctx.mv.view.name), Schema::new(cols))?;
         let mat_time = ctx.mv.mat_time();
         Ok(SummaryView {
             ctx,

@@ -54,7 +54,7 @@ impl UnionView {
                 )));
             }
         }
-        let mv_table = engine.create_table(&format!("{name}__mv"), out.clone())?;
+        let mv_table = engine.create_view_table(&format!("{name}__mv"), out.clone())?;
         let vd_table = engine.create_view_delta(&format!("{name}__vd"), out)?;
         let branches = defs
             .into_iter()

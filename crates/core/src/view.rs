@@ -6,7 +6,7 @@
 
 use rolljoin_common::{Error, Result, Schema, TableId};
 use rolljoin_relalg::JoinSpec;
-use rolljoin_storage::Engine;
+use rolljoin_storage::{Engine, TableKind};
 
 /// Definition of an SPJ view over `n` base tables.
 #[derive(Debug, Clone)]
@@ -49,8 +49,10 @@ impl ViewDef {
         self.spec.output_schema()
     }
 
-    /// Check slot schemas against the catalog and the join shape's column
-    /// references.
+    /// Check that every slot is a base table whose schema the slot
+    /// declares, and the join shape's column references. A view-owned
+    /// table (another view's MV, the control table) or a view delta table
+    /// has no delta history to propagate, so it cannot be a slot.
     pub fn validate(&self, engine: &Engine) -> Result<()> {
         if self.bases.is_empty() {
             return Err(Error::Invalid("view needs at least one base table".into()));
@@ -64,6 +66,13 @@ impl ViewDef {
             )));
         }
         for (i, (base, slot)) in self.bases.iter().zip(&self.spec.slot_schemas).enumerate() {
+            let kind = engine.table_kind(*base)?;
+            if kind != TableKind::Base {
+                return Err(Error::Invalid(format!(
+                    "view {} slot {i}: table {base} is {kind:?}, not a base table",
+                    self.name
+                )));
+            }
             let actual = engine.schema(*base)?;
             if actual != *slot {
                 return Err(Error::SchemaMismatch(format!(
@@ -121,6 +130,26 @@ mod tests {
         let mut sp = spec(&e, r, s);
         sp.slot_schemas[1] = Schema::new([("z", ColumnType::Str)]);
         assert!(ViewDef::new(&e, "v", vec![r, s], sp).is_err());
+    }
+
+    #[test]
+    fn view_over_a_view_owned_table_rejected() {
+        let (e, r, s) = setup();
+        let v = ViewDef::new(&e, "v", vec![r, s], spec(&e, r, s)).unwrap();
+        let mv = crate::MaterializedView::register(&e, v).unwrap();
+        let over_mv = JoinSpec {
+            slot_schemas: vec![e.schema(mv.mv_table).unwrap()],
+            equi: vec![],
+            filter: None,
+            projection: vec![0, 1],
+        };
+        let err = ViewDef::new(&e, "w", vec![mv.mv_table], over_mv.clone()).unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        let over_vd = JoinSpec {
+            slot_schemas: vec![e.schema(mv.vd_table).unwrap()],
+            ..over_mv
+        };
+        assert!(ViewDef::new(&e, "w", vec![mv.vd_table], over_vd).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use rolljoin_core::{
     MaterializedView, PropQuery, Propagator, ViewDef,
 };
 use rolljoin_relalg::{add, exec, negate, net_effect, JoinSpec, NetEffect};
-use rolljoin_storage::{Engine, LockGranularity};
+use rolljoin_storage::{Engine, LockGranularity, TableKind};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -365,29 +365,15 @@ fn compact_stores_shrinks_history_below_lwm() {
     roll_to(&ctx, end).unwrap();
     assert_eq!(ctx.engine.low_water_mark(), end);
     let store_len = |t: TableId| ctx.engine.delta_store(t).unwrap().len();
-    // The view's own history: the roll's MV install and control-row
-    // rewrite commit above the LWM and stay; everything before is pruned.
-    let control = ctx.engine.table_id(CONTROL_TABLE).unwrap();
-    let own_len = || store_len(ctx.mv.mv_table) + store_len(control);
-    let own_before = own_len();
     let base_before = store_len(tables[0]) + store_len(tables[1]);
     let vd_before = ctx.engine.vd_len(ctx.mv.vd_table).unwrap();
     assert!(base_before > 0 && vd_before > 0);
     let removed = ctx.compact_stores().unwrap();
-    let own_removed = own_before - own_len();
-    assert!(
-        own_removed > 0,
-        "registration and materialization rows pruned"
-    );
-    assert_eq!(
-        removed,
-        base_before + vd_before + own_removed,
-        "everything ≤ LWM pruned"
-    );
+    assert_eq!(removed, base_before + vd_before, "everything ≤ LWM pruned");
     assert_eq!(store_len(tables[0]) + store_len(tables[1]), 0);
     assert_eq!(ctx.engine.vd_len(ctx.mv.vd_table).unwrap(), 0);
     let report = ctx.compaction_report().unwrap();
-    assert_eq!(report.base.rows_removed, (base_before + own_removed) as u64);
+    assert_eq!(report.base.rows_removed, base_before as u64);
     assert_eq!(report.vd.rows_removed, vd_before as u64);
     assert!(report.bytes_reclaimed() > 0);
     // History at the LWM is still exact: the oracle can reconstruct the
@@ -404,23 +390,28 @@ fn compact_stores_shrinks_history_below_lwm() {
     assert_eq!(ctx.compact_stores().unwrap(), 0);
 }
 
-/// The view's own captured history — its MV table's delta store (every
-/// roll's install) and the control table's (every materialization-time
-/// rewrite) — is pruned through the same low-water mark as its bases.
-/// Across repeated propagate → roll → compact rounds it holds at most the
-/// latest roll, and once a final empty roll moves the materialization
-/// time past that, nothing.
+/// The view's own tables — its MV (every roll's install) and the control
+/// table (every materialization-time rewrite) — are view-owned: capture
+/// stages none of their changes, so no pass has their history to prune.
+/// Across repeated propagate → roll → compact rounds the compactor's base
+/// count covers exactly the base changes committed, and the MV stays
+/// exact.
 #[test]
-fn compact_stores_prunes_mv_and_control_history() {
+fn view_owned_tables_leave_nothing_to_prune() {
     const ROWS: usize = 50;
+    const ROUNDS: usize = 5;
     let (ctx, tables) = chain("own", 2);
     let mat = materialize(&ctx).unwrap();
     let mut prop = Propagator::new(ctx.clone(), mat);
     let control = ctx.engine.table_id(CONTROL_TABLE).unwrap();
+    for t in [ctx.mv.mv_table, control] {
+        assert_eq!(ctx.engine.table_kind(t).unwrap(), TableKind::ViewOwned);
+        assert!(ctx.engine.delta_store(t).is_err());
+    }
     let store_len = |t: TableId| ctx.engine.delta_store(t).unwrap().len();
-    let mut round = |inserts: usize| {
+    for _ in 0..ROUNDS {
         let mut txn = ctx.engine.begin();
-        for k in 0..inserts as i64 {
+        for k in 0..ROWS as i64 {
             txn.insert(tables[0], tup![k, k]).unwrap();
             txn.insert(tables[1], tup![k, k]).unwrap();
         }
@@ -428,19 +419,15 @@ fn compact_stores_prunes_mv_and_control_history() {
         let hwm = prop.step_available(u64::MAX).unwrap();
         roll_to(&ctx, hwm).unwrap();
         ctx.compact_stores().unwrap();
-    };
-    for _ in 0..5 {
-        round(ROWS);
-        assert!(
-            store_len(ctx.mv.mv_table) <= ROWS,
-            "at most the latest roll"
-        );
-        assert!(store_len(control) <= 2, "at most the latest rewrite");
     }
-    // Nothing new: the roll is empty and only publishes its time.
-    round(0);
-    assert_eq!(store_len(ctx.mv.mv_table), 0);
-    assert_eq!(store_len(control), 0);
+    let report = ctx.compaction_report().unwrap();
+    let held = store_len(tables[0]) + store_len(tables[1]);
+    assert!(report.base.rows_removed > 0);
+    assert_eq!(
+        report.base.rows_removed as usize + held,
+        2 * ROWS * ROUNDS,
+        "every pruned or held base row is a committed base change"
+    );
     let got = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
     let want = oracle::view_at(&ctx.engine, &ctx.mv.view, ctx.mv.mat_time()).unwrap();
     assert_eq!(got, want);

@@ -6,9 +6,13 @@
 //! contention the technique is meant to avoid, and (b) a trigger firing at
 //! update time cannot know the transaction's eventual serialization order.
 //!
-//! [`Capture`] tails the WAL: change records are staged per transaction,
-//! and when a `Commit` record is seen the staged changes are appended to
-//! the corresponding [`DeltaStore`]s stamped with the commit CSN. Because
+//! [`Capture`] tails the WAL: change records of base tables are staged per
+//! transaction, and when a `Commit` record is seen the staged changes are
+//! appended to the corresponding [`DeltaStore`]s stamped with the commit
+//! CSN. Only base tables have delta stores, as in the paper, where capture
+//! fills the delta tables of the relations views are defined over: a
+//! change to a view-owned table (an MV, the control table) is CRC-checked
+//! and skipped without decoding its tuple. Because
 //! commit records are appended under the commit mutex, they appear in CSN
 //! order and the **capture high-water mark** (the CSN through which all
 //! base deltas are complete) is simply the last processed commit's CSN.
@@ -16,8 +20,9 @@
 //! Capture is deliberately *stepped* (`step(max_records)`) so experiments
 //! can inject capture lag (experiment E13) and drivers can schedule it.
 
+use crate::codec;
 use crate::delta::DeltaStore;
-use crate::wal::{Lsn, Wal, WalRecord};
+use crate::wal::{CaptureRecord, Lsn, Wal};
 use rolljoin_common::{Csn, Result, TableId, Tuple, TxnId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +56,8 @@ impl Capture {
 
     /// Register a base table's delta store. Must happen before any change
     /// record for that table is processed (the engine registers at table
-    /// creation, so this always holds).
+    /// creation, so this always holds). Changes to tables never registered
+    /// (view delta and view-owned tables) are skipped undecoded.
     pub fn register(&mut self, store: Arc<DeltaStore>) {
         self.deltas.insert(store.table(), store);
     }
@@ -59,14 +65,13 @@ impl Capture {
     /// Process up to `max_records` WAL records. Returns the number
     /// processed (0 means caught up).
     pub fn step(&mut self, max_records: usize) -> Result<usize> {
-        let records = self.wal.read_from(self.pos, max_records)?;
-        let take = records.len();
-        for rec in &records {
-            self.apply(rec);
-        }
-        self.pos += take as Lsn;
-        self.records_processed += take as u64;
-        Ok(take)
+        let wal = self.wal.clone();
+        wal.scan_from(self.pos, max_records, |payload| {
+            self.apply(CaptureRecord::decode(payload)?)?;
+            self.pos += 1;
+            self.records_processed += 1;
+            Ok(())
+        })
     }
 
     /// Process everything currently in the log.
@@ -75,64 +80,48 @@ impl Capture {
         Ok(())
     }
 
-    fn apply(&mut self, rec: &WalRecord) {
+    fn apply(&mut self, rec: CaptureRecord<'_>) -> Result<()> {
         match rec {
-            WalRecord::Begin { .. } => {}
-            WalRecord::Insert { txn, table, tuple } => {
-                if self.deltas.contains_key(table) {
+            CaptureRecord::Change {
+                txn,
+                table,
+                count,
+                tuple,
+            } => {
+                // An `Apply` record carries a consolidated change: one
+                // staged row with the whole signed multiplicity, so the
+                // delta store receives one φ-compact row instead of
+                // |count| unit rows.
+                if count != 0 && self.deltas.contains_key(&table) {
+                    let tuple = codec::decode_tuple(tuple)?;
                     self.pending
-                        .entry(*txn)
+                        .entry(txn)
                         .or_default()
-                        .push((*table, 1, tuple.clone()));
+                        .push((table, count, tuple));
                 }
             }
-            WalRecord::Delete { txn, table, tuple } => {
-                if self.deltas.contains_key(table) {
-                    self.pending
-                        .entry(*txn)
-                        .or_default()
-                        .push((*table, -1, tuple.clone()));
-                }
-            }
-            WalRecord::Commit { txn, csn, .. } => {
-                if let Some(changes) = self.pending.remove(txn) {
+            CaptureRecord::Commit { txn, csn } => {
+                if let Some(changes) = self.pending.remove(&txn) {
                     // Group by table, preserving intra-transaction order.
                     let mut by_table: HashMap<TableId, Vec<(i64, Tuple)>> = HashMap::new();
                     for (table, count, tuple) in changes {
                         by_table.entry(table).or_default().push((count, tuple));
                     }
                     for (table, rows) in by_table {
-                        self.deltas[&table].append_commit(*csn, rows);
+                        self.deltas[&table].append_commit(csn, rows);
                     }
                 }
                 // Every commit advances the HWM: deltas ≤ csn are complete
                 // whether or not this transaction touched a captured table.
-                self.hwm.store(*csn, Ordering::Release);
+                self.hwm.store(csn, Ordering::Release);
                 self.commits_captured += 1;
             }
-            WalRecord::Abort { txn } => {
-                self.pending.remove(txn);
+            CaptureRecord::Abort { txn } => {
+                self.pending.remove(&txn);
             }
-            WalRecord::Apply {
-                txn,
-                table,
-                count,
-                tuple,
-            } => {
-                // A consolidated change: one staged record carrying the
-                // whole signed multiplicity, so the delta store receives
-                // one φ-compact row instead of |count| unit rows.
-                if *count != 0 && self.deltas.contains_key(table) {
-                    self.pending
-                        .entry(*txn)
-                        .or_default()
-                        .push((*table, *count, tuple.clone()));
-                }
-            }
-            WalRecord::CreateTable { .. }
-            | WalRecord::CreateIndex { .. }
-            | WalRecord::CreateDeltaIndex { .. } => {}
+            CaptureRecord::Other => {}
         }
+        Ok(())
     }
 
     /// The capture high-water mark: all base deltas are complete through
@@ -155,6 +144,7 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalRecord;
     use rolljoin_common::tup;
 
     fn setup() -> (Arc<Wal>, Capture, Arc<DeltaStore>, Arc<DeltaStore>) {
@@ -268,6 +258,38 @@ mod tests {
         cap.catch_up().unwrap();
         assert_eq!(cap.hwm(), 3);
         assert!(d1.is_empty());
+    }
+
+    #[test]
+    fn unstaged_tables_are_skipped_undecoded() {
+        let (wal, mut cap, d1, _d2) = setup();
+        // A change whose tuple bytes do not decode: capture must not look
+        // at them for a table it does not stage (table 99)...
+        let garbled = |table| {
+            let mut payload = WalRecord::Insert {
+                txn: TxnId(1),
+                table,
+                tuple: tup![1],
+            }
+            .encode();
+            payload.push(0xff);
+            payload
+        };
+        wal.append_each([garbled(TableId(99))], |p, buf| buf.extend_from_slice(&p));
+        wal.append(&WalRecord::Commit {
+            txn: TxnId(1),
+            csn: 1,
+            wallclock_micros: 1,
+        });
+        cap.catch_up().unwrap();
+        assert_eq!((cap.hwm(), d1.len()), (1, 0));
+        // ...but a staged one is decoded, and the garbage is refused.
+        wal.append_each([garbled(TableId(1))], |p, buf| buf.extend_from_slice(&p));
+        assert!(matches!(
+            cap.step(1),
+            Err(rolljoin_common::Error::WalCorrupt(_))
+        ));
+        assert_eq!(cap.lag_records(), 1, "a refused record is not consumed");
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager,
 use crate::signal::Signal;
 use crate::table::{add_count, BaseTable};
 use crate::uow::UnitOfWork;
-use crate::wal::{put_apply, Wal, WalRecord};
+use crate::wal::{put_apply, TableKind, Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
 use rolljoin_common::{Csn, DeltaRow, Error, Result, Schema, TableId, TimeInterval, Tuple, TxnId};
 use std::collections::HashMap;
@@ -39,11 +39,12 @@ use std::time::{Duration, Instant};
 
 /// What a catalog entry stores.
 enum TableStore {
-    /// A base table (or materialized view) with an associated delta store
-    /// populated by capture.
+    /// A base table with the delta store capture fills, or a view-owned
+    /// table (`delta` is `None`): logged and recovered alike, but capture
+    /// stages no history for a view-owned table.
     Base {
         table: Mutex<BaseTable>,
-        delta: Arc<DeltaStore>,
+        delta: Option<Arc<DeltaStore>>,
     },
     /// A view delta table (timestamp-keyed change records).
     ViewDelta(ViewDeltaStore),
@@ -137,26 +138,30 @@ impl Engine {
         id: TableId,
         name: &str,
         schema: Schema,
-        is_view_delta: bool,
+        kind: TableKind,
     ) -> Result<TableId> {
         let mut names = self.inner.names.write();
         if names.contains_key(name) {
             return Err(Error::TableExists(name.to_string()));
         }
-        let store = if is_view_delta {
-            TableStore::ViewDelta(ViewDeltaStore::new(id))
-        } else {
-            TableStore::Base {
-                table: Mutex::new(BaseTable::new(id, name_of(id), schema.clone())),
-                delta: Arc::new(DeltaStore::new(id)),
-            }
+        let base = |delta| TableStore::Base {
+            table: Mutex::new(BaseTable::new(id, name_of(id), schema.clone())),
+            delta,
+        };
+        let store = match kind {
+            TableKind::Base => base(Some(Arc::new(DeltaStore::new(id)))),
+            TableKind::ViewDelta => TableStore::ViewDelta(ViewDeltaStore::new(id)),
+            TableKind::ViewOwned => base(None),
         };
         let entry = Arc::new(TableEntry {
             name: name.to_string(),
             schema,
             store,
         });
-        if let TableStore::Base { delta, .. } = &entry.store {
+        if let TableStore::Base {
+            delta: Some(delta), ..
+        } = &entry.store
+        {
             self.inner.capture.lock().register(delta.clone());
         }
         self.inner.tables.write().insert(id, entry);
@@ -164,28 +169,46 @@ impl Engine {
         Ok(id)
     }
 
-    fn register(&self, name: &str, schema: Schema, is_view_delta: bool) -> Result<TableId> {
+    fn register(&self, name: &str, schema: Schema, kind: TableKind) -> Result<TableId> {
         let id = TableId(self.inner.next_table.fetch_add(1, Ordering::Relaxed));
-        let id = self.register_with_id(id, name, schema.clone(), is_view_delta)?;
+        let id = self.register_with_id(id, name, schema.clone(), kind)?;
         // DDL is logged so recovery can rebuild the catalog.
         self.inner.wal.append(&WalRecord::CreateTable {
             id,
             name: name.to_string(),
             schema,
-            is_view_delta,
+            kind,
         });
         Ok(id)
     }
 
     /// Create a base table. Its delta store is registered with capture
-    /// immediately, so every change ever made is captured.
+    /// before the table can be written, so capture stages every committed
+    /// change to it (until a prune drops history below the low-water mark).
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<TableId> {
-        self.register(name, schema, false)
+        self.register(name, schema, TableKind::Base)
+    }
+
+    /// Create a view-owned table — a view's MV, control or summary table.
+    /// It is read, written, logged and recovered like a base table, but it
+    /// has no delta store: capture skips its changes, and a view cannot be
+    /// defined over it.
+    pub fn create_view_table(&self, name: &str, schema: Schema) -> Result<TableId> {
+        self.register(name, schema, TableKind::ViewOwned)
     }
 
     /// Create a view delta table with the given (projected view) schema.
     pub fn create_view_delta(&self, name: &str, schema: Schema) -> Result<TableId> {
-        self.register(name, schema, true)
+        self.register(name, schema, TableKind::ViewDelta)
+    }
+
+    /// The kind `table` was created as.
+    pub fn table_kind(&self, table: TableId) -> Result<TableKind> {
+        Ok(match &self.entry(table)?.store {
+            TableStore::Base { delta: Some(_), .. } => TableKind::Base,
+            TableStore::Base { delta: None, .. } => TableKind::ViewOwned,
+            TableStore::ViewDelta(_) => TableKind::ViewDelta,
+        })
     }
 
     fn entry(&self, table: TableId) -> Result<Arc<TableEntry>> {
@@ -395,11 +418,14 @@ impl Engine {
 
     // ---- delta access ----------------------------------------------------
 
-    /// The delta store of a base table.
+    /// The delta store of a base table. A view-owned table has none.
     pub fn delta_store(&self, table: TableId) -> Result<Arc<DeltaStore>> {
         let e = self.base_entry(table)?;
         match &e.store {
-            TableStore::Base { delta, .. } => Ok(delta.clone()),
+            TableStore::Base { delta: Some(d), .. } => Ok(d.clone()),
+            TableStore::Base { delta: None, .. } => Err(Error::Invalid(format!(
+                "{table} is view-owned: capture keeps no delta history for it"
+            ))),
             _ => unreachable!("base_entry filters"),
         }
     }
@@ -528,7 +554,7 @@ impl Engine {
         tables
             .values()
             .filter_map(|e| match &e.store {
-                TableStore::Base { delta, .. } => Some(delta.postings_bytes()),
+                TableStore::Base { delta: Some(d), .. } => Some(d.postings_bytes()),
                 _ => None,
             })
             .sum()
@@ -597,8 +623,9 @@ impl Engine {
     }
 
     /// Rebuild a full engine from a WAL image: catalog (tables and
-    /// indexes), base/MV table contents (committed transactions only),
-    /// delta stores (by replaying capture over the whole log), the
+    /// indexes), base and view-owned table contents (committed
+    /// transactions only), base delta stores (by replaying capture over
+    /// the whole log), the
     /// unit-of-work table, and the CSN/transaction counters. A torn tail
     /// is dropped.
     ///
@@ -624,9 +651,9 @@ impl Engine {
                     id,
                     name,
                     schema,
-                    is_view_delta,
+                    kind,
                 } => {
-                    engine.register_with_id(id, &name, schema, is_view_delta)?;
+                    engine.register_with_id(id, &name, schema, kind)?;
                     max_table = max_table.max(id.0);
                 }
                 WalRecord::CreateIndex { table, col } => {
@@ -1279,6 +1306,41 @@ mod tests {
         let mut w = e.begin();
         w.insert(t, tup![1, "a"]).unwrap();
         w.commit().unwrap();
+    }
+
+    #[test]
+    fn view_owned_tables_are_logged_but_not_staged() {
+        let (e, t) = engine_with_table();
+        let mv = e
+            .create_view_table(
+                "mv",
+                Schema::new([("a", ColumnType::Int), ("b", ColumnType::Str)]),
+            )
+            .unwrap();
+        assert_eq!(e.table_kind(t).unwrap(), TableKind::Base);
+        assert_eq!(e.table_kind(mv).unwrap(), TableKind::ViewOwned);
+        let mut txn = e.begin();
+        txn.insert(t, tup![1, "a"]).unwrap();
+        txn.apply_counts(mv, vec![(tup![1, "a"], 3), (tup![2, "b"], 1)])
+            .unwrap();
+        let csn = txn.commit().unwrap();
+        e.capture_catch_up().unwrap();
+        assert_eq!(e.capture_hwm(), csn);
+        assert_eq!(e.delta_store(t).unwrap().len(), 1);
+        let all = TimeInterval::new(0, csn);
+        assert!(e.delta_store(mv).is_err());
+        assert!(e.delta_range(mv, all).is_err());
+        assert!(e.create_delta_index(mv, 0).is_err());
+        let mut txn = e.begin();
+        assert!(txn.scan_asof(mv, 0).is_err());
+        assert_eq!(txn.count_of(mv, &tup![1, "a"]).unwrap(), 3);
+        txn.commit().unwrap();
+        // Logged all the same: recovery rebuilds its contents and kind.
+        let r = Engine::recover_from_bytes(&e.wal().snapshot_bytes()).unwrap();
+        assert_eq!(r.table_kind(mv).unwrap(), TableKind::ViewOwned);
+        assert_eq!(r.table_len(mv).unwrap(), 4);
+        assert!(r.delta_store(mv).is_err());
+        assert_eq!(r.delta_store(t).unwrap().len(), 1);
     }
 
     #[test]

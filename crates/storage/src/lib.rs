@@ -42,4 +42,4 @@ pub use lock::{
 pub use signal::Signal;
 pub use table::BaseTable;
 pub use uow::{UnitOfWork, UowEntry};
-pub use wal::{Lsn, Wal, WalRecord};
+pub use wal::{Lsn, TableKind, Wal, WalRecord};

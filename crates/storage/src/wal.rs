@@ -46,14 +46,13 @@ pub enum WalRecord {
     },
     /// Transaction abort (its changes must be ignored by capture).
     Abort { txn: TxnId },
-    /// DDL: a table was created (`is_view_delta` distinguishes view delta
-    /// tables from base tables). Logged so recovery can rebuild the
-    /// catalog.
+    /// DDL: a table of the given kind was created. Logged so recovery can
+    /// rebuild the catalog.
     CreateTable {
         id: TableId,
         name: String,
         schema: Schema,
-        is_view_delta: bool,
+        kind: TableKind,
     },
     /// DDL: a secondary index was created on a base table column.
     CreateIndex { table: TableId, col: u32 },
@@ -71,6 +70,34 @@ pub enum WalRecord {
         count: i64,
         tuple: Tuple,
     },
+}
+
+/// What a catalog entry holds, and whether capture stages its changes.
+/// Logged as its discriminant byte in [`WalRecord::CreateTable`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TableKind {
+    /// A base table: capture stages every committed change in its delta
+    /// store, which views read. (A record that predates view-owned tables
+    /// logged every MV and control table this way.)
+    Base = 0,
+    /// A view delta table: timestamped change records, never logged
+    /// row by row.
+    ViewDelta = 1,
+    /// A table a view maintains (MV, control, summary): logged and
+    /// recovered like a base table, but with no delta store, because no
+    /// view reads its history.
+    ViewOwned = 2,
+}
+
+impl TableKind {
+    fn from_byte(b: u8) -> Result<TableKind> {
+        Ok(match b {
+            0 => TableKind::Base,
+            1 => TableKind::ViewDelta,
+            2 => TableKind::ViewOwned,
+            x => return Err(Error::WalCorrupt(format!("unknown table kind {x}"))),
+        })
+    }
 }
 
 const TAG_BEGIN: u8 = 1;
@@ -187,12 +214,12 @@ impl WalRecord {
                 id,
                 name,
                 schema,
-                is_view_delta,
+                kind,
             } => {
                 buf.push(TAG_CREATE_TABLE);
                 codec::put_varint(buf, u64::from(id.0));
                 put_string(buf, name);
-                buf.push(u8::from(*is_view_delta));
+                buf.push(*kind as u8);
                 codec::put_varint(buf, schema.arity() as u64);
                 for (col, ty) in schema.columns() {
                     put_string(buf, col);
@@ -250,10 +277,10 @@ impl WalRecord {
             TAG_CREATE_TABLE => {
                 let id = TableId(codec::get_varint(buf, &mut pos)? as u32);
                 let name = get_string(buf, &mut pos)?;
-                let is_view_delta = *buf
-                    .get(pos)
-                    .ok_or_else(|| Error::WalCorrupt("truncated kind".into()))?
-                    != 0;
+                let kind = TableKind::from_byte(
+                    *buf.get(pos)
+                        .ok_or_else(|| Error::WalCorrupt("truncated kind".into()))?,
+                )?;
                 pos += 1;
                 let arity = codec::get_varint(buf, &mut pos)? as usize;
                 if arity > 1 << 16 {
@@ -272,7 +299,7 @@ impl WalRecord {
                     id,
                     name,
                     schema: Schema::new(cols),
-                    is_view_delta,
+                    kind,
                 }
             }
             TAG_CREATE_INDEX => WalRecord::CreateIndex {
@@ -295,6 +322,68 @@ impl WalRecord {
             return Err(Error::WalCorrupt("trailing bytes in record".into()));
         }
         Ok(rec)
+    }
+}
+
+/// A log record decoded only as far as capture needs it. A change's tuple
+/// stays encoded, so a change to a table capture does not stage is
+/// skipped without decoding it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum CaptureRecord<'a> {
+    /// `count` copies of the encoded `tuple` inserted (`count > 0`) or
+    /// deleted (`count < 0`) in `table`: an `Insert`, `Delete` or `Apply`.
+    Change {
+        txn: TxnId,
+        table: TableId,
+        count: i64,
+        tuple: &'a [u8],
+    },
+    Commit {
+        txn: TxnId,
+        csn: Csn,
+    },
+    Abort {
+        txn: TxnId,
+    },
+    /// `Begin` and DDL: nothing for capture to do.
+    Other,
+}
+
+impl<'a> CaptureRecord<'a> {
+    /// Decode the head of a payload produced by [`WalRecord::encode`].
+    pub(crate) fn decode(buf: &'a [u8]) -> Result<CaptureRecord<'a>> {
+        let tag = *buf
+            .first()
+            .ok_or_else(|| Error::WalCorrupt("empty record".into()))?;
+        let mut pos = 1;
+        Ok(match tag {
+            TAG_INSERT | TAG_DELETE | TAG_APPLY => {
+                let txn = TxnId(codec::get_varint(buf, &mut pos)?);
+                let table = TableId(codec::get_varint(buf, &mut pos)? as u32);
+                let count = match tag {
+                    TAG_INSERT => 1,
+                    TAG_DELETE => -1,
+                    _ => codec::get_ivarint(buf, &mut pos)?,
+                };
+                CaptureRecord::Change {
+                    txn,
+                    table,
+                    count,
+                    tuple: &buf[pos..],
+                }
+            }
+            TAG_COMMIT => CaptureRecord::Commit {
+                txn: TxnId(codec::get_varint(buf, &mut pos)?),
+                csn: codec::get_varint(buf, &mut pos)?,
+            },
+            TAG_ABORT => CaptureRecord::Abort {
+                txn: TxnId(codec::get_varint(buf, &mut pos)?),
+            },
+            TAG_BEGIN | TAG_CREATE_TABLE | TAG_CREATE_INDEX | TAG_CREATE_DELTA_INDEX => {
+                CaptureRecord::Other
+            }
+            t => return Err(Error::WalCorrupt(format!("unknown record tag {t}"))),
+        })
     }
 }
 
@@ -398,31 +487,50 @@ impl Wal {
     }
 
     /// Decode and return up to `max` records starting at LSN `from`.
-    /// Capture calls this to tail the log. Only the raw frames are copied
-    /// under the log mutex (which every commit's [`Wal::append`] needs);
-    /// CRC checks and decoding happen after it is released.
     pub fn read_from(&self, from: Lsn, max: usize) -> Result<Vec<WalRecord>> {
+        let mut out = Vec::new();
+        self.scan_from(from, max, |payload| {
+            out.push(WalRecord::decode(payload)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Pass the payload of each of up to `max` records from LSN `from` to
+    /// `f`, in log order, returning how many it was given. Capture calls
+    /// this to tail the log. Only the raw frames are copied under the log
+    /// mutex (which every commit's [`Wal::append`] needs); each frame's
+    /// CRC is checked after it is released, before `f` sees the payload.
+    /// A failed check or an `Err` from `f` stops the scan.
+    pub(crate) fn scan_from(
+        &self,
+        from: Lsn,
+        max: usize,
+        mut f: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<usize> {
         let frames = {
             let inner = self.inner.lock();
             let from = (from as usize).min(inner.offsets.len());
             let to = from.saturating_add(max).min(inner.offsets.len());
             if from == to {
-                return Ok(Vec::new());
+                return Ok(0);
             }
             let end = inner.offsets.get(to).copied().unwrap_or(inner.bytes.len());
             inner.bytes[inner.offsets[from]..end].to_vec()
         };
-        let mut out = Vec::new();
-        let mut off = 0;
+        let (mut off, mut seen) = (0, 0);
         while off < frames.len() {
-            let (rec, next) = Self::decode_frame(&frames, off)?;
-            out.push(rec);
+            let (payload, next) = Self::frame_payload(&frames, off)?;
+            f(payload)?;
             off = next;
+            seen += 1;
         }
-        Ok(out)
+        Ok(seen)
     }
 
-    fn decode_frame(bytes: &[u8], off: usize) -> Result<(WalRecord, usize)> {
+    /// The CRC-checked payload of the frame at `off`, and the offset of
+    /// the frame after it.
+    fn frame_payload(bytes: &[u8], off: usize) -> Result<(&[u8], usize)> {
         let len_bytes = bytes
             .get(off..off + 4)
             .ok_or_else(|| Error::WalCorrupt("truncated frame length".into()))?;
@@ -437,7 +545,12 @@ impl Wal {
         if codec::crc32(payload) != crc {
             return Err(Error::WalCorrupt(format!("crc mismatch at offset {off}")));
         }
-        Ok((WalRecord::decode(payload)?, off + 8 + len))
+        Ok((payload, off + 8 + len))
+    }
+
+    fn decode_frame(bytes: &[u8], off: usize) -> Result<(WalRecord, usize)> {
+        let (payload, next) = Self::frame_payload(bytes, off)?;
+        Ok((WalRecord::decode(payload)?, next))
     }
 
     /// Snapshot the raw encoded bytes (for recovery tests / persistence).
@@ -650,6 +763,85 @@ mod tests {
         // Flip a payload bit in the first record (offset 8 is its payload).
         bytes[9] ^= 0x40;
         assert!(Wal::recover(&bytes).is_err());
+    }
+
+    #[test]
+    fn create_table_kind_round_trips() {
+        let create = |kind| WalRecord::CreateTable {
+            id: TableId(3),
+            name: "v__mv".into(),
+            schema: Schema::new([("a", ColumnType::Int), ("b", ColumnType::Str)]),
+            kind,
+        };
+        for (kind, byte) in [
+            (TableKind::Base, 0),
+            (TableKind::ViewDelta, 1),
+            (TableKind::ViewOwned, 2),
+        ] {
+            let enc = create(kind).encode();
+            // tag, id, name length, 5 name bytes, then the kind byte.
+            assert_eq!(enc[8], byte, "{kind:?}");
+            assert_eq!(WalRecord::decode(&enc).unwrap(), create(kind));
+        }
+        let mut enc = create(TableKind::Base).encode();
+        enc[8] = 3;
+        assert!(matches!(
+            WalRecord::decode(&enc),
+            Err(Error::WalCorrupt(msg)) if msg.contains("table kind 3")
+        ));
+    }
+
+    #[test]
+    fn capture_records_match_full_decode() {
+        for rec in sample() {
+            let enc = rec.encode();
+            let head = CaptureRecord::decode(&enc).unwrap();
+            let want = match &rec {
+                WalRecord::Insert { txn, table, tuple } => Some((*txn, *table, 1, tuple)),
+                WalRecord::Delete { txn, table, tuple } => Some((*txn, *table, -1, tuple)),
+                WalRecord::Apply {
+                    txn,
+                    table,
+                    count,
+                    tuple,
+                } => Some((*txn, *table, *count, tuple)),
+                _ => None,
+            };
+            match (head, want) {
+                (
+                    CaptureRecord::Change {
+                        txn,
+                        table,
+                        count,
+                        tuple,
+                    },
+                    Some(want),
+                ) => {
+                    let got = codec::decode_tuple(tuple).unwrap();
+                    assert_eq!((txn, table, count, &got), want);
+                }
+                (CaptureRecord::Commit { txn, csn }, None) => {
+                    assert_eq!(
+                        rec,
+                        WalRecord::Commit {
+                            txn,
+                            csn,
+                            wallclock_micros: 1_000_000
+                        }
+                    );
+                }
+                (CaptureRecord::Abort { txn }, None) => {
+                    assert_eq!(rec, WalRecord::Abort { txn });
+                }
+                (CaptureRecord::Other, None) => assert!(matches!(
+                    rec,
+                    WalRecord::Begin { .. } | WalRecord::CreateDeltaIndex { .. }
+                )),
+                (head, want) => panic!("{rec:?} read as {head:?}, want {want:?}"),
+            }
+        }
+        assert!(CaptureRecord::decode(&[]).is_err());
+        assert!(CaptureRecord::decode(&[99]).is_err());
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! maintenance resumes — re-propagating the (soft) view delta from the
 //! restored materialization time — with oracle-exact results.
 
-use rolljoin::common::{tup, TimeInterval};
+use rolljoin::common::{tup, Csn, TimeInterval};
+use rolljoin::core::control::CONTROL_TABLE;
 use rolljoin::core::{
     materialize, oracle, roll_to, MaintCtx, MaterializedView, Propagator, RollingPropagator,
     UniformInterval,
 };
-use rolljoin::storage::Engine;
+use rolljoin::storage::{Engine, TableKind, Wal, WalRecord};
 use rolljoin::workload::TwoWay;
 
 fn crash(engine: &Engine) -> Engine {
@@ -235,6 +236,135 @@ fn recovery_after_an_uncommitted_empty_roll_is_exact() {
     assert_eq!(
         oracle::mv_state(&e2, &ctx2.mv).unwrap(),
         oracle::view_at(&e2, &ctx2.mv.view, end2).unwrap()
+    );
+}
+
+/// A two-way view materialized, churned and rolled to the returned CSN,
+/// with `CHANGES` base changes committed in all.
+fn rolled_two_way(name: &str) -> (TwoWay, MaintCtx, Csn) {
+    let w = TwoWay::setup(name).unwrap();
+    let ctx = w.ctx();
+    let mut txn = ctx.engine.begin();
+    txn.insert(w.r, tup![1, 5]).unwrap();
+    txn.insert(w.s, tup![5, 50]).unwrap();
+    txn.commit().unwrap();
+    let mat = materialize(&ctx).unwrap();
+    for i in 0..9i64 {
+        let mut txn = ctx.engine.begin();
+        txn.insert(w.r, tup![i, i % 3]).unwrap();
+        txn.insert(w.s, tup![i % 3, 100 + i]).unwrap();
+        txn.commit().unwrap();
+    }
+    let mid = ctx.engine.current_csn();
+    RollingPropagator::new(ctx.clone(), mat)
+        .drain_to(mid, &mut UniformInterval(2))
+        .unwrap();
+    assert!(roll_to(&ctx, mid).unwrap().tuples_changed > 0);
+    (w, ctx, mid)
+}
+const CHANGES: usize = 2 + 2 * 9;
+
+/// Re-attach the two-way view `name` to a recovered engine.
+fn reattach(e: &Engine, name: &str, ctx: &MaintCtx) -> MaintCtx {
+    let view = rolljoin::core::ViewDef::new(
+        e,
+        name,
+        vec![
+            e.table_id(&format!("{name}_r")).unwrap(),
+            e.table_id(&format!("{name}_s")).unwrap(),
+        ],
+        (*ctx.mv.view).clone().spec,
+    )
+    .unwrap();
+    MaintCtx::new(e.clone(), MaterializedView::reattach(e, view).unwrap())
+}
+
+#[test]
+fn view_owned_tables_stage_nothing_and_recover_exactly() {
+    let (w, ctx, mid) = rolled_two_way("rec_own");
+    let control = w.engine.table_id(CONTROL_TABLE).unwrap();
+    let base_history = |e: &Engine| {
+        e.capture_catch_up().unwrap();
+        e.delta_store(w.r).unwrap().len() + e.delta_store(w.s).unwrap().len()
+    };
+    assert_eq!(base_history(&w.engine), CHANGES, "only base changes staged");
+    for t in [ctx.mv.mv_table, control] {
+        assert_eq!(w.engine.table_kind(t).unwrap(), TableKind::ViewOwned);
+        assert!(w.engine.delta_store(t).is_err());
+    }
+    let mv_before = oracle::mv_state(&w.engine, &ctx.mv).unwrap();
+
+    let e2 = crash(&w.engine);
+    for t in [ctx.mv.mv_table, control] {
+        assert_eq!(e2.table_kind(t).unwrap(), TableKind::ViewOwned);
+        assert!(e2.delta_store(t).is_err());
+    }
+    assert_eq!(base_history(&e2), CHANGES);
+    let ctx2 = reattach(&e2, "rec_own", &ctx);
+    assert_eq!(ctx2.mv.mat_time(), mid);
+    let mv_after = oracle::mv_state(&e2, &ctx2.mv).unwrap();
+    assert_eq!(mv_after, mv_before);
+    assert_eq!(mv_after, oracle::view_at(&e2, &ctx2.mv.view, mid).unwrap());
+}
+
+/// An image written before view-owned tables existed logs the MV and the
+/// control table as base tables (kind byte 0). It recovers as written:
+/// both come back as captured base tables, and the MV contents, the
+/// materialization time and maintenance after the crash stay exact.
+#[test]
+fn image_logging_the_mv_as_a_base_table_recovers_exactly() {
+    let (w, ctx, mid) = rolled_two_way("rec_old");
+    let mv_before = oracle::mv_state(&w.engine, &ctx.mv).unwrap();
+    let old: Vec<WalRecord> = Wal::recover(&w.engine.wal().snapshot_bytes())
+        .unwrap()
+        .into_iter()
+        .map(|rec| match rec {
+            WalRecord::CreateTable {
+                id,
+                name,
+                schema,
+                kind: TableKind::ViewOwned,
+            } => WalRecord::CreateTable {
+                id,
+                name,
+                schema,
+                kind: TableKind::Base,
+            },
+            rec => rec,
+        })
+        .collect();
+    let image = Wal::new();
+    image.append_many(&old);
+
+    let e2 = Engine::recover_from_bytes(&image.snapshot_bytes()).unwrap();
+    let control = e2.table_id(CONTROL_TABLE).unwrap();
+    for t in [ctx.mv.mv_table, control] {
+        assert_eq!(e2.table_kind(t).unwrap(), TableKind::Base);
+    }
+    assert!(
+        !e2.delta_store(ctx.mv.mv_table).unwrap().is_empty(),
+        "the MV's installs are staged, as they were when the image was written"
+    );
+    let ctx2 = reattach(&e2, "rec_old", &ctx);
+    assert_eq!(ctx2.mv.mat_time(), mid);
+    assert_eq!(oracle::mv_state(&e2, &ctx2.mv).unwrap(), mv_before);
+
+    let (r2, s2) = (ctx2.mv.view.bases[0], ctx2.mv.view.bases[1]);
+    for i in 0..6i64 {
+        let mut txn = e2.begin();
+        txn.insert(r2, tup![20 + i, i % 3]).unwrap();
+        txn.delete_one(s2, &tup![i % 3, 100 + i]).unwrap();
+        txn.commit().unwrap();
+    }
+    let end = e2.current_csn();
+    RollingPropagator::new(ctx2.clone(), mid)
+        .drain_to(end, &mut UniformInterval(3))
+        .unwrap();
+    roll_to(&ctx2, end).unwrap();
+    ctx2.compact_stores().unwrap();
+    assert_eq!(
+        oracle::mv_state(&e2, &ctx2.mv).unwrap(),
+        oracle::view_at(&e2, &ctx2.mv.view, end).unwrap()
     );
 }
 
