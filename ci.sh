@@ -10,7 +10,20 @@ echo "== tests =="
 cargo test -q --workspace
 
 echo "== harness: each experiment's checks fail the run on a mismatch =="
+# Experiments write their JSON under target/harness/; the run must leave
+# every tracked file as it found it.
+tracked_state() {
+    if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+        git diff HEAD --binary | sha256sum
+    fi
+}
+before=$(tracked_state)
 ./target/release/harness e3 e4 e5 e6 e10 e12 e14 e15 e18 e20
+if [ "$(tracked_state)" != "$before" ]; then
+    echo "the harness step changed tracked files:" >&2
+    git status --short --untracked-files=no >&2
+    exit 1
+fi
 
 echo "== live benchmark builds and passes its tests =="
 cargo test -q --release --manifest-path livebench/Cargo.toml

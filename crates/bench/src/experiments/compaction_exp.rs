@@ -18,12 +18,12 @@
 //! view-delta net effect is asserted identical across arms, and the
 //! rolled MV is verified against the oracle.
 
-use super::{mv_matches_oracle, Checks};
+use super::{mv_matches_oracle, write_artifact, Checks};
 use crate::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rolljoin_common::{tup, Error, Result, TimeInterval};
-use rolljoin_core::{compute_delta, materialize, roll_to, PropQuery};
+use rolljoin_core::{compute_delta, materialize, roll_to, ObsConfig, PropQuery};
 use rolljoin_relalg::{add, net_effect, NetEffect};
 use rolljoin_workload::{TwoWay, Zipf};
 use std::time::{Duration, Instant};
@@ -71,6 +71,9 @@ struct RunOutcome {
     vd_written: u64,
     /// Rows eliminated by exact `(ts, tuple)` netting.
     net_saved: u64,
+    /// Rows the compensation queries' joins emitted before the final
+    /// merge (the `join_rows` of their `comp` spans).
+    comp_join_rows: u64,
     /// Records left in both base delta stores after the run.
     store_rows: usize,
     /// Records left in the view delta store after the run.
@@ -110,7 +113,11 @@ fn run_config((name, prune): Arm, theta: f64, workers: usize, trial: usize) -> R
         "e18p{name}t{}w{workers}x{trial}",
         (theta * 100.0) as u64
     ))?;
-    let ctx = w.ctx().with_workers(workers);
+    // Traced, so each compensation query's span reports its join rows.
+    let ctx = w
+        .ctx()
+        .with_workers(workers)
+        .with_obs_config(ObsConfig::Full);
 
     // Seed before materializing so the propagated windows contain only
     // churn: every key joins, and S carries SEED_MULT rows per key.
@@ -175,6 +182,19 @@ fn run_config((name, prune): Arm, theta: f64, workers: usize, trial: usize) -> R
         }
     }
     let since = ctx.stats.snapshot().since(&before);
+    if ctx.obs.spans.dropped() > 0 {
+        return Err(Error::Internal("E18: the span ring overflowed".into()));
+    }
+    let comp_join_rows = ctx
+        .obs
+        .spans
+        .finished()
+        .iter()
+        .filter(|s| s.name == "comp")
+        .flat_map(|s| &s.args)
+        .filter(|(key, _)| *key == "join_rows")
+        .map(|&(_, rows)| rows as u64)
+        .sum();
 
     let verify = mv_matches_oracle(&ctx)?;
     let report = ctx.compaction_report()?;
@@ -185,6 +205,7 @@ fn run_config((name, prune): Arm, theta: f64, workers: usize, trial: usize) -> R
         rows_read: since.total_rows_read(),
         vd_written: since.vd_rows_written,
         net_saved: since.compact_rows_saved,
+        comp_join_rows,
         store_rows: ctx.engine.delta_store(w.r)?.len() + ctx.engine.delta_store(w.s)?.len(),
         vd_rows: ctx.engine.vd_len(ctx.mv.vd_table)?,
         bytes_reclaimed: report.bytes_reclaimed(),
@@ -209,6 +230,7 @@ pub fn e18() -> Result<()> {
         "rows vs exact",
         "vd written",
         "net saved",
+        "comp join rows",
         "store rows",
         "verify",
     ]);
@@ -241,6 +263,7 @@ pub fn e18() -> Result<()> {
                     format!("{:.2}x", rows_ratio),
                     out.vd_written.to_string(),
                     out.net_saved.to_string(),
+                    out.comp_join_rows.to_string(),
                     out.store_rows.to_string(),
                     verify.clone(),
                 ]);
@@ -251,7 +274,8 @@ pub fn e18() -> Result<()> {
                         "\"apply_wall_ms\": {:.3}, ",
                         "\"delta_rows_joined\": {}, \"rows_vs_exact\": {:.3}, ",
                         "\"total_rows_read\": {}, \"vd_rows_written\": {}, ",
-                        "\"net_rows_saved\": {}, \"store_rows_end\": {}, ",
+                        "\"net_rows_saved\": {}, \"comp_join_rows\": {}, ",
+                        "\"store_rows_end\": {}, ",
                         "\"vd_rows_end\": {}, \"bytes_reclaimed\": {}, ",
                         "\"view_delta_divergence\": {}, \"oracle\": \"{}\"}}"
                     ),
@@ -266,6 +290,7 @@ pub fn e18() -> Result<()> {
                     out.rows_read,
                     out.vd_written,
                     out.net_saved,
+                    out.comp_join_rows,
                     out.store_rows,
                     out.vd_rows,
                     out.bytes_reclaimed,
@@ -293,8 +318,6 @@ pub fn e18() -> Result<()> {
         SEED_MULT,
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_compaction.json", json)
-        .map_err(|e| Error::Internal(format!("writing BENCH_compaction.json: {e}")))?;
 
     t.print(&format!(
         "E18: exact netting under Zipf hot-key churn ({CHURN_OPS} ops, \
@@ -302,6 +325,6 @@ pub fn e18() -> Result<()> {
          are vs the exact arm within each (theta, workers) cell",
         PAIR_FRAC * 100.0
     ));
-    println!("  [wrote BENCH_compaction.json]");
+    write_artifact("BENCH_compaction.json", &json)?;
     checks.finish()
 }

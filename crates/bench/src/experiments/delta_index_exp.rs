@@ -19,9 +19,9 @@
 //! oracle-verified rolled MV; the probed run must cut the delta rows
 //! entering joins ≥5× on the selective cells.
 
-use super::{mv_matches_oracle, Checks};
+use super::{mv_matches_oracle, write_artifact, Checks};
 use crate::Table;
-use rolljoin_common::{tup, Error, Result, TimeInterval};
+use rolljoin_common::{tup, Result, TimeInterval};
 use rolljoin_core::{materialize, roll_to, DeltaWorker, ExecTuning, PropQuery};
 use rolljoin_relalg::{net_effect, NetEffect};
 use rolljoin_workload::Star;
@@ -285,14 +285,12 @@ pub fn e20() -> Result<()> {
         headline.join(",\n"),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_delta_index.json", json)
-        .map_err(|e| Error::Internal(format!("writing BENCH_delta_index.json: {e}")))?;
 
     t.print(&format!(
         "E20: keyed delta-index probe pushdown on a {DIMS}-dim star \
          ({DIM_SIZE} keys/dim); rows_in and wall ratios are vs probing off \
          within each (sel, depth, workers) cell; best reduction {best_reduction:.1}x"
     ));
-    println!("  [wrote BENCH_delta_index.json]");
+    write_artifact("BENCH_delta_index.json", &json)?;
     checks.finish()
 }

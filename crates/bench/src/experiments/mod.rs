@@ -19,6 +19,21 @@ use rolljoin_common::{Error, Result};
 use rolljoin_core::MaintCtx;
 use rolljoin_workload::{int_pair_stream, TwoWay, UpdateMix};
 
+/// Where experiments write their JSON results, relative to the working
+/// directory: build output, so a run leaves the tracked `BENCH_*.json`
+/// copies in the repository root as they were.
+pub const ARTIFACT_DIR: &str = "target/harness";
+
+/// Write one experiment's JSON result as `ARTIFACT_DIR/<name>` and say so.
+pub fn write_artifact(name: &str, json: &str) -> Result<()> {
+    let path = std::path::Path::new(ARTIFACT_DIR).join(name);
+    std::fs::create_dir_all(ARTIFACT_DIR)
+        .and_then(|()| std::fs::write(&path, json))
+        .map_err(|e| Error::Internal(format!("writing {}: {e}", path.display())))?;
+    println!("  [wrote {}]", path.display());
+    Ok(())
+}
+
 /// All experiments, as (id, description, runner).
 pub type Experiment = (&'static str, &'static str, fn() -> Result<()>);
 

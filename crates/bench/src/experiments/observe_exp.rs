@@ -9,9 +9,9 @@
 //! entry per rolling step. Results land in `BENCH_obs.json`
 //! (EXPERIMENTS.md E19).
 
-use super::Checks;
+use super::{write_artifact, Checks};
 use crate::Table;
-use rolljoin_common::{Error, Result};
+use rolljoin_common::Result;
 use rolljoin_core::{roll_to, ObsConfig, RollingPropagator, UniformInterval};
 use std::time::{Duration, Instant};
 
@@ -163,13 +163,11 @@ pub fn e19() -> Result<()> {
         KEY_DOMAIN,
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_obs.json", json)
-        .map_err(|e| Error::Internal(format!("writing BENCH_obs.json: {e}")))?;
 
     t.print(&format!(
         "E19: observability overhead ({CHURN} churn txns, rolling delta={DELTA}, \
          median of {TRIALS} trials); wall ratios are vs ObsConfig::Off"
     ));
-    println!("  [wrote BENCH_obs.json]");
+    write_artifact("BENCH_obs.json", &json)?;
     checks.finish()
 }

@@ -10,6 +10,7 @@
 //! speedup, the delta-scan cache hit rate, and the updaters' commit
 //! latency — the three axes of the parallel pipeline's cost model.
 
+use super::write_artifact;
 use crate::Table;
 use rolljoin_common::{tup, Error, Result};
 use rolljoin_core::{
@@ -260,8 +261,6 @@ pub fn e16() -> Result<()> {
         CHURN,
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_parallel.json", json)
-        .map_err(|e| Error::Internal(format!("writing BENCH_parallel.json: {e}")))?;
 
     t.print(&format!(
         "E16: parallel propagation, {CHURN} churn commits, updaters contending the \
@@ -269,6 +268,6 @@ pub fn e16() -> Result<()> {
          within each view",
         THINK
     ));
-    println!("  [wrote BENCH_parallel.json]");
+    write_artifact("BENCH_parallel.json", &json)?;
     Ok(())
 }

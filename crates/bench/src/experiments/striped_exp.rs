@@ -15,6 +15,7 @@
 //! lock-wait breakdown. The view-delta net effect is asserted identical
 //! across granularities (locking changes who waits, never what commits).
 
+use super::write_artifact;
 use crate::Table;
 use rolljoin_common::{tup, Error, Result, TimeInterval};
 use rolljoin_core::{materialize, spawn_capture_driver, DeltaWorker, PropQuery};
@@ -366,14 +367,12 @@ pub fn e17() -> Result<()> {
         headline.join(",\n"),
         json_rows.join(",\n")
     );
-    std::fs::write("BENCH_striped.json", json)
-        .map_err(|e| Error::Internal(format!("writing BENCH_striped.json: {e}")))?;
 
     t.print(&format!(
         "E17: striped locking on chain-{N}, updaters contending the first and last \
          tables with in-txn think; p99/tput ratios are vs table granularity within \
          each (workers, think) cell"
     ));
-    println!("  [wrote BENCH_striped.json]");
+    write_artifact("BENCH_striped.json", &json)?;
     Ok(())
 }

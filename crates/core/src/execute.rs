@@ -163,8 +163,9 @@ impl MaintCtx {
 
     /// Prune settled history: the captured history of each of this view's
     /// bases through the engine-wide low-water mark (which every view over
-    /// those bases holds down to its own floor), and this view's private
-    /// view delta store through its materialization time. Counts one
+    /// those bases holds down to its own floor) — and of its MV and control
+    /// table, if a legacy image left them a delta store — and this view's
+    /// private view delta store through its materialization time. Counts one
     /// `compaction` step per pass. Returns total records removed.
     pub fn compact_stores(&self) -> Result<usize> {
         let started = Instant::now();
@@ -201,9 +202,21 @@ impl MaintCtx {
         Ok(report)
     }
 
-    /// The view's bases, each once (a self-join lists a base twice).
+    /// The tables whose captured history [`MaintCtx::compact_stores`]
+    /// prunes, each once (a self-join lists a base twice): the view's
+    /// bases, plus its MV and the control table when they keep a delta
+    /// store — as they do when recovered from an image that logged them
+    /// as base tables ([`rolljoin_storage::TableKind::Base`]).
     fn history_tables(&self) -> Vec<rolljoin_common::TableId> {
         let mut tables = self.mv.view.bases.clone();
+        let own = std::iter::once(self.mv.mv_table)
+            .chain(self.engine.table_id(crate::control::CONTROL_TABLE).ok());
+        tables.extend(own.filter(|&t| {
+            matches!(
+                self.engine.table_kind(t),
+                Ok(rolljoin_storage::TableKind::Base)
+            )
+        }));
         tables.sort();
         tables.dedup();
         tables
@@ -474,10 +487,13 @@ impl MaintCtx {
 
     /// Execute one propagation query (≥ 1 delta slot) as a transaction and
     /// insert its results into the view delta table in one batch. `sign`
-    /// scales counts (−1 for compensation). With two or more delta slots
-    /// the results are merged on equal `(ts, tuple)` first — the view
-    /// delta is a multiset over `(ts, tuple)`, so every `σ_{a,b}` of it is
-    /// unchanged.
+    /// scales counts (−1 for compensation). A query with one delta slot
+    /// runs the row kernel ([`exec::execute_shared`]); one with two or
+    /// more joins its delta slots as per-tuple histories
+    /// ([`exec::execute_histories`], DESIGN §7) and merges the result on
+    /// equal `(ts, tuple)` — the view delta is a multiset over
+    /// `(ts, tuple)`, so every `σ_{a,b}` of it is what the row kernel's
+    /// rows give.
     pub fn execute(&self, q: &PropQuery, sign: i64) -> Result<ExecOutcome> {
         self.execute_traced(q, sign, QuerySpanCtx::default())
             .map(|(outcome, _)| outcome)
@@ -574,15 +590,17 @@ impl MaintCtx {
 
         let (rows, stats) = {
             let _s = self.obs.span("join");
-            let (mut rows, stats) =
-                exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?;
             if q.delta_count() >= 2 {
+                // Join the delta slots as per-tuple histories, then merge
+                // the combinations that project to the same tuple.
+                let (rows, stats) = exec::execute_histories(slot_rows, &view.spec, sign)?;
                 let (netted, outcome) = net_rows(&rows, Csn::MAX);
                 self.stats
                     .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
-                rows = netted;
+                (netted, stats)
+            } else {
+                exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?
             }
-            (rows, stats)
         };
         let written = txn.vd_write(self.mv.vd_table, rows)? as u64;
         let lock_wait = txn.lock_wait();
@@ -609,6 +627,7 @@ impl MaintCtx {
         );
         if !qspan.is_noop() {
             qspan.arg("rows_read", (base_rows + delta_rows) as i64);
+            qspan.arg("join_rows", stats.rows_out as i64);
             qspan.arg("rows_out", written as i64);
             qspan.arg("lock_wait_us", lock_wait.as_micros() as i64);
             qspan.arg("csn", exec_csn as i64);

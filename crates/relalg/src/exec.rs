@@ -10,7 +10,7 @@
 //! kernel in [`crate::ops`].
 
 use crate::expr::Expr;
-use crate::ops::{JoinIndex, Kernel};
+use crate::ops::{Histories, HistoryFold, JoinIndex, Kernel, RowFold};
 use parking_lot::RwLock;
 use rolljoin_common::{DeltaRow, Error, Result, Schema, TableId, TimeInterval, Value};
 use std::collections::HashMap;
@@ -347,85 +347,176 @@ pub fn execute_shared(
     sign: i64,
     build_cache: Option<&BuildCache>,
 ) -> Result<(Vec<DeltaRow>, ExecStats)> {
-    spec.validate()?;
-    if slot_rows.len() != spec.arity() {
-        return Err(Error::Invalid(format!(
-            "{} slot row sets for {}-way join",
-            slot_rows.len(),
-            spec.arity()
-        )));
-    }
-    let n = spec.arity();
-    let offsets = spec.offsets();
-    let at = |col: usize| {
-        let slot = spec.slot_of(col, &offsets);
-        (slot, col - offsets[slot])
-    };
-    let rows_in: Vec<usize> = slot_rows.iter().map(SlotInput::len).collect();
-    assert!(
-        rows_in.iter().all(|&len| u32::try_from(len).is_ok()),
-        "slot rows are addressed by u32 positions"
-    );
-
-    // Assign each equi pair to the first left-deep step where both sides
-    // are available; pairs within a single slot are checked in place when
-    // that slot's row joins.
-    let mut probe_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut build_keys: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut residual: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for &(a, b) in &spec.equi {
-        let ((sa, ca), (sb, cb)) = (at(a), at(b));
-        if sa == sb {
-            residual[sa].push((ca, cb));
-            continue;
-        }
-        // The later slot decides the join step.
-        let (early, (late, late_col)) = if sa < sb {
-            ((sa, ca), (sb, cb))
-        } else {
-            ((sb, cb), (sa, ca))
-        };
-        probe_keys[late].push(early);
-        build_keys[late].push(late_col);
-    }
-
+    let plan = Plan::new(spec, &slot_rows)?;
     let mut slots = slot_rows.into_iter();
     let scan = slots.next().expect("≥1 slot");
     let indexes: Vec<Arc<JoinIndex>> = slots
-        .zip(build_keys.into_iter().skip(1))
-        .map(|(input, keys)| match (input, build_cache) {
-            // A shared build side with a cache: hash it once per step.
-            (SlotInput::Shared(rows, table, interval), Some(cache)) => {
-                cache.get_or_build(table, interval, &keys, &rows)
-            }
-            (SlotInput::Shared(rows, ..), None) => Arc::new(JoinIndex::build(rows, keys)),
-            // Joined on exactly the probed column: the probe's grouping
-            // is the index.
-            (SlotInput::Grouped(rows, groups), _) if keys == [groups.col] => {
-                Arc::new(JoinIndex::grouped(rows, groups))
-            }
-            (SlotInput::Owned(rows) | SlotInput::Grouped(rows, _), _) => {
-                Arc::new(JoinIndex::build(Arc::new(rows), keys))
-            }
-        })
+        .zip(&plan.build_keys[1..])
+        .map(|(input, keys)| build_index(input, keys, build_cache))
         .collect();
-    let kernel = Kernel {
-        rows: std::iter::once(scan.rows())
-            .chain(indexes.iter().map(|idx| idx.rows()))
-            .collect(),
-        indexes: &indexes,
-        probe_keys,
-        residual,
-        projection: spec.projection.iter().map(|&c| at(c)).collect(),
-        filter: spec.filter.as_ref(),
-        sign,
-    };
-    let out = kernel.run();
-    let stats = ExecStats {
-        rows_in,
-        rows_out: out.len(),
-    };
-    Ok((out, stats))
+    let out = plan
+        .kernel(spec, scan.rows(), &indexes)
+        .run(&mut RowFold { sign });
+    Ok(plan.finish(out))
+}
+
+/// Execute the join over per-tuple histories (DESIGN §7): the rows of
+/// each delta slot — a slot whose rows carry timestamps — are regrouped
+/// by tuple, a combination of delta tuples joins only if their histories'
+/// supports intersect, and each joined combination emits one row per
+/// event time at which its telescoped count is non-zero. The output nets,
+/// per `(ts, tuple)`, exactly as [`execute_shared`]'s does over the same
+/// inputs, but its size follows the overlapping tuple lifetimes, not the
+/// product of the slots' event counts. Rows of different combinations may
+/// share a `(ts, tuple)`; [`crate::net_rows`] merges them. Every build
+/// side is indexed fresh: a delta slot's index is over its histories,
+/// not over the rows a [`BuildCache`] entry indexes.
+pub fn execute_histories(
+    slot_rows: Vec<SlotInput>,
+    spec: &JoinSpec,
+    sign: i64,
+) -> Result<(Vec<DeltaRow>, ExecStats)> {
+    let plan = Plan::new(spec, &slot_rows)?;
+    let mut histories: Vec<Option<Histories>> = Vec::with_capacity(slot_rows.len());
+    let mut scan = None;
+    let mut indexes: Vec<Arc<JoinIndex>> = Vec::new();
+    for (input, keys) in slot_rows.into_iter().zip(&plan.build_keys) {
+        let rows = input.rows();
+        let timed = rows.iter().filter(|r| r.ts.is_some()).count();
+        let input = if timed == 0 {
+            histories.push(None);
+            input
+        } else if timed == rows.len() {
+            let (rows, h) = Histories::new(rows);
+            histories.push(Some(h));
+            SlotInput::Owned(rows)
+        } else {
+            return Err(Error::Invalid(
+                "a slot mixes timestamped and untimestamped rows".into(),
+            ));
+        };
+        match scan {
+            None => scan = Some(input),
+            Some(_) => indexes.push(build_index(input, keys, None)),
+        }
+    }
+    let scan = scan.expect("≥1 slot");
+    let mut fold = HistoryFold::new(histories.iter().map(Option::as_ref).collect(), sign);
+    let out = plan.kernel(spec, scan.rows(), &indexes).run(&mut fold);
+    Ok(plan.finish(out))
+}
+
+/// The hash index of one build side: taken from `build_cache` for a
+/// shared delta range, the probe's own grouping for a keyed probe joined
+/// on exactly the probed column, else hashed fresh.
+fn build_index(
+    input: SlotInput,
+    keys: &[usize],
+    build_cache: Option<&BuildCache>,
+) -> Arc<JoinIndex> {
+    match (input, build_cache) {
+        // A shared build side with a cache: hash it once per step.
+        (SlotInput::Shared(rows, table, interval), Some(cache)) => {
+            cache.get_or_build(table, interval, keys, &rows)
+        }
+        (SlotInput::Shared(rows, ..), None) => Arc::new(JoinIndex::build(rows, keys.to_vec())),
+        // Joined on exactly the probed column: the probe's grouping is the
+        // index.
+        (SlotInput::Grouped(rows, groups), _) if keys == [groups.col] => {
+            Arc::new(JoinIndex::grouped(rows, groups))
+        }
+        (SlotInput::Owned(rows) | SlotInput::Grouped(rows, _), _) => {
+            Arc::new(JoinIndex::build(Arc::new(rows), keys.to_vec()))
+        }
+    }
+}
+
+/// A join spec planned over its slots, with every column reference
+/// resolved to `(slot, local column)`.
+struct Plan {
+    rows_in: Vec<usize>,
+    probe_keys: Vec<Vec<(usize, usize)>>,
+    build_keys: Vec<Vec<usize>>,
+    residual: Vec<Vec<(usize, usize)>>,
+    projection: Vec<(usize, usize)>,
+}
+
+impl Plan {
+    /// Assign each equi pair to the first left-deep step where both sides
+    /// are available; pairs within a single slot are checked in place when
+    /// that slot's row joins.
+    fn new(spec: &JoinSpec, slot_rows: &[SlotInput]) -> Result<Plan> {
+        spec.validate()?;
+        if slot_rows.len() != spec.arity() {
+            return Err(Error::Invalid(format!(
+                "{} slot row sets for {}-way join",
+                slot_rows.len(),
+                spec.arity()
+            )));
+        }
+        let n = spec.arity();
+        let offsets = spec.offsets();
+        let at = |col: usize| {
+            let slot = spec.slot_of(col, &offsets);
+            (slot, col - offsets[slot])
+        };
+        let rows_in: Vec<usize> = slot_rows.iter().map(SlotInput::len).collect();
+        assert!(
+            rows_in.iter().all(|&len| u32::try_from(len).is_ok()),
+            "slot rows are addressed by u32 positions"
+        );
+        let mut probe_keys: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        let mut build_keys: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut residual: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for &(a, b) in &spec.equi {
+            let ((sa, ca), (sb, cb)) = (at(a), at(b));
+            if sa == sb {
+                residual[sa].push((ca, cb));
+                continue;
+            }
+            // The later slot decides the join step.
+            let (early, (late, late_col)) = if sa < sb {
+                ((sa, ca), (sb, cb))
+            } else {
+                ((sb, cb), (sa, ca))
+            };
+            probe_keys[late].push(early);
+            build_keys[late].push(late_col);
+        }
+        Ok(Plan {
+            rows_in,
+            probe_keys,
+            build_keys,
+            residual,
+            projection: spec.projection.iter().map(|&c| at(c)).collect(),
+        })
+    }
+
+    fn kernel<'a>(
+        &'a self,
+        spec: &'a JoinSpec,
+        scan: &'a [DeltaRow],
+        indexes: &'a [Arc<JoinIndex>],
+    ) -> Kernel<'a> {
+        Kernel {
+            rows: std::iter::once(scan)
+                .chain(indexes.iter().map(|idx| idx.rows()))
+                .collect(),
+            indexes,
+            probe_keys: &self.probe_keys,
+            residual: &self.residual,
+            projection: &self.projection,
+            filter: spec.filter.as_ref(),
+        }
+    }
+
+    fn finish(self, out: Vec<DeltaRow>) -> (Vec<DeltaRow>, ExecStats) {
+        let stats = ExecStats {
+            rows_in: self.rows_in,
+            rows_out: out.len(),
+        };
+        (out, stats)
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@
 //!   left-deep hash join over `(timestamp, count, tuple)` rows that keeps
 //!   row positions until the output tuple is built, implementing the
 //!   paper's delta algebra ([`ops::join_stamp`]: product counts,
-//!   **minimum** timestamps on join).
+//!   **minimum** timestamps on join) row by row, or over per-tuple
+//!   histories for queries with two or more delta slots
+//!   ([`exec::execute_histories`]).
 //! * [`source`] — slot bindings: base table, delta range, or time-travel
 //!   state (oracle use only).
 //! * [`mod@net_effect`] — the paper's `φ` operator (Definition 4.1), the
@@ -25,7 +27,8 @@ pub mod ops;
 pub mod source;
 
 pub use exec::{
-    execute, execute_shared, BuildCache, BuildCacheStats, ExecStats, JoinSpec, KeyGroups, SlotInput,
+    execute, execute_histories, execute_shared, BuildCache, BuildCacheStats, ExecStats, JoinSpec,
+    KeyGroups, SlotInput,
 };
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use net_effect::{

@@ -3,9 +3,12 @@
 //! A propagation query's join runs left-deep: slot 0 is scanned and every
 //! later slot is probed through a `JoinIndex` of row positions. A
 //! partial join row is only a row position per joined slot plus a running
-//! `(timestamp, count)` folded by [`join_stamp`]. Join keys and same-slot
-//! equi pairs are read in place from the slot rows; the output tuple is
-//! built once, straight from the slots, by the projection.
+//! stamp, folded by a `Fold`: `(timestamp, count)` by [`join_stamp`] for
+//! the row-at-a-time join, or the intersection of per-tuple history
+//! supports for the history join of a query with two or more delta slots
+//! (DESIGN §7). Join keys and same-slot equi pairs are read in place from
+//! the slot rows; the output tuple is built once, straight from the slots,
+//! by the projection.
 
 use crate::exec::KeyGroups;
 use crate::expr::Expr;
@@ -123,29 +126,300 @@ pub(crate) struct Kernel<'a> {
     /// Build indexes of slots `1..n` (entry `k - 1` is slot `k`'s).
     pub(crate) indexes: &'a [Arc<JoinIndex>],
     /// Per slot: the earlier slots' key columns its probe reads.
-    pub(crate) probe_keys: Vec<Vec<(usize, usize)>>,
+    pub(crate) probe_keys: &'a [Vec<(usize, usize)>],
     /// Per slot: same-slot equi pairs.
-    pub(crate) residual: Vec<Vec<(usize, usize)>>,
+    pub(crate) residual: &'a [Vec<(usize, usize)>],
     /// Output columns as `(slot, local column)`.
-    pub(crate) projection: Vec<(usize, usize)>,
+    pub(crate) projection: &'a [(usize, usize)],
     pub(crate) filter: Option<&'a Expr>,
-    /// Scales every output count (−1 for compensation queries).
+}
+
+/// What a partial join row carries as the kernel extends it slot by slot,
+/// and how a complete one is emitted: [`RowFold`] stamps rows by
+/// [`join_stamp`]; [`HistoryFold`] intersects per-tuple history supports.
+pub(crate) trait Fold {
+    type Acc: Copy;
+    /// The stamp of the empty partial row.
+    fn identity(&self) -> Self::Acc;
+    /// Extend `acc` by slot `slot`'s row at position `p`.
+    fn extend(&self, acc: Self::Acc, slot: usize, p: u32, row: &DeltaRow) -> Extend<Self::Acc>;
+    /// Emit the complete join row `pos`, stamped `acc`; `tuple` builds its
+    /// output tuple.
+    fn emit(
+        &mut self,
+        acc: Self::Acc,
+        pos: &[u32],
+        tuple: impl FnOnce() -> Tuple,
+        out: &mut Vec<DeltaRow>,
+    );
+}
+
+/// A [`Fold::extend`] verdict.
+pub(crate) enum Extend<A> {
+    /// The row joins, and the partial row now carries `A`.
+    Take(A),
+    /// The row does not join.
+    Skip,
+    /// Neither it nor any later match of this probe joins.
+    Stop,
+}
+
+/// The paper's row-at-a-time delta algebra: every combination of input
+/// rows is one output row, stamped by [`join_stamp`] and scaled by `sign`.
+pub(crate) struct RowFold {
     pub(crate) sign: i64,
+}
+
+impl Fold for RowFold {
+    type Acc = (Option<Csn>, i64);
+
+    fn identity(&self) -> Self::Acc {
+        (None, 1)
+    }
+
+    fn extend(&self, acc: Self::Acc, _: usize, _: u32, row: &DeltaRow) -> Extend<Self::Acc> {
+        Extend::Take(join_stamp(acc, (row.ts, row.count)))
+    }
+
+    fn emit(
+        &mut self,
+        (ts, count): Self::Acc,
+        _: &[u32],
+        tuple: impl FnOnce() -> Tuple,
+        out: &mut Vec<DeltaRow>,
+    ) {
+        out.push(DeltaRow {
+            ts,
+            count: count * self.sign,
+            tuple: tuple(),
+        });
+    }
+}
+
+/// One delta slot's rows regrouped as per-tuple histories (DESIGN §7).
+///
+/// A tuple's events `(ts, count)` are its rows merged on equal `ts`, zero
+/// counts dropped. Its suffix sum `S(≥τ)` — the summed counts of events
+/// at or after `τ` — is a step function that is non-zero only on a
+/// support `(lo, hi]`: `hi` is the last event, `lo` the event before the
+/// first non-zero suffix (unbounded below when the tuple's net count is
+/// non-zero). Events before `lo` never matter and are not kept.
+pub(crate) struct Histories {
+    /// Per history (parallel to the slot's rows): its events in `events`.
+    spans: Vec<History>,
+    /// `(ts, S(≥ts))` per kept event, ascending within each history.
+    events: Vec<(Csn, i64)>,
+}
+
+#[derive(Clone, Copy)]
+struct History {
+    start: u32,
+    end: u32,
+    /// `None`: unbounded below.
+    lo: Option<Csn>,
+    hi: Csn,
+}
+
+impl Histories {
+    /// Regroup timestamped rows into one row per tuple with a non-zero
+    /// history — the tuple, no timestamp, count 1 — sorted by ascending
+    /// `lo` (first occurrence breaks ties), and the histories themselves.
+    pub(crate) fn new(rows: &[DeltaRow]) -> (Vec<DeltaRow>, Histories) {
+        let mut group_of: HashMap<&Tuple, u32> = HashMap::with_capacity(rows.len());
+        let groups: Vec<u32> = rows
+            .iter()
+            .map(|r| {
+                let next = group_of.len() as u32;
+                *group_of.entry(&r.tuple).or_insert(next)
+            })
+            .collect();
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+        order.sort_unstable_by_key(|&p| (groups[p as usize], rows[p as usize].ts));
+
+        let mut found: Vec<(History, &Tuple)> = Vec::with_capacity(group_of.len());
+        let mut events: Vec<(Csn, i64)> = Vec::with_capacity(rows.len());
+        let mut merged: Vec<(Csn, i64)> = Vec::new();
+        for run in order.chunk_by(|&a, &b| groups[a as usize] == groups[b as usize]) {
+            merged.clear();
+            for &p in run {
+                let row = &rows[p as usize];
+                let ts = row.ts.expect("history rows carry timestamps");
+                match merged.last_mut() {
+                    Some((t, c)) if *t == ts => *c += row.count,
+                    _ => merged.push((ts, row.count)),
+                }
+            }
+            merged.retain(|&(_, c)| c != 0);
+            let mut suffix = 0;
+            for e in merged.iter_mut().rev() {
+                suffix += e.1;
+                e.1 = suffix;
+            }
+            let Some(first) = merged.iter().position(|&(_, s)| s != 0) else {
+                continue;
+            };
+            let keep = first.saturating_sub(1);
+            let start = events.len() as u32;
+            events.extend_from_slice(&merged[keep..]);
+            let history = History {
+                start,
+                end: events.len() as u32,
+                lo: (first > 0).then(|| merged[keep].0),
+                hi: merged[merged.len() - 1].0,
+            };
+            found.push((history, &rows[run[0] as usize].tuple));
+        }
+        found.sort_by_key(|(h, _)| h.lo);
+        let rows = found
+            .iter()
+            .map(|&(_, tuple)| DeltaRow::base(tuple.clone()))
+            .collect();
+        let spans = found.into_iter().map(|(h, _)| h).collect();
+        (rows, Histories { spans, events })
+    }
+}
+
+/// What a combination of histories carries: the intersection `(lo, hi]`
+/// of its delta tuples' supports and the product of its base rows' counts.
+#[derive(Clone, Copy)]
+pub(crate) struct Support {
+    lo: Option<Csn>,
+    hi: Csn,
+    count: i64,
+}
+
+/// The join over per-tuple histories (DESIGN §7): a combination of delta
+/// tuples joins only if their supports intersect, and emits, at each
+/// merged event time `τ` in the intersection, `ts = τ` and
+/// `count = sign · (Π S_i(≥τ) − Π S_i(>τ)) · Π base counts` — exactly the
+/// per-`(ts, tuple)` net of the rows [`RowFold`] emits over the same
+/// inputs, since the event choices whose minimum timestamp is `τ` are
+/// those at or after `τ` minus those strictly after it.
+pub(crate) struct HistoryFold<'a> {
+    /// Per slot: its histories, or `None` for a base slot.
+    pub(crate) slots: Vec<Option<&'a Histories>>,
+    pub(crate) sign: i64,
+    /// Per delta slot of the row being emitted: its remaining events.
+    cursors: Vec<&'a [(Csn, i64)]>,
+}
+
+impl<'a> HistoryFold<'a> {
+    pub(crate) fn new(slots: Vec<Option<&'a Histories>>, sign: i64) -> Self {
+        HistoryFold {
+            slots,
+            sign,
+            cursors: Vec::new(),
+        }
+    }
+}
+
+impl Fold for HistoryFold<'_> {
+    type Acc = Support;
+
+    fn identity(&self) -> Support {
+        Support {
+            lo: None,
+            hi: Csn::MAX,
+            count: 1,
+        }
+    }
+
+    fn extend(&self, acc: Support, slot: usize, p: u32, row: &DeltaRow) -> Extend<Support> {
+        let Some(histories) = self.slots[slot] else {
+            return Extend::Take(Support {
+                count: acc.count * row.count,
+                ..acc
+            });
+        };
+        let h = histories.spans[p as usize];
+        // A slot's histories ascend by `lo`, so once one starts at or
+        // after the intersection's end, so do all later matches.
+        if h.lo.is_some_and(|lo| lo >= acc.hi) {
+            return Extend::Stop;
+        }
+        let (lo, hi) = (acc.lo.max(h.lo), acc.hi.min(h.hi));
+        if lo.is_some_and(|lo| lo >= hi) {
+            Extend::Skip
+        } else {
+            Extend::Take(Support {
+                lo,
+                hi,
+                count: acc.count,
+            })
+        }
+    }
+
+    fn emit(
+        &mut self,
+        acc: Support,
+        pos: &[u32],
+        tuple: impl FnOnce() -> Tuple,
+        out: &mut Vec<DeltaRow>,
+    ) {
+        self.cursors.clear();
+        for (slot, histories) in self.slots.iter().enumerate() {
+            if let Some(hs) = histories {
+                let h = hs.spans[pos[slot] as usize];
+                let events = &hs.events[h.start as usize..h.end as usize];
+                let from = acc.lo.map_or(0, |lo| events.partition_point(|e| e.0 < lo));
+                self.cursors.push(&events[from..]);
+            }
+        }
+        let sign = self.sign;
+        let mut tuple = Some(tuple);
+        let mut built: Option<Tuple> = None;
+        let mut push = |ts: Option<Csn>, count: i64, out: &mut Vec<DeltaRow>| {
+            let t = built.get_or_insert_with(|| (tuple.take().expect("built once"))());
+            out.push(DeltaRow {
+                ts,
+                count: count * sign,
+                tuple: t.clone(),
+            });
+        };
+        if self.cursors.is_empty() {
+            push(None, acc.count, out);
+            return;
+        }
+        // Sweep the merged event times upward; each cursor starts at its
+        // first event at or after `τ`, so it reads `S(≥τ)` there. Once a
+        // history has no event left, every product is zero.
+        while self.cursors.iter().all(|c| !c.is_empty()) {
+            let tau = self
+                .cursors
+                .iter()
+                .map(|c| c[0].0)
+                .min()
+                .expect("≥ 1 cursor");
+            if tau > acc.hi {
+                break;
+            }
+            let (mut at_or_after, mut after) = (1i64, 1i64);
+            for c in &mut self.cursors {
+                let (ts, suffix) = c[0];
+                at_or_after *= suffix;
+                if ts == tau {
+                    *c = &c[1..];
+                    after *= c.first().map_or(0, |e| e.1);
+                } else {
+                    after *= suffix;
+                }
+            }
+            let count = (at_or_after - after) * acc.count;
+            if count != 0 {
+                push(Some(tau), count, out);
+            }
+        }
+    }
 }
 
 impl Kernel<'_> {
     /// Join every slot-0 row, in order, with its matches in the later
     /// slots: probe-major output, each slot's matches in build order.
-    pub(crate) fn run(&self) -> Vec<DeltaRow> {
+    pub(crate) fn run<F: Fold>(&self, fold: &mut F) -> Vec<DeltaRow> {
         let mut out = Vec::new();
         let mut pos = vec![0u32; self.rows.len()];
         let mut scratch = Vec::new();
-        for (p, row) in self.rows[0].iter().enumerate() {
-            if self.residual_holds(0, row) {
-                pos[0] = p as u32;
-                self.descend(1, &mut pos, (row.ts, row.count), &mut scratch, &mut out);
-            }
-        }
+        self.descend(0, &mut pos, fold.identity(), fold, &mut scratch, &mut out);
         out
     }
 
@@ -160,56 +434,61 @@ impl Kernel<'_> {
             .all(|&(a, b)| row.tuple.get(a).sql_eq(row.tuple.get(b)) == Some(true))
     }
 
-    /// Extend the partial row `pos[..k]` (stamped `stamp`) by every
-    /// matching row of slot `k`, in build order, emitting complete rows.
-    fn descend(
+    /// Extend the partial row `pos[..k]` (stamped `acc`) by every
+    /// matching row of slot `k` — every row of slot 0 — in build order,
+    /// emitting complete rows.
+    fn descend<F: Fold>(
         &self,
         k: usize,
         pos: &mut [u32],
-        stamp: (Option<Csn>, i64),
+        acc: F::Acc,
+        fold: &mut F,
         scratch: &mut Vec<Value>,
         out: &mut Vec<DeltaRow>,
     ) {
         if k == self.rows.len() {
-            self.emit(pos, stamp, out);
+            self.emit(pos, acc, fold, out);
             return;
         }
         // A probe key holding NULL finds nothing: no such key is indexed.
         let keys = &self.probe_keys[k];
-        let matches = match &self.indexes[k - 1].map {
-            KeyMap::One(map) => {
+        let matches = match k.checked_sub(1).map(|i| &self.indexes[i].map) {
+            None => Matches::Run(0..self.rows[0].len() as u32),
+            Some(KeyMap::One(map)) => {
                 let (s, c) = keys[0];
                 Matches::listed(map.get(self.row(pos, s).tuple.get(c)))
             }
-            KeyMap::Many(map) => {
+            Some(KeyMap::Many(map)) => {
                 scratch.clear();
                 for &(s, c) in keys {
                     scratch.push(self.row(pos, s).tuple.get(c).clone());
                 }
                 Matches::listed(map.get(scratch.as_slice()))
             }
-            KeyMap::Grouped(groups) => {
+            Some(KeyMap::Grouped(groups)) => {
                 let (s, c) = keys[0];
                 Matches::Run(groups.rows_of(self.row(pos, s).tuple.get(c)))
             }
         };
         for p in matches {
             let row = &self.rows[k][p as usize];
-            if self.residual_holds(k, row) {
-                pos[k] = p;
-                self.descend(
-                    k + 1,
-                    pos,
-                    join_stamp(stamp, (row.ts, row.count)),
-                    scratch,
-                    out,
-                );
+            if !self.residual_holds(k, row) {
+                continue;
+            }
+            match fold.extend(acc, k, p, row) {
+                Extend::Take(next) => {
+                    pos[k] = p;
+                    self.descend(k + 1, pos, next, fold, scratch, out);
+                }
+                Extend::Skip => {}
+                Extend::Stop => break,
             }
         }
     }
 
-    /// Apply the selection to a complete row and build its output tuple.
-    fn emit(&self, pos: &[u32], (ts, count): (Option<Csn>, i64), out: &mut Vec<DeltaRow>) {
+    /// Apply the selection to a complete row and hand it to the fold,
+    /// which builds its output tuple by the projection.
+    fn emit<F: Fold>(&self, pos: &[u32], acc: F::Acc, fold: &mut F, out: &mut Vec<DeltaRow>) {
         if let Some(filter) = self.filter {
             let global = Tuple::new(
                 (0..self.rows.len()).flat_map(|s| self.row(pos, s).tuple.values().iter().cloned()),
@@ -218,15 +497,14 @@ impl Kernel<'_> {
                 return;
             }
         }
-        out.push(DeltaRow {
-            ts,
-            count: count * self.sign,
-            tuple: Tuple::new(
+        let tuple = || {
+            Tuple::new(
                 self.projection
                     .iter()
                     .map(|&(s, c)| self.row(pos, s).tuple.get(c).clone()),
-            ),
-        });
+            )
+        };
+        fold.emit(acc, pos, tuple, out);
     }
 }
 

@@ -1090,6 +1090,7 @@ impl Txn {
         match &entry.store {
             TableStore::Base { table: t, .. } => {
                 let mut t = t.lock();
+                t.reserve(counts.iter().filter(|(_, n)| *n > 0).count());
                 for (i, (tuple, n)) in counts.iter().enumerate() {
                     if let Err(e) = t.apply_count(tuple, *n) {
                         for (tuple, n) in counts[..i].iter().rev() {
@@ -1662,12 +1663,52 @@ mod tests {
     #[test]
     fn uow_records_every_commit() {
         let (e, t) = engine_with_table();
+        let before = e.uow().len();
         let mut txn = e.begin();
-        let id = txn.id();
         txn.insert(t, tup![1, "a"]).unwrap();
         let csn = txn.commit().unwrap();
-        assert_eq!(e.uow().csn_of(id), Some(csn));
-        assert!(e.uow().wallclock_of_csn(csn).is_some());
+        assert_eq!(e.uow().len(), before + 1);
+        let wallclock = e.uow().wallclock_of_csn(csn).unwrap();
+        assert_eq!(e.uow().csn_at_or_before(wallclock), Some(csn));
+    }
+
+    #[test]
+    fn waiter_behind_an_x_lock_wakes_at_the_holders_commit() {
+        // The timeout is far beyond the hold: the waiter must be granted
+        // by the commit's release, not give up at its deadline.
+        let e = Engine::with_lock_timeout(Duration::from_secs(10));
+        let t = e
+            .create_table(
+                "r",
+                Schema::new([("a", ColumnType::Int), ("b", ColumnType::Str)]),
+            )
+            .unwrap();
+        let mut holder = e.begin();
+        holder.lock(t, LockMode::Exclusive).unwrap();
+        holder.insert(t, tup![1, "a"]).unwrap();
+        let waiter = {
+            let e = e.clone();
+            std::thread::spawn(move || {
+                let mut txn = e.begin();
+                let started = std::time::Instant::now();
+                txn.lock(t, LockMode::Shared).unwrap();
+                let waited = started.elapsed();
+                let rows = txn.scan(t).unwrap().len();
+                txn.commit().unwrap();
+                (waited, rows)
+            })
+        };
+        // Let the waiter block on the X lock before the holder commits.
+        while e.locks().stats().snapshot_full().table.waits == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        holder.commit().unwrap();
+        let (waited, rows) = waiter.join().unwrap();
+        assert!(
+            waited < Duration::from_secs(5),
+            "woken at the commit, not the deadline: {waited:?}"
+        );
+        assert_eq!(rows, 1, "the waiter sees the committed insert");
     }
 
     #[test]

@@ -544,8 +544,9 @@ impl LockManager {
     pub fn release_key(&self, txn: TxnId, key: LockKey) {
         let entry = self.entry(key);
         let mut state = entry.state.lock();
-        if state.granted.remove(&txn).is_some() {
-            state.pump();
+        // Waiters wait to be granted, so wake them only when this
+        // release granted one.
+        if state.granted.remove(&txn).is_some() && state.pump() {
             entry.cond.notify_all();
         }
     }

@@ -162,6 +162,11 @@ impl BaseTable {
         self.counts.get(tuple).map_or(0, |&n| n as u64)
     }
 
+    /// Make room in the tuple map for `additional` more distinct tuples.
+    pub fn reserve(&mut self, additional: usize) {
+        self.counts.reserve(additional);
+    }
+
     /// Apply a signed count: insert `n` copies (`n > 0`) or delete `-n`
     /// copies (`n < 0`), in O(1) of `|n|` with one lookup in the tuple
     /// map. Inserts check the schema; a delete of more copies than exist

@@ -13,7 +13,6 @@
 
 use parking_lot::RwLock;
 use rolljoin_common::{Csn, TxnId};
-use std::collections::HashMap;
 
 /// One unit-of-work entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,17 +23,11 @@ pub struct UowEntry {
     pub wallclock_micros: u64,
 }
 
-#[derive(Default)]
-struct UowInner {
-    by_txn: HashMap<TxnId, UowEntry>,
-    /// Entries in CSN order (CSNs are allocated monotonically).
-    by_csn: Vec<UowEntry>,
-}
-
-/// The unit-of-work table: txn ↔ (CSN, wallclock) mapping.
+/// The unit-of-work table: the (txn, CSN, wallclock) of every commit, in
+/// CSN order (CSNs are allocated monotonically).
 #[derive(Default)]
 pub struct UnitOfWork {
-    inner: RwLock<UowInner>,
+    by_csn: RwLock<Vec<UowEntry>>,
 }
 
 impl UnitOfWork {
@@ -45,47 +38,32 @@ impl UnitOfWork {
     /// Record a commit. Must be called in CSN order (the commit mutex in
     /// the transaction manager guarantees this).
     pub fn record(&self, txn: TxnId, csn: Csn, wallclock_micros: u64) {
-        let mut inner = self.inner.write();
+        let mut by_csn = self.by_csn.write();
         debug_assert!(
-            inner.by_csn.last().is_none_or(|e| e.csn < csn),
+            by_csn.last().is_none_or(|e| e.csn < csn),
             "unit-of-work entries must arrive in CSN order"
         );
-        let entry = UowEntry {
+        by_csn.push(UowEntry {
             txn,
             csn,
             wallclock_micros,
-        };
-        inner.by_txn.insert(txn, entry);
-        inner.by_csn.push(entry);
-    }
-
-    /// CSN of a committed transaction.
-    pub fn csn_of(&self, txn: TxnId) -> Option<Csn> {
-        self.inner.read().by_txn.get(&txn).map(|e| e.csn)
-    }
-
-    /// Full entry for a committed transaction.
-    pub fn entry_of(&self, txn: TxnId) -> Option<UowEntry> {
-        self.inner.read().by_txn.get(&txn).copied()
+        });
     }
 
     /// Latest CSN whose commit wallclock is ≤ `wallclock_micros`. This is
     /// how callers translate "refresh the view to 5:00 pm" into a CSN roll
     /// target.
     pub fn csn_at_or_before(&self, wallclock_micros: u64) -> Option<Csn> {
-        let inner = self.inner.read();
-        let idx = inner
-            .by_csn
-            .partition_point(|e| e.wallclock_micros <= wallclock_micros);
-        idx.checked_sub(1).map(|i| inner.by_csn[i].csn)
+        let by_csn = self.by_csn.read();
+        let idx = by_csn.partition_point(|e| e.wallclock_micros <= wallclock_micros);
+        idx.checked_sub(1).map(|i| by_csn[i].csn)
     }
 
     /// Wallclock of a given CSN.
     pub fn wallclock_of_csn(&self, csn: Csn) -> Option<u64> {
-        let inner = self.inner.read();
-        let idx = inner.by_csn.partition_point(|e| e.csn < csn);
-        inner
-            .by_csn
+        let by_csn = self.by_csn.read();
+        let idx = by_csn.partition_point(|e| e.csn < csn);
+        by_csn
             .get(idx)
             .filter(|e| e.csn == csn)
             .map(|e| e.wallclock_micros)
@@ -93,7 +71,7 @@ impl UnitOfWork {
 
     /// Number of recorded commits.
     pub fn len(&self) -> usize {
-        self.inner.read().by_csn.len()
+        self.by_csn.read().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -111,8 +89,7 @@ mod tests {
         u.record(TxnId(10), 1, 100);
         u.record(TxnId(11), 2, 100); // same wallclock, distinct CSN (paper §5)
         u.record(TxnId(12), 3, 250);
-        assert_eq!(u.csn_of(TxnId(11)), Some(2));
-        assert_eq!(u.csn_of(TxnId(99)), None);
+        assert_eq!(u.wallclock_of_csn(2), Some(100));
         assert_eq!(u.wallclock_of_csn(3), Some(250));
         assert_eq!(u.wallclock_of_csn(4), None);
         assert_eq!(u.len(), 3);

@@ -361,11 +361,24 @@ fn image_logging_the_mv_as_a_base_table_recovers_exactly() {
         .drain_to(end, &mut UniformInterval(3))
         .unwrap();
     roll_to(&ctx2, end).unwrap();
+    e2.capture_catch_up().unwrap();
+    assert!(
+        !e2.delta_store(ctx2.mv.mv_table).unwrap().is_empty(),
+        "the roll's install is staged"
+    );
     ctx2.compact_stores().unwrap();
     assert_eq!(
         oracle::mv_state(&e2, &ctx2.mv).unwrap(),
         oracle::view_at(&e2, &ctx2.mv.view, end).unwrap()
     );
+    // The pass prunes the MV's and the control table's history too:
+    // nothing at or below the low-water mark is left.
+    let lwm = e2.low_water_mark();
+    for t in [ctx2.mv.mv_table, control] {
+        let store = e2.delta_store(t).unwrap();
+        assert!(store.pruned_through() >= lwm);
+        assert_eq!(store.count_in(TimeInterval::new(0, lwm)), 0);
+    }
 }
 
 #[test]
