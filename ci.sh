@@ -80,6 +80,9 @@ cargo bench -p rolljoin-bench --bench obs_overhead
 echo "== live-shaped star forward query bench (keyed probes, join, view-delta write) =="
 cargo bench -p rolljoin-bench --bench executor -- star_forward_keyed_256x3
 
+echo "== live-shaped roll bench (100k view-delta rows installed into a 200k-tuple view) =="
+cargo bench -p rolljoin-bench --bench refresh -- roll_to_100k_vd_rows
+
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -87,7 +87,7 @@ fn bench_delta_index(c: &mut Criterion) {
         });
         g.bench_function(format!("range_scan_filter_{sel}_of_{KEYS}"), |b| {
             b.iter(|| {
-                let set: std::collections::HashSet<&Value> = keys.iter().collect();
+                let set: rolljoin_common::hash::Set<&Value> = keys.iter().collect();
                 e.delta_range(t, iv)
                     .unwrap()
                     .into_iter()

@@ -1,7 +1,7 @@
 //! Refresh strategies head-to-head (the Fig. 1 / Fig. 2 comparison as a
 //! criterion bench): full recompute vs atomic Eq. 1 vs asynchronous
 //! rolling propagation, at a fixed delta size; plus the apply step alone,
-//! `roll_to` over a 100k-row view-delta window.
+//! `roll_to` over a 100k-row view-delta window into a 200k-tuple view.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolljoin_common::{tup, DeltaRow};
@@ -47,12 +47,26 @@ fn setup() -> (TwoWay, rolljoin_core::MaintCtx, u64, u64) {
 const VD_ROWS: usize = 100_000;
 const VD_TUPLES: usize = 20_000;
 const VD_COMMITS: u64 = 50;
+/// Rows per base table and join keys of the pre-loaded view:
+/// `MV_ROWS² / MV_KEYS` = 200k MV tuples, so the install probes a count
+/// map of the size a live view holds (the 20k-a-side two-way churn
+/// workload's view holds 400k).
+const MV_ROWS: i64 = 10_000;
+const MV_KEYS: i64 = 500;
 
-/// An empty materialized two-way view whose view delta holds `VD_ROWS`
-/// rows in `(mat, end]`: five rows per tuple, `+1 +1 −1 +1 −1`, so the
-/// window nets to one copy of each tuple.
+/// A materialized two-way view of 200k tuples whose view delta holds
+/// `VD_ROWS` rows in `(mat, end]`: five rows per tuple. Half the tuples
+/// are in the view and see `−1 −1 +1 −1 +1`, so the roll deletes them;
+/// the other half are new and see `+1 +1 −1 +1 −1`, so the roll inserts
+/// one copy of each.
 fn setup_vd_window() -> (TwoWay, rolljoin_core::MaintCtx, u64) {
     let w = TwoWay::setup("roll_vd").unwrap();
+    let mut txn = w.engine.begin();
+    for i in 0..MV_ROWS {
+        txn.insert(w.r, tup![i, i % MV_KEYS]).unwrap();
+        txn.insert(w.s, tup![i % MV_KEYS, i]).unwrap();
+    }
+    txn.commit().unwrap();
     let ctx = w.ctx();
     let mat = materialize(&ctx).unwrap();
     for _ in 0..VD_COMMITS {
@@ -61,9 +75,14 @@ fn setup_vd_window() -> (TwoWay, rolljoin_core::MaintCtx, u64) {
     let end = w.engine.current_csn();
     let rows: Vec<DeltaRow> = (0..VD_ROWS)
         .map(|i| {
-            let count = [1, 1, -1, 1, -1][i / VD_TUPLES];
             let k = (i % VD_TUPLES) as i64;
-            DeltaRow::change(mat + 1 + i as u64 % VD_COMMITS, count, tup![k, k % 7])
+            let (count, tuple) = if k < VD_TUPLES as i64 / 2 {
+                // `(k, k)` joins through key `k % MV_KEYS`: in the view.
+                ([-1, -1, 1, -1, 1][i / VD_TUPLES], tup![k, k])
+            } else {
+                ([1, 1, -1, 1, -1][i / VD_TUPLES], tup![MV_ROWS + k, k])
+            };
+            DeltaRow::change(mat + 1 + i as u64 % VD_COMMITS, count, tuple)
         })
         .collect();
     let mut txn = w.engine.begin();
@@ -77,11 +96,14 @@ fn bench_roll(c: &mut Criterion) {
     let mut g = c.benchmark_group("apply");
     g.sample_size(10);
     g.bench_function("roll_to_100k_vd_rows", |b| {
-        b.iter_batched(
+        // By reference: tearing the 200k-tuple view down is not the roll.
+        b.iter_batched_ref(
             setup_vd_window,
             |(_w, ctx, end)| {
-                let out = roll_to(&ctx, end).unwrap();
+                let out = roll_to(ctx, *end).unwrap();
                 assert_eq!(out.tuples_changed, VD_TUPLES);
+                assert_eq!(out.insertions, VD_TUPLES as i64 / 2);
+                assert_eq!(out.deletions, VD_TUPLES as i64 / 2);
                 out
             },
             BatchSize::PerIteration,

@@ -109,7 +109,7 @@ pub fn e12() -> Result<()> {
     let exec = w.engine.current_csn();
     ctx.engine.capture_catch_up()?;
 
-    let side = |m: std::collections::HashMap<Tuple, i64>| -> Side {
+    let side = |m: rolljoin_common::hash::Map<Tuple, i64>| -> Side {
         m.into_iter().map(|(t, c)| (None, c, t)).collect()
     };
     let deltas = |table, iv: TimeInterval| -> Result<Side> {

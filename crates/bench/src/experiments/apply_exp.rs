@@ -97,8 +97,8 @@ pub fn e11() -> Result<()> {
         ctx.engine.capture_catch_up()?;
         let ((), d_full) = timed(|| {
             let view = oracle::view_at(&ctx.engine, &ctx.mv.view, end).unwrap();
-            let mut groups: std::collections::HashMap<rolljoin_common::Value, (i64, i64)> =
-                std::collections::HashMap::new();
+            let mut groups: rolljoin_common::hash::Map<rolljoin_common::Value, (i64, i64)> =
+                Default::default();
             for (tuple, count) in view {
                 let key = tuple[1].clone();
                 let m = tuple[0].as_int().unwrap();

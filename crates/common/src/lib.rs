@@ -14,8 +14,11 @@
 //!   `+n` inserts `n` copies, `-n` deletes `n` copies (paper §2). Base-table
 //!   rows are modeled with `count = +1` and a `None` timestamp.
 //! * [`Error`] — the workspace-wide error type.
+//! * [`hash::Map`] / [`hash::Set`] — the hash map and set every library
+//!   crate uses, under one seeded folded-multiply hasher.
 
 pub mod error;
+pub mod hash;
 pub mod row;
 pub mod schema;
 pub mod time;

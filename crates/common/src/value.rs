@@ -196,6 +196,7 @@ impl From<String> for Value {
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+    use std::hash::BuildHasher;
 
     fn hash_of(v: &Value) -> u64 {
         let mut h = DefaultHasher::new();
@@ -250,6 +251,12 @@ mod tests {
     fn hash_agrees_with_eq() {
         assert_eq!(hash_of(&Value::str("abc")), hash_of(&Value::from("abc")));
         assert_eq!(hash_of(&Value::Int(42)), hash_of(&Value::from(42i64)));
+        let s = crate::hash::Seeded::default();
+        assert_eq!(
+            s.hash_one(Value::str("abc")),
+            s.hash_one(Value::from("abc"))
+        );
+        assert_eq!(s.hash_one(Value::Int(42)), s.hash_one(Value::from(42i64)));
     }
 
     #[test]

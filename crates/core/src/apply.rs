@@ -11,11 +11,10 @@
 
 use crate::execute::MaintCtx;
 use crate::stats::StepKind;
-use rolljoin_common::{Csn, Error, Result, TimeInterval, Tuple};
+use rolljoin_common::{Csn, Error, Result, TimeInterval};
 use rolljoin_obs::JournalEntry;
 use rolljoin_relalg::{exec, fetch, SlotSource};
 use rolljoin_storage::LockMode;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Outcome of a point-in-time refresh.
@@ -112,9 +111,9 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
         .engine
         .vd_net_range(ctx.mv.vd_table, TimeInterval::new(mat, target))?;
     let tuples_changed = net.len();
-    let insertions: i64 = net.values().filter(|c| **c > 0).sum();
-    let deletions: i64 = -net.values().filter(|c| **c < 0).sum::<i64>();
-    txn.apply_counts(ctx.mv.mv_table, net.into_iter().collect())?;
+    let insertions: i64 = net.iter().map(|(_, c)| *c).filter(|c| *c > 0).sum();
+    let deletions: i64 = -net.iter().map(|(_, c)| *c).filter(|c| *c < 0).sum::<i64>();
+    txn.apply_counts(ctx.mv.mv_table, net)?;
     // Publish the new materialization time while the MV X lock is still
     // held (commit releases it): a reader that S-locks the MV and then
     // reads `mat_time` must never see the new contents with the old time.
@@ -188,8 +187,8 @@ pub fn full_refresh(ctx: &MaintCtx) -> Result<Csn> {
     let (rows, _) = exec::execute(slot_rows, &view.spec, 1)?;
     // Diff against the current MV contents rather than truncating, so the
     // WAL/microcosm stays sane (and deletes are real deletes).
-    let current = txn.scan_counts(ctx.mv.mv_table)?;
-    let mut diff: HashMap<Tuple, i64> = current.iter().map(|(t, c)| (t.clone(), -c)).collect();
+    let mut diff = txn.scan_counts(ctx.mv.mv_table)?;
+    diff.values_mut().for_each(|c| *c = -*c);
     for row in rows {
         *diff.entry(row.tuple).or_insert(0) += row.count;
     }

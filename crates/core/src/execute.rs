@@ -21,7 +21,9 @@ use crate::query::{PropQuery, Slot};
 use crate::stats::{fold_compaction, fold_lock_stats, CompactionReport, PropStats, StepKind};
 use rolljoin_common::{Csn, Error, Result};
 use rolljoin_obs::{JournalEntry, Meter, Obs, ObsConfig};
-use rolljoin_relalg::{exec, fetch, fetch_cached, net_rows, BuildCache, SlotInput, SlotSource};
+use rolljoin_relalg::{
+    exec, fetch, fetch_cached, net_rows, net_rows_owned, BuildCache, SlotInput, SlotSource,
+};
 use rolljoin_storage::{Engine, LockMode, ReadFloor, ScanCache};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -261,19 +263,26 @@ impl MaintCtx {
     /// Exact pre-join netting of a fetched delta slot
     /// ([`PropQuery::net_clamp`]): timestamps clamp to `clamp` and rows
     /// with equal `(ts, tuple)` merge. Keeps the fetched input — and its
-    /// shared cache identity — when nothing merges.
+    /// shared cache identity — when nothing merges; rows this query owns
+    /// merge in place.
     fn net_slot(&self, input: SlotInput, clamp: Option<Csn>) -> SlotInput {
         let Some(clamp) = clamp else {
             return input;
         };
-        let (rows, outcome) = net_rows(input.rows(), clamp);
+        let (netted, outcome) = match input {
+            SlotInput::Owned(rows) => {
+                let (rows, outcome) = net_rows_owned(rows, clamp);
+                (SlotInput::Owned(rows), outcome)
+            }
+            input => {
+                let (rows, outcome) = net_rows(input.rows(), clamp);
+                let kept = outcome.rows_saved() == 0;
+                (if kept { input } else { SlotInput::Owned(rows) }, outcome)
+            }
+        };
         self.stats
             .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
-        if outcome.rows_saved() == 0 {
-            input
-        } else {
-            SlotInput::Owned(rows)
-        }
+        netted
     }
 
     /// Fetch all slot row sets of a propagation query within `txn`: the
@@ -594,7 +603,7 @@ impl MaintCtx {
                 // Join the delta slots as per-tuple histories, then merge
                 // the combinations that project to the same tuple.
                 let (rows, stats) = exec::execute_histories(slot_rows, &view.spec, sign)?;
-                let (netted, outcome) = net_rows(&rows, Csn::MAX);
+                let (netted, outcome) = net_rows_owned(rows, Csn::MAX);
                 self.stats
                     .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
                 (netted, stats)

@@ -14,11 +14,11 @@
 //! refresh for free.
 
 use crate::execute::MaintCtx;
+use rolljoin_common::hash::Map;
 use rolljoin_common::{
     ColumnType, Csn, Error, Result, Schema, TableId, TimeInterval, Tuple, Value,
 };
 use rolljoin_storage::LockMode;
-use std::collections::HashMap;
 
 /// An aggregate function over the underlying view's output columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,7 @@ impl SummaryView {
             self.ctx.mv.vd_table,
             TimeInterval::new(self.mat_time, target),
         )?;
-        let mut groups: HashMap<Tuple, Vec<i64>> = HashMap::new();
+        let mut groups: Map<Tuple, Vec<i64>> = Map::default();
         // Slot 0 tracks the row count; aggregates follow.
         let width = 1 + self.spec.aggregates.len();
         for (tuple, count) in net {
@@ -211,8 +211,8 @@ impl SummaryView {
         }
         txn.lock(self.sv_table, LockMode::Exclusive)?;
         // For holistic recompute: the rolled view's rows grouped by key.
-        let mv_groups: HashMap<Tuple, Vec<(Tuple, i64)>> = if holistic {
-            let mut m: HashMap<Tuple, Vec<(Tuple, i64)>> = HashMap::new();
+        let mv_groups: Map<Tuple, Vec<(Tuple, i64)>> = if holistic {
+            let mut m: Map<Tuple, Vec<(Tuple, i64)>> = Map::default();
             for (tuple, count) in txn.scan_counts(self.ctx.mv.mv_table)? {
                 m.entry(tuple.project(&self.spec.group_by))
                     .or_default()
@@ -220,11 +220,11 @@ impl SummaryView {
             }
             m
         } else {
-            HashMap::new()
+            Map::default()
         };
         // Index current groups.
         let gcols: Vec<usize> = (0..self.spec.group_by.len()).collect();
-        let current: HashMap<Tuple, Tuple> = txn
+        let current: Map<Tuple, Tuple> = txn
             .scan(self.sv_table)?
             .into_iter()
             .map(|row| (row.project(&gcols), row))
@@ -291,7 +291,7 @@ impl SummaryView {
     }
 
     /// Current aggregate state: group → (row count, aggregate values).
-    pub fn state(&self) -> Result<HashMap<Tuple, (i64, Vec<i64>)>> {
+    pub fn state(&self) -> Result<Map<Tuple, (i64, Vec<i64>)>> {
         let mut txn = self.ctx.engine.begin();
         let rows = txn.scan(self.sv_table)?;
         txn.commit()?;

@@ -153,9 +153,9 @@ impl UnionView {
         txn.lock(self.mv_table, LockMode::Exclusive)?;
         let net = engine.vd_net_range(self.vd_table, TimeInterval::new(mat, target))?;
         let tuples_changed = net.len();
-        let insertions: i64 = net.values().filter(|c| **c > 0).sum();
-        let deletions: i64 = -net.values().filter(|c| **c < 0).sum::<i64>();
-        txn.apply_counts(self.mv_table, net.into_iter().collect())?;
+        let insertions: i64 = net.iter().map(|(_, c)| *c).filter(|c| *c > 0).sum();
+        let deletions: i64 = -net.iter().map(|(_, c)| *c).filter(|c| *c < 0).sum::<i64>();
+        txn.apply_counts(self.mv_table, net)?;
         txn.commit()?;
         self.mat_time.store(target, Ordering::Release);
         for branch in &self.branches {

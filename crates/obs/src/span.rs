@@ -20,8 +20,9 @@
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 
 use crate::json_escape;
+use rolljoin_common::hash::Map;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -73,7 +74,7 @@ pub struct SpanRecorder {
     next_id: AtomicU64,
     dropped: AtomicU64,
     ring: Mutex<Ring>,
-    tids: Mutex<HashMap<std::thread::ThreadId, u64>>,
+    tids: Mutex<Map<std::thread::ThreadId, u64>>,
     next_tid: AtomicU64,
 }
 
@@ -95,7 +96,7 @@ impl SpanRecorder {
                 spans: VecDeque::new(),
                 capacity: capacity.max(1),
             }),
-            tids: Mutex::new(HashMap::new()),
+            tids: Mutex::new(Map::default()),
             next_tid: AtomicU64::new(1),
         }
     }
@@ -241,7 +242,7 @@ impl SpanRecorder {
 
     /// The top-`k` span names by total inclusive time.
     pub fn top_spans(&self, k: usize) -> Vec<TraceSummaryRow> {
-        let mut agg: HashMap<&'static str, TraceSummaryRow> = HashMap::new();
+        let mut agg: Map<&'static str, TraceSummaryRow> = Map::default();
         for s in self.finished() {
             let row = agg.entry(s.name).or_insert(TraceSummaryRow {
                 name: s.name,

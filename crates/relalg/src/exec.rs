@@ -12,8 +12,8 @@
 use crate::expr::Expr;
 use crate::ops::{Histories, HistoryFold, JoinIndex, Kernel, RowFold};
 use parking_lot::RwLock;
+use rolljoin_common::hash::Map;
 use rolljoin_common::{DeltaRow, Error, Result, Schema, TableId, TimeInterval, Value};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -254,7 +254,7 @@ pub struct BuildCache {
 #[derive(Default)]
 struct BuildCacheInner {
     epoch: u64,
-    indexes: HashMap<(TableId, TimeInterval, Vec<usize>), Arc<JoinIndex>>,
+    indexes: Map<(TableId, TimeInterval, Vec<usize>), Arc<JoinIndex>>,
 }
 
 impl BuildCache {

@@ -32,8 +32,8 @@ pub use exec::{
 };
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use net_effect::{
-    add, is_multiset, negate, net_effect, net_effect_ref, net_rows, to_rows, CompactionOutcome,
-    NetEffect,
+    add, is_multiset, negate, net_effect, net_effect_ref, net_rows, net_rows_owned, to_rows,
+    CompactionOutcome, NetEffect,
 };
 pub use ops::join_stamp;
 pub use source::{fetch, fetch_cached, SlotSource};

@@ -9,9 +9,10 @@
 //! 4.1–4.2, Theorems 4.1–4.3) — so it is also the vocabulary of this
 //! reproduction's oracles and property tests.
 
+use rolljoin_common::hash::{self, Map};
 use rolljoin_common::{Csn, DeltaRow, Tuple};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Canonical net effect: `tuple → summed count`, zero counts dropped.
 ///
@@ -87,30 +88,60 @@ impl CompactionOutcome {
 /// minimum and merged rows yield results that merge too (counts multiply,
 /// so merging sums the products). See DESIGN §7.
 pub fn net_rows(rows: &[DeltaRow], clamp: Csn) -> (Vec<DeltaRow>, CompactionOutcome) {
-    let mut pos: HashMap<(Option<Csn>, &Tuple), usize> = HashMap::with_capacity(rows.len());
-    let mut out: Vec<DeltaRow> = Vec::with_capacity(rows.len());
-    for r in rows {
-        let ts = r.ts.map(|t| t.min(clamp));
-        match pos.entry((ts, &r.tuple)) {
-            Entry::Occupied(e) => out[*e.get()].count += r.count,
-            Entry::Vacant(e) => {
-                e.insert(out.len());
-                out.push(DeltaRow {
-                    ts,
-                    count: r.count,
-                    tuple: r.tuple.clone(),
-                });
+    let out = rows
+        .iter()
+        .map(|r| DeltaRow {
+            ts: r.ts.map(|t| t.min(clamp)),
+            count: r.count,
+            tuple: r.tuple.clone(),
+        })
+        .collect();
+    net_rows_owned(out, clamp)
+}
+
+/// [`net_rows`] over rows the caller hands over: duplicates merge inside
+/// `rows` itself, with no row cloned. When nothing merges and no count is
+/// zero, `rows` comes back untouched, its timestamps unclamped (the
+/// clamp only decides which rows merge).
+pub fn net_rows_owned(mut rows: Vec<DeltaRow>, clamp: Csn) -> (Vec<DeltaRow>, CompactionOutcome) {
+    let rows_in = rows.len();
+    let clamped = |r: &DeltaRow| r.ts.map(|t| t.min(clamp));
+    // `(duplicate, first occurrence)` position pairs.
+    let mut merges: Vec<(usize, usize)> = Vec::new();
+    {
+        let mut first: Map<(Option<Csn>, &Tuple), usize> = hash::map_with_capacity(rows_in);
+        for (i, r) in rows.iter().enumerate() {
+            match first.entry((clamped(r), &r.tuple)) {
+                Entry::Occupied(e) => merges.push((i, *e.get())),
+                Entry::Vacant(e) => {
+                    e.insert(i);
+                }
             }
         }
     }
-    let groups = out.len();
-    out.retain(|r| r.count != 0);
+    if merges.is_empty() && rows.iter().all(|r| r.count != 0) {
+        let outcome = CompactionOutcome {
+            rows_in,
+            rows_out: rows_in,
+            zero_groups: 0,
+        };
+        return (rows, outcome);
+    }
+    for r in &mut rows {
+        r.ts = clamped(r);
+    }
+    for &(dup, f) in &merges {
+        rows[f].count += rows[dup].count;
+        rows[dup].count = 0;
+    }
+    let groups = rows_in - merges.len();
+    rows.retain(|r| r.count != 0);
     let outcome = CompactionOutcome {
-        rows_in: rows.len(),
-        rows_out: out.len(),
-        zero_groups: groups - out.len(),
+        rows_in,
+        rows_out: rows.len(),
+        zero_groups: groups - rows.len(),
     };
-    (out, outcome)
+    (rows, outcome)
 }
 
 /// Multiset union `R + S` on canonical forms: counts add, zeros drop.
@@ -202,10 +233,35 @@ mod tests {
         assert_eq!(o.rows_saved(), 3);
         // φ of the netted stream equals φ of the raw stream.
         assert_eq!(net_effect_ref(&c), net_effect_ref(&r));
+        // The owned form nets the same way.
+        assert_eq!(net_rows_owned(r.clone(), 3), (c, o));
         // Untimestamped rows merge by tuple alone.
         let base = vec![DeltaRow::base(tup![1]), DeltaRow::base(tup![1])];
         let (c, _) = net_rows(&base, 0);
         assert_eq!((c.len(), c[0].ts, c[0].count), (1, None, 2));
+    }
+
+    #[test]
+    fn net_rows_owned_keeps_a_vector_with_nothing_to_merge() {
+        let r = rows(&[(1, 10), (1, 10), (2, 20)]);
+        let (want, ptr) = (r.clone(), r.as_ptr());
+        let (c, o) = net_rows_owned(r, Csn::MAX);
+        assert_eq!((c.as_ptr(), &c, o.rows_saved()), (ptr, &want, 0));
+        // A merge empties the later row in place; the first keeps its slot.
+        let dup = vec![
+            DeltaRow::change(1, 1, tup![10]),
+            DeltaRow::change(2, 1, tup![20]),
+            DeltaRow::change(1, 2, tup![10]),
+        ];
+        let (c, o) = net_rows_owned(dup, Csn::MAX);
+        assert_eq!(
+            c,
+            vec![
+                DeltaRow::change(1, 3, tup![10]),
+                DeltaRow::change(2, 1, tup![20])
+            ]
+        );
+        assert_eq!((o.rows_in, o.rows_out, o.zero_groups), (3, 2, 0));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 
 use crate::exec::KeyGroups;
 use crate::expr::Expr;
+use rolljoin_common::hash::{self, Map};
 use rolljoin_common::{Csn, DeltaRow, Tuple, Value};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -41,10 +41,10 @@ pub(crate) struct JoinIndex {
 
 enum KeyMap {
     /// A single key column: the value itself is the key.
-    One(HashMap<Value, Vec<u32>>),
+    One(Map<Value, Vec<u32>>),
     /// Zero or several key columns; with none, every row sits under the
     /// empty key and the join is a cross product.
-    Many(HashMap<Vec<Value>, Vec<u32>>),
+    Many(Map<Vec<Value>, Vec<u32>>),
     /// A keyed probe's rows, already grouped by its sorted key list, joined
     /// on exactly the probed column: a key's rows are found by binary
     /// search, never re-hashed.
@@ -78,7 +78,7 @@ impl JoinIndex {
     pub(crate) fn build(rows: Arc<Vec<DeltaRow>>, keys: Vec<usize>) -> JoinIndex {
         let map = match keys[..] {
             [col] => {
-                let mut map: HashMap<Value, Vec<u32>> = HashMap::with_capacity(rows.len());
+                let mut map: Map<Value, Vec<u32>> = hash::map_with_capacity(rows.len());
                 for (p, row) in rows.iter().enumerate() {
                     let v = row.tuple.get(col);
                     if !v.is_null() {
@@ -88,7 +88,7 @@ impl JoinIndex {
                 KeyMap::One(map)
             }
             _ => {
-                let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+                let mut map: Map<Vec<Value>, Vec<u32>> = Map::default();
                 for (p, row) in rows.iter().enumerate() {
                     let key: Option<Vec<Value>> = keys
                         .iter()
@@ -225,7 +225,7 @@ impl Histories {
     /// history — the tuple, no timestamp, count 1 — sorted by ascending
     /// `lo` (first occurrence breaks ties), and the histories themselves.
     pub(crate) fn new(rows: &[DeltaRow]) -> (Vec<DeltaRow>, Histories) {
-        let mut group_of: HashMap<&Tuple, u32> = HashMap::with_capacity(rows.len());
+        let mut group_of: Map<&Tuple, u32> = hash::map_with_capacity(rows.len());
         let groups: Vec<u32> = rows
             .iter()
             .map(|r| {

@@ -13,6 +13,7 @@
 //! updaters of colliding keys instead of the whole table.
 
 use crate::exec::SlotInput;
+use rolljoin_common::hash::Set;
 use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Value};
 use rolljoin_storage::{Engine, ScanCache, Txn};
 use std::sync::Arc;
@@ -118,7 +119,7 @@ pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<
                 // recovery): fall back to filtering the full range — same
                 // rows, scan cost.
                 None => {
-                    let set: std::collections::HashSet<&Value> = keys.iter().collect();
+                    let set: Set<&Value> = keys.iter().collect();
                     Ok(engine
                         .delta_range(*table, *interval)?
                         .into_iter()

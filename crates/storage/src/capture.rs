@@ -23,8 +23,8 @@
 use crate::codec;
 use crate::delta::DeltaStore;
 use crate::wal::{CaptureRecord, Lsn, Wal};
+use rolljoin_common::hash::Map;
 use rolljoin_common::{Csn, Result, TableId, Tuple, TxnId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,8 +32,8 @@ use std::sync::Arc;
 pub struct Capture {
     wal: Arc<Wal>,
     pos: Lsn,
-    pending: HashMap<TxnId, Vec<(TableId, i64, Tuple)>>,
-    deltas: HashMap<TableId, Arc<DeltaStore>>,
+    pending: Map<TxnId, Vec<(TableId, i64, Tuple)>>,
+    deltas: Map<TableId, Arc<DeltaStore>>,
     hwm: Arc<AtomicU64>,
     records_processed: u64,
     commits_captured: u64,
@@ -46,8 +46,8 @@ impl Capture {
         Capture {
             wal,
             pos: 0,
-            pending: HashMap::new(),
-            deltas: HashMap::new(),
+            pending: Map::default(),
+            deltas: Map::default(),
             hwm,
             records_processed: 0,
             commits_captured: 0,
@@ -103,7 +103,7 @@ impl Capture {
             CaptureRecord::Commit { txn, csn } => {
                 if let Some(changes) = self.pending.remove(&txn) {
                     // Group by table, preserving intra-transaction order.
-                    let mut by_table: HashMap<TableId, Vec<(i64, Tuple)>> = HashMap::new();
+                    let mut by_table: Map<TableId, Vec<(i64, Tuple)>> = Map::default();
                     for (table, count, tuple) in changes {
                         by_table.entry(table).or_default().push((count, tuple));
                     }

@@ -15,8 +15,10 @@
 //! trace.
 
 use parking_lot::RwLock;
+use rolljoin_common::hash::{self, Map};
 use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Tuple, Value};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -97,7 +99,7 @@ type Posting = (usize, Csn);
 /// the back or pop from the front of a list — no posting is rewritten.
 #[derive(Default)]
 struct KeyIndex {
-    cols: HashMap<usize, HashMap<Value, VecDeque<Posting>>>,
+    cols: Map<usize, Map<Value, VecDeque<Posting>>>,
     /// Running [`KeyIndex::recount_bytes`], kept up to date by every
     /// push and pop so the gauge that reads it is O(1).
     bytes: u64,
@@ -111,7 +113,7 @@ const POSTING_BYTES: u64 = std::mem::size_of::<Posting>() as u64;
 /// returns the bytes added. NULL never equi-joins, so it is kept out of
 /// postings.
 fn push_posting(
-    map: &mut HashMap<Value, VecDeque<Posting>>,
+    map: &mut Map<Value, VecDeque<Posting>>,
     col: usize,
     pos: usize,
     row: &DeltaRow,
@@ -120,14 +122,15 @@ fn push_posting(
     if *v == Value::Null {
         return 0;
     }
-    let mut added = POSTING_BYTES;
-    map.entry(v.clone())
-        .or_insert_with(|| {
-            added += value_bytes(v);
-            VecDeque::new()
-        })
-        .push_back((pos, ts(row)));
-    added
+    // Look up before inserting: the key is cloned only when it is new.
+    if let Some(list) = map.get_mut(v) {
+        list.push_back((pos, ts(row)));
+        return POSTING_BYTES;
+    }
+    let mut list = VecDeque::new();
+    list.push_back((pos, ts(row)));
+    map.insert(v.clone(), list);
+    POSTING_BYTES + value_bytes(v)
 }
 
 impl KeyIndex {
@@ -502,24 +505,28 @@ impl ViewDeltaStore {
         out
     }
 
-    /// Net effect `φ(σ_{a,b}(VD))`: tuple → summed count, zeros dropped.
-    /// This is what the apply process installs into the materialized view.
-    /// Folds the held records under the read lock, cloning a tuple only
-    /// on its group's first occurrence. The map is sized to the window's
-    /// record count up front, so it never rehashes while growing.
-    pub fn net_range(&self, interval: TimeInterval) -> HashMap<Tuple, i64> {
+    /// Net effect `φ(σ_{a,b}(VD))`: one `(tuple, summed count)` per tuple
+    /// whose counts do not cancel, in the order of the tuple's first record
+    /// in the window. This is what the apply process installs into the
+    /// materialized view, as is. Folds the held records under the read
+    /// lock through a position map keyed by the held tuples themselves, so
+    /// a tuple is cloned once, into its output row. The map is sized to
+    /// the window's record count up front, so it never rehashes.
+    pub fn net_range(&self, interval: TimeInterval) -> Vec<(Tuple, i64)> {
         let rows = self.rows.read();
         let window = || rows.range(Self::bounds(interval)).map(|(_, b)| b);
-        let mut out: HashMap<Tuple, i64> = HashMap::with_capacity(window().map(Vec::len).sum());
+        let mut pos: Map<&Tuple, usize> = hash::map_with_capacity(window().map(Vec::len).sum());
+        let mut out: Vec<(Tuple, i64)> = Vec::new();
         for (count, tuple) in window().flatten() {
-            match out.get_mut(tuple) {
-                Some(c) => *c += count,
-                None => {
-                    out.insert(tuple.clone(), *count);
+            match pos.entry(tuple) {
+                Entry::Occupied(e) => out[*e.get()].1 += count,
+                Entry::Vacant(e) => {
+                    e.insert(out.len());
+                    out.push((tuple.clone(), *count));
                 }
             }
         }
-        out.retain(|_, c| *c != 0);
+        out.retain(|(_, c)| *c != 0);
         out
     }
 
@@ -588,7 +595,7 @@ struct ScanCacheInner {
     /// Epoch (the caller's propagation HWM) the live entries were
     /// materialized under.
     epoch: Csn,
-    ranges: HashMap<(TableId, TimeInterval), Arc<Vec<DeltaRow>>>,
+    ranges: Map<(TableId, TimeInterval), Arc<Vec<DeltaRow>>>,
 }
 
 /// Step-scoped cache of materialized delta-range scans.
@@ -744,8 +751,7 @@ mod tests {
         vd.insert_rows(vec![DeltaRow::change(4, -1, tup!["x"])]);
         vd.insert_rows(vec![DeltaRow::change(4, 1, tup!["y"])]);
         let net = vd.net_range(TimeInterval::new(0, 4));
-        assert_eq!(net.len(), 1);
-        assert_eq!(net[&tup!["y"]], 1);
+        assert_eq!(net, vec![(tup!["y"], 1)]);
     }
 
     #[test]

@@ -31,8 +31,8 @@ use crate::table::{add_count, BaseTable};
 use crate::uow::UnitOfWork;
 use crate::wal::{put_apply, TableKind, Wal, WalRecord};
 use parking_lot::{Mutex, RwLock};
+use rolljoin_common::hash::Map;
 use rolljoin_common::{Csn, DeltaRow, Error, Result, Schema, TableId, TimeInterval, Tuple, TxnId};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -64,8 +64,8 @@ struct TableEntry {
 }
 
 struct EngineInner {
-    tables: RwLock<HashMap<TableId, Arc<TableEntry>>>,
-    names: RwLock<HashMap<String, TableId>>,
+    tables: RwLock<Map<TableId, Arc<TableEntry>>>,
+    names: RwLock<Map<String, TableId>>,
     next_table: AtomicU32,
     next_txn: AtomicU64,
     wal: Arc<Wal>,
@@ -114,8 +114,8 @@ impl Engine {
         let capture_hwm = Arc::new(AtomicU64::new(0));
         Engine {
             inner: Arc::new(EngineInner {
-                tables: RwLock::new(HashMap::new()),
-                names: RwLock::new(HashMap::new()),
+                tables: RwLock::new(Map::default()),
+                names: RwLock::new(Map::default()),
                 next_table: AtomicU32::new(1),
                 next_txn: AtomicU64::new(1),
                 wal: wal.clone(),
@@ -570,12 +570,14 @@ impl Engine {
         }
     }
 
-    /// Net effect of a view-delta range: `φ(σ_{a,b}(VD))`.
+    /// Net effect of a view-delta range, `φ(σ_{a,b}(VD))`, as the
+    /// `(tuple, count)` batch [`Txn::apply_counts`] installs
+    /// ([`ViewDeltaStore::net_range`]).
     pub fn vd_net_range(
         &self,
         table: TableId,
         interval: TimeInterval,
-    ) -> Result<HashMap<Tuple, i64>> {
+    ) -> Result<Vec<(Tuple, i64)>> {
         let e = self.entry(table)?;
         match &e.store {
             TableStore::ViewDelta(vd) => Ok(vd.net_range(interval)),
@@ -641,7 +643,7 @@ impl Engine {
         // old one stopped.
         engine.inner.wal.replace_from_bytes(bytes)?;
 
-        let mut staged: HashMap<TxnId, Vec<(TableId, i64, Tuple)>> = HashMap::new();
+        let mut staged: Map<TxnId, Vec<(TableId, i64, Tuple)>> = Map::default();
         let mut max_txn = 0u64;
         let mut max_table = 0u32;
         let mut last_csn = 0u64;
@@ -909,7 +911,7 @@ impl Txn {
     }
 
     /// Scan a base table as a `tuple → count` map under an S lock.
-    pub fn scan_counts(&mut self, table: TableId) -> Result<HashMap<Tuple, i64>> {
+    pub fn scan_counts(&mut self, table: TableId) -> Result<Map<Tuple, i64>> {
         self.check_active()?;
         self.lock(table, LockMode::Shared)?;
         let entry = self.engine.base_entry(table)?;
@@ -930,7 +932,7 @@ impl Txn {
     /// baseline do. `t` beyond the capture HWM is
     /// [`Error::CaptureBehind`]; `t` below the read floor is
     /// [`Error::HistoryPruned`].
-    pub fn scan_asof(&mut self, table: TableId, t: Csn) -> Result<HashMap<Tuple, i64>> {
+    pub fn scan_asof(&mut self, table: TableId, t: Csn) -> Result<Map<Tuple, i64>> {
         let mut counts = self.scan_counts(table)?;
         self.engine.capture_catch_up()?;
         let suffix = TimeInterval::new(t, self.engine.capture_hwm().max(t));
@@ -1653,7 +1655,7 @@ mod tests {
         assert_eq!(scan(&r), scan(&e));
         assert_eq!(
             scan(&r),
-            HashMap::from([(tup![1, "a"], 1), (tup![2, "b"], 1), (tup![3, "c"], 2)])
+            Map::from_iter([(tup![1, "a"], 1), (tup![2, "b"], 1), (tup![3, "c"], 2)])
         );
         // Capture stages one counted delta row per batch entry.
         r.capture_catch_up().unwrap();

@@ -38,8 +38,9 @@
 //! transaction is expected to abort and retry.
 
 use parking_lot::{Condvar, Mutex, RwLock};
+use rolljoin_common::hash::Map;
 use rolljoin_common::{Error, Result, TableId, TxnId, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -228,7 +229,7 @@ struct Waiter {
 
 #[derive(Default)]
 struct LockState {
-    granted: HashMap<TxnId, LockMode>,
+    granted: Map<TxnId, LockMode>,
     queue: VecDeque<Waiter>,
 }
 
@@ -429,7 +430,7 @@ impl LockStatsSnapshot {
 
 /// The lock manager: one FIFO queue per [`LockKey`].
 pub struct LockManager {
-    entries: RwLock<HashMap<LockKey, Arc<LockEntry>>>,
+    entries: RwLock<Map<LockKey, Arc<LockEntry>>>,
     timeout: Duration,
     stats: LockStats,
 }
@@ -438,7 +439,7 @@ impl LockManager {
     /// Create a manager with the given deadlock-resolution timeout.
     pub fn new(timeout: Duration) -> Self {
         LockManager {
-            entries: RwLock::new(HashMap::new()),
+            entries: RwLock::new(Map::default()),
             timeout,
             stats: LockStats::default(),
         }

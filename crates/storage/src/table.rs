@@ -5,9 +5,8 @@
 //! `net_effect`, and the secondary indexes use. Durability comes from the
 //! write-ahead log alone; recovery rebuilds tables by replaying it.
 
+use rolljoin_common::hash::Map;
 use rolljoin_common::{Error, Result, Schema, TableId, Tuple, Value};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// A multiset of tuples with a fixed schema, stored as tuple → multiplicity,
 /// plus optional secondary indexes on single columns — propagation queries
@@ -19,11 +18,11 @@ pub struct BaseTable {
     name: String,
     schema: Schema,
     /// tuple → multiplicity (always positive).
-    counts: HashMap<Tuple, i64>,
+    counts: Map<Tuple, i64>,
     /// Total multiplicity: the sum of `counts`.
     len: u64,
     /// column → key value → the tuples holding it, with multiplicity.
-    secondary: HashMap<usize, HashMap<Value, Bucket>>,
+    secondary: Map<usize, Map<Value, Bucket>>,
 }
 
 /// The tuples of one secondary-index key. Most keys (every key of a
@@ -34,14 +33,14 @@ pub struct BaseTable {
 enum Bucket {
     One(Tuple, i64),
     /// Two or more distinct tuples.
-    Many(HashMap<Tuple, i64>),
+    Many(Map<Tuple, i64>),
 }
 
 /// Add `n` to `tuple`'s count under `key` in `idx`, the same signed update
 /// [`add_count`] made to the tuple map (so it cannot over-delete), moving
 /// the key between the inline and map forms as its distinct tuples go
 /// 1 → 2 → 1.
-fn index_add(idx: &mut HashMap<Value, Bucket>, key: &Value, tuple: &Tuple, n: i64) {
+fn index_add(idx: &mut Map<Value, Bucket>, key: &Value, tuple: &Tuple, n: i64) {
     let Some(bucket) = idx.get_mut(key) else {
         debug_assert!(n > 0, "index agrees with the map");
         idx.insert(key.clone(), Bucket::One(tuple.clone(), n));
@@ -56,7 +55,7 @@ fn index_add(idx: &mut HashMap<Value, Bucket>, key: &Value, tuple: &Tuple, n: i6
         }
         Bucket::One(t, c) => {
             let first = (t.clone(), *c);
-            *bucket = Bucket::Many(HashMap::from([first, (tuple.clone(), n)]));
+            *bucket = Bucket::Many(Map::from_iter([first, (tuple.clone(), n)]));
         }
         Bucket::Many(m) => {
             add_count(m, tuple, n).expect("index agrees with the map");
@@ -75,9 +74,9 @@ impl BaseTable {
             id,
             name: name.into(),
             schema,
-            counts: HashMap::new(),
+            counts: Map::default(),
             len: 0,
-            secondary: HashMap::new(),
+            secondary: Map::default(),
         }
     }
 
@@ -89,7 +88,7 @@ impl BaseTable {
                 self.schema
             )));
         }
-        let mut idx = HashMap::new();
+        let mut idx = Map::default();
         for (tuple, n) in &self.counts {
             index_add(&mut idx, tuple.get(col), tuple, *n);
         }
@@ -202,7 +201,7 @@ impl BaseTable {
     }
 
     /// Scan as a `tuple → count` multiset map.
-    pub fn scan_counts(&self) -> HashMap<Tuple, i64> {
+    pub fn scan_counts(&self) -> Map<Tuple, i64> {
         self.counts.clone()
     }
 
@@ -212,28 +211,26 @@ impl BaseTable {
     }
 }
 
-/// Add `n` to `tuple`'s entry in `m` with one hash lookup, removing it if
-/// it reaches zero. A result below zero leaves `m` unchanged and returns
-/// the count held.
+/// Add `n` to `tuple`'s entry in `m`, removing it if it reaches zero. A
+/// result below zero leaves `m` unchanged and returns the count held. The
+/// tuple is cloned only when it becomes a new key: a hit updates in
+/// place, with no `Arc` bump.
 pub(crate) fn add_count(
-    m: &mut HashMap<Tuple, i64>,
+    m: &mut Map<Tuple, i64>,
     tuple: &Tuple,
     n: i64,
 ) -> std::result::Result<(), i64> {
-    match m.entry(tuple.clone()) {
-        Entry::Occupied(mut e) => {
-            let have = *e.get();
-            match have + n {
-                c if c < 0 => return Err(have),
-                0 => {
-                    e.remove();
-                }
-                c => *e.get_mut() = c,
+    match m.get_mut(tuple) {
+        Some(have) => match *have + n {
+            c if c < 0 => return Err(*have),
+            0 => {
+                m.remove(tuple);
             }
-        }
-        Entry::Vacant(_) if n < 0 => return Err(0),
-        Entry::Vacant(e) => {
-            e.insert(n);
+            c => *have = c,
+        },
+        None if n < 0 => return Err(0),
+        None => {
+            m.insert(tuple.clone(), n);
         }
     }
     Ok(())

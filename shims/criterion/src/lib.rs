@@ -173,6 +173,23 @@ impl Bencher {
             self.samples.push(start.elapsed());
         }
     }
+
+    /// [`Bencher::iter_batched`] with `routine` borrowing its input, so
+    /// dropping the input is not timed either.
+    pub fn iter_batched_ref<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(&mut I) -> O,
+    {
+        self.samples.clear();
+        for _ in 0..self.sample_size {
+            let mut input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(&mut input));
+            self.samples.push(start.elapsed());
+            drop(output);
+        }
+    }
 }
 
 fn report(id: &str, samples: &[Duration], throughput: Option<Throughput>) {

@@ -77,7 +77,8 @@ fn check_table(
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(table.len() as i64, model.values().sum::<i64>());
     prop_assert_eq!(table.distinct(), model.len());
-    prop_assert_eq!(&table.scan_counts(), model);
+    let counts: HashMap<Tuple, i64> = table.scan_counts().into_iter().collect();
+    prop_assert_eq!(&counts, model);
     let mut scanned: HashMap<Tuple, i64> = HashMap::new();
     for t in table.scan() {
         *scanned.entry(t).or_insert(0) += 1;
@@ -471,7 +472,8 @@ fn check_time_travel(
             );
             prop_assert!(pruned, "scan_asof({}) below floor {}", t, floor);
         } else {
-            prop_assert_eq!(&got.unwrap(), &states[t as usize], "scan_asof({})", t);
+            let got: HashMap<Tuple, i64> = got.unwrap().into_iter().collect();
+            prop_assert_eq!(&got, &states[t as usize], "scan_asof({})", t);
         }
     }
     let behind = matches!(
