@@ -83,6 +83,9 @@ cargo bench -p rolljoin-bench --bench executor -- star_forward_keyed_256x3
 echo "== live-shaped roll bench (100k view-delta rows installed into a 200k-tuple view) =="
 cargo bench -p rolljoin-bench --bench refresh -- roll_to_100k_vd_rows
 
+echo "== recovery bench (recover the log of a 400k-tuple two-way view, then reattach it) =="
+cargo bench -p rolljoin-bench --bench recovery -- recover_and_reattach_400k_view
+
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

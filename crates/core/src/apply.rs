@@ -9,6 +9,7 @@
 //! apply time**, independent of how propagation was tuned — that is the
 //! paper's point-in-time refresh.
 
+use crate::control::replace_contents;
 use crate::execute::MaintCtx;
 use crate::stats::StepKind;
 use rolljoin_common::{Csn, Error, Result, TimeInterval};
@@ -185,14 +186,7 @@ pub fn full_refresh(ctx: &MaintCtx) -> Result<Csn> {
         slot_rows.push(fetch(&ctx.engine, &mut txn, &SlotSource::Base(*base))?);
     }
     let (rows, _) = exec::execute(slot_rows, &view.spec, 1)?;
-    // Diff against the current MV contents rather than truncating, so the
-    // WAL/microcosm stays sane (and deletes are real deletes).
-    let mut diff = txn.scan_counts(ctx.mv.mv_table)?;
-    diff.values_mut().for_each(|c| *c = -*c);
-    for row in rows {
-        *diff.entry(row.tuple).or_insert(0) += row.count;
-    }
-    txn.apply_counts(ctx.mv.mv_table, diff.into_iter().collect())?;
+    replace_contents(&mut txn, ctx.mv.mv_table, rows)?;
     // Safe for the same reason as in `materialize`.
     let conservative = ctx.engine.current_csn();
     ctx.mv

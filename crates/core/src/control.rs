@@ -8,8 +8,9 @@
 //! registering a view creates its MV storage table and its view delta
 //! table.
 
+use crate::oracle;
 use crate::view::ViewDef;
-use rolljoin_common::{tup, ColumnType, Csn, Error, Result, Schema, TableId};
+use rolljoin_common::{tup, ColumnType, Csn, DeltaRow, Error, Result, Schema, TableId};
 use rolljoin_storage::{Engine, LockMode, ReadFloor, Signal, Txn};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,6 +30,24 @@ pub fn control_table(engine: &Engine) -> Result<TableId> {
             Schema::new([("view", ColumnType::Str), ("mat_time", ColumnType::Int)]),
         ),
     }
+}
+
+/// Make `table` hold exactly the net of `rows` within `txn`, writing only
+/// the difference from what it holds — all of `rows` when it is empty, as
+/// a recovered derived MV is. Deletes are real deletes, so a logged table
+/// logs just the difference. The caller X-locks `table` first.
+pub(crate) fn replace_contents(txn: &mut Txn, table: TableId, rows: Vec<DeltaRow>) -> Result<()> {
+    let mut held = txn.scan_counts(table)?;
+    let counts = if held.is_empty() {
+        rows.into_iter().map(|r| (r.tuple, r.count)).collect()
+    } else {
+        held.values_mut().for_each(|c| *c = -*c);
+        for row in rows {
+            *held.entry(row.tuple).or_insert(0) += row.count;
+        }
+        held.into_iter().collect()
+    };
+    txn.apply_counts(table, counts)
 }
 
 fn csn_to_i64(t: Csn) -> Result<i64> {
@@ -54,15 +73,17 @@ pub struct MaterializedView {
 }
 
 impl MaterializedView {
-    /// Register a view: create its MV table (`<name>__mv`) and view delta
-    /// table (`<name>__vd`). The view starts empty, materialized at time 0
+    /// Register a view: create its MV table (`<name>__mv`, a derived
+    /// table: its contents are the view at `mat_time`, so they are never
+    /// logged) and view delta table (`<name>__vd`). The view starts empty,
+    /// materialized at time 0
     /// with HWM 0 — call a materialization routine (or start propagation
     /// from 0 over initially-empty bases) before use.
     pub fn register(engine: &Engine, view: ViewDef) -> Result<Arc<MaterializedView>> {
         view.validate(engine)?;
         let out_schema = view.output_schema();
         let mv_table =
-            engine.create_view_table(&format!("{}__mv", view.name), out_schema.clone())?;
+            engine.create_derived_table(&format!("{}__mv", view.name), out_schema.clone())?;
         let vd_table = engine.create_view_delta(&format!("{}__vd", view.name), out_schema)?;
         // Persist the control row (mat_time = 0).
         let control = control_table(engine)?;
@@ -73,10 +94,19 @@ impl MaterializedView {
     }
 
     /// Re-attach a view after engine recovery: looks up its MV and view
-    /// delta tables by name and restores the materialization time from the
-    /// persistent control table. The HWM restarts at the materialization
-    /// time — the view delta is soft state and must be re-propagated from
-    /// there (paper Fig. 3's picture after a restart).
+    /// delta tables by name, restores the materialization time from the
+    /// persistent control table, and rebuilds the MV as the view at that
+    /// time (`oracle::view_rows_at`). The HWM restarts at the
+    /// materialization time — the view delta is soft state and must be
+    /// re-propagated from there (paper Fig. 3's picture after a restart).
+    ///
+    /// Recovery brings a derived MV back empty; an image that logged the
+    /// MV's contents brings them back as of the same time. Either way the
+    /// rebuild installs the difference between the view and what recovery
+    /// left, in one transaction that holds the MV X-locked. The view at
+    /// `mat_time` is computable because no prune passes the low-water
+    /// mark, which stays at or below `mat_time`, and recovery re-stages
+    /// the whole log's base history.
     pub fn reattach(engine: &Engine, view: ViewDef) -> Result<Arc<MaterializedView>> {
         view.validate(engine)?;
         let mv_table = engine.table_id(&format!("{}__mv", view.name))?;
@@ -88,11 +118,15 @@ impl MaterializedView {
             .into_iter()
             .find(|row| row[0].as_str() == Some(view.name.as_str()))
             .and_then(|row| row[1].as_int())
-            .ok_or_else(|| Error::NoSuchTable(format!("control row for view {}", view.name)))?;
+            .ok_or_else(|| Error::NoSuchTable(format!("control row for view {}", view.name)))?
+            as Csn;
+        txn.lock(mv_table, LockMode::Exclusive)?;
+        let rows = oracle::view_rows_at(engine, &view, mat)?;
+        replace_contents(&mut txn, mv_table, rows)?;
         txn.commit()?;
         let mv = Self::attach(engine, view, mv_table, vd_table);
-        mv.set_mat_time(mat as Csn);
-        mv.set_hwm(mat as Csn);
+        mv.set_mat_time(mat);
+        mv.set_hwm(mat);
         Ok(mv)
     }
 

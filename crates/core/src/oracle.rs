@@ -11,11 +11,13 @@
 //! The oracle reconstructs `V_t` by time-travelling every base table to `t`
 //! (the live table rewound by its delta suffix, possible only at or above
 //! the delta stores' read floor — the maintenance algorithms themselves
-//! never do this).
+//! never do this). Recovery does: `MaterializedView::reattach` rebuilds an
+//! MV as the view at its persisted materialization time
+//! ([`view_rows_at`]).
 
 use crate::control::MaterializedView;
 use crate::view::ViewDef;
-use rolljoin_common::{Csn, Error, Result, TimeInterval};
+use rolljoin_common::{Csn, DeltaRow, Error, Result, TimeInterval};
 use rolljoin_relalg::{exec, fetch, net_effect, NetEffect, SlotSource};
 use rolljoin_storage::{Engine, LockMode};
 
@@ -30,16 +32,22 @@ const VIEW_AT_ATTEMPTS: usize = 3;
 /// updaters. A read that still times out (a holder outlasting the lock
 /// timeout) is retried whole, up to `VIEW_AT_ATTEMPTS` reads in all.
 pub fn view_at(engine: &Engine, view: &ViewDef, t: Csn) -> Result<NetEffect> {
+    Ok(net_effect(view_rows_at(engine, view, t)?))
+}
+
+/// The rows of the view's join at time `t`, not yet netted (a tuple may
+/// appear in several rows): [`view_at`] before `φ`. Same requirements.
+pub fn view_rows_at(engine: &Engine, view: &ViewDef, t: Csn) -> Result<Vec<DeltaRow>> {
     let mut attempts = 1;
     loop {
-        match try_view_at(engine, view, t) {
+        match try_view_rows_at(engine, view, t) {
             Err(Error::LockTimeout { .. }) if attempts < VIEW_AT_ATTEMPTS => attempts += 1,
             other => return other,
         }
     }
 }
 
-fn try_view_at(engine: &Engine, view: &ViewDef, t: Csn) -> Result<NetEffect> {
+fn try_view_rows_at(engine: &Engine, view: &ViewDef, t: Csn) -> Result<Vec<DeltaRow>> {
     let mut txn = engine.begin();
     let mut tables = view.bases.clone();
     tables.sort();
@@ -53,7 +61,7 @@ fn try_view_at(engine: &Engine, view: &ViewDef, t: Csn) -> Result<NetEffect> {
     }
     let (rows, _) = exec::execute(slot_rows, &view.spec, 1)?;
     txn.commit()?;
-    Ok(net_effect(rows))
+    Ok(rows)
 }
 
 /// `φ` of the current materialized rows of the MV table.

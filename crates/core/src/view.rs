@@ -50,9 +50,10 @@ impl ViewDef {
     }
 
     /// Check that every slot is a base table whose schema the slot
-    /// declares, and the join shape's column references. A view-owned
-    /// table (another view's MV, the control table) or a view delta table
-    /// has no delta history to propagate, so it cannot be a slot.
+    /// declares, and the join shape's column references. A derived table
+    /// (another view's MV), a view-owned table (the control table) or a
+    /// view delta table has no delta history to propagate, so it cannot be
+    /// a slot.
     pub fn validate(&self, engine: &Engine) -> Result<()> {
         if self.bases.is_empty() {
             return Err(Error::Invalid("view needs at least one base table".into()));

@@ -390,9 +390,10 @@ fn compact_stores_shrinks_history_below_lwm() {
     assert_eq!(ctx.compact_stores().unwrap(), 0);
 }
 
-/// The view's own tables — its MV (every roll's install) and the control
-/// table (every materialization-time rewrite) — are view-owned: capture
-/// stages none of their changes, so no pass has their history to prune.
+/// The view's own tables — its MV (every roll's install; derived, so not
+/// even logged) and the control table (every materialization-time
+/// rewrite; view-owned) — keep no delta store: capture stages none of
+/// their changes, so no pass has their history to prune.
 /// Across repeated propagate → roll → compact rounds the compactor's base
 /// count covers exactly the base changes committed, and the MV stays
 /// exact.
@@ -404,8 +405,11 @@ fn view_owned_tables_leave_nothing_to_prune() {
     let mat = materialize(&ctx).unwrap();
     let mut prop = Propagator::new(ctx.clone(), mat);
     let control = ctx.engine.table_id(CONTROL_TABLE).unwrap();
-    for t in [ctx.mv.mv_table, control] {
-        assert_eq!(ctx.engine.table_kind(t).unwrap(), TableKind::ViewOwned);
+    for (t, kind) in [
+        (ctx.mv.mv_table, TableKind::Derived),
+        (control, TableKind::ViewOwned),
+    ] {
+        assert_eq!(ctx.engine.table_kind(t).unwrap(), kind);
         assert!(ctx.engine.delta_store(t).is_err());
     }
     let store_len = |t: TableId| ctx.engine.delta_store(t).unwrap().len();

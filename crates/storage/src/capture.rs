@@ -11,8 +11,9 @@
 //! appended to the corresponding [`DeltaStore`]s stamped with the commit
 //! CSN. Only base tables have delta stores, as in the paper, where capture
 //! fills the delta tables of the relations views are defined over: a
-//! change to a view-owned table (an MV, the control table) is CRC-checked
-//! and skipped without decoding its tuple. Because
+//! change to a view-owned table (the control table, a summary table) is
+//! CRC-checked and skipped without decoding its tuple, and a view's MV is
+//! a derived table whose changes are never logged. Because
 //! commit records are appended under the commit mutex, they appear in CSN
 //! order and the **capture high-water mark** (the CSN through which all
 //! base deltas are complete) is simply the last processed commit's CSN.
@@ -57,7 +58,7 @@ impl Capture {
     /// Register a base table's delta store. Must happen before any change
     /// record for that table is processed (the engine registers at table
     /// creation, so this always holds). Changes to tables never registered
-    /// (view delta and view-owned tables) are skipped undecoded.
+    /// (view delta, view-owned and derived tables) are skipped undecoded.
     pub fn register(&mut self, store: Arc<DeltaStore>) {
         self.deltas.insert(store.table(), store);
     }

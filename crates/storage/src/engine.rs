@@ -39,9 +39,9 @@ use std::time::{Duration, Instant};
 
 /// What a catalog entry stores.
 enum TableStore {
-    /// A base table with the delta store capture fills, or a view-owned
-    /// table (`delta` is `None`): logged and recovered alike, but capture
-    /// stages no history for a view-owned table.
+    /// A base table with the delta store capture fills, or a view-owned or
+    /// derived table (`delta` is `None`): capture stages no history for
+    /// those.
     Base {
         table: Mutex<BaseTable>,
         delta: Option<Arc<DeltaStore>>,
@@ -60,6 +60,7 @@ pub trait ReadFloor: Send + Sync {
 struct TableEntry {
     name: String,
     schema: Schema,
+    kind: TableKind,
     store: TableStore,
 }
 
@@ -151,11 +152,12 @@ impl Engine {
         let store = match kind {
             TableKind::Base => base(Some(Arc::new(DeltaStore::new(id)))),
             TableKind::ViewDelta => TableStore::ViewDelta(ViewDeltaStore::new(id)),
-            TableKind::ViewOwned => base(None),
+            TableKind::ViewOwned | TableKind::Derived => base(None),
         };
         let entry = Arc::new(TableEntry {
             name: name.to_string(),
             schema,
+            kind,
             store,
         });
         if let TableStore::Base {
@@ -189,12 +191,24 @@ impl Engine {
         self.register(name, schema, TableKind::Base)
     }
 
-    /// Create a view-owned table — a view's MV, control or summary table.
-    /// It is read, written, logged and recovered like a base table, but it
-    /// has no delta store: capture skips its changes, and a view cannot be
-    /// defined over it.
+    /// Create a view-owned table — the control table, a summary table or
+    /// a union view's MV. It is read, written, logged and recovered like a
+    /// base table, but it has no delta store: capture skips its changes,
+    /// and a view cannot be defined over it. A view's own MV is not one of
+    /// these: its contents follow from the bases and its logged
+    /// materialization time, so it is derived
+    /// ([`Engine::create_derived_table`]).
     pub fn create_view_table(&self, name: &str, schema: Schema) -> Result<TableId> {
         self.register(name, schema, TableKind::ViewOwned)
+    }
+
+    /// Create a derived table — a view's MV. It is read, written and
+    /// locked like a view-owned table, but no write to it is logged, so
+    /// recovery brings it back empty and its owner rebuilds it (a view
+    /// recomputes itself at its materialization time on reattach). Only
+    /// the creation is logged.
+    pub fn create_derived_table(&self, name: &str, schema: Schema) -> Result<TableId> {
+        self.register(name, schema, TableKind::Derived)
     }
 
     /// Create a view delta table with the given (projected view) schema.
@@ -204,11 +218,7 @@ impl Engine {
 
     /// The kind `table` was created as.
     pub fn table_kind(&self, table: TableId) -> Result<TableKind> {
-        Ok(match &self.entry(table)?.store {
-            TableStore::Base { delta: Some(_), .. } => TableKind::Base,
-            TableStore::Base { delta: None, .. } => TableKind::ViewOwned,
-            TableStore::ViewDelta(_) => TableKind::ViewDelta,
-        })
+        Ok(self.entry(table)?.kind)
     }
 
     fn entry(&self, table: TableId) -> Result<Arc<TableEntry>> {
@@ -282,14 +292,15 @@ impl Engine {
         Ok(self.entry(table)?.name.clone())
     }
 
-    /// Begin a transaction.
+    /// Begin a transaction. Nothing is logged until it writes a logged
+    /// table or commits.
     pub fn begin(&self) -> Txn {
         let id = TxnId(self.inner.next_txn.fetch_add(1, Ordering::Relaxed));
-        self.inner.wal.append(&WalRecord::Begin { txn: id });
         Txn {
             engine: self.clone(),
             id,
             active: true,
+            logged: false,
             undo: Vec::new(),
             locked: Vec::new(),
             lock_wait: Duration::ZERO,
@@ -418,13 +429,15 @@ impl Engine {
 
     // ---- delta access ----------------------------------------------------
 
-    /// The delta store of a base table. A view-owned table has none.
+    /// The delta store of a base table. A view-owned or derived table has
+    /// none.
     pub fn delta_store(&self, table: TableId) -> Result<Arc<DeltaStore>> {
         let e = self.base_entry(table)?;
         match &e.store {
             TableStore::Base { delta: Some(d), .. } => Ok(d.clone()),
             TableStore::Base { delta: None, .. } => Err(Error::Invalid(format!(
-                "{table} is view-owned: capture keeps no delta history for it"
+                "{table} is {:?}: capture keeps no delta history for it",
+                e.kind
             ))),
             _ => unreachable!("base_entry filters"),
         }
@@ -631,11 +644,15 @@ impl Engine {
     /// unit-of-work table, and the CSN/transaction counters. A torn tail
     /// is dropped.
     ///
-    /// View **delta** table contents are intentionally not recovered: they
-    /// are soft state (paper Fig. 3 — the delta can always be re-propagated
-    /// from the materialization time forward). The control-table layer in
-    /// `rolljoin-core` persists each view's materialization time in an
-    /// ordinary base table, so it *is* recovered.
+    /// Two kinds of table come back empty, because nothing logs their
+    /// contents. View **delta** tables are soft state (paper Fig. 3 — the
+    /// delta can always be re-propagated from the materialization time
+    /// forward). **Derived** tables — each view's MV — are a function of
+    /// the bases and the view's materialization time, which the
+    /// control-table layer in `rolljoin-core` persists in a logged
+    /// view-owned table; `MaterializedView::reattach` recomputes the MV at
+    /// that time. An image that logged MV contents (an MV created as a
+    /// base or view-owned table) replays them like any other table.
     pub fn recover_from_bytes(bytes: &[u8]) -> Result<Engine> {
         let engine = Engine::new();
         let records = Wal::recover(bytes)?;
@@ -769,6 +786,9 @@ pub struct Txn {
     engine: Engine,
     id: TxnId,
     active: bool,
+    /// Whether a change record of this transaction is in the log: only
+    /// then does an abort need an `Abort` record.
+    logged: bool,
     undo: Vec<UndoOp>,
     locked: Vec<LockKey>,
     lock_wait: Duration,
@@ -863,11 +883,14 @@ impl Txn {
             TableStore::Base { table: t, .. } => t.lock().insert(tuple.clone())?,
             _ => unreachable!(),
         }
-        self.engine.inner.wal.append(&WalRecord::Insert {
-            txn: self.id,
-            table,
-            tuple: tuple.clone(),
-        });
+        if entry.kind != TableKind::Derived {
+            self.engine.inner.wal.append(&WalRecord::Insert {
+                txn: self.id,
+                table,
+                tuple: tuple.clone(),
+            });
+            self.logged = true;
+        }
         self.undo.push(UndoOp::Insert { table, tuple });
         Ok(())
     }
@@ -881,11 +904,14 @@ impl Txn {
             TableStore::Base { table: t, .. } => t.lock().delete_one(tuple)?,
             _ => unreachable!(),
         }
-        self.engine.inner.wal.append(&WalRecord::Delete {
-            txn: self.id,
-            table,
-            tuple: tuple.clone(),
-        });
+        if entry.kind != TableKind::Derived {
+            self.engine.inner.wal.append(&WalRecord::Delete {
+                txn: self.id,
+                table,
+                tuple: tuple.clone(),
+            });
+            self.logged = true;
+        }
         self.undo.push(UndoOp::Delete {
             table,
             tuple: tuple.clone(),
@@ -1074,7 +1100,8 @@ impl Txn {
     ///
     /// Consolidated: one [`WalRecord::Apply`] record per `(tuple, count)`
     /// — not `|n|` of each — so capture also stages one counted delta row
-    /// per tuple. The batch takes the per-tuple lock footprint in one go
+    /// per tuple; a derived table logs none. The batch takes the per-tuple
+    /// lock footprint in one go
     /// (table X, or IX plus the sorted union of the tuples' stripes),
     /// holds the table mutex once, encodes its frames straight from the
     /// counts into one buffer appended under one hold of the log mutex,
@@ -1105,12 +1132,15 @@ impl Txn {
             }
             _ => unreachable!(),
         }
-        self.engine
-            .inner
-            .wal
-            .append_each(&counts, |(tuple, n), buf| {
-                put_apply(buf, self.id, table, *n, tuple)
-            });
+        if entry.kind != TableKind::Derived {
+            self.engine
+                .inner
+                .wal
+                .append_each(&counts, |(tuple, n), buf| {
+                    put_apply(buf, self.id, table, *n, tuple)
+                });
+            self.logged = true;
+        }
         self.undo.push(UndoOp::Apply { table, counts });
         Ok(())
     }
@@ -1222,10 +1252,12 @@ impl Txn {
                 }
             }
         }
-        self.engine
-            .inner
-            .wal
-            .append(&WalRecord::Abort { txn: self.id });
+        if self.logged {
+            self.engine
+                .inner
+                .wal
+                .append(&WalRecord::Abort { txn: self.id });
+        }
         self.active = false;
         self.release_locks();
     }
@@ -1344,6 +1376,80 @@ mod tests {
         assert_eq!(r.table_len(mv).unwrap(), 4);
         assert!(r.delta_store(mv).is_err());
         assert_eq!(r.delta_store(t).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn derived_tables_are_never_logged() {
+        let (e, t) = engine_with_table();
+        let schema = Schema::new([("a", ColumnType::Int), ("b", ColumnType::Str)]);
+        let mv = e.create_derived_table("mv", schema).unwrap();
+        assert_eq!(e.table_kind(mv).unwrap(), TableKind::Derived);
+        assert!(e.delta_store(mv).is_err());
+        let frames = e.wal().len();
+        let mut txn = e.begin();
+        txn.apply_counts(mv, vec![(tup![1, "a"], 3), (tup![2, "b"], 1)])
+            .unwrap();
+        txn.insert(mv, tup![3, "c"]).unwrap();
+        txn.delete_one(mv, &tup![2, "b"]).unwrap();
+        txn.abort();
+        assert_eq!(e.wal().len(), frames, "a derived-only abort logs nothing");
+        assert_eq!(e.table_len(mv).unwrap(), 0, "undone all the same");
+
+        let mut txn = e.begin();
+        txn.insert(t, tup![1, "a"]).unwrap();
+        txn.apply_counts(mv, vec![(tup![1, "a"], 3), (tup![2, "b"], 1)])
+            .unwrap();
+        txn.delete_one(mv, &tup![2, "b"]).unwrap();
+        txn.commit().unwrap();
+        assert_eq!(e.table_len(mv).unwrap(), 3);
+        let records = Wal::recover(&e.wal().snapshot_bytes()).unwrap();
+        // The insert into `t` and the commit: nothing of `mv`.
+        assert_eq!(records.len() - frames as usize, 2, "{records:?}");
+        assert!(records.iter().all(|r| !matches!(
+            r,
+            WalRecord::Insert { table, .. }
+                | WalRecord::Delete { table, .. }
+                | WalRecord::Apply { table, .. } if *table == mv
+        )));
+        let r = Engine::recover_from_bytes(&e.wal().snapshot_bytes()).unwrap();
+        assert_eq!(r.table_kind(mv).unwrap(), TableKind::Derived);
+        assert_eq!(r.table_len(mv).unwrap(), 0, "recovered empty");
+        assert_eq!(r.table_len(t).unwrap(), 1);
+    }
+
+    #[test]
+    fn only_logged_changes_and_commits_write_frames() {
+        let (e, t) = engine_with_table();
+        let frames = e.wal().len();
+        let txn = e.begin();
+        assert_eq!(e.wal().len(), frames, "begin writes no frame");
+        txn.abort();
+        assert_eq!(
+            e.wal().len(),
+            frames,
+            "nor does an abort with nothing logged"
+        );
+        let mut txn = e.begin();
+        txn.insert(t, tup![1, "a"]).unwrap();
+        let id = txn.id();
+        txn.abort();
+        assert_eq!(
+            e.wal().read_from(frames, usize::MAX).unwrap(),
+            vec![
+                WalRecord::Insert {
+                    txn: id,
+                    table: t,
+                    tuple: tup![1, "a"]
+                },
+                WalRecord::Abort { txn: id }
+            ]
+        );
+        // A read-only commit still takes a CSN, so it is logged.
+        let csn = e.begin().commit().unwrap();
+        let r = Engine::recover_from_bytes(&e.wal().snapshot_bytes()).unwrap();
+        assert_eq!(r.current_csn(), csn);
+        // Transaction ids continue past the highest one logged.
+        assert!(r.begin().id() > id);
     }
 
     #[test]
@@ -1613,8 +1719,12 @@ mod tests {
         assert_eq!(e.wal().byte_len(), begin_bytes, "no frame written");
         assert_eq!(e.table_len(t).unwrap(), len);
         drop(txn);
+        assert_eq!(
+            e.wal().byte_len(),
+            wal_bytes,
+            "an abort that logged nothing"
+        );
         assert_eq!(counts(&e), before, "table and index unchanged");
-        assert!(e.wal().byte_len() > wal_bytes, "only begin/abort frames");
         // Over-deleting an absent tuple fails the same way.
         let mut txn = e.begin();
         let begin_bytes = e.wal().byte_len();

@@ -22,7 +22,9 @@ pub type Lsn = u64;
 /// One log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// Transaction start.
+    /// Transaction start. No longer written: recovery reads the highest
+    /// transaction id off the records a transaction does log, and capture
+    /// never needed it. Still decoded, so older images replay.
     Begin { txn: TxnId },
     /// One tuple inserted into a table.
     Insert {
@@ -44,7 +46,8 @@ pub enum WalRecord {
         csn: Csn,
         wallclock_micros: u64,
     },
-    /// Transaction abort (its changes must be ignored by capture).
+    /// Transaction abort (its changes must be ignored by capture). A
+    /// transaction that logged nothing aborts without one.
     Abort { txn: TxnId },
     /// DDL: a table of the given kind was created. Logged so recovery can
     /// rebuild the catalog.
@@ -72,8 +75,9 @@ pub enum WalRecord {
     },
 }
 
-/// What a catalog entry holds, and whether capture stages its changes.
-/// Logged as its discriminant byte in [`WalRecord::CreateTable`].
+/// What a catalog entry holds, whether its writes are logged, and whether
+/// capture stages them. Logged as its discriminant byte in
+/// [`WalRecord::CreateTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableKind {
     /// A base table: capture stages every committed change in its delta
@@ -83,10 +87,17 @@ pub enum TableKind {
     /// A view delta table: timestamped change records, never logged
     /// row by row.
     ViewDelta = 1,
-    /// A table a view maintains (MV, control, summary): logged and
-    /// recovered like a base table, but with no delta store, because no
-    /// view reads its history.
+    /// A table a view maintains whose contents recovery must replay (the
+    /// control table, a summary table, a union's MV): logged and recovered
+    /// like a base table, but with no delta store, because no view reads
+    /// its history. (A record that predates derived tables logged every
+    /// view's MV this way.)
     ViewOwned = 2,
+    /// A table whose contents are a function of logged state — a view's
+    /// MV, which is the view at its logged materialization time: read,
+    /// written and locked like a view-owned table, but no write to it
+    /// reaches the log. Recovery registers it empty; its owner rebuilds it.
+    Derived = 3,
 }
 
 impl TableKind {
@@ -95,6 +106,7 @@ impl TableKind {
             0 => TableKind::Base,
             1 => TableKind::ViewDelta,
             2 => TableKind::ViewOwned,
+            3 => TableKind::Derived,
             x => return Err(Error::WalCorrupt(format!("unknown table kind {x}"))),
         })
     }
@@ -345,7 +357,7 @@ pub(crate) enum CaptureRecord<'a> {
     Abort {
         txn: TxnId,
     },
-    /// `Begin` and DDL: nothing for capture to do.
+    /// DDL, and the `Begin` of an older image: nothing for capture to do.
     Other,
 }
 
@@ -777,6 +789,7 @@ mod tests {
             (TableKind::Base, 0),
             (TableKind::ViewDelta, 1),
             (TableKind::ViewOwned, 2),
+            (TableKind::Derived, 3),
         ] {
             let enc = create(kind).encode();
             // tag, id, name length, 5 name bytes, then the kind byte.
@@ -784,10 +797,10 @@ mod tests {
             assert_eq!(WalRecord::decode(&enc).unwrap(), create(kind));
         }
         let mut enc = create(TableKind::Base).encode();
-        enc[8] = 3;
+        enc[8] = 4;
         assert!(matches!(
             WalRecord::decode(&enc),
-            Err(Error::WalCorrupt(msg)) if msg.contains("table kind 3")
+            Err(Error::WalCorrupt(msg)) if msg.contains("table kind 4")
         ));
     }
 

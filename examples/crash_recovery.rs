@@ -1,7 +1,8 @@
 //! Crash recovery: the WAL is the only durable artifact. After a "crash",
 //! the engine rebuilds its catalog, table contents, indexes, and delta
 //! history from the log; the persistent control table restores the view's
-//! materialization time; and maintenance simply resumes.
+//! materialization time, at which the (unlogged) MV is recomputed; and
+//! maintenance simply resumes.
 //!
 //! Run with: `cargo run --example crash_recovery`
 
@@ -64,7 +65,8 @@ fn main() -> rolljoin::Result<()> {
     );
 
     // Re-attach the view: its materialization time comes back from the
-    // persistent control table; the (soft) view delta re-propagates.
+    // persistent control table, the MV is recomputed as the view at that
+    // time, and the (soft) view delta re-propagates.
     let view = ViewDef::new(
         &engine,
         "orders",

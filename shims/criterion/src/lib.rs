@@ -159,7 +159,8 @@ impl Bencher {
         }
     }
 
-    /// Time `routine` on inputs built by `setup`; setup time is excluded.
+    /// Time `routine` on inputs built by `setup`; setup time is excluded,
+    /// and so is dropping the routine's output, as in criterion.
     pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
     where
         S: FnMut() -> I,
@@ -169,8 +170,9 @@ impl Bencher {
         for _ in 0..self.sample_size {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             self.samples.push(start.elapsed());
+            drop(output);
         }
     }
 
