@@ -18,7 +18,7 @@ tracked_state() {
     fi
 }
 before=$(tracked_state)
-./target/release/harness e3 e4 e5 e6 e10 e12 e14 e15 e18 e20
+./target/release/harness e3 e4 e5 e6 e10 e12 e14 e15 e16 e18 e20
 if [ "$(tracked_state)" != "$before" ]; then
     echo "the harness step changed tracked files:" >&2
     git status --short --untracked-files=no >&2

@@ -1,7 +1,7 @@
 //! Keyed time-range delta-index benchmarks: the raw posting-slice lookup
 //! against the filtered full-range scan it replaces (at two key-set
-//! selectivities), and a compensation-shaped two-delta query with the
-//! probe planner on vs off. Guards both sides of the tentpole: the keyed
+//! selectivities), and a compensation-shaped two-delta query with and
+//! without a keyed delta index. Guards both sides of the tentpole: the keyed
 //! slice must stay near-proportional to its result (not to history
 //! depth), and the probed query must stay far under the scanning one on
 //! selective keys over deep history.
@@ -45,13 +45,14 @@ fn indexed_store() -> (Engine, rolljoin_common::TableId, u64) {
 }
 
 /// A two-way join with deep uniform Δ^S history, a keyed delta index on
-/// the S join column, and one ΔR row — the compensation-query shape.
+/// the S join column when `probe` is set, and one ΔR row — the
+/// compensation-query shape.
 fn query_setup(probe: bool) -> (TwoWay, MaintCtx, PropQuery) {
     let w = TwoWay::setup("bench_diq").unwrap();
-    w.engine.create_delta_index(w.s, 0).unwrap();
-    let ctx = w
-        .ctx()
-        .with_tuning(ExecTuning::sequential().with_delta_probe(probe));
+    if probe {
+        w.engine.create_delta_index(w.s, 0).unwrap();
+    }
+    let ctx = w.ctx().with_tuning(ExecTuning::sequential());
     materialize(&ctx).unwrap();
     let mut last = 0;
     for i in 0..QUERY_HISTORY as i64 {

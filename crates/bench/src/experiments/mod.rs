@@ -109,7 +109,7 @@ pub fn all() -> Vec<Experiment> {
         ("e15", "ablation — empty-delta subtree skip", ablation2::e15),
         (
             "e16",
-            "parallel propagation — worker sweep + scan cache",
+            "parallel propagation — worker sweep",
             parallel_exp::e16,
         ),
         (

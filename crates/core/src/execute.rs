@@ -21,10 +21,8 @@ use crate::query::{PropQuery, Slot};
 use crate::stats::{fold_compaction, fold_lock_stats, CompactionReport, PropStats, StepKind};
 use rolljoin_common::{Csn, Error, Result};
 use rolljoin_obs::{JournalEntry, Meter, Obs, ObsConfig};
-use rolljoin_relalg::{
-    exec, fetch, fetch_cached, net_rows, net_rows_owned, BuildCache, SlotInput, SlotSource,
-};
-use rolljoin_storage::{Engine, LockMode, ReadFloor, ScanCache};
+use rolljoin_relalg::{exec, fetch, net_rows_owned, SlotInput, SlotSource};
+use rolljoin_storage::{Engine, LockMode, ReadFloor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,14 +71,6 @@ pub struct MaintCtx {
     pub skip_empty: bool,
     /// Executor tuning: worker count, probe-vs-scan threshold.
     pub tuning: ExecTuning,
-    /// Step-scoped cache of materialized delta-range scans, shared by all
-    /// constituent queries (and workers) of one propagation step. Sound
-    /// because capture-complete delta ranges are immutable; entries are
-    /// dropped when the propagation HWM advances past the step (memory
-    /// bound, not a correctness requirement).
-    pub scan_cache: Arc<ScanCache>,
-    /// Step-scoped cache of hash-join build sides over shared delta ranges.
-    pub build_cache: Arc<BuildCache>,
     /// Tracing handle (spans, journal), at the level set by `tuning.obs`.
     /// Shared across clones, workers, and drivers.
     pub obs: Arc<Obs>,
@@ -98,8 +88,6 @@ impl MaintCtx {
             stats,
             skip_empty: true,
             tuning: ExecTuning::default(),
-            scan_cache: Arc::new(ScanCache::new()),
-            build_cache: Arc::new(BuildCache::new()),
             obs: Obs::disabled(),
         }
     }
@@ -246,43 +234,20 @@ impl MaintCtx {
         Ok(())
     }
 
-    /// Fetch one delta slot's *full* range through the step-scoped scan
-    /// cache, recording cache stats.
-    fn fetch_delta_full(
-        &self,
-        txn: &mut rolljoin_storage::Txn,
-        table: rolljoin_common::TableId,
-        iv: rolljoin_common::TimeInterval,
-    ) -> Result<SlotInput> {
-        let source = SlotSource::Delta(table, iv);
-        let (input, hit) = fetch_cached(&self.engine, txn, &source, &self.scan_cache)?;
-        self.stats.record_scan_cache(hit, input.len() as u64);
-        Ok(input)
-    }
-
     /// Exact pre-join netting of a fetched delta slot
     /// ([`PropQuery::net_clamp`]): timestamps clamp to `clamp` and rows
-    /// with equal `(ts, tuple)` merge. Keeps the fetched input — and its
-    /// shared cache identity — when nothing merges; rows this query owns
-    /// merge in place.
+    /// with equal `(ts, tuple)` merge, in place — a delta fetch's rows are
+    /// the query's own.
     fn net_slot(&self, input: SlotInput, clamp: Option<Csn>) -> SlotInput {
-        let Some(clamp) = clamp else {
-            return input;
-        };
-        let (netted, outcome) = match input {
-            SlotInput::Owned(rows) => {
+        match (input, clamp) {
+            (SlotInput::Owned(rows), Some(clamp)) => {
                 let (rows, outcome) = net_rows_owned(rows, clamp);
-                (SlotInput::Owned(rows), outcome)
+                self.stats
+                    .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
+                SlotInput::Owned(rows)
             }
-            input => {
-                let (rows, outcome) = net_rows(input.rows(), clamp);
-                let kept = outcome.rows_saved() == 0;
-                (if kept { input } else { SlotInput::Owned(rows) }, outcome)
-            }
-        };
-        self.stats
-            .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
-        netted
+            (input, _) => input,
+        }
     }
 
     /// Fetch all slot row sets of a propagation query within `txn`: the
@@ -325,11 +290,10 @@ impl MaintCtx {
         };
         let mut slot_rows: Vec<Option<SlotInput>> = (0..n).map(|_| None).collect();
 
-        // Seed the cascade. With delta probing on, only the smallest delta
-        // range is materialized unconditionally — the others stay pending
-        // so the cascade may resolve them as keyed probes. With it off,
-        // every delta range is fetched up front (the pre-index behavior).
-        let deltas: Vec<(usize, rolljoin_common::TimeInterval)> = q
+        // Seed the cascade: only the smallest delta range is materialized
+        // unconditionally — the others stay pending so the cascade may
+        // resolve them as keyed probes.
+        let seed = q
             .slots
             .iter()
             .enumerate()
@@ -337,24 +301,13 @@ impl MaintCtx {
                 Slot::Delta(iv) => Some((i, *iv)),
                 Slot::Base => None,
             })
-            .collect();
-        let prefetch: Vec<(usize, rolljoin_common::TimeInterval)> =
-            if self.tuning.delta_probe && deltas.len() > 1 {
-                let seed = deltas
-                    .iter()
-                    .copied()
-                    .min_by_key(|&(i, iv)| {
-                        self.engine
-                            .delta_count(view.bases[i], iv)
-                            .unwrap_or(usize::MAX)
-                    })
-                    .expect("deltas is non-empty");
-                vec![seed]
-            } else {
-                deltas
-            };
-        for (i, iv) in prefetch {
-            let input = self.fetch_delta_full(txn, view.bases[i], iv)?;
+            .min_by_key(|&(i, iv)| {
+                self.engine
+                    .delta_count(view.bases[i], iv)
+                    .unwrap_or(usize::MAX)
+            });
+        if let Some((i, iv)) = seed {
+            let input = fetch(&self.engine, txn, &SlotSource::Delta(view.bases[i], iv))?;
             slot_rows[i] = Some(self.net_slot(input, q.net_clamp(i)));
         }
 
@@ -433,29 +386,26 @@ impl MaintCtx {
                 }
             }
             match picked {
-                // Keyed delta probe: per-key posting slices, bypassing the
-                // scan cache (the result is key-set-specific).
+                // Keyed delta probe: per-key posting slices.
                 Some((i, col, keys, Some(iv))) => {
                     let source = SlotSource::DeltaKeyed {
                         table: view.bases[i],
                         interval: iv,
                         col,
-                        keys: std::sync::Arc::new(keys),
+                        keys: Arc::new(keys),
                     };
-                    let rows = fetch(&self.engine, txn, &source)?;
-                    let raw = rows.len() as u64;
-                    self.stats.record_delta_decision(true, raw);
-                    slot_rows[i] = Some(self.net_slot(SlotInput::Owned(rows), q.net_clamp(i)));
+                    let input = fetch(&self.engine, txn, &source)?;
+                    self.stats.record_delta_decision(true, input.len() as u64);
+                    slot_rows[i] = Some(self.net_slot(input, q.net_clamp(i)));
                     remaining.retain(|&x| x != i);
                 }
                 Some((i, col, keys, None)) => {
                     let source = SlotSource::BaseKeyed {
                         table: view.bases[i],
                         col,
-                        keys: std::sync::Arc::new(keys),
+                        keys: Arc::new(keys),
                     };
-                    let (input, _) = fetch_cached(&self.engine, txn, &source, &self.scan_cache)?;
-                    slot_rows[i] = Some(input);
+                    slot_rows[i] = Some(fetch(&self.engine, txn, &source)?);
                     remaining.retain(|&x| x != i);
                 }
                 None => {
@@ -472,7 +422,8 @@ impl MaintCtx {
                             Slot::Delta(iv) => iv,
                             Slot::Base => unreachable!("filtered to delta slots"),
                         };
-                        let input = self.fetch_delta_full(txn, view.bases[i], iv)?;
+                        let source = SlotSource::Delta(view.bases[i], iv);
+                        let input = fetch(&self.engine, txn, &source)?;
                         slot_rows[i] = Some(self.net_slot(input, q.net_clamp(i)));
                         self.stats.record_delta_decision(false, 0);
                         remaining.retain(|&x| x != i);
@@ -482,7 +433,7 @@ impl MaintCtx {
                             .min_by_key(|&&i| view.bases[i])
                             .expect("remaining is non-empty");
                         let source = SlotSource::Base(view.bases[i]);
-                        slot_rows[i] = Some(SlotInput::Owned(fetch(&self.engine, txn, &source)?));
+                        slot_rows[i] = Some(fetch(&self.engine, txn, &source)?);
                         remaining.retain(|&x| x != i);
                     }
                 }
@@ -497,7 +448,7 @@ impl MaintCtx {
     /// Execute one propagation query (≥ 1 delta slot) as a transaction and
     /// insert its results into the view delta table in one batch. `sign`
     /// scales counts (−1 for compensation). A query with one delta slot
-    /// runs the row kernel ([`exec::execute_shared`]); one with two or
+    /// runs the row kernel ([`exec::execute`]); one with two or
     /// more joins its delta slots as per-tuple histories
     /// ([`exec::execute_histories`], DESIGN §7) and merges the result on
     /// equal `(ts, tuple)` — the view delta is a multiset over
@@ -549,17 +500,6 @@ impl MaintCtx {
             let _s = self.obs.span("capture_wait");
             self.ensure_captured(hi)?;
         }
-        // Step-scope the caches: the propagation HWM only advances when a
-        // step completes, so entries live exactly for the step that
-        // materialized them and are dropped when the frontier moves past
-        // it. (Capture-complete delta ranges are immutable, so this is a
-        // memory bound, never a staleness concern — and keying off the
-        // propagation HWM rather than the capture HWM keeps concurrent
-        // updater commits from evicting a live step's working set.)
-        let hwm = self.mv.hwm();
-        self.scan_cache.advance_epoch(hwm);
-        self.build_cache.advance_epoch(hwm);
-
         let mut txn = self.engine.begin();
         // Table granularity: pre-lock base-table slots S in TableId order
         // (deadlock avoidance among maintenance transactions). The view
@@ -608,7 +548,7 @@ impl MaintCtx {
                     .record_netting(outcome.rows_in as u64, outcome.rows_out as u64);
                 (netted, stats)
             } else {
-                exec::execute_shared(slot_rows, &view.spec, sign, Some(&self.build_cache))?
+                exec::execute(slot_rows, &view.spec, sign)?
             }
         };
         let written = txn.vd_write(self.mv.vd_table, rows)? as u64;
@@ -767,6 +707,7 @@ mod tests {
         let snap = ctx.stats.snapshot();
         assert_eq!(snap.forward_queries, 1);
         assert_eq!(snap.vd_rows_written, 1);
+        assert!(snap.query_wall_nanos > 0);
     }
 
     #[test]
@@ -868,25 +809,32 @@ mod tests {
 
     #[test]
     fn pushdown_probes_indexed_delta_slots() {
-        let (ctx, r, s) = two_table_ctx();
-        let e = &ctx.engine;
-        e.create_delta_index(s, 0).unwrap();
         // Deep Δ^S history: 200 single-row commits on distinct keys, then
         // one ΔR row joining key 77. The compensation query ΔR ⋈ Δ^S
-        // should resolve the Δ^S slot by a keyed posting probe.
-        let mut last = 0;
-        for i in 0..200i64 {
+        // resolves the Δ^S slot by a keyed posting probe when Δ^S has a
+        // keyed index on the join column.
+        let run = |indexed: bool| {
+            let (ctx, r, s) = two_table_ctx();
+            let e = &ctx.engine;
+            if indexed {
+                e.create_delta_index(s, 0).unwrap();
+            }
+            let mut last = 0;
+            for i in 0..200i64 {
+                let mut w = e.begin();
+                w.insert(s, tup![i, i]).unwrap();
+                last = w.commit().unwrap();
+            }
             let mut w = e.begin();
-            w.insert(s, tup![i, i]).unwrap();
-            last = w.commit().unwrap();
-        }
-        let mut w = e.begin();
-        w.insert(r, tup![1, 77]).unwrap();
-        let c = w.commit().unwrap();
-        let q = PropQuery::all_base(2)
-            .with_delta(0, TimeInterval::new(last, c))
-            .with_delta(1, TimeInterval::new(0, last));
-        let out = ctx.execute(&q, -1).unwrap();
+            w.insert(r, tup![1, 77]).unwrap();
+            let c = w.commit().unwrap();
+            let q = PropQuery::all_base(2)
+                .with_delta(0, TimeInterval::new(last, c))
+                .with_delta(1, TimeInterval::new(0, last));
+            let out = ctx.execute(&q, -1).unwrap();
+            (ctx, out)
+        };
+        let (ctx, out) = run(true);
         assert_eq!(
             out.stats.rows_in,
             vec![1, 1],
@@ -899,12 +847,13 @@ mod tests {
         assert_eq!(snap.delta_probe_rows, 1);
         assert!(snap.delta_probe_rate() > 0.99);
 
-        // With probing disabled the same query scans the whole Δ^S range.
-        let scanning = ctx
-            .clone()
-            .with_tuning(crate::policy::ExecTuning::sequential().with_delta_probe(false));
-        let out = scanning.execute(&q, -1).unwrap();
-        assert_eq!(out.stats.rows_in, vec![1, 200], "probing off → range scan");
+        // Without a delta index the same query scans the whole Δ^S range.
+        let (_, out) = run(false);
+        assert_eq!(
+            out.stats.rows_in,
+            vec![1, 200],
+            "no delta index → range scan"
+        );
     }
 
     #[test]
@@ -967,34 +916,6 @@ mod tests {
             .expect("postings gauge rendered");
         let bytes: i64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(bytes > 0, "postings bytes gauge is live: {line}");
-    }
-
-    #[test]
-    fn scan_cache_serves_repeated_delta_ranges() {
-        let (ctx, r, s) = two_table_ctx();
-        let e = &ctx.engine;
-        let mut w = e.begin();
-        w.insert(r, tup![1, 10]).unwrap();
-        w.insert(s, tup![10, 100]).unwrap();
-        let c = w.commit().unwrap();
-        let q = PropQuery::all_base(2).with_delta(0, TimeInterval::new(0, c));
-        ctx.execute(&q, 1).unwrap();
-        ctx.execute(&q, 1).unwrap();
-        let snap = ctx.stats.snapshot();
-        assert_eq!(snap.scan_cache_misses, 1);
-        assert_eq!(snap.scan_cache_hits, 1);
-        assert_eq!(snap.scan_cache_rows, 1);
-        assert!(snap.query_wall_nanos > 0);
-        // Completing the step advances the propagation HWM past the cached
-        // ranges; the next step starts cold.
-        let mut w = e.begin();
-        w.insert(r, tup![2, 11]).unwrap();
-        let c2 = w.commit().unwrap();
-        ctx.mv.set_hwm(c);
-        let q2 = PropQuery::all_base(2).with_delta(0, TimeInterval::new(c, c2));
-        ctx.execute(&q2, 1).unwrap();
-        assert_eq!(ctx.stats.snapshot().scan_cache_misses, 2);
-        assert_eq!(ctx.scan_cache.len(), 1, "old step's entries evicted");
     }
 
     #[test]

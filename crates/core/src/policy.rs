@@ -26,13 +26,9 @@ pub struct ExecTuning {
     /// only while `delta keys × ratio < distinct table keys`; otherwise
     /// scan. Larger values scan sooner.
     pub probe_scan_ratio: usize,
-    /// Let delta slots participate in the keyed probe cascade: a pending
-    /// `σ_{a,b}(Δ^R)` slot whose join column carries a keyed time-range
-    /// index is probed by an already-fetched neighbor's keys instead of
-    /// range-scanned. Off reproduces the fetch-every-delta-range-first
-    /// behavior.
-    pub delta_probe: bool,
-    /// Probe-vs-scan threshold for delta slots. Unlike the base-side
+    /// Probe-vs-scan threshold for delta slots — a pending `σ_{a,b}(Δ^R)`
+    /// slot whose join column carries a keyed time-range index may be
+    /// probed by an already-fetched neighbor's keys. Unlike the base-side
     /// heuristic (key count × ratio vs distinct keys), the delta side has
     /// an *exact* matching-row count from posting-list slice lengths, so
     /// the rule is `estimated rows × ratio < range rows`. Larger values
@@ -61,7 +57,6 @@ impl Default for ExecTuning {
                 .unwrap_or(1)
                 .min(4),
             probe_scan_ratio: 4,
-            delta_probe: true,
             delta_probe_ratio: 1,
             lock_granularity: LockGranularity::Table,
             obs: rolljoin_obs::ObsConfig::Off,
@@ -88,12 +83,6 @@ impl ExecTuning {
     /// Set the probe-vs-scan threshold (clamped to ≥ 1).
     pub fn with_probe_scan_ratio(mut self, ratio: usize) -> Self {
         self.probe_scan_ratio = ratio.max(1);
-        self
-    }
-
-    /// Enable or disable keyed delta-index probing of delta slots.
-    pub fn with_delta_probe(mut self, on: bool) -> Self {
-        self.delta_probe = on;
         self
     }
 
@@ -268,12 +257,8 @@ mod tests {
         assert_eq!(t.workers, 1);
         assert_eq!(t.probe_scan_ratio, 1);
         assert_eq!(ExecTuning::sequential().with_workers(8).workers, 8);
-        assert!(t.delta_probe, "delta probing is on by default");
         assert_eq!(t.delta_probe_ratio, 1);
-        let t2 = ExecTuning::sequential()
-            .with_delta_probe(false)
-            .with_delta_probe_ratio(0);
-        assert!(!t2.delta_probe);
+        let t2 = ExecTuning::sequential().with_delta_probe_ratio(0);
         assert_eq!(t2.delta_probe_ratio, 1, "ratio clamps to ≥ 1");
         assert_eq!(
             ExecTuning::sequential()

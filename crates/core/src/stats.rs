@@ -54,9 +54,6 @@ pub struct PropStats {
     delta_rows_read: Counter,
     vd_rows_written: Counter,
     max_txn_rows: Gauge,
-    scan_cache_hits: Counter,
-    scan_cache_misses: Counter,
-    scan_cache_rows: Counter,
     net_rows_in: Counter,
     net_rows_saved: Counter,
     worker_busy_ns: Counter,
@@ -91,12 +88,10 @@ pub struct PropStatsSnapshot {
     /// Largest number of rows read by any single propagation transaction —
     /// the per-transaction "size" the interval knob controls (paper §3.3).
     pub max_txn_rows: u64,
-    /// Delta-range fetches served from the step-scoped scan cache.
+    /// Always 0 (no scan cache remains); kept because livebench reads it.
     pub scan_cache_hits: u64,
-    /// Delta-range fetches that materialized fresh rows.
+    /// Always 0 (no scan cache remains); kept because livebench reads it.
     pub scan_cache_misses: u64,
-    /// Rows served from the scan cache instead of re-materializing.
-    pub scan_cache_rows: u64,
     /// Rows that entered exact `(ts, tuple)` netting: clamped delta slots
     /// of queries with two or more delta slots before the join, and those
     /// queries' results before the view-delta write
@@ -147,13 +142,6 @@ impl PropStats {
                 "Rows fetched by propagation queries, by slot kind.",
             )
         };
-        let cache = |outcome| {
-            meter.counter_l(
-                "rolljoin_scan_cache_total",
-                Some(("outcome", outcome)),
-                "Delta-range fetches, by scan-cache outcome.",
-            )
-        };
         let decisions = |decision| {
             meter.counter_l(
                 "rolljoin_delta_index_total",
@@ -173,12 +161,6 @@ impl PropStats {
             max_txn_rows: meter.gauge(
                 "rolljoin_max_txn_rows",
                 "Largest row count read by any single propagation transaction.",
-            ),
-            scan_cache_hits: cache("hit"),
-            scan_cache_misses: cache("miss"),
-            scan_cache_rows: meter.counter(
-                "rolljoin_scan_cache_rows_total",
-                "Rows served from the scan cache instead of re-materializing.",
             ),
             net_rows_in: meter.counter(
                 "rolljoin_net_rows_in_total",
@@ -260,16 +242,6 @@ impl PropStats {
         self.query_lock_wait.observe(lock_wait_nanos);
     }
 
-    /// Record one scan-cache lookup outcome.
-    pub(crate) fn record_scan_cache(&self, hit: bool, rows: u64) {
-        if hit {
-            self.scan_cache_hits.inc(1);
-            self.scan_cache_rows.inc(rows);
-        } else {
-            self.scan_cache_misses.inc(1);
-        }
-    }
-
     /// Record one netting pass: `raw` rows in, `kept` rows out.
     pub(crate) fn record_netting(&self, raw: u64, kept: u64) {
         self.net_rows_in.inc(raw);
@@ -322,9 +294,8 @@ impl PropStats {
             vd_rows_written: self.vd_rows_written.get(),
             transactions: forward_queries + comp_queries,
             max_txn_rows: self.max_txn_rows.get() as u64,
-            scan_cache_hits: self.scan_cache_hits.get(),
-            scan_cache_misses: self.scan_cache_misses.get(),
-            scan_cache_rows: self.scan_cache_rows.get(),
+            scan_cache_hits: 0,
+            scan_cache_misses: 0,
             compact_rows_in: self.net_rows_in.get(),
             compact_rows_saved: self.net_rows_saved.get(),
             worker_busy_nanos: self.worker_busy_ns.get(),
@@ -370,16 +341,6 @@ impl PropStatsSnapshot {
         }
     }
 
-    /// Scan-cache hit fraction in `[0, 1]`; `0` when never consulted.
-    pub fn scan_cache_hit_rate(&self) -> f64 {
-        let total = self.scan_cache_hits + self.scan_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.scan_cache_hits as f64 / total as f64
-        }
-    }
-
     /// Difference of two snapshots (self − earlier). Saturating: the two
     /// snapshots are not taken atomically, and background actors (the
     /// compaction driver, propagation workers) keep advancing counters
@@ -395,11 +356,8 @@ impl PropStatsSnapshot {
             vd_rows_written: self.vd_rows_written.saturating_sub(earlier.vd_rows_written),
             transactions: self.transactions.saturating_sub(earlier.transactions),
             max_txn_rows: self.max_txn_rows, // high-water, not differenced
-            scan_cache_hits: self.scan_cache_hits.saturating_sub(earlier.scan_cache_hits),
-            scan_cache_misses: self
-                .scan_cache_misses
-                .saturating_sub(earlier.scan_cache_misses),
-            scan_cache_rows: self.scan_cache_rows.saturating_sub(earlier.scan_cache_rows),
+            scan_cache_hits: 0,
+            scan_cache_misses: 0,
             compact_rows_in: self.compact_rows_in.saturating_sub(earlier.compact_rows_in),
             compact_rows_saved: self
                 .compact_rows_saved

@@ -17,7 +17,7 @@
 
 use crate::execute::MaintCtx;
 use rolljoin_common::{Csn, Error, Result, TimeInterval};
-use rolljoin_relalg::{exec, fetch, SlotSource};
+use rolljoin_relalg::{exec, fetch, SlotInput, SlotSource};
 use rolljoin_storage::LockMode;
 
 /// Report from a synchronous propagation run.
@@ -103,7 +103,7 @@ pub fn sync_propagate_eq1(ctx: &MaintCtx, from: Csn) -> Result<SyncOutcome> {
         }
         let slot_rows = ctx.fetch_slots(&mut txn, &q)?;
         rows_read += slot_rows.iter().map(|s| s.len()).sum::<usize>();
-        let (rows, _) = exec::execute_shared(slot_rows, &view.spec, sign, None)?;
+        let (rows, _) = exec::execute(slot_rows, &view.spec, sign)?;
         rows_written += txn.vd_write(ctx.mv.vd_table, rows)?;
     }
 
@@ -149,7 +149,7 @@ pub fn sync_propagate_eq2(ctx: &MaintCtx, from: Csn, to: Csn) -> Result<SyncOutc
             };
             slot_rows.push(fetch(&ctx.engine, &mut txn, &source)?);
         }
-        rows_read += slot_rows.iter().map(Vec::len).sum::<usize>();
+        rows_read += slot_rows.iter().map(SlotInput::len).sum::<usize>();
         let (rows, _) = exec::execute(slot_rows, &view.spec, 1)?;
         rows_written += txn.vd_write(ctx.mv.vd_table, rows)?;
     }

@@ -133,11 +133,7 @@ fn run_chain(
     indexed: bool,
 ) -> (MaintCtx, Csn, Csn, NetEffect) {
     let (ctx, tables) = chain(name, n, indexed);
-    let ctx = ctx.with_tuning(
-        ExecTuning::default()
-            .with_workers(workers)
-            .with_delta_probe(indexed),
-    );
+    let ctx = ctx.with_tuning(ExecTuning::default().with_workers(workers));
     let mat = materialize(&ctx).unwrap();
     let mv_at_mat = oracle::mv_state(&ctx.engine, &ctx.mv).unwrap();
     apply_ops(&ctx, &tables, ops);
@@ -230,7 +226,7 @@ proptest! {
 fn recursion_probes_cut_delta_rows_read() {
     let build = |indexed: bool| {
         let (ctx, tables) = chain(if indexed { "rp1" } else { "rp0" }, 3, indexed);
-        let ctx = ctx.with_tuning(ExecTuning::sequential().with_delta_probe(indexed));
+        let ctx = ctx.with_tuning(ExecTuning::sequential());
         let mat = materialize(&ctx).unwrap();
         // Deep distinct-key history on R2 and R3 (one commit each → deep
         // CSN history), then a single matching R1 row at the very end.

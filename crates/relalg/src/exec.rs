@@ -5,17 +5,13 @@
 //! — with each slot bound to either a base table or a delta range (paper
 //! §2). This module plans that shape over already-fetched slot row sets —
 //! each equi pair becomes a probe key of the later slot or a same-slot
-//! check, and each build side is hashed fresh or taken from the
-//! [`BuildCache`] — and hands the plan to the late-materializing join
-//! kernel in [`crate::ops`].
+//! check, and each build side is indexed by its join columns — and hands
+//! the plan to the late-materializing join kernel in [`crate::ops`].
 
 use crate::expr::Expr;
 use crate::ops::{Histories, HistoryFold, JoinIndex, Kernel, RowFold};
-use parking_lot::RwLock;
-use rolljoin_common::hash::Map;
-use rolljoin_common::{DeltaRow, Error, Result, Schema, TableId, TimeInterval, Value};
+use rolljoin_common::{DeltaRow, Error, Result, Schema, Value};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The join shape shared by a view definition and all its propagation
@@ -134,22 +130,21 @@ impl ExecStats {
     }
 }
 
-/// One slot's fetched rows: owned, shared, or grouped by probe key.
-///
-/// Shared slots come from the step-scoped scan cache: several constituent
-/// queries of one propagation step read the same delta range, so the rows
-/// arrive as a shared `Arc` with the `(table, interval)` identity that
-/// produced them — which doubles as the [`BuildCache`] key when the slot
-/// lands on the build side of a join. Grouped slots come from a keyed base
-/// probe, which returns its rows grouped per probe key; a build side
-/// joined on exactly the probed column reuses that grouping.
+/// One slot's fetched rows, owned by the query that fetched them: plain,
+/// or grouped by probe key. Grouped slots come from a keyed base probe,
+/// which returns its rows grouped per probe key; a build side joined on
+/// exactly the probed column reuses that grouping.
 pub enum SlotInput {
-    /// Rows owned by this query alone.
+    /// Plain rows.
     Owned(Vec<DeltaRow>),
-    /// Rows shared across queries, with their delta-range identity.
-    Shared(Arc<Vec<DeltaRow>>, TableId, TimeInterval),
-    /// Rows owned by this query, grouped by the key they hold in one column.
+    /// Rows grouped by the key they hold in one column.
     Grouped(Vec<DeltaRow>, KeyGroups),
+}
+
+impl From<Vec<DeltaRow>> for SlotInput {
+    fn from(rows: Vec<DeltaRow>) -> Self {
+        SlotInput::Owned(rows)
+    }
 }
 
 /// How a keyed probe's rows are grouped: `keys` strictly ascending, and
@@ -208,151 +203,29 @@ impl SlotInput {
     pub fn rows(&self) -> &[DeltaRow] {
         match self {
             SlotInput::Owned(v) | SlotInput::Grouped(v, _) => v,
-            SlotInput::Shared(v, ..) => v,
         }
     }
 }
 
-/// Counters of the build-side cache (point-in-time copy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BuildCacheStats {
-    /// Join build sides served from the cache.
-    pub hits: u64,
-    /// Join build sides hashed fresh.
-    pub misses: u64,
-    /// Live indexes.
-    pub entries: u64,
-}
-
-impl BuildCacheStats {
-    /// Hit fraction in `[0, 1]`; `0` when the cache was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Step-scoped cache of hash-join build sides.
-///
-/// Keyed by `(table, interval, build columns)`: the same delta range used
-/// as a build side with the same join columns across constituent queries
-/// is hashed once and probed many times. Entries are immutable for the
-/// same reason scan-cache entries are (delta ranges at or below the
-/// capture HWM never change). [`BuildCache::advance_epoch`] bounds memory
-/// to one propagation step's working set.
-#[derive(Default)]
-pub struct BuildCache {
-    inner: RwLock<BuildCacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-#[derive(Default)]
-struct BuildCacheInner {
-    epoch: u64,
-    indexes: Map<(TableId, TimeInterval, Vec<usize>), Arc<JoinIndex>>,
-}
-
-impl BuildCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drop all entries materialized under a propagation HWM below `hwm`
-    /// (same step-scoping rule as the scan cache).
-    pub fn advance_epoch(&self, hwm: u64) {
-        if self.inner.read().epoch >= hwm {
-            return;
-        }
-        let mut inner = self.inner.write();
-        if inner.epoch < hwm {
-            inner.epoch = hwm;
-            inner.indexes.clear();
-        }
-    }
-
-    /// Get the index for `(table, interval, keys)`, building it over
-    /// `rows` on a miss. A hit resolves positions against the rows the
-    /// entry was built from, never against `rows`.
-    fn get_or_build(
-        &self,
-        table: TableId,
-        interval: TimeInterval,
-        keys: &[usize],
-        rows: &Arc<Vec<DeltaRow>>,
-    ) -> Arc<JoinIndex> {
-        let key = (table, interval, keys.to_vec());
-        if let Some(idx) = self.inner.read().indexes.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return idx.clone();
-        }
-        let idx = Arc::new(JoinIndex::build(rows.clone(), keys.to_vec()));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.write();
-        inner
-            .indexes
-            .entry(key)
-            .or_insert_with(|| idx.clone())
-            .clone()
-    }
-
-    /// Number of live indexes.
-    pub fn len(&self) -> usize {
-        self.inner.read().indexes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> BuildCacheStats {
-        BuildCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-        }
-    }
-}
-
-/// Execute the join over per-slot row sets. `sign` scales output counts
-/// (−1 for compensation queries).
-pub fn execute(
-    slot_rows: Vec<Vec<DeltaRow>>,
-    spec: &JoinSpec,
-    sign: i64,
-) -> Result<(Vec<DeltaRow>, ExecStats)> {
-    execute_shared(
-        slot_rows.into_iter().map(SlotInput::Owned).collect(),
-        spec,
-        sign,
-        None,
-    )
-}
-
-/// Execute the join over owned or shared per-slot row sets, optionally
-/// consulting `build_cache` for prebuilt hash indexes on shared build
-/// sides. Semantics are identical to [`execute`].
+/// Execute the join over per-slot row sets — plain rows or
+/// [`SlotInput`]s. `sign` scales output counts (−1 for compensation
+/// queries).
 ///
 /// Output rows come probe-major: for each slot-0 row in order, its slot-1
 /// matches in build order, each followed by its slot-2 matches, and so on
 /// — the order of a pipelined left-deep hash join.
-pub fn execute_shared(
-    slot_rows: Vec<SlotInput>,
+pub fn execute<S: Into<SlotInput>>(
+    slot_rows: Vec<S>,
     spec: &JoinSpec,
     sign: i64,
-    build_cache: Option<&BuildCache>,
 ) -> Result<(Vec<DeltaRow>, ExecStats)> {
+    let slot_rows: Vec<SlotInput> = slot_rows.into_iter().map(Into::into).collect();
     let plan = Plan::new(spec, &slot_rows)?;
     let mut slots = slot_rows.into_iter();
     let scan = slots.next().expect("≥1 slot");
-    let indexes: Vec<Arc<JoinIndex>> = slots
+    let indexes: Vec<JoinIndex> = slots
         .zip(&plan.build_keys[1..])
-        .map(|(input, keys)| build_index(input, keys, build_cache))
+        .map(|(input, keys)| build_index(input, keys))
         .collect();
     let out = plan
         .kernel(spec, scan.rows(), &indexes)
@@ -365,12 +238,11 @@ pub fn execute_shared(
 /// by tuple, a combination of delta tuples joins only if their histories'
 /// supports intersect, and each joined combination emits one row per
 /// event time at which its telescoped count is non-zero. The output nets,
-/// per `(ts, tuple)`, exactly as [`execute_shared`]'s does over the same
+/// per `(ts, tuple)`, exactly as [`execute`]'s does over the same
 /// inputs, but its size follows the overlapping tuple lifetimes, not the
 /// product of the slots' event counts. Rows of different combinations may
-/// share a `(ts, tuple)`; [`crate::net_rows`] merges them. Every build
-/// side is indexed fresh: a delta slot's index is over its histories,
-/// not over the rows a [`BuildCache`] entry indexes.
+/// share a `(ts, tuple)`; [`crate::net_rows`] merges them. A delta slot's
+/// build index is over its histories.
 pub fn execute_histories(
     slot_rows: Vec<SlotInput>,
     spec: &JoinSpec,
@@ -379,7 +251,7 @@ pub fn execute_histories(
     let plan = Plan::new(spec, &slot_rows)?;
     let mut histories: Vec<Option<Histories>> = Vec::with_capacity(slot_rows.len());
     let mut scan = None;
-    let mut indexes: Vec<Arc<JoinIndex>> = Vec::new();
+    let mut indexes: Vec<JoinIndex> = Vec::new();
     for (input, keys) in slot_rows.into_iter().zip(&plan.build_keys) {
         let rows = input.rows();
         let timed = rows.iter().filter(|r| r.ts.is_some()).count();
@@ -397,7 +269,7 @@ pub fn execute_histories(
         };
         match scan {
             None => scan = Some(input),
-            Some(_) => indexes.push(build_index(input, keys, None)),
+            Some(_) => indexes.push(build_index(input, keys)),
         }
     }
     let scan = scan.expect("≥1 slot");
@@ -406,28 +278,14 @@ pub fn execute_histories(
     Ok(plan.finish(out))
 }
 
-/// The hash index of one build side: taken from `build_cache` for a
-/// shared delta range, the probe's own grouping for a keyed probe joined
-/// on exactly the probed column, else hashed fresh.
-fn build_index(
-    input: SlotInput,
-    keys: &[usize],
-    build_cache: Option<&BuildCache>,
-) -> Arc<JoinIndex> {
-    match (input, build_cache) {
-        // A shared build side with a cache: hash it once per step.
-        (SlotInput::Shared(rows, table, interval), Some(cache)) => {
-            cache.get_or_build(table, interval, keys, &rows)
+/// The hash index of one build side: the probe's own grouping for a keyed
+/// probe joined on exactly the probed column, else hashed fresh.
+fn build_index(input: SlotInput, keys: &[usize]) -> JoinIndex {
+    match input {
+        SlotInput::Grouped(rows, groups) if keys == [groups.col] => {
+            JoinIndex::grouped(rows, groups)
         }
-        (SlotInput::Shared(rows, ..), None) => Arc::new(JoinIndex::build(rows, keys.to_vec())),
-        // Joined on exactly the probed column: the probe's grouping is the
-        // index.
-        (SlotInput::Grouped(rows, groups), _) if keys == [groups.col] => {
-            Arc::new(JoinIndex::grouped(rows, groups))
-        }
-        (SlotInput::Owned(rows) | SlotInput::Grouped(rows, _), _) => {
-            Arc::new(JoinIndex::build(Arc::new(rows), keys.to_vec()))
-        }
+        SlotInput::Owned(rows) | SlotInput::Grouped(rows, _) => JoinIndex::build(rows, keys),
     }
 }
 
@@ -496,7 +354,7 @@ impl Plan {
         &'a self,
         spec: &'a JoinSpec,
         scan: &'a [DeltaRow],
-        indexes: &'a [Arc<JoinIndex>],
+        indexes: &'a [JoinIndex],
     ) -> Kernel<'a> {
         Kernel {
             rows: std::iter::once(scan)
@@ -560,52 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_execution_matches_owned_and_reuses_builds() {
-        let spec = JoinSpec {
-            slot_schemas: vec![schema2("a", "b"), schema2("b", "c"), schema2("c", "d")],
-            equi: vec![(1, 2), (3, 4)],
-            filter: None,
-            projection: vec![0, 5],
-        };
-        let r = base_rows(&[(1, 10), (2, 11)]);
-        let s = base_rows(&[(10, 100), (11, 101)]);
-        let t = base_rows(&[(100, 7), (101, 8)]);
-        let (owned, owned_stats) =
-            execute(vec![r.clone(), s.clone(), t.clone()], &spec, -1).unwrap();
-
-        let cache = BuildCache::new();
-        let (t_id, iv) = (TableId(7), TimeInterval::new(0, 5));
-        let shared_slots = || {
-            vec![
-                SlotInput::Owned(r.clone()),
-                SlotInput::Shared(Arc::new(s.clone()), TableId(6), iv),
-                SlotInput::Shared(Arc::new(t.clone()), t_id, iv),
-            ]
-        };
-        let (shared, shared_stats) =
-            execute_shared(shared_slots(), &spec, -1, Some(&cache)).unwrap();
-        assert_eq!(owned, shared, "same rows in the same order");
-        assert_eq!(owned_stats, shared_stats);
-        // Two shared build sides were hashed fresh; re-running hits both.
-        assert_eq!(
-            cache.stats(),
-            BuildCacheStats {
-                hits: 0,
-                misses: 2,
-                entries: 2
-            }
-        );
-        let (again, _) = execute_shared(shared_slots(), &spec, -1, Some(&cache)).unwrap();
-        assert_eq!(again.len(), shared_stats.rows_out);
-        assert_eq!(cache.stats().hits, 2);
-        // Advancing the epoch past the entries clears them.
-        cache.advance_epoch(9);
-        assert!(cache.is_empty());
-        cache.advance_epoch(9);
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
     fn three_way_chain_join() {
         // R(a,b) ⋈ S(b,c) ⋈ T(c,d): global cols R=(0,1) S=(2,3) T=(4,5).
         let spec = JoinSpec {
@@ -646,29 +458,6 @@ mod tests {
         let (out, _) = execute(vec![r, s], &spec, 1).unwrap();
         assert_eq!(out[0].count, 2);
         assert_eq!(out[0].ts, Some(4));
-    }
-
-    #[test]
-    fn cached_build_reads_the_rows_it_indexed() {
-        // A second query presenting the same delta-range identity gets the
-        // cached index, whose positions resolve against the rows it was
-        // built from — not against the vector this query passed in.
-        let cache = BuildCache::new();
-        let iv = TimeInterval::new(0, 5);
-        let s = Arc::new(base_rows(&[(10, 100), (20, 200), (20, 201)]));
-        let run = |s: Arc<Vec<DeltaRow>>| {
-            let slots = vec![
-                SlotInput::Owned(base_rows(&[(2, 20)])),
-                SlotInput::Shared(s, TableId(1), iv),
-            ];
-            execute_shared(slots, &spec_rs(), 1, Some(&cache))
-                .unwrap()
-                .0
-        };
-        let first = run(s.clone());
-        assert_eq!(first, base_rows(&[(2, 200), (2, 201)]));
-        assert_eq!(run(Arc::new(Vec::new())), first);
-        assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]

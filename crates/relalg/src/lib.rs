@@ -6,8 +6,7 @@
 //!
 //! * [`expr`] — scalar expressions / selection predicates (3-valued logic).
 //! * [`exec`] — the [`exec::JoinSpec`] shape shared by a view and its
-//!   propagation queries, and the executor that plans it, with stats and
-//!   the step-scoped build cache.
+//!   propagation queries, and the executor that plans it, with stats.
 //! * [`ops`] — the executor's join kernel: a late-materializing
 //!   left-deep hash join over `(timestamp, count, tuple)` rows that keeps
 //!   row positions until the output tuple is built, implementing the
@@ -26,14 +25,11 @@ pub mod net_effect;
 pub mod ops;
 pub mod source;
 
-pub use exec::{
-    execute, execute_histories, execute_shared, BuildCache, BuildCacheStats, ExecStats, JoinSpec,
-    KeyGroups, SlotInput,
-};
+pub use exec::{execute, execute_histories, ExecStats, JoinSpec, KeyGroups, SlotInput};
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use net_effect::{
     add, is_multiset, negate, net_effect, net_effect_ref, net_rows, net_rows_owned, to_rows,
     CompactionOutcome, NetEffect,
 };
 pub use ops::join_stamp;
-pub use source::{fetch, fetch_cached, SlotSource};
+pub use source::{fetch, SlotSource};

@@ -15,7 +15,6 @@ use crate::expr::Expr;
 use rolljoin_common::hash::{self, Map};
 use rolljoin_common::{Csn, DeltaRow, Tuple, Value};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// The paper's join rule for delta rows (§2, relied on by §3.3's
 /// compensation): a joined row's count is the **product** of the input
@@ -29,13 +28,10 @@ pub fn join_stamp(a: (Option<Csn>, i64), b: (Option<Csn>, i64)) -> (Option<Csn>,
     (ts, a.1 * b.1)
 }
 
-/// The build side of a hash join: the positions of a slot's rows grouped
-/// by their values on a fixed column list (NULL keys never join). It keeps
-/// the `Arc` of the rows it indexes, so a shared index — handed out by the
-/// step-scoped [`BuildCache`](crate::exec::BuildCache) so each delta range is hashed once per step
-/// — always resolves positions against the rows it was built from.
+/// The build side of a hash join: a slot's rows and their positions
+/// grouped by their values on a fixed column list (NULL keys never join).
 pub(crate) struct JoinIndex {
-    rows: Arc<Vec<DeltaRow>>,
+    rows: Vec<DeltaRow>,
     map: KeyMap,
 }
 
@@ -75,8 +71,8 @@ impl Iterator for Matches<'_> {
 }
 
 impl JoinIndex {
-    pub(crate) fn build(rows: Arc<Vec<DeltaRow>>, keys: Vec<usize>) -> JoinIndex {
-        let map = match keys[..] {
+    pub(crate) fn build(rows: Vec<DeltaRow>, keys: &[usize]) -> JoinIndex {
+        let map = match *keys {
             [col] => {
                 let mut map: Map<Value, Vec<u32>> = hash::map_with_capacity(rows.len());
                 for (p, row) in rows.iter().enumerate() {
@@ -107,7 +103,7 @@ impl JoinIndex {
     /// Index a keyed probe's rows by the grouping it returned them in.
     pub(crate) fn grouped(rows: Vec<DeltaRow>, groups: KeyGroups) -> JoinIndex {
         JoinIndex {
-            rows: Arc::new(rows),
+            rows,
             map: KeyMap::Grouped(groups),
         }
     }
@@ -124,7 +120,7 @@ pub(crate) struct Kernel<'a> {
     /// Each slot's rows; a build slot's are its index's own.
     pub(crate) rows: Vec<&'a [DeltaRow]>,
     /// Build indexes of slots `1..n` (entry `k - 1` is slot `k`'s).
-    pub(crate) indexes: &'a [Arc<JoinIndex>],
+    pub(crate) indexes: &'a [JoinIndex],
     /// Per slot: the earlier slots' key columns its probe reads.
     pub(crate) probe_keys: &'a [Vec<(usize, usize)>],
     /// Per slot: same-slot equi pairs.
@@ -511,8 +507,8 @@ impl Kernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, execute_shared, BuildCache, JoinSpec, SlotInput};
-    use rolljoin_common::{tup, ColumnType, Schema, TableId, TimeInterval};
+    use crate::exec::{execute, JoinSpec};
+    use rolljoin_common::{tup, ColumnType, Schema};
 
     fn schema2(a: &str, b: &str) -> Schema {
         Schema::new([(a, ColumnType::Int), (b, ColumnType::Int)])
@@ -696,54 +692,5 @@ mod tests {
             let (out, _) = execute(vec![r.clone(), s.clone()], &spec_rs(), sign).unwrap();
             assert_eq!(out, vec![DeltaRow::change(1, count, tup![1, 100])]);
         }
-    }
-
-    #[test]
-    fn indexed_join_matches_hash_join() {
-        // A build side indexed by one query and probed from the cache by
-        // another gives what a fresh hash join of the second query gives.
-        let cache = BuildCache::new();
-        let s = vec![
-            DeltaRow::change(5, 1, tup![10, 1]),
-            DeltaRow::change(3, -1, tup![20, 2]),
-            DeltaRow::change(9, 1, tup![10, 3]),
-        ];
-        let shared = Arc::new(s.clone());
-        let (table, iv) = (TableId(3), TimeInterval::new(0, 9));
-        for r in [
-            base_rows(&[(1, 20)]),
-            base_rows(&[(2, 10), (3, 30), (4, 20)]),
-        ] {
-            let slots = vec![
-                SlotInput::Owned(r.clone()),
-                SlotInput::Shared(shared.clone(), table, iv),
-            ];
-            let (indexed, _) = execute_shared(slots, &spec_rs(), 1, Some(&cache)).unwrap();
-            let (fresh, _) = execute(vec![r, s.clone()], &spec_rs(), 1).unwrap();
-            assert_eq!(indexed, fresh);
-        }
-        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
-    }
-
-    #[test]
-    fn scan_shared_yields_all_rows() {
-        // A one-slot query over a shared slot passes every row through.
-        let rows = Arc::new(vec![
-            DeltaRow::base(tup![1, 2]),
-            DeltaRow::change(4, -2, tup![3, 4]),
-        ]);
-        let spec = JoinSpec {
-            slot_schemas: vec![schema2("a", "b")],
-            equi: vec![],
-            filter: None,
-            projection: vec![0, 1],
-        };
-        let slots = vec![SlotInput::Shared(
-            rows.clone(),
-            TableId(1),
-            TimeInterval::new(0, 4),
-        )];
-        let (out, _) = execute_shared(slots, &spec, 1, None).unwrap();
-        assert_eq!(out, *rows);
     }
 }

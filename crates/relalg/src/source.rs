@@ -14,8 +14,8 @@
 
 use crate::exec::SlotInput;
 use rolljoin_common::hash::Set;
-use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Value};
-use rolljoin_storage::{Engine, ScanCache, Txn};
+use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Tuple, Value};
+use rolljoin_storage::{Engine, Txn};
 use std::sync::Arc;
 
 /// Binding of one join slot to a row source.
@@ -80,86 +80,52 @@ impl std::fmt::Display for SlotSource {
 /// Fetch the rows of one slot. Base and as-of reads go through `txn`
 /// (acquiring a table S lock for full scans and time travel, or — under
 /// striped granularity — IS plus key-stripe S locks for keyed probes);
-/// delta reads are lock-free against immutable history.
-pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<Vec<DeltaRow>> {
-    match source {
-        SlotSource::Base(table) => {
-            let counts = txn.scan_counts(*table)?;
-            Ok(counts
-                .into_iter()
-                .map(|(tuple, count)| DeltaRow {
-                    ts: None,
-                    count,
-                    tuple,
-                })
-                .collect())
+/// delta reads are lock-free against immutable history. The rows are the
+/// caller's own. A keyed base probe keeps the per-key grouping its index
+/// lookup returns ([`SlotInput::grouped`]), so a join on the probed column
+/// need not re-hash its rows.
+pub fn fetch(engine: &Engine, txn: &mut Txn, source: &SlotSource) -> Result<SlotInput> {
+    let rows = match source {
+        SlotSource::Base(table) => base_rows(txn.scan_counts(*table)?),
+        SlotSource::Delta(table, interval) => engine.delta_range(*table, *interval)?,
+        SlotSource::AsOf(table, csn) => base_rows(txn.scan_asof(*table, *csn)?),
+        SlotSource::BaseKeyed { table, col, keys } => {
+            let (rows, starts) = txn.lookup_keys(*table, *col, keys)?;
+            return Ok(SlotInput::grouped(rows, *col, keys.clone(), starts));
         }
-        SlotSource::Delta(table, interval) => engine.delta_range(*table, *interval),
-        SlotSource::AsOf(table, csn) => {
-            let counts = txn.scan_asof(*table, *csn)?;
-            Ok(counts
-                .into_iter()
-                .map(|(tuple, count)| DeltaRow {
-                    ts: None,
-                    count,
-                    tuple,
-                })
-                .collect())
-        }
-        SlotSource::BaseKeyed { table, col, keys } => Ok(txn.lookup_keys(*table, *col, keys)?.0),
         SlotSource::DeltaKeyed {
             table,
             interval,
             col,
             keys,
-        } => {
-            match txn.delta_lookup_keys(*table, *interval, *col, keys)? {
-                Some(rows) => Ok(rows),
-                // No keyed index on that column (e.g. a planner race with
-                // recovery): fall back to filtering the full range — same
-                // rows, scan cost.
-                None => {
-                    let set: Set<&Value> = keys.iter().collect();
-                    Ok(engine
-                        .delta_range(*table, *interval)?
-                        .into_iter()
-                        .filter(|r| set.contains(r.tuple.get(*col)))
-                        .collect())
-                }
+        } => match txn.delta_lookup_keys(*table, *interval, *col, keys)? {
+            Some(rows) => rows,
+            // No keyed index on that column (e.g. a planner race with
+            // recovery): fall back to filtering the full range — same
+            // rows, scan cost.
+            None => {
+                let set: Set<&Value> = keys.iter().collect();
+                engine
+                    .delta_range(*table, *interval)?
+                    .into_iter()
+                    .filter(|r| set.contains(r.tuple.get(*col)))
+                    .collect()
             }
-        }
-    }
+        },
+    };
+    Ok(SlotInput::Owned(rows))
 }
 
-/// Fetch one slot, routing delta-range reads through the step-scoped
-/// [`ScanCache`]. The same range requested by several constituent queries
-/// of one propagation step is materialized once and shared. Non-delta
-/// sources are fetched fresh each time (base reads are transactional and
-/// must see the executing transaction's state); keyed delta probes are
-/// key-set-specific, so they bypass the cache too. A keyed base probe
-/// keeps the per-key grouping its index lookup returns
-/// ([`SlotInput::grouped`]), so a join on the probed column need not
-/// re-hash its rows.
-///
-/// Returns the slot input and whether the rows came from the cache.
-pub fn fetch_cached(
-    engine: &Engine,
-    txn: &mut Txn,
-    source: &SlotSource,
-    cache: &ScanCache,
-) -> Result<(SlotInput, bool)> {
-    match source {
-        SlotSource::Delta(table, interval) => {
-            let (rows, hit) =
-                cache.get_or_fetch(*table, *interval, || engine.delta_range(*table, *interval))?;
-            Ok((SlotInput::Shared(rows, *table, *interval), hit))
-        }
-        SlotSource::BaseKeyed { table, col, keys } => {
-            let (rows, starts) = txn.lookup_keys(*table, *col, keys)?;
-            Ok((SlotInput::grouped(rows, *col, keys.clone(), starts), false))
-        }
-        other => Ok((SlotInput::Owned(fetch(engine, txn, other)?), false)),
-    }
+/// Untimestamped rows of a table state given as `(tuple, count)` pairs.
+fn base_rows(counts: impl IntoIterator<Item = (Tuple, i64)>) -> Vec<DeltaRow> {
+    counts
+        .into_iter()
+        .map(|(tuple, count)| DeltaRow {
+            ts: None,
+            count,
+            tuple,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -175,6 +141,14 @@ mod tests {
         (e, t)
     }
 
+    /// Fetch a source that yields plain rows, and return them.
+    fn owned(e: &Engine, txn: &mut Txn, src: &SlotSource) -> Vec<DeltaRow> {
+        match fetch(e, txn, src).unwrap() {
+            SlotInput::Owned(rows) => rows,
+            SlotInput::Grouped(..) => panic!("{src} should fetch plain rows"),
+        }
+    }
+
     #[test]
     fn base_fetch_compresses_duplicates() {
         let (e, t) = engine();
@@ -184,7 +158,7 @@ mod tests {
         w.insert(t, tup![2]).unwrap();
         w.commit().unwrap();
         let mut txn = e.begin();
-        let rows = fetch(&e, &mut txn, &SlotSource::Base(t)).unwrap();
+        let rows = owned(&e, &mut txn, &SlotSource::Base(t));
         assert_eq!(rows.len(), 2);
         let one = rows.iter().find(|r| r.tuple == tup![1]).unwrap();
         assert_eq!(one.count, 2);
@@ -202,50 +176,20 @@ mod tests {
         let c2 = w.commit().unwrap();
         e.capture_catch_up().unwrap();
         let mut txn = e.begin();
-        let rows = fetch(
+        let rows = owned(
             &e,
             &mut txn,
             &SlotSource::Delta(t, TimeInterval::new(c1, c2)),
-        )
-        .unwrap();
+        );
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].count, -1);
     }
 
     #[test]
-    fn fetch_cached_shares_delta_ranges() {
+    fn delta_fetch_serves_raw_history() {
         let (e, t) = engine();
-        let mut w = e.begin();
-        w.insert(t, tup![1]).unwrap();
-        let c1 = w.commit().unwrap();
-        e.capture_catch_up().unwrap();
-        let cache = ScanCache::new();
-        let src = SlotSource::Delta(t, TimeInterval::new(0, c1));
-        let mut txn = e.begin();
-        let (first, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
-        assert!(!hit);
-        let (second, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
-        assert!(hit);
-        match (&first, &second) {
-            (SlotInput::Shared(a, ta, iva), SlotInput::Shared(b, tb, ivb)) => {
-                assert!(Arc::ptr_eq(a, b));
-                assert_eq!((ta, iva), (tb, ivb));
-                assert_eq!(a.len(), 1);
-            }
-            _ => panic!("delta fetch should be shared"),
-        }
-        // Base reads bypass the cache.
-        let (base, hit) = fetch_cached(&e, &mut txn, &SlotSource::Base(t), &cache).unwrap();
-        assert!(!hit);
-        assert!(matches!(base, SlotInput::Owned(_)));
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn fetch_cached_serves_raw_history() {
-        let (e, t) = engine();
-        // Hot-key churn: the cache holds every change record as captured,
-        // timestamps intact, so any sub-range read stays exact.
+        // Hot-key churn: a delta range is every change record as captured,
+        // timestamps intact and unnetted, so any sub-range read stays exact.
         let mut w = e.begin();
         w.insert(t, tup![1]).unwrap();
         w.commit().unwrap();
@@ -257,16 +201,12 @@ mod tests {
         w.insert(t, tup![2]).unwrap();
         let c3 = w.commit().unwrap();
         e.capture_catch_up().unwrap();
-        let cache = ScanCache::new();
-        let src = SlotSource::Delta(t, TimeInterval::new(0, c3));
+        let iv = TimeInterval::new(0, c3);
         let mut txn = e.begin();
-        let (input, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
-        assert!(!hit);
-        assert_eq!(
-            input.rows(),
-            &e.delta_range(t, TimeInterval::new(0, c3)).unwrap()[..]
-        );
-        assert_eq!(input.len(), 4);
+        let rows = owned(&e, &mut txn, &SlotSource::Delta(t, iv));
+        assert_eq!(rows, e.delta_range(t, iv).unwrap());
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|r| r.ts.is_some()));
     }
 
     #[test]
@@ -288,14 +228,37 @@ mod tests {
             keys: keys.clone(),
         };
         let mut txn = e.begin();
-        let keyed = fetch(&e, &mut txn, &src).unwrap();
-        let expect: Vec<DeltaRow> = fetch(&e, &mut txn, &SlotSource::Delta(t, iv))
-            .unwrap()
+        let keyed = owned(&e, &mut txn, &src);
+        let expect: Vec<DeltaRow> = owned(&e, &mut txn, &SlotSource::Delta(t, iv))
             .into_iter()
             .filter(|r| keys.contains(r.tuple.get(0)))
             .collect();
         assert_eq!(keyed, expect);
         assert_eq!(keyed.len(), 4);
+    }
+
+    #[test]
+    fn delta_keyed_fetch_keeps_every_change_record() {
+        let (e, t) = engine();
+        // Churn on key 1 netting to zero, plus a surviving key-2 row.
+        let mut w = e.begin();
+        w.insert(t, tup![1]).unwrap();
+        w.commit().unwrap();
+        let mut w = e.begin();
+        w.delete_one(t, &tup![1]).unwrap();
+        w.insert(t, tup![2]).unwrap();
+        let c = w.commit().unwrap();
+        e.capture_catch_up().unwrap();
+        e.create_delta_index(t, 0).unwrap();
+        let src = SlotSource::DeltaKeyed {
+            table: t,
+            interval: TimeInterval::new(0, c),
+            col: 0,
+            keys: Arc::new(vec![Value::Int(1), Value::Int(2)]),
+        };
+        let mut txn = e.begin();
+        let rows = owned(&e, &mut txn, &src);
+        assert_eq!(rows.len(), 3, "every keyed change record, unnetted");
     }
 
     #[test]
@@ -314,42 +277,14 @@ mod tests {
             keys: Arc::new(vec![Value::Int(2)]),
         };
         let mut txn = e.begin();
-        let rows = fetch(&e, &mut txn, &src).unwrap();
+        let rows = owned(&e, &mut txn, &src);
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].tuple, tup![2]);
         assert_eq!(format!("{src}"), format!("Δ{t}(0,{c}][col0∈1 keys]"));
     }
 
     #[test]
-    fn fetch_cached_keyed_delta_bypasses_cache() {
-        let (e, t) = engine();
-        // Churn on key 1 netting to zero, plus a surviving key-2 row.
-        let mut w = e.begin();
-        w.insert(t, tup![1]).unwrap();
-        w.commit().unwrap();
-        let mut w = e.begin();
-        w.delete_one(t, &tup![1]).unwrap();
-        w.insert(t, tup![2]).unwrap();
-        let c = w.commit().unwrap();
-        e.capture_catch_up().unwrap();
-        e.create_delta_index(t, 0).unwrap();
-        let cache = ScanCache::new();
-        let src = SlotSource::DeltaKeyed {
-            table: t,
-            interval: TimeInterval::new(0, c),
-            col: 0,
-            keys: Arc::new(vec![Value::Int(1), Value::Int(2)]),
-        };
-        let mut txn = e.begin();
-        let (input, hit) = fetch_cached(&e, &mut txn, &src, &cache).unwrap();
-        assert!(!hit, "keyed probes bypass the scan cache");
-        assert_eq!(input.len(), 3, "every keyed change record, unnetted");
-        assert!(matches!(input, SlotInput::Owned(_)));
-        assert_eq!(cache.stats().misses, 0, "scan cache untouched");
-    }
-
-    #[test]
-    fn fetch_cached_keeps_a_keyed_probes_grouping() {
+    fn fetch_keeps_a_keyed_probes_grouping() {
         let (e, t) = engine();
         e.create_index(t, 0).unwrap();
         let mut w = e.begin();
@@ -357,17 +292,15 @@ mod tests {
             w.insert(t, tup![v]).unwrap();
         }
         w.commit().unwrap();
-        let cache = ScanCache::new();
         let keyed = |keys: &[i64]| SlotSource::BaseKeyed {
             table: t,
             col: 0,
             keys: Arc::new(keys.iter().map(|&k| Value::Int(k)).collect()),
         };
         let mut txn = e.begin();
-        let (input, hit) = fetch_cached(&e, &mut txn, &keyed(&[2, 3, 4]), &cache).unwrap();
-        assert!(!hit);
+        let input = fetch(&e, &mut txn, &keyed(&[2, 3, 4])).unwrap();
         assert!(matches!(input, SlotInput::Grouped(..)));
-        let want = vec![
+        let want = [
             DeltaRow {
                 ts: None,
                 count: 2,
@@ -375,12 +308,10 @@ mod tests {
             },
             DeltaRow::base(tup![4]),
         ];
-        assert_eq!(input.rows(), &want[..]);
-        assert_eq!(fetch(&e, &mut txn, &keyed(&[2, 3, 4])).unwrap(), want);
+        assert_eq!(input.rows(), want);
         // Keys out of order cannot be binary-searched: plain rows.
-        let (input, _) = fetch_cached(&e, &mut txn, &keyed(&[4, 2]), &cache).unwrap();
-        assert!(matches!(input, SlotInput::Owned(_)));
-        assert_eq!(input.len(), 2);
+        let rows = owned(&e, &mut txn, &keyed(&[4, 2]));
+        assert_eq!(rows.len(), 2);
     }
 
     #[test]
@@ -394,10 +325,9 @@ mod tests {
         w.commit().unwrap();
         e.capture_catch_up().unwrap();
         let mut txn = e.begin();
-        let rows = fetch(&e, &mut txn, &SlotSource::AsOf(t, c1)).unwrap();
+        let rows = owned(&e, &mut txn, &SlotSource::AsOf(t, c1));
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].count, 1);
-        let rows = fetch(&e, &mut txn, &SlotSource::AsOf(t, 0)).unwrap();
-        assert!(rows.is_empty());
+        assert!(owned(&e, &mut txn, &SlotSource::AsOf(t, 0)).is_empty());
     }
 }

@@ -15,9 +15,8 @@
 //! a timestamp.
 
 use proptest::prelude::*;
-use rolljoin_common::{ColumnType, Csn, DeltaRow, Schema, TableId, TimeInterval, Tuple, Value};
+use rolljoin_common::{ColumnType, Csn, DeltaRow, Schema, Tuple, Value};
 use rolljoin_relalg::{execute, execute_histories, net_rows, Expr, JoinSpec, SlotInput};
-use std::sync::Arc;
 
 /// A tiny deterministic generator (SplitMix64), so one `u64` from the
 /// runner describes a whole case and a failure reports it.
@@ -171,21 +170,10 @@ proptest! {
 
         let owned = case.slots.iter().cloned().map(SlotInput::Owned).collect();
         let (hist, stats) = execute_histories(owned, &case.spec, case.sign).unwrap();
-        prop_assert_eq!(netted(&hist), want.clone());
+        prop_assert_eq!(netted(&hist), want);
         prop_assert_eq!(stats.rows_out, hist.len());
         let rows_in: Vec<usize> = case.slots.iter().map(Vec::len).collect();
         prop_assert_eq!(stats.rows_in, rows_in);
-
-        // Shared inputs (as the scan cache hands them) join the same.
-        let iv = TimeInterval::new(0, 8);
-        let shared = case
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(s, rows)| SlotInput::Shared(Arc::new(rows.clone()), TableId(s as u32), iv))
-            .collect();
-        let (hist, _) = execute_histories(shared, &case.spec, case.sign).unwrap();
-        prop_assert_eq!(netted(&hist), want);
     }
 }
 

@@ -3,18 +3,17 @@
 //! Each case is a random join shape — 1–4 slots, single- and
 //! multi-column equi keys, same-slot equi pairs, NULL keys, an optional
 //! selection, a projection with repeated columns, sign ±1, rows with and
-//! without timestamps — run three ways: over owned inputs, and twice over
-//! shared inputs through one [`BuildCache`] (a miss, then a hit per build
-//! side). Every run must emit exactly the reference's `(ts, count, tuple)`
-//! sequence: probe-major, each probe row's matches in build order.
+//! without timestamps — run over owned inputs. Every run must emit exactly
+//! the reference's `(ts, count, tuple)` sequence: probe-major, each probe
+//! row's matches in build order.
 //!
 //! A second property feeds build sides grouped by a sorted key list, as a
 //! keyed base probe returns them, and checks the binary-searched join
 //! against the hashed one.
 
 use proptest::prelude::*;
-use rolljoin_common::{ColumnType, Csn, DeltaRow, Schema, TableId, TimeInterval, Tuple, Value};
-use rolljoin_relalg::{execute, execute_shared, BuildCache, Expr, JoinSpec, SlotInput};
+use rolljoin_common::{ColumnType, Csn, DeltaRow, Schema, Tuple, Value};
+use rolljoin_relalg::{execute, Expr, JoinSpec, SlotInput};
 use std::sync::Arc;
 
 /// A tiny deterministic generator (SplitMix64), so one `u64` from the
@@ -169,25 +168,6 @@ proptest! {
         prop_assert_eq!(&owned, &want);
         prop_assert_eq!(&stats.rows_in, &rows_in);
         prop_assert_eq!(stats.rows_out, want.len());
-
-        let cache = BuildCache::new();
-        let iv = TimeInterval::new(0, 20);
-        for _ in 0..2 {
-            let shared = case
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(s, rows)| SlotInput::Shared(Arc::new(rows.clone()), TableId(s as u32), iv))
-                .collect();
-            let (out, stats) =
-                execute_shared(shared, &case.spec, case.sign, Some(&cache)).unwrap();
-            prop_assert_eq!(&out, &want);
-            prop_assert_eq!(stats.rows_out, want.len());
-        }
-        // Every build side (slots 1..n) hashed once, then served again.
-        let builds = case.slots.len() as u64 - 1;
-        prop_assert_eq!(cache.stats().misses, builds);
-        prop_assert_eq!(cache.stats().hits, builds);
     }
 }
 
@@ -282,8 +262,7 @@ proptest! {
             prop_assert!(matches!(input, SlotInput::Grouped(..)));
             inputs.push(input);
         }
-        let (grouped, grouped_stats) =
-            execute_shared(inputs, &case.spec, case.sign, None).unwrap();
+        let (grouped, grouped_stats) = execute(inputs, &case.spec, case.sign).unwrap();
         prop_assert_eq!(grouped, hashed);
         prop_assert_eq!(grouped_stats, hashed_stats);
     }

@@ -16,11 +16,10 @@
 
 use parking_lot::RwLock;
 use rolljoin_common::hash::{self, Map};
-use rolljoin_common::{Csn, DeltaRow, Result, TableId, TimeInterval, Tuple, Value};
+use rolljoin_common::{Csn, DeltaRow, TableId, TimeInterval, Tuple, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Point-in-time copy of a store's pruning counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -565,133 +564,6 @@ impl ViewDeltaStore {
     }
 }
 
-/// Counters of one cache (point-in-time copy).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to materialize the range.
-    pub misses: u64,
-    /// Rows served from cached entries (what the cache saved copying).
-    pub rows_served: u64,
-    /// Live entries.
-    pub entries: u64,
-}
-
-impl ScanCacheStats {
-    /// Hit fraction in `[0, 1]`; `0` when the cache was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Default)]
-struct ScanCacheInner {
-    /// Epoch (the caller's propagation HWM) the live entries were
-    /// materialized under.
-    epoch: Csn,
-    ranges: Map<(TableId, TimeInterval), Arc<Vec<DeltaRow>>>,
-}
-
-/// Step-scoped cache of materialized delta-range scans.
-///
-/// A propagation step executes many constituent queries that re-read the
-/// *same* delta ranges (the forward query and every compensation query in
-/// its subtree share delta slots). Each [`DeltaStore::range`] call copies
-/// the slice; this cache materializes a range once per step and hands out
-/// shared read-only [`Arc`]s instead.
-///
-/// Soundness: a range `(a, b]` with `b` at or below the capture HWM never
-/// changes — capture appends above it, and a prune only drops whole
-/// records below the store's floor without rewriting any — so a cached
-/// entry can be served for as long as it is held. Epoch advancement is
-/// purely a *memory bound*: when the caller's epoch — the propagation
-/// HWM, which advances only as steps complete — moves past the one the
-/// entries were computed under, the step that shared them has moved on
-/// and the whole cache is dropped ([`ScanCache::advance_epoch`]). The
-/// *capture* HWM would be the wrong epoch: it advances on every
-/// concurrent updater commit and would evict a live step's working set.
-#[derive(Default)]
-pub struct ScanCache {
-    inner: RwLock<ScanCacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rows_served: AtomicU64,
-}
-
-impl ScanCache {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The propagation HWM the current entries were materialized under.
-    pub fn epoch(&self) -> Csn {
-        self.inner.read().epoch
-    }
-
-    /// Step-scope the cache: when the propagation HWM has advanced past
-    /// the epoch of the live entries, drop them all. Entries stay correct
-    /// regardless (cached ranges are immutable); this bounds memory to one
-    /// step's working set.
-    pub fn advance_epoch(&self, hwm: Csn) {
-        if self.inner.read().epoch >= hwm {
-            return;
-        }
-        let mut inner = self.inner.write();
-        if inner.epoch < hwm {
-            inner.epoch = hwm;
-            inner.ranges.clear();
-        }
-    }
-
-    /// Look up `(table, interval)`, materializing it with `fetch` on a
-    /// miss. Returns the shared rows and whether this was a hit.
-    pub fn get_or_fetch(
-        &self,
-        table: TableId,
-        interval: TimeInterval,
-        fetch: impl FnOnce() -> Result<Vec<DeltaRow>>,
-    ) -> Result<(Arc<Vec<DeltaRow>>, bool)> {
-        let key = (table, interval);
-        if let Some(rows) = self.inner.read().ranges.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.rows_served
-                .fetch_add(rows.len() as u64, Ordering::Relaxed);
-            return Ok((rows.clone(), true));
-        }
-        // Materialize outside the write lock; racing fetchers of the same
-        // range do duplicate work at most once.
-        let rows = Arc::new(fetch()?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.write();
-        Ok((inner.ranges.entry(key).or_insert(rows).clone(), false))
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.inner.read().ranges.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> ScanCacheStats {
-        ScanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            rows_served: self.rows_served.load(Ordering::Relaxed),
-            entries: self.len() as u64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,46 +650,6 @@ mod tests {
         assert_eq!(vd.rows.read().len(), 2, "created buckets are removed");
         vd.truncate_to(&vd.insert_rows(Vec::new()));
         assert_eq!(vd.range(TimeInterval::new(0, 10)), before);
-    }
-
-    #[test]
-    fn scan_cache_hits_and_serves_shared_rows() {
-        let d = DeltaStore::new(TableId(1));
-        d.append_commit(1, [(1, tup![10])]);
-        d.append_commit(2, [(1, tup![20])]);
-        let cache = ScanCache::new();
-        let iv = TimeInterval::new(0, 2);
-        let (a, hit) = cache
-            .get_or_fetch(TableId(1), iv, || Ok(d.range(iv)))
-            .unwrap();
-        assert!(!hit);
-        assert_eq!(a.len(), 2);
-        let (b, hit) = cache
-            .get_or_fetch(TableId(1), iv, || panic!("must not refetch"))
-            .unwrap();
-        assert!(hit);
-        assert!(Arc::ptr_eq(&a, &b), "hit returns the same allocation");
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.rows_served, s.entries), (1, 1, 2, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn scan_cache_epoch_advance_clears() {
-        let cache = ScanCache::new();
-        let iv = TimeInterval::new(0, 3);
-        cache
-            .get_or_fetch(TableId(1), iv, || Ok(vec![DeltaRow::change(1, 1, tup![1])]))
-            .unwrap();
-        cache.advance_epoch(3);
-        assert_eq!(cache.len(), 0, "newer HWM drops the step's entries");
-        assert_eq!(cache.epoch(), 3);
-        // Same HWM again: entries from the current step survive.
-        cache
-            .get_or_fetch(TableId(1), iv, || Ok(vec![DeltaRow::change(1, 1, tup![1])]))
-            .unwrap();
-        cache.advance_epoch(3);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

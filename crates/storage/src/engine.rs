@@ -97,6 +97,9 @@ pub struct Engine {
     inner: Arc<EngineInner>,
 }
 
+/// The lock (deadlock) timeout of [`Engine::new`] and of a recovered engine.
+const DEFAULT_LOCK_TIMEOUT: Duration = Duration::from_secs(2);
+
 impl Default for Engine {
     fn default() -> Self {
         Self::new()
@@ -104,14 +107,20 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// A fresh engine with the default 2-second lock timeout.
+    /// A fresh engine with the default lock timeout.
     pub fn new() -> Self {
-        Self::with_lock_timeout(Duration::from_secs(2))
+        Self::with_lock_timeout(DEFAULT_LOCK_TIMEOUT)
     }
 
     /// A fresh engine with a configurable lock (deadlock) timeout.
     pub fn with_lock_timeout(timeout: Duration) -> Self {
-        let wal = Arc::new(Wal::new());
+        Self::with_wal(Wal::new(), timeout)
+    }
+
+    /// An engine with an empty catalog over `wal`, whose capture starts at
+    /// the log's first record.
+    fn with_wal(wal: Wal, timeout: Duration) -> Self {
+        let wal = Arc::new(wal);
         let capture_hwm = Arc::new(AtomicU64::new(0));
         Engine {
             inner: Arc::new(EngineInner {
@@ -654,11 +663,9 @@ impl Engine {
     /// that time. An image that logged MV contents (an MV created as a
     /// base or view-owned table) replays them like any other table.
     pub fn recover_from_bytes(bytes: &[u8]) -> Result<Engine> {
-        let engine = Engine::new();
-        let records = Wal::recover(bytes)?;
-        // Reconstruct the WAL so the recovered engine appends where the
-        // old one stopped.
-        engine.inner.wal.replace_from_bytes(bytes)?;
+        // The recovered engine appends where the old one stopped.
+        let (wal, records) = Wal::from_bytes(bytes)?;
+        let engine = Engine::with_wal(wal, DEFAULT_LOCK_TIMEOUT);
 
         let mut staged: Map<TxnId, Vec<(TableId, i64, Tuple)>> = Map::default();
         let mut max_txn = 0u64;

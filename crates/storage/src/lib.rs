@@ -33,7 +33,7 @@ pub mod uow;
 pub mod wal;
 
 pub use capture::Capture;
-pub use delta::{CompactionStats, DeltaStore, ScanCache, ScanCacheStats, ViewDeltaStore};
+pub use delta::{CompactionStats, DeltaStore, ViewDeltaStore};
 pub use engine::{Engine, ReadFloor, Txn};
 pub use lock::{
     stripe_of, GranStats, GranStatsSnapshot, LockGranularity, LockKey, LockManager, LockMode,

@@ -560,78 +560,44 @@ impl Wal {
         Ok((payload, off + 8 + len))
     }
 
-    fn decode_frame(bytes: &[u8], off: usize) -> Result<(WalRecord, usize)> {
-        let (payload, next) = Self::frame_payload(bytes, off)?;
-        Ok((WalRecord::decode(payload)?, next))
-    }
-
     /// Snapshot the raw encoded bytes (for recovery tests / persistence).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         self.inner.lock().bytes.clone()
     }
 
-    /// Replace this log's contents with the decodable prefix of an encoded
-    /// image (recovery: the new engine continues appending where the old
-    /// one stopped).
-    pub fn replace_from_bytes(&self, bytes: &[u8]) -> Result<()> {
-        let rebuilt = Wal::from_bytes(bytes)?;
-        let mut mine = self.inner.lock();
-        let theirs = rebuilt.inner.into_inner();
-        mine.bytes = theirs.bytes;
-        mine.offsets = theirs.offsets;
-        Ok(())
-    }
-
-    /// Rebuild a log from an encoded image (the decodable prefix of it —
-    /// a torn tail is dropped, as in [`Wal::recover`]), so an engine can
-    /// continue appending where the old one stopped.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Wal> {
-        let mut offsets = Vec::new();
+    /// Rebuild a log from an encoded image, in one scan that checks each
+    /// frame's CRC and decodes its record once: the log of the image's
+    /// decodable prefix, so an engine can continue appending where the old
+    /// one stopped, and that prefix's records. A torn tail (truncated final
+    /// frame) ends the scan cleanly; a CRC mismatch or an undecodable
+    /// record inside the prefix is an error.
+    pub fn from_bytes(bytes: &[u8]) -> Result<(Wal, Vec<WalRecord>)> {
+        let (mut offsets, mut records) = (Vec::new(), Vec::new());
         let mut off = 0usize;
-        while off < bytes.len() {
-            if off + 8 > bytes.len() {
-                break;
-            }
+        // A torn write can leave a partial frame at the tail.
+        while off + 8 <= bytes.len() {
             let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
             if off + 8 + len > bytes.len() {
                 break;
             }
-            Self::decode_frame(bytes, off)?; // validates CRC + payload
+            let (payload, next) = Self::frame_payload(bytes, off)?;
+            records.push(WalRecord::decode(payload)?);
             offsets.push(off);
-            off += 8 + len;
+            off = next;
         }
-        Ok(Wal {
+        let wal = Wal {
             inner: Mutex::new(WalInner {
                 bytes: bytes[..off].to_vec(),
                 offsets,
             }),
-        })
+        };
+        Ok((wal, records))
     }
 
-    /// Replay an encoded log image, returning the decodable prefix of
-    /// records. A torn tail (truncated final frame) ends the scan cleanly;
-    /// a CRC mismatch inside the prefix is an error.
+    /// The records of an encoded log image's decodable prefix
+    /// ([`Wal::from_bytes`] without the log).
     pub fn recover(bytes: &[u8]) -> Result<Vec<WalRecord>> {
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        while off < bytes.len() {
-            // A torn write can leave a partial frame at the tail.
-            if off + 8 > bytes.len() {
-                break;
-            }
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-            if off + 8 + len > bytes.len() {
-                break;
-            }
-            match Self::decode_frame(bytes, off) {
-                Ok((rec, next)) => {
-                    out.push(rec);
-                    off = next;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(out)
+        Ok(Self::from_bytes(bytes)?.1)
     }
 }
 

@@ -1,7 +1,6 @@
 //! Parallel propagation in a nutshell: run one `ComputeDelta` over a
 //! 4-way chain view with a worker pool, then print the executor
-//! instrumentation — worker busy time, queue depth, and the hit rates of
-//! the step-scoped delta-scan and join-build caches.
+//! instrumentation — queries, rows, worker busy time and queue depth.
 //!
 //! ```sh
 //! cargo run --example parallel_propagation
@@ -37,12 +36,7 @@ fn main() {
         s.query_wall_nanos as f64 / 1e6
     );
     println!(
-        "scan cache             {} hits / {} misses ({} rows served)",
-        s.scan_cache_hits, s.scan_cache_misses, s.scan_cache_rows
-    );
-    let b = ctx.build_cache.stats();
-    println!(
-        "build cache            {} hits / {} misses ({} live)",
-        b.hits, b.misses, b.entries
+        "rows read              {} base / {} delta",
+        s.base_rows_read, s.delta_rows_read
     );
 }

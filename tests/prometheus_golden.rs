@@ -105,9 +105,6 @@ rolljoin_query_lock_wait_us_count 74
 rolljoin_query_wall_us_count 74
 rolljoin_rows_read_total{slot=\"base\"} 174
 rolljoin_rows_read_total{slot=\"delta\"} 129
-rolljoin_scan_cache_rows_total 34
-rolljoin_scan_cache_total{outcome=\"hit\"} 22
-rolljoin_scan_cache_total{outcome=\"miss\"} 52
 rolljoin_steps_skipped_empty_total 46
 rolljoin_steps_total{kind=\"apply\"} 1
 rolljoin_steps_total{kind=\"compaction\"} 1
