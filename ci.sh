@@ -56,6 +56,18 @@ for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
     done
 done
 
+echo "== live benchmark: star_dim_churn (n = 4 compensation under dimension churn) ends oracle-correct =="
+# Not a BENCHMARK.json workload: the only live run where ImmediateBox
+# compensation meets dimension churn, and the one most exposed to
+# table-lock contention.
+result=$(livebench/target/release/livebench \
+    --workload star_dim_churn --seed 7 --seconds 3 --trace 0 | tail -n 1)
+echo "star_dim_churn (trace 0): $result"
+if ! grep -q '"correct": true' <<<"$result"; then
+    echo "livebench star_dim_churn: oracle check failed" >&2
+    exit 1
+fi
+
 echo "== rustfmt =="
 cargo fmt --all --check
 cargo fmt --check --manifest-path livebench/Cargo.toml

@@ -11,7 +11,6 @@ pub mod observe_exp;
 pub mod parallel_exp;
 pub mod refresh;
 pub mod rolling_exp;
-pub mod striped_exp;
 pub mod sync_async;
 pub mod timeline;
 
@@ -111,11 +110,6 @@ pub fn all() -> Vec<Experiment> {
             "e16",
             "parallel propagation — worker sweep",
             parallel_exp::e16,
-        ),
-        (
-            "e17",
-            "striped locking — granularity × workers × think-time",
-            striped_exp::e17,
         ),
         (
             "e18",

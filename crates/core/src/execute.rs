@@ -26,6 +26,15 @@ use rolljoin_storage::{Engine, LockMode, ReadFloor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Base-slot pushdown threshold: probe an indexed base slot only while
+/// `delta keys × PROBE_SCAN_RATIO < distinct table keys`; otherwise scan.
+const PROBE_SCAN_RATIO: usize = 4;
+
+/// Delta-slot pushdown threshold. The posting-slice count is exact, so the
+/// rule is `estimated rows × DELTA_PROBE_RATIO < range rows`: probe
+/// whenever the keyed slice is strictly smaller than the range.
+const DELTA_PROBE_RATIO: usize = 1;
+
 /// Span context for one propagation query: where it sits in the
 /// `ComputeDelta` recursion tree. Passed by the propagation drivers to
 /// [`MaintCtx::execute_traced`] so every query span can be parented under
@@ -106,17 +115,14 @@ impl MaintCtx {
         self
     }
 
-    /// Replace the executor tuning. The lock granularity in the tuning is
-    /// applied to the shared engine — set it before concurrent activity.
-    /// A changed `tuning.obs` level rebuilds the tracing handle (spans and
-    /// journal, not the metrics registry), so set it before handing clones
-    /// to drivers or workers.
+    /// Replace the executor tuning. A changed `tuning.obs` level rebuilds
+    /// the tracing handle (spans and journal, not the metrics registry), so
+    /// set it before handing clones to drivers or workers.
     pub fn with_tuning(mut self, tuning: ExecTuning) -> Self {
         if tuning.obs != self.tuning.obs {
             self.obs = Obs::new(tuning.obs);
         }
         self.tuning = tuning;
-        self.engine.set_lock_granularity(tuning.lock_granularity);
         self
     }
 
@@ -130,14 +136,6 @@ impl MaintCtx {
     /// Set the parallel-executor worker count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.tuning.workers = workers.max(1);
-        self
-    }
-
-    /// Set the lock granularity (applied to the shared engine — set it
-    /// before concurrent activity starts).
-    pub fn with_lock_granularity(mut self, g: rolljoin_storage::LockGranularity) -> Self {
-        self.tuning.lock_granularity = g;
-        self.engine.set_lock_granularity(g);
         self
     }
 
@@ -260,18 +258,15 @@ impl MaintCtx {
     /// posting slice of `σ_{a,b}(Δ^R)`. Because fetched keyed slots become
     /// probe sources themselves, the keying cascades down a chain —
     /// `ΔR1`'s keys probe `σ`-ranges of `Δ^{R2}`, whose rows' keys probe
-    /// `R3`, and so on — so the transaction touches (and, under striped
-    /// locking, locks) rows proportional to the *delta*, not the tables or
-    /// the delta history depth. Probe-vs-scan decisions: base slots use
-    /// `keys × probe_scan_ratio < distinct table keys`; delta slots use
-    /// the *exact* posting-slice count, `estimate × delta_probe_ratio <
-    /// range rows`. Only when no fetched neighbor offers a cheap enough
-    /// probe does a slot fall back to a full fetch (range scan for deltas,
-    /// table-granularity S-locked scan for bases). Under table granularity
-    /// callers must already hold the base-table locks; under striped
-    /// granularity the fetches acquire IS + key-stripe S locks (or table S
-    /// for scans) on demand — keyed delta probes take the same footprint
-    /// as keyed base probes. With two or more delta slots, each delta slot
+    /// `R3`, and so on — so the transaction touches rows proportional to
+    /// the *delta*, not the tables or the delta history depth.
+    /// Probe-vs-scan decisions: base slots use `keys × PROBE_SCAN_RATIO <
+    /// distinct table keys`; delta slots use the *exact* posting-slice
+    /// count, `estimate × DELTA_PROBE_RATIO < range rows`. Only when no
+    /// fetched neighbor offers a cheap enough probe does a slot fall back
+    /// to a full fetch (range scan for deltas, S-locked scan for bases).
+    /// Callers must already hold the base-table S locks; delta fetches
+    /// take none. With two or more delta slots, each delta slot
     /// is netted exactly as it is fetched ([`PropQuery::net_clamp`]), so
     /// the netted rows also shrink the key sets that probe its neighbors.
     pub fn fetch_slots(
@@ -367,14 +362,14 @@ impl MaintCtx {
                                 .delta_keyed_estimate(base, iv, local_col, &keys)?
                                 .unwrap_or(usize::MAX);
                             let range = self.engine.delta_count(base, iv)?;
-                            if est.saturating_mul(self.tuning.delta_probe_ratio) >= range.max(1) {
+                            if est.saturating_mul(DELTA_PROBE_RATIO) >= range.max(1) {
                                 continue;
                             }
                         }
                         // Base side: probing beats scanning only while the
                         // key set is small relative to the table.
                         None => {
-                            if keys.len() * self.tuning.probe_scan_ratio
+                            if keys.len() * PROBE_SCAN_RATIO
                                 >= self.engine.table_distinct(base)?.max(1)
                             {
                                 continue;
@@ -501,35 +496,23 @@ impl MaintCtx {
             self.ensure_captured(hi)?;
         }
         let mut txn = self.engine.begin();
-        // Table granularity: pre-lock base-table slots S in TableId order
-        // (deadlock avoidance among maintenance transactions). The view
-        // delta table's X lock is taken lazily by `vd_write` — after the
-        // fetch and join — so writers contend on it only for the
-        // insert+commit tail of the query; the lock order is still
-        // globally consistent because the view delta table was created
-        // after every base (larger `TableId`).
-        //
-        // Striped granularity: no pre-lock. The fetches take IS + the S
-        // stripes of their key sets (or table S for full scans) as they
-        // run, so a keyed probe conflicts only with updaters of colliding
-        // keys. Acquisition order is no longer global, but maintenance
-        // transactions hold only shared/intent-shared base locks — which
-        // are mutually compatible — plus the vd-table X last, so they
-        // cannot deadlock each other; cycles through updaters are
-        // resolved by lock timeout and retry, same as at table grain.
-        if self.engine.lock_granularity() == rolljoin_storage::LockGranularity::Table {
-            let mut lock_order: Vec<_> = q
-                .slots
-                .iter()
-                .zip(&view.bases)
-                .filter(|(s, _)| !s.is_delta())
-                .map(|(_, t)| *t)
-                .collect();
-            lock_order.sort();
-            lock_order.dedup();
-            for t in lock_order {
-                txn.lock(t, LockMode::Shared)?;
-            }
+        // Pre-lock base-table slots S in TableId order (deadlock avoidance
+        // among maintenance transactions). The view delta table's X lock
+        // is taken lazily by `vd_write` — after the fetch and join — so
+        // writers contend on it only for the insert+commit tail of the
+        // query; the lock order is still globally consistent because the
+        // view delta table was created after every base (larger `TableId`).
+        let mut lock_order: Vec<_> = q
+            .slots
+            .iter()
+            .zip(&view.bases)
+            .filter(|(s, _)| !s.is_delta())
+            .map(|(_, t)| *t)
+            .collect();
+        lock_order.sort();
+        lock_order.dedup();
+        for t in lock_order {
+            txn.lock(t, LockMode::Shared)?;
         }
 
         let slot_rows = {
@@ -776,35 +759,30 @@ mod tests {
     }
 
     #[test]
-    fn probe_scan_ratio_tunes_pushdown_boundary() {
-        let (ctx, r, s) = two_table_ctx();
-        let e = &ctx.engine;
-        e.create_index(s, 0).unwrap();
-        // 50 distinct s-rows; the delta carries 10 distinct join keys, so
-        // the probe/scan decision flips exactly at ratio 5 (10×5 ≥ 50).
-        let mut w = e.begin();
-        for i in 0..50i64 {
-            w.insert(s, tup![i, i]).unwrap();
-        }
-        w.commit().unwrap();
-        let mut w = e.begin();
-        for i in 0..10i64 {
-            w.insert(r, tup![i, i]).unwrap();
-        }
-        let c = w.commit().unwrap();
-        let q = PropQuery::all_base(2).with_delta(0, TimeInterval::new(c - 1, c));
-
-        let probing = ctx
-            .clone()
-            .with_tuning(crate::policy::ExecTuning::sequential().with_probe_scan_ratio(4));
-        let out = probing.execute(&q, 1).unwrap();
-        assert_eq!(out.stats.rows_in[1], 10, "10×4 < 50 → probe");
-
-        let scanning = ctx
-            .clone()
-            .with_tuning(crate::policy::ExecTuning::sequential().with_probe_scan_ratio(5));
-        let out = scanning.execute(&q, 1).unwrap();
-        assert_eq!(out.stats.rows_in[1], 50, "10×5 ≥ 50 → scan");
+    fn probe_scan_constant_sets_pushdown_boundary() {
+        // A delta with 10 distinct join keys probes an indexed table while
+        // 10 × PROBE_SCAN_RATIO (= 40) is below its distinct keys, and
+        // scans it from 40 on.
+        let rows_in = |table_keys: i64| {
+            let (ctx, r, s) = two_table_ctx();
+            let e = &ctx.engine;
+            e.create_index(s, 0).unwrap();
+            let mut w = e.begin();
+            for i in 0..table_keys {
+                w.insert(s, tup![i, i]).unwrap();
+            }
+            w.commit().unwrap();
+            let mut w = e.begin();
+            for i in 0..10i64 {
+                w.insert(r, tup![i, i]).unwrap();
+            }
+            let c = w.commit().unwrap();
+            let q = PropQuery::all_base(2).with_delta(0, TimeInterval::new(c - 1, c));
+            ctx.execute(&q, 1).unwrap().stats.rows_in[1]
+        };
+        assert_eq!(PROBE_SCAN_RATIO, 4);
+        assert_eq!(rows_in(41), 10, "10×4 < 41 → probe");
+        assert_eq!(rows_in(40), 40, "10×4 ≥ 40 → scan");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crate::execute::MaintCtx;
 use rolljoin_common::{Csn, Result};
-use rolljoin_storage::LockGranularity;
 use std::time::Duration;
 
 /// Executor tuning knobs, separate from the interval policy: the interval
@@ -22,26 +21,6 @@ pub struct ExecTuning {
     /// its own strict-2PL transaction. A round that would use one thread
     /// runs inline on the calling thread.
     pub workers: usize,
-    /// Index-probe-vs-scan pushdown threshold: probe an indexed base slot
-    /// only while `delta keys × ratio < distinct table keys`; otherwise
-    /// scan. Larger values scan sooner.
-    pub probe_scan_ratio: usize,
-    /// Probe-vs-scan threshold for delta slots — a pending `σ_{a,b}(Δ^R)`
-    /// slot whose join column carries a keyed time-range index may be
-    /// probed by an already-fetched neighbor's keys. Unlike the base-side
-    /// heuristic (key count × ratio vs distinct keys), the delta side has
-    /// an *exact* matching-row count from posting-list slice lengths, so
-    /// the rule is `estimated rows × ratio < range rows`. Larger values
-    /// scan sooner; `1` probes whenever the keyed slice is strictly
-    /// smaller than the range.
-    pub delta_probe_ratio: usize,
-    /// Lock granularity for base-table reads and writes. `Table` is the
-    /// seed behavior (whole-table S/X); `Striped(n)` takes intention
-    /// locks at the table plus S/X on `hash(key) % n` stripes, so keyed
-    /// probes conflict only with updaters of colliding keys. Applied to
-    /// the engine by [`MaintCtx::with_tuning`] — set it before concurrent
-    /// activity starts.
-    pub lock_granularity: LockGranularity,
     /// Whether the maintenance paths record spans and the propagation
     /// journal: `Off` (the default) or `Full`. Metrics are not gated —
     /// the context's registry always records. Applied to the context by
@@ -56,17 +35,14 @@ impl Default for ExecTuning {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(4),
-            probe_scan_ratio: 4,
-            delta_probe_ratio: 1,
-            lock_granularity: LockGranularity::Table,
             obs: rolljoin_obs::ObsConfig::Off,
         }
     }
 }
 
 impl ExecTuning {
-    /// Sequential tuning (a pool of one worker, so every round runs inline;
-    /// default pushdown threshold).
+    /// Sequential tuning (a pool of one worker, so every round runs
+    /// inline).
     pub fn sequential() -> Self {
         ExecTuning {
             workers: 1,
@@ -77,24 +53,6 @@ impl ExecTuning {
     /// Set the worker count (clamped to ≥ 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Set the probe-vs-scan threshold (clamped to ≥ 1).
-    pub fn with_probe_scan_ratio(mut self, ratio: usize) -> Self {
-        self.probe_scan_ratio = ratio.max(1);
-        self
-    }
-
-    /// Set the delta-slot probe-vs-scan threshold (clamped to ≥ 1).
-    pub fn with_delta_probe_ratio(mut self, ratio: usize) -> Self {
-        self.delta_probe_ratio = ratio.max(1);
-        self
-    }
-
-    /// Set the lock granularity.
-    pub fn with_lock_granularity(mut self, g: LockGranularity) -> Self {
-        self.lock_granularity = g;
         self
     }
 
@@ -249,30 +207,10 @@ mod tests {
     fn exec_tuning_defaults_and_builders() {
         let t = ExecTuning::default();
         assert!((1..=4).contains(&t.workers));
-        assert_eq!(t.probe_scan_ratio, 4);
         assert_eq!(ExecTuning::sequential().workers, 1);
-        let t = ExecTuning::sequential()
-            .with_workers(0)
-            .with_probe_scan_ratio(0);
+        let t = ExecTuning::sequential().with_workers(0);
         assert_eq!(t.workers, 1);
-        assert_eq!(t.probe_scan_ratio, 1);
         assert_eq!(ExecTuning::sequential().with_workers(8).workers, 8);
-        assert_eq!(t.delta_probe_ratio, 1);
-        let t2 = ExecTuning::sequential().with_delta_probe_ratio(0);
-        assert_eq!(t2.delta_probe_ratio, 1, "ratio clamps to ≥ 1");
-        assert_eq!(
-            ExecTuning::sequential()
-                .with_delta_probe_ratio(3)
-                .delta_probe_ratio,
-            3
-        );
-        assert_eq!(t.lock_granularity, LockGranularity::Table);
-        assert_eq!(
-            ExecTuning::sequential()
-                .with_lock_granularity(LockGranularity::Striped(64))
-                .lock_granularity,
-            LockGranularity::Striped(64)
-        );
         assert_eq!(t.obs, rolljoin_obs::ObsConfig::Off);
         assert_eq!(
             ExecTuning::sequential()

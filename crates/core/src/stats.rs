@@ -107,9 +107,9 @@ pub struct PropStatsSnapshot {
     pub query_wall_nanos: u64,
     /// Nanoseconds propagation transactions spent blocked on locks,
     /// summed over all committed queries — the portion of
-    /// `query_wall_nanos` that is contention, not work. Per-granularity
-    /// breakdowns (table vs stripe, with wait-time histograms) live on
-    /// the engine's lock manager: `engine.locks().stats().snapshot_full()`.
+    /// `query_wall_nanos` that is contention, not work. The wait-time
+    /// histogram lives on the engine's lock manager:
+    /// `engine.locks().stats().snapshot_full()`.
     pub lock_wait_nanos: u64,
     /// Deepest the worker's pending-unit queue ever got.
     pub max_queue_depth: u64,
@@ -407,56 +407,51 @@ impl CompactionReport {
     }
 }
 
-/// One-line lock-wait breakdown of a per-granularity lock snapshot, for
-/// propagation summaries and the E17 report: waits/timeouts/mean wait at
-/// each granularity.
+/// One-line lock-wait summary of a lock snapshot, for propagation
+/// summaries: waits, timeouts and mean wait.
 pub fn format_lock_breakdown(s: &LockStatsSnapshot) -> String {
     format!(
-        "lock waits: table {} ({} timeouts, mean {:?}) | stripe {} ({} timeouts, mean {:?})",
+        "lock waits: table {} ({} timeouts, mean {:?})",
         s.table.waits,
         s.table.timeouts,
         s.table.mean_wait(),
-        s.stripe.waits,
-        s.stripe.timeouts,
-        s.stripe.mean_wait(),
     )
 }
 
-/// Mirror the lock manager's per-granularity counters and wait-time
-/// histograms into `meter` (absolute fold on scrape: the lock manager owns
-/// the counters, the registry just exposes them).
+/// Mirror the lock manager's counters and wait-time histogram into `meter`
+/// (absolute fold on scrape: the lock manager owns the counters, the
+/// registry just exposes them).
 pub(crate) fn fold_lock_stats(meter: &Meter, s: &LockStatsSnapshot) {
-    for (gran, g) in [("table", &s.table), ("stripe", &s.stripe)] {
-        let label = Some(("gran", gran));
-        meter
-            .counter_l(
-                "rolljoin_lock_waits_total",
-                label,
-                "Lock acquisitions that blocked, by granularity.",
-            )
-            .set(g.waits);
-        meter
-            .counter_l(
-                "rolljoin_lock_acquisitions_total",
-                label,
-                "Lock acquisitions, by granularity.",
-            )
-            .set(g.acquisitions);
-        meter
-            .counter_l(
-                "rolljoin_lock_timeouts_total",
-                label,
-                "Lock timeouts (deadlock resolutions), by granularity.",
-            )
-            .set(g.timeouts);
-        meter
-            .histogram_l(
-                "rolljoin_lock_wait_us",
-                label,
-                "Lock wait times, by granularity, microseconds.",
-            )
-            .set_buckets(&g.wait_hist_us, g.wait_nanos / 1_000);
-    }
+    let g = &s.table;
+    let label = Some(("gran", "table"));
+    meter
+        .counter_l(
+            "rolljoin_lock_waits_total",
+            label,
+            "Lock acquisitions that blocked.",
+        )
+        .set(g.waits);
+    meter
+        .counter_l(
+            "rolljoin_lock_acquisitions_total",
+            label,
+            "Lock acquisitions.",
+        )
+        .set(g.acquisitions);
+    meter
+        .counter_l(
+            "rolljoin_lock_timeouts_total",
+            label,
+            "Lock timeouts (deadlock resolutions).",
+        )
+        .set(g.timeouts);
+    meter
+        .histogram_l(
+            "rolljoin_lock_wait_us",
+            label,
+            "Lock wait times, microseconds.",
+        )
+        .set_buckets(&g.wait_hist_us, g.wait_nanos / 1_000);
 }
 
 /// Mirror store-level pruning totals into `meter` (absolute fold on
@@ -600,16 +595,13 @@ mod tests {
         s.table.waits = 2;
         s.table.timeouts = 1;
         s.table.wait_nanos = 2_000_000; // mean 1ms
-        s.stripe.waits = 4;
-        s.stripe.timeouts = 0;
-        s.stripe.wait_nanos = 2_000; // mean 500ns
         assert_eq!(
             format_lock_breakdown(&s),
-            "lock waits: table 2 (1 timeouts, mean 1ms) | stripe 4 (0 timeouts, mean 500ns)"
+            "lock waits: table 2 (1 timeouts, mean 1ms)"
         );
         assert_eq!(
             format_lock_breakdown(&LockStatsSnapshot::default()),
-            "lock waits: table 0 (0 timeouts, mean 0ns) | stripe 0 (0 timeouts, mean 0ns)"
+            "lock waits: table 0 (0 timeouts, mean 0ns)"
         );
     }
 
@@ -653,6 +645,5 @@ mod tests {
         assert_eq!(snap.query_wall_nanos, 12_000);
         let line = format_lock_breakdown(&LockStatsSnapshot::default());
         assert!(line.contains("table 0"));
-        assert!(line.contains("stripe 0"));
     }
 }

@@ -17,7 +17,7 @@ use rolljoin_core::{
     MaintCtx, MaterializedView, PropQuery, ViewDef,
 };
 use rolljoin_relalg::{add, negate, net_effect, JoinSpec, NetEffect};
-use rolljoin_storage::{Engine, LockGranularity};
+use rolljoin_storage::Engine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -269,19 +269,14 @@ fn recursion_probes_cut_delta_rows_read() {
 }
 
 /// Keyed probes racing live updater transactions and a background
-/// compactor under striped locking: postings are appended by capture and
-/// popped by prunes while probes read them; the final rolled MV must equal
-/// the oracle state.
+/// compactor: postings are appended by capture and popped by prunes while
+/// probes read them; the final rolled MV must equal the oracle state.
 #[test]
 fn probes_with_concurrent_updaters_and_compactor_match_oracle() {
     const N: usize = 3;
     const KEYS: i64 = 8;
     let (ctx, tables) = chain("dcc", N, true);
-    let ctx = ctx.with_tuning(
-        ExecTuning::default()
-            .with_workers(2)
-            .with_lock_granularity(LockGranularity::Striped(64)),
-    );
+    let ctx = ctx.with_tuning(ExecTuning::default().with_workers(2));
     let mat = materialize(&ctx).unwrap();
     let mut txn = ctx.engine.begin();
     for k in 0..KEYS {

@@ -1,16 +1,13 @@
 //! Slot sources: where a propagation query's slots read their rows.
 //!
 //! A slot is bound to either the **base table** (read transactionally at
-//! the query's execution time, under a table-granularity S lock held to
-//! commit so "seen at the commit time" is literally true), a **delta
+//! the query's execution time, under a table S lock held to commit so "seen at the commit time" is literally true), a **delta
 //! range** `R_{a,b}` (an immutable, capture-complete slice — no lock
 //! needed), or, for oracles and the paper's unrealizable Equation 2
 //! baseline only, a **time-travel** state `R_a`: the live table, read
 //! under its S lock, rewound by its delta suffix. A keyed probe
 //! ([`SlotSource::BaseKeyed`]) reads the base table restricted to an
-//! index key set; under striped lock granularity it takes IS at the table
-//! plus S on only the stripes its keys hash to, so it conflicts with
-//! updaters of colliding keys instead of the whole table.
+//! index key set, under the same table S lock.
 
 use crate::exec::SlotInput;
 use rolljoin_common::hash::Set;
@@ -33,8 +30,8 @@ pub enum SlotSource {
     /// already-fetched neighbor slot (a delta, or a base slot itself
     /// fetched keyed), sound because every join result must match the
     /// neighbor on the equi column. This is what makes
-    /// maintenance-transaction size — and, under striped locking, the
-    /// locked footprint — track the delta size instead of the table size.
+    /// maintenance-transaction size track the delta size instead of the
+    /// table size.
     BaseKeyed {
         table: TableId,
         col: usize,
@@ -44,10 +41,9 @@ pub enum SlotSource {
     /// rows of `σ_{a,b}(Δ^{R^i})` whose `col` matches one of `keys` — the
     /// delta-side analogue of [`SlotSource::BaseKeyed`]. Each key resolves
     /// to a binary-search slice of that key's CSN-ordered posting list, so
-    /// cost tracks matching rows instead of the whole range. Under striped
-    /// granularity the probe takes the same IS + key-stripe S footprint as
-    /// a keyed base probe; below the capture HWM the read itself is
-    /// lock-free against immutable history.
+    /// cost tracks matching rows instead of the whole range. Like every
+    /// delta read it takes no lock: below the capture HWM the history is
+    /// immutable.
     DeltaKeyed {
         table: TableId,
         interval: TimeInterval,
@@ -77,10 +73,9 @@ impl std::fmt::Display for SlotSource {
     }
 }
 
-/// Fetch the rows of one slot. Base and as-of reads go through `txn`
-/// (acquiring a table S lock for full scans and time travel, or — under
-/// striped granularity — IS plus key-stripe S locks for keyed probes);
-/// delta reads are lock-free against immutable history. The rows are the
+/// Fetch the rows of one slot. Base and as-of reads go through `txn`,
+/// which takes the table's S lock; delta reads are lock-free against
+/// immutable history. The rows are the
 /// caller's own. A keyed base probe keeps the per-key grouping its index
 /// lookup returns ([`SlotInput::grouped`]), so a join on the probed column
 /// need not re-hash its rows.

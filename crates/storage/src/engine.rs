@@ -25,7 +25,7 @@
 
 use crate::capture::Capture;
 use crate::delta::{DeltaStore, ViewDeltaStore};
-use crate::lock::{stripe_of, stripes_for, LockGranularity, LockKey, LockManager, LockMode};
+use crate::lock::{LockManager, LockMode};
 use crate::signal::Signal;
 use crate::table::{add_count, BaseTable};
 use crate::uow::UnitOfWork;
@@ -73,13 +73,6 @@ struct EngineInner {
     locks: Arc<LockManager>,
     uow: UnitOfWork,
     commit_mutex: Mutex<()>,
-    /// Lock granularity: 0 = table, n > 0 = striped with n stripes.
-    /// Encoded in an atomic so `Engine` clones share the knob; set it
-    /// before concurrent activity starts — changing the stripe count while
-    /// transactions hold stripe locks is unsound (`hash % n1` and
-    /// `hash % n2` disagree on which stripe a key maps to, so a reader and
-    /// a writer of the same key could miss each other's locks).
-    granularity: AtomicU32,
     last_csn: AtomicU64,
     capture: Mutex<Capture>,
     capture_hwm: Arc<AtomicU64>,
@@ -132,7 +125,6 @@ impl Engine {
                 locks: Arc::new(LockManager::new(timeout)),
                 uow: UnitOfWork::new(),
                 commit_mutex: Mutex::new(()),
-                granularity: AtomicU32::new(0),
                 last_csn: AtomicU64::new(0),
                 capture: Mutex::new(Capture::new(wal, capture_hwm.clone())),
                 capture_hwm,
@@ -329,37 +321,6 @@ impl Engine {
     /// The lock manager (exposed for stats and pre-locking).
     pub fn locks(&self) -> &LockManager {
         &self.inner.locks
-    }
-
-    /// The lock granularity base-table reads and writes run at.
-    pub fn lock_granularity(&self) -> LockGranularity {
-        match self.inner.granularity.load(Ordering::Acquire) {
-            0 => LockGranularity::Table,
-            n => LockGranularity::Striped(n),
-        }
-    }
-
-    /// Set the lock granularity. Must be called before concurrent
-    /// activity: transactions in flight keep the locks they already hold,
-    /// and changing the stripe *count* mid-flight would let key-granular
-    /// readers and writers hash the same key to different stripes.
-    pub fn set_lock_granularity(&self, g: LockGranularity) {
-        let enc = match g {
-            LockGranularity::Table => 0,
-            LockGranularity::Striped(n) => n.max(1),
-        };
-        self.inner.granularity.store(enc, Ordering::Release);
-    }
-
-    /// Columns of a base table with secondary indexes, ascending. Under
-    /// striped locking these are the columns whose values a writer must
-    /// stripe-lock (they are the columns keyed probes search by).
-    pub fn indexed_cols(&self, table: TableId) -> Result<Vec<usize>> {
-        let e = self.base_entry(table)?;
-        match &e.store {
-            TableStore::Base { table: t, .. } => Ok(t.lock().indexed_cols()),
-            _ => unreachable!("base_entry filters"),
-        }
     }
 
     /// The unit-of-work table.
@@ -797,7 +758,7 @@ pub struct Txn {
     /// then does an abort need an `Abort` record.
     logged: bool,
     undo: Vec<UndoOp>,
-    locked: Vec<LockKey>,
+    locked: Vec<TableId>,
     lock_wait: Duration,
 }
 
@@ -820,63 +781,15 @@ impl Txn {
         }
     }
 
-    /// Explicitly acquire a table-granularity lock (callers lock in
-    /// `TableId` order to avoid deadlocks; propagation queries pre-lock
-    /// all their tables this way under table granularity).
+    /// Explicitly acquire a table lock, tracking it for release at
+    /// commit/abort (callers lock in `TableId` order to avoid deadlocks;
+    /// propagation queries pre-lock all their tables this way).
     pub fn lock(&mut self, table: TableId, mode: LockMode) -> Result<()> {
-        self.lock_key(LockKey::table(table), mode)
-    }
-
-    /// Acquire a lock on an arbitrary resource (table or stripe),
-    /// tracking it for release at commit/abort.
-    pub fn lock_key(&mut self, key: LockKey, mode: LockMode) -> Result<()> {
         self.check_active()?;
-        let waited = self.engine.inner.locks.lock_key(self.id, key, mode)?;
+        let waited = self.engine.inner.locks.lock(self.id, table, mode)?;
         self.lock_wait += waited;
-        if !self.locked.contains(&key) {
-            self.locked.push(key);
-        }
-        Ok(())
-    }
-
-    /// Lock `table` for writing `tuples`. Table granularity: a plain X.
-    /// Striped: IX at the table plus X on the stripe of each indexed
-    /// column's value of each tuple — the stripes any keyed probe for
-    /// those tuples would S-lock. Stripes are acquired in ascending order
-    /// (after the table intention lock), matching the global
-    /// `(TableId, stripe)` order.
-    fn write_lock<'t>(
-        &mut self,
-        table: TableId,
-        tuples: impl IntoIterator<Item = &'t Tuple>,
-    ) -> Result<()> {
-        let n = match self.engine.lock_granularity() {
-            LockGranularity::Table => return self.lock(table, LockMode::Exclusive),
-            LockGranularity::Striped(n) => n.max(1),
-        };
-        // A table-granularity X (e.g. taken before striping was enabled,
-        // or by a whole-table writer) already covers every stripe.
-        if self
-            .engine
-            .inner
-            .locks
-            .holds_key(self.id, LockKey::table(table), LockMode::Exclusive)
-        {
-            return Ok(());
-        }
-        self.lock(table, LockMode::IntentExclusive)?;
-        let cols = self.engine.indexed_cols(table)?;
-        let mut stripes: Vec<u32> = tuples
-            .into_iter()
-            .flat_map(|tuple| {
-                cols.iter()
-                    .map(move |&col| stripe_of(col, tuple.get(col), n))
-            })
-            .collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        for s in stripes {
-            self.lock_key(LockKey::stripe(table, s), LockMode::Exclusive)?;
+        if !self.locked.contains(&table) {
+            self.locked.push(table);
         }
         Ok(())
     }
@@ -884,7 +797,7 @@ impl Txn {
     /// Insert one copy of `tuple` into `table`.
     pub fn insert(&mut self, table: TableId, tuple: Tuple) -> Result<()> {
         self.check_active()?;
-        self.write_lock(table, [&tuple])?;
+        self.lock(table, LockMode::Exclusive)?;
         let entry = self.engine.base_entry(table)?;
         match &entry.store {
             TableStore::Base { table: t, .. } => t.lock().insert(tuple.clone())?,
@@ -905,7 +818,7 @@ impl Txn {
     /// Delete one copy of `tuple` from `table`.
     pub fn delete_one(&mut self, table: TableId, tuple: &Tuple) -> Result<()> {
         self.check_active()?;
-        self.write_lock(table, [tuple])?;
+        self.lock(table, LockMode::Exclusive)?;
         let entry = self.engine.base_entry(table)?;
         match &entry.store {
             TableStore::Base { table: t, .. } => t.lock().delete_one(tuple)?,
@@ -1000,14 +913,7 @@ impl Txn {
     /// grouped by key in `keys` order. The second result bounds the
     /// groups: `keys[i]`'s rows are `rows[starts[i]..starts[i + 1]]`.
     /// Requires an index on `col`.
-    ///
-    /// Table granularity locks the whole table S (the seed behavior).
-    /// Striped granularity takes IS at the table plus S on only the
-    /// stripes the keys hash to — so the probe conflicts only with writers
-    /// of colliding keys, not with every updater of the table. Any write
-    /// that adds or removes a row matching one of `keys` must X-lock one
-    /// of those same stripes (via the indexed-column write path), which
-    /// also makes the probe phantom-safe at stripe precision.
+    /// Takes the table's S lock.
     pub fn lookup_keys(
         &mut self,
         table: TableId,
@@ -1015,10 +921,7 @@ impl Txn {
         keys: &[rolljoin_common::Value],
     ) -> Result<(Vec<DeltaRow>, Vec<u32>)> {
         self.check_active()?;
-        match self.engine.lock_granularity() {
-            LockGranularity::Table => self.lock(table, LockMode::Shared)?,
-            LockGranularity::Striped(_) => self.key_stripe_locks(table, col, keys)?,
-        }
+        self.lock(table, LockMode::Shared)?;
         let entry = self.engine.base_entry(table)?;
         match &entry.store {
             TableStore::Base { table: t, .. } => {
@@ -1047,42 +950,10 @@ impl Txn {
         }
     }
 
-    /// Take the keyed-probe stripe footprint on `(col, keys)`: IS at the
-    /// table plus S on the stripes the keys hash to, in ascending order —
-    /// skipped entirely when a table-granularity S (pre-locked by sync
-    /// propagation, or taken by an earlier full scan) already covers every
-    /// stripe.
-    fn key_stripe_locks(
-        &mut self,
-        table: TableId,
-        col: usize,
-        keys: &[rolljoin_common::Value],
-    ) -> Result<()> {
-        if self
-            .engine
-            .inner
-            .locks
-            .holds_key(self.id, LockKey::table(table), LockMode::Shared)
-        {
-            return Ok(());
-        }
-        let n = self.engine.lock_granularity().stripes().unwrap_or(1).max(1);
-        self.lock(table, LockMode::IntentShared)?;
-        for s in stripes_for(col, keys, n) {
-            self.lock_key(LockKey::stripe(table, s), LockMode::Shared)?;
-        }
-        Ok(())
-    }
-
     /// Keyed **delta** probe: `σ_{a,b}(Δ^R) ⋉ keys` on `col` of `table`'s
-    /// delta store. The read itself is lock-free below the capture HWM
-    /// (the range is immutable), but under striped locking the probe takes
-    /// the same IS + key-stripe S footprint as a keyed base probe via
-    /// [`Txn::lookup_keys`] — the probe's `(col, key)` set conflicts with
-    /// writers of colliding keys exactly like the base-table cascade, so
-    /// the two probe kinds are interchangeable to the lock hierarchy.
-    /// Table granularity takes no lock, matching the plain delta-scan
-    /// fetch path. `None` when `col` has no delta index.
+    /// delta store. Takes no lock, like every delta fetch: the range lies
+    /// below the capture HWM, so no commit can change it. `None` when
+    /// `col` has no delta index.
     pub fn delta_lookup_keys(
         &mut self,
         table: TableId,
@@ -1091,9 +962,6 @@ impl Txn {
         keys: &[rolljoin_common::Value],
     ) -> Result<Option<Vec<DeltaRow>>> {
         self.check_active()?;
-        if let LockGranularity::Striped(_) = self.engine.lock_granularity() {
-            self.key_stripe_locks(table, col, keys)?;
-        }
         self.engine.delta_range_keyed(table, interval, col, keys)
     }
 
@@ -1107,10 +975,8 @@ impl Txn {
     ///
     /// Consolidated: one [`WalRecord::Apply`] record per `(tuple, count)`
     /// — not `|n|` of each — so capture also stages one counted delta row
-    /// per tuple; a derived table logs none. The batch takes the per-tuple
-    /// lock footprint in one go
-    /// (table X, or IX plus the sorted union of the tuples' stripes),
-    /// holds the table mutex once, encodes its frames straight from the
+    /// per tuple; a derived table logs none. The batch takes the table's
+    /// X lock, holds the table mutex once, encodes its frames straight from the
     /// counts into one buffer appended under one hold of the log mutex,
     /// and pushes one undo record. All or nothing:
     /// if any count cannot apply (an over-delete, a schema mismatch), the
@@ -1121,7 +987,7 @@ impl Txn {
             return Ok(());
         }
         self.check_active()?;
-        self.write_lock(table, counts.iter().map(|(t, _)| t))?;
+        self.lock(table, LockMode::Exclusive)?;
         let entry = self.engine.base_entry(table)?;
         match &entry.store {
             TableStore::Base { table: t, .. } => {
@@ -1270,8 +1136,8 @@ impl Txn {
     }
 
     fn release_locks(&mut self) {
-        for key in self.locked.drain(..) {
-            self.engine.inner.locks.release_key(self.id, key);
+        for table in self.locked.drain(..) {
+            self.engine.inner.locks.release(self.id, table);
         }
     }
 }
@@ -1649,9 +1515,7 @@ mod tests {
         let mut txn = e.begin();
         assert!(txn.vd_write(vd, vec![DeltaRow::base(tup![1])]).is_err());
         assert_eq!(txn.vd_write(vd, Vec::new()).unwrap(), 0);
-        assert!(!e
-            .locks()
-            .holds_key(txn.id(), LockKey::table(vd), LockMode::Exclusive));
+        assert!(!e.locks().holds(txn.id(), vd, LockMode::Exclusive));
     }
 
     #[test]
@@ -1863,89 +1727,8 @@ mod tests {
     }
 
     #[test]
-    fn striped_writers_on_distinct_keys_do_not_block() {
-        use crate::lock::stripe_of;
-        let e = Engine::with_lock_timeout(Duration::from_millis(300));
-        let t = e
-            .create_table(
-                "r",
-                Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]),
-            )
-            .unwrap();
-        e.create_index(t, 0).unwrap();
-        e.set_lock_granularity(LockGranularity::Striped(64));
-        // Find two keys in different stripes.
-        let k1 = 0i64;
-        let s1 = stripe_of(0, &rolljoin_common::Value::Int(k1), 64);
-        let k2 = (1i64..)
-            .find(|k| stripe_of(0, &rolljoin_common::Value::Int(*k), 64) != s1)
-            .unwrap();
-        // Two uncommitted writers of distinct keys coexist (IX + disjoint
-        // X stripes) — under table granularity the second would block.
-        let mut t1 = e.begin();
-        t1.insert(t, tup![k1, 1]).unwrap();
-        let mut t2 = e.begin();
-        t2.insert(t, tup![k2, 2]).unwrap();
-        t1.commit().unwrap();
-        t2.commit().unwrap();
-        assert_eq!(e.table_len(t).unwrap(), 2);
-    }
-
-    #[test]
-    fn striped_probe_blocks_on_same_key_writer() {
-        let e = Engine::with_lock_timeout(Duration::from_millis(150));
-        let t = e
-            .create_table(
-                "r",
-                Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]),
-            )
-            .unwrap();
-        e.create_index(t, 0).unwrap();
-        e.set_lock_granularity(LockGranularity::Striped(64));
-        let mut w = e.begin();
-        w.insert(t, tup![7, 1]).unwrap();
-        // Probe for the same key: stripe S vs stripe X → times out while
-        // the writer holds it.
-        let mut r = e.begin();
-        let err = r
-            .lookup_keys(t, 0, &[rolljoin_common::Value::Int(7)])
-            .unwrap_err();
-        assert!(matches!(err, Error::LockTimeout { .. }));
-        drop(r);
-        w.commit().unwrap();
-        let mut r = e.begin();
-        let hits = r
-            .lookup_keys(t, 0, &[rolljoin_common::Value::Int(7)])
-            .unwrap();
-        assert_eq!(hits, (vec![DeltaRow::base(tup![7, 1])], vec![0, 1]));
-    }
-
-    #[test]
-    fn striped_full_scan_conflicts_with_key_writer() {
-        let e = Engine::with_lock_timeout(Duration::from_millis(150));
-        let t = e
-            .create_table(
-                "r",
-                Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]),
-            )
-            .unwrap();
-        e.create_index(t, 0).unwrap();
-        e.set_lock_granularity(LockGranularity::Striped(64));
-        let mut w = e.begin();
-        w.insert(t, tup![7, 1]).unwrap();
-        // A full scan takes table S, which is incompatible with the
-        // writer's IX — the hierarchy protects scans from key writers.
-        let mut r = e.begin();
-        assert!(matches!(r.scan(t), Err(Error::LockTimeout { .. })));
-        drop(r);
-        w.commit().unwrap();
-        let mut r = e.begin();
-        assert_eq!(r.scan(t).unwrap(), vec![tup![7, 1]]);
-    }
-
-    #[test]
     fn delta_index_keyed_range_and_estimate() {
-        let e = Engine::new();
+        let e = Engine::with_lock_timeout(Duration::from_millis(150));
         let t = e
             .create_table(
                 "r",
@@ -1979,56 +1762,23 @@ mod tests {
         assert_eq!(e.delta_keyed_estimate(t, iv, 0, &key).unwrap(), Some(2));
         assert_eq!(e.delta_range_keyed(t, iv, 1, &key).unwrap(), None);
         assert!(e.delta_postings_bytes() > 0);
-        // Keyed probe through a transaction takes no lock at table grain
-        // and still serves the slice.
+        // Keyed probe through a transaction takes no lock and still
+        // serves the slice.
         let mut r = e.begin();
         let got = r.delta_lookup_keys(t, iv, 0, &key).unwrap().unwrap();
         assert_eq!(got, rows);
-    }
-
-    #[test]
-    fn delta_index_striped_probe_takes_stripe_footprint() {
-        let e = Engine::with_lock_timeout(Duration::from_millis(150));
-        let t = e
-            .create_table(
-                "r",
-                Schema::new([("a", ColumnType::Int), ("b", ColumnType::Int)]),
-            )
-            .unwrap();
-        e.create_index(t, 0).unwrap();
-        e.create_delta_index(t, 0).unwrap();
-        e.set_lock_granularity(LockGranularity::Striped(64));
-        let mut txn = e.begin();
-        txn.insert(t, tup![7, 1]).unwrap();
-        let c1 = txn.commit().unwrap();
-        e.capture_catch_up().unwrap();
-        // An uncommitted writer of key 7 holds its stripe X: the keyed
-        // delta probe must block exactly like a keyed base probe.
-        let mut w = e.begin();
-        w.insert(t, tup![7, 2]).unwrap();
-        let mut r = e.begin();
-        let err = r
-            .delta_lookup_keys(
-                t,
-                TimeInterval::new(0, c1),
-                0,
-                &[rolljoin_common::Value::Int(7)],
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::LockTimeout { .. }));
         drop(r);
-        w.commit().unwrap();
+        // Nor does it wait while another transaction holds X on the base
+        // table: the captured range cannot change under it.
+        let mut w = e.begin();
+        w.insert(t, tup![7, 3]).unwrap();
+        assert!(e.locks().holds(w.id(), t, LockMode::Exclusive));
         let mut r = e.begin();
-        let rows = r
-            .delta_lookup_keys(
-                t,
-                TimeInterval::new(0, c1),
-                0,
-                &[rolljoin_common::Value::Int(7)],
-            )
-            .unwrap()
-            .unwrap();
-        assert_eq!(rows.len(), 1);
+        let got = r.delta_lookup_keys(t, iv, 0, &key).unwrap().unwrap();
+        assert_eq!(got, rows);
+        assert_eq!(r.lock_wait(), Duration::ZERO);
+        r.commit().unwrap();
+        w.commit().unwrap();
     }
 
     #[test]

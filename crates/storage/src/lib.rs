@@ -9,9 +9,8 @@
 //!   delta stores' representation) with optional secondary indexes.
 //! * [`wal`] — a CRC-guarded binary write-ahead log with recovery replay;
 //!   the only durable state (tables are rebuilt from it on recovery).
-//! * [`lock`] — hierarchical strict-2PL locks (IS/IX/S/SIX/X at table
-//!   granularity plus S/X key stripes) with FIFO queues and timeout-based
-//!   deadlock resolution.
+//! * [`lock`] — strict-2PL table locks (S/X) with FIFO queues and
+//!   timeout-based deadlock resolution.
 //! * [`uow`] — the unit-of-work table mapping transactions to commit
 //!   sequence numbers and wallclock times (paper §5).
 //! * [`capture`] — the asynchronous log-capture process (DPropR analogue)
@@ -36,8 +35,8 @@ pub use capture::Capture;
 pub use delta::{CompactionStats, DeltaStore, ViewDeltaStore};
 pub use engine::{Engine, ReadFloor, Txn};
 pub use lock::{
-    stripe_of, GranStats, GranStatsSnapshot, LockGranularity, LockKey, LockManager, LockMode,
-    LockStats, LockStatsSnapshot, DEFAULT_STRIPES, WAIT_HIST_BUCKETS,
+    GranStats, GranStatsSnapshot, LockManager, LockMode, LockStats, LockStatsSnapshot,
+    WAIT_HIST_BUCKETS,
 };
 pub use signal::Signal;
 pub use table::BaseTable;

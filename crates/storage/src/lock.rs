@@ -1,204 +1,50 @@
-//! Hierarchical strict two-phase locking: tables and key stripes.
+//! Strict two-phase locking at table granularity.
 //!
 //! The paper assumes "the transaction history is serializable, and the
 //! order of transaction commits is consistent with the serialization order
 //! … the case, for example, in any system that used strict two-phase
-//! locking" (§2). The seed implemented exactly that at **table**
-//! granularity, which makes every `BaseKeyed` index probe — a read of a
-//! handful of rows — serialize against every updater write to the table.
+//! locking" (§2). This manager implements exactly that with one lock per
+//! table in two modes, `S` and `X`: readers of a table share it, a writer
+//! excludes everyone else. Contention between updaters and propagation is
+//! controlled by the size of each propagation transaction (§3.3), not by
+//! lock footprint.
 //!
-//! This module generalizes the manager to a two-level hierarchy
-//! (multi-granularity locking, Gray et al.):
-//!
-//! ```text
-//!            table            IS / IX / S / SIX / X
-//!           /  |  \
-//!      stripe stripe stripe   S / X,  stripe = hash((col, key)) % N
-//! ```
-//!
-//! A transaction that reads or writes *whole tables* locks at table
-//! granularity exactly as before (`S`/`X` cover every stripe). A
-//! transaction that touches *individual keys* — an updater writing one
-//! tuple, or a propagation probe reading a delta's key set — takes an
-//! intention lock (`IX`/`IS`) at the table and `X`/`S` on only the stripes
-//! its keys hash to. Two key-granular transactions conflict only when
-//! their key sets collide in a stripe; a full-table lock still conflicts
-//! with everything, because `S`/`X` at the table are incompatible with the
-//! intention modes.
-//!
-//! Stripes are identified by [`LockKey`] `{table, Some(stripe)}` and the
-//! table level by `{table, None}`; the derived `Ord` gives the
-//! `(TableId, stripe)` lexicographic acquisition order (table intention
-//! first, then stripes ascending) that maintenance transactions follow to
-//! stay deadlock-free among themselves. Fairness is FIFO with batched
-//! grants per key (consecutive compatible waiters are granted together),
-//! upgrades go to the front, and deadlocks involving updaters are resolved
-//! by timeout exactly as at table granularity: a waiter that cannot be
-//! granted within the deadline receives [`Error::LockTimeout`] and its
-//! transaction is expected to abort and retry.
+//! Fairness is FIFO with batched grants per table (consecutive compatible
+//! waiters are granted together), an `S → X` upgrade goes to the front of
+//! the queue, and deadlocks involving updaters are resolved by timeout: a
+//! waiter that cannot be granted within the deadline receives
+//! [`Error::LockTimeout`] and its transaction is expected to abort and
+//! retry. Maintenance transactions acquire in `TableId` order and so stay
+//! deadlock-free among themselves.
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use rolljoin_common::hash::Map;
-use rolljoin_common::{Error, Result, TableId, TxnId, Value};
+use rolljoin_common::{Error, Result, TableId, TxnId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default stripe count for [`LockGranularity::striped`].
-pub const DEFAULT_STRIPES: u32 = 64;
-
-/// Lock granularity an engine runs its base-table reads and writes at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LockGranularity {
-    /// Table-granularity S/X locks (the seed behavior, and the default).
-    #[default]
-    Table,
-    /// Hierarchical: IS/IX at the table plus S/X on `n` key stripes.
-    /// Writers lock the stripes of their tuple's indexed-column values;
-    /// keyed probes lock the stripes of their key set; full scans fall
-    /// back to a table-granularity S lock (which covers every stripe).
-    Striped(u32),
-}
-
-impl LockGranularity {
-    /// `Striped` with the default stripe count.
-    pub fn striped() -> Self {
-        LockGranularity::Striped(DEFAULT_STRIPES)
-    }
-
-    /// Stripe count, if striped.
-    pub fn stripes(&self) -> Option<u32> {
-        match self {
-            LockGranularity::Table => None,
-            LockGranularity::Striped(n) => Some((*n).max(1)),
-        }
-    }
-}
-
-impl std::fmt::Display for LockGranularity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LockGranularity::Table => write!(f, "table"),
-            LockGranularity::Striped(n) => write!(f, "striped({n})"),
-        }
-    }
-}
-
-/// The stripe a `(column, key value)` pair hashes to. Deterministic and
-/// process-wide stable, so readers and writers agree on the mapping: a
-/// writer locks the stripes of its tuple's indexed-column values, and any
-/// probe for one of those `(col, value)` pairs lands on the same stripe.
-pub fn stripe_of(col: usize, key: &Value, stripes: u32) -> u32 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    col.hash(&mut h);
-    key.hash(&mut h);
-    (h.finish() % u64::from(stripes.max(1))) as u32
-}
-
-/// The sorted, deduplicated stripe set of a key set on one column — the
-/// acquisition order for a keyed probe's stripe locks. Base-table probes
-/// and keyed delta probes share this, so their `(col, key)` footprints are
-/// identical and a writer's stripe X conflicts with both the same way.
-pub fn stripes_for<'a>(
-    col: usize,
-    keys: impl IntoIterator<Item = &'a Value>,
-    stripes: u32,
-) -> Vec<u32> {
-    let mut out: Vec<u32> = keys
-        .into_iter()
-        .map(|k| stripe_of(col, k, stripes))
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-/// A lockable resource: a table (`stripe: None`) or one of its key
-/// stripes. The derived `Ord` is the global acquisition order —
-/// `(TableId, stripe)` lexicographic with the table level before its
-/// stripes — that keeps ordered acquirers deadlock-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LockKey {
-    pub table: TableId,
-    pub stripe: Option<u32>,
-}
-
-impl LockKey {
-    /// The table-granularity resource.
-    pub fn table(table: TableId) -> Self {
-        LockKey {
-            table,
-            stripe: None,
-        }
-    }
-
-    /// One stripe of a table.
-    pub fn stripe(table: TableId, stripe: u32) -> Self {
-        LockKey {
-            table,
-            stripe: Some(stripe),
-        }
-    }
-}
-
-impl std::fmt::Display for LockKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.stripe {
-            None => write!(f, "{}", self.table),
-            Some(s) => write!(f, "{}#{s}", self.table),
-        }
-    }
-}
-
-/// Requested/held lock strength (the standard multi-granularity lattice).
+/// Requested/held lock strength.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
-    /// Intent to take `Shared` at a finer granularity below this resource.
-    IntentShared,
-    /// Intent to take `Exclusive` at a finer granularity.
-    IntentExclusive,
     Shared,
-    /// `Shared` + `IntentExclusive`: read the whole resource while writing
-    /// parts of it.
-    SharedIntentExclusive,
     Exclusive,
 }
 
 impl LockMode {
-    /// The standard compatibility matrix:
-    ///
-    /// ```text
-    ///       IS  IX   S  SIX   X
-    /// IS     ✓   ✓   ✓   ✓
-    /// IX     ✓   ✓
-    /// S      ✓       ✓
-    /// SIX    ✓
-    /// X
-    /// ```
+    /// Only two shared locks are compatible.
     pub fn compatible_with(self, other: LockMode) -> bool {
-        use LockMode::*;
-        match (self, other) {
-            (IntentShared, Exclusive) | (Exclusive, IntentShared) => false,
-            (IntentShared, _) | (_, IntentShared) => true,
-            (IntentExclusive, IntentExclusive) | (Shared, Shared) => true,
-            _ => false,
-        }
+        self == LockMode::Shared && other == LockMode::Shared
     }
 
-    /// Least upper bound in the strength lattice
-    /// (`IS < {IX, S} < SIX < X`, `sup(IX, S) = SIX`). A holder of `a`
-    /// requesting `b` must end up holding `a.sup(b)`.
+    /// The stronger of the two modes. A holder of `a` requesting `b` must
+    /// end up holding `a.sup(b)`.
     pub fn sup(self, other: LockMode) -> LockMode {
-        use LockMode::*;
-        match (self, other) {
-            (a, b) if a == b => a,
-            (Exclusive, _) | (_, Exclusive) => Exclusive,
-            (SharedIntentExclusive, _) | (_, SharedIntentExclusive) => SharedIntentExclusive,
-            (Shared, IntentExclusive) | (IntentExclusive, Shared) => SharedIntentExclusive,
-            (IntentShared, b) => b,
-            (a, _) => a,
+        if self == LockMode::Exclusive || other == LockMode::Exclusive {
+            LockMode::Exclusive
+        } else {
+            LockMode::Shared
         }
     }
 
@@ -211,10 +57,7 @@ impl LockMode {
 impl std::fmt::Display for LockMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
-            LockMode::IntentShared => "IS",
-            LockMode::IntentExclusive => "IX",
             LockMode::Shared => "S",
-            LockMode::SharedIntentExclusive => "SIX",
             LockMode::Exclusive => "X",
         };
         write!(f, "{s}")
@@ -237,8 +80,7 @@ impl LockState {
     /// Can `txn` be granted `mode` given current holders (ignoring queue)?
     /// For a holder this is an upgrade check: the *combined* mode
     /// (`held.sup(mode)`) must be compatible with every other holder — so
-    /// a sole S-holder upgrades to X immediately, while IS holders upgrade
-    /// to IX past each other freely.
+    /// a sole S-holder upgrades to X immediately.
     fn compatible(&self, txn: TxnId, mode: LockMode) -> bool {
         let want = match self.granted.get(&txn) {
             Some(held) => held.sup(mode),
@@ -279,7 +121,7 @@ struct LockEntry {
     cond: Condvar,
 }
 
-/// Counters for one lock granularity (table level or stripe level).
+/// Lock counters.
 #[derive(Default)]
 pub struct GranStats {
     /// Total nanoseconds spent blocked in `lock`.
@@ -370,51 +212,34 @@ impl GranStatsSnapshot {
     }
 }
 
-/// Aggregate lock statistics, split by granularity so the contention
-/// experiments (E9, E17) can attribute waits to table locks vs stripe
-/// locks.
+/// Aggregate lock statistics.
 #[derive(Default)]
 pub struct LockStats {
-    /// Table-granularity resources (including intention locks).
+    /// Table locks.
     pub table: GranStats,
-    /// Stripe-granularity resources.
-    pub stripe: GranStats,
 }
 
 impl LockStats {
-    fn of(&self, key: &LockKey) -> &GranStats {
-        if key.stripe.is_some() {
-            &self.stripe
-        } else {
-            &self.table
-        }
-    }
-
-    /// Combined snapshot `(wait_nanos, waits, acquisitions, timeouts)`
-    /// summed over both granularities (the seed's reporting shape).
+    /// Snapshot `(wait_nanos, waits, acquisitions, timeouts)`.
     pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        let s = self.snapshot_full();
-        (
-            s.table.wait_nanos + s.stripe.wait_nanos,
-            s.table.waits + s.stripe.waits,
-            s.table.acquisitions + s.stripe.acquisitions,
-            s.table.timeouts + s.stripe.timeouts,
-        )
+        let s = self.table.snapshot();
+        (s.wait_nanos, s.waits, s.acquisitions, s.timeouts)
     }
 
-    /// Per-granularity snapshot with wait-time histograms.
+    /// Snapshot with the wait-time histogram.
     pub fn snapshot_full(&self) -> LockStatsSnapshot {
         LockStatsSnapshot {
             table: self.table.snapshot(),
-            stripe: self.stripe.snapshot(),
+            stripe: GranStatsSnapshot::default(),
         }
     }
 }
 
-/// Point-in-time copy of [`LockStats`], per granularity.
+/// Point-in-time copy of [`LockStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LockStatsSnapshot {
     pub table: GranStatsSnapshot,
+    /// Always zero: kept only because the live benchmark still reads it.
     pub stripe: GranStatsSnapshot,
 }
 
@@ -423,14 +248,14 @@ impl LockStatsSnapshot {
     pub fn since(&self, earlier: &LockStatsSnapshot) -> LockStatsSnapshot {
         LockStatsSnapshot {
             table: self.table.since(&earlier.table),
-            stripe: self.stripe.since(&earlier.stripe),
+            stripe: GranStatsSnapshot::default(),
         }
     }
 }
 
-/// The lock manager: one FIFO queue per [`LockKey`].
+/// The lock manager: one FIFO queue per table.
 pub struct LockManager {
-    entries: RwLock<Map<LockKey, Arc<LockEntry>>>,
+    entries: RwLock<Map<TableId, Arc<LockEntry>>>,
     timeout: Duration,
     stats: LockStats,
 }
@@ -450,13 +275,13 @@ impl LockManager {
         &self.stats
     }
 
-    fn entry(&self, key: LockKey) -> Arc<LockEntry> {
-        if let Some(e) = self.entries.read().get(&key) {
+    fn entry(&self, table: TableId) -> Arc<LockEntry> {
+        if let Some(e) = self.entries.read().get(&table) {
             return e.clone();
         }
         self.entries
             .write()
-            .entry(key)
+            .entry(table)
             .or_insert_with(|| {
                 Arc::new(LockEntry {
                     state: Mutex::new(LockState::default()),
@@ -466,17 +291,11 @@ impl LockManager {
             .clone()
     }
 
-    /// Acquire `mode` on `table` (table granularity), blocking up to the
-    /// timeout. Returns the time spent blocked.
+    /// Acquire `mode` on `table`, blocking up to the timeout. Returns the
+    /// time spent blocked.
     pub fn lock(&self, txn: TxnId, table: TableId, mode: LockMode) -> Result<Duration> {
-        self.lock_key(txn, LockKey::table(table), mode)
-    }
-
-    /// Acquire `mode` on an arbitrary resource, blocking up to the
-    /// timeout. Returns the time spent blocked.
-    pub fn lock_key(&self, txn: TxnId, key: LockKey, mode: LockMode) -> Result<Duration> {
-        let entry = self.entry(key);
-        let gran = self.stats.of(&key);
+        let entry = self.entry(table);
+        let gran = &self.stats.table;
         let mut state = entry.state.lock();
         gran.acquisitions.fetch_add(1, Ordering::Relaxed);
 
@@ -527,23 +346,14 @@ impl LockManager {
                 }
                 gran.record_wait(started.elapsed());
                 gran.timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(Error::LockTimeout {
-                    txn,
-                    table: key.table,
-                });
+                return Err(Error::LockTimeout { txn, table });
             }
         }
     }
 
-    /// Release `txn`'s lock on `table` at table granularity (no-op if not
-    /// held). Stripe locks are released via [`LockManager::release_key`].
+    /// Release `txn`'s lock on `table` (no-op if not held).
     pub fn release(&self, txn: TxnId, table: TableId) {
-        self.release_key(txn, LockKey::table(table));
-    }
-
-    /// Release `txn`'s lock on one resource (no-op if not held).
-    pub fn release_key(&self, txn: TxnId, key: LockKey) {
-        let entry = self.entry(key);
+        let entry = self.entry(table);
         let mut state = entry.state.lock();
         // Waiters wait to be granted, so wake them only when this
         // release granted one.
@@ -552,14 +362,9 @@ impl LockManager {
         }
     }
 
-    /// Does `txn` hold at least `mode` on `table` (table granularity)?
+    /// Does `txn` hold at least `mode` on `table`?
     pub fn holds(&self, txn: TxnId, table: TableId, mode: LockMode) -> bool {
-        self.holds_key(txn, LockKey::table(table), mode)
-    }
-
-    /// Does `txn` hold at least `mode` on a resource?
-    pub fn holds_key(&self, txn: TxnId, key: LockKey, mode: LockMode) -> bool {
-        let entry = self.entry(key);
+        let entry = self.entry(table);
         let state = entry.state.lock();
         state.holds(txn, mode)
     }
@@ -701,216 +506,24 @@ mod tests {
         assert!(nanos > 0);
         assert_eq!(waits, 1);
         assert!(acqs >= 2);
-        // The wait landed in the table-granularity histogram, in a bucket
+        // The wait landed in the wait-time histogram, in a bucket
         // at or above ~32 ms (2^15 µs).
         let full = m.stats().snapshot_full();
         assert_eq!(full.table.waits, 1);
-        assert_eq!(full.stripe.waits, 0);
         assert_eq!(full.table.wait_hist_us.iter().sum::<u64>(), 1);
         assert!(full.table.mean_wait() >= Duration::from_millis(30));
     }
 
-    // ---- hierarchy / stripe tests ---------------------------------------
-
     #[test]
     fn mode_lattice_and_matrix() {
         use LockMode::*;
-        // Compatibility matrix spot checks.
-        assert!(IntentShared.compatible_with(IntentExclusive));
-        assert!(IntentShared.compatible_with(SharedIntentExclusive));
-        assert!(!IntentShared.compatible_with(Exclusive));
-        assert!(IntentExclusive.compatible_with(IntentExclusive));
-        assert!(!IntentExclusive.compatible_with(Shared));
-        assert!(!SharedIntentExclusive.compatible_with(SharedIntentExclusive));
+        assert!(Shared.compatible_with(Shared));
+        assert!(!Shared.compatible_with(Exclusive));
         assert!(!Exclusive.compatible_with(Shared));
-        // Supremum lattice.
-        assert_eq!(Shared.sup(IntentExclusive), SharedIntentExclusive);
-        assert_eq!(IntentShared.sup(IntentExclusive), IntentExclusive);
-        assert_eq!(SharedIntentExclusive.sup(Shared), SharedIntentExclusive);
+        assert!(!Exclusive.compatible_with(Exclusive));
         assert_eq!(Shared.sup(Exclusive), Exclusive);
-        // Covering.
-        assert!(Exclusive.covers(SharedIntentExclusive));
-        assert!(SharedIntentExclusive.covers(Shared));
-        assert!(SharedIntentExclusive.covers(IntentExclusive));
-        assert!(Shared.covers(IntentShared));
-        assert!(!Shared.covers(IntentExclusive));
-        assert!(!IntentExclusive.covers(Shared));
-    }
-
-    #[test]
-    fn stripe_hash_is_stable_and_in_range() {
-        let v = Value::Int(42);
-        let a = stripe_of(0, &v, 64);
-        assert_eq!(a, stripe_of(0, &v, 64));
-        assert!(a < 64);
-        // Different columns map the same value independently.
-        let b = stripe_of(1, &v, 64);
-        assert!(b < 64);
-        assert_eq!(stripe_of(7, &Value::Null, 1), 0);
-    }
-
-    #[test]
-    fn stripes_for_sorts_and_dedups() {
-        let keys = [Value::Int(1), Value::Int(2), Value::Int(1), Value::Int(3)];
-        let got = stripes_for(0, &keys, 64);
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-        let mut want: Vec<u32> = keys.iter().map(|k| stripe_of(0, k, 64)).collect();
-        want.sort_unstable();
-        want.dedup();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn lock_key_order_puts_table_before_stripes() {
-        let t = LockKey::table(T);
-        let s0 = LockKey::stripe(T, 0);
-        let s9 = LockKey::stripe(T, 9);
-        let u = LockKey::table(TableId(2));
-        let mut keys = vec![u, s9, t, s0];
-        keys.sort();
-        assert_eq!(keys, vec![t, s0, s9, u]);
-    }
-
-    #[test]
-    fn disjoint_stripes_do_not_conflict() {
-        let m = mgr();
-        // Writer: IX on the table + X on stripe 3.
-        m.lock(TxnId(1), T, LockMode::IntentExclusive).unwrap();
-        m.lock_key(TxnId(1), LockKey::stripe(T, 3), LockMode::Exclusive)
-            .unwrap();
-        // Reader: IS + S on a different stripe — no blocking.
-        assert_eq!(
-            m.lock(TxnId(2), T, LockMode::IntentShared).unwrap(),
-            Duration::ZERO
-        );
-        assert_eq!(
-            m.lock_key(TxnId(2), LockKey::stripe(T, 5), LockMode::Shared)
-                .unwrap(),
-            Duration::ZERO
-        );
-        // Same stripe conflicts.
-        let m2 = m.clone();
-        let h =
-            thread::spawn(move || m2.lock_key(TxnId(2), LockKey::stripe(T, 3), LockMode::Shared));
-        thread::sleep(Duration::from_millis(30));
-        m.release_key(TxnId(1), LockKey::stripe(T, 3));
-        assert!(h.join().unwrap().unwrap() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn table_shared_blocks_intent_exclusive() {
-        let m = mgr();
-        // Full scan: table S. A key-granular writer's IX must wait — the
-        // table lock covers every stripe.
-        m.lock(TxnId(1), T, LockMode::Shared).unwrap();
-        let m2 = m.clone();
-        let h = thread::spawn(move || m2.lock(TxnId(2), T, LockMode::IntentExclusive));
-        thread::sleep(Duration::from_millis(30));
-        m.release(TxnId(1), T);
-        assert!(h.join().unwrap().unwrap() >= Duration::from_millis(20));
-    }
-
-    #[test]
-    fn stripe_upgrade_when_sole_holder_and_waits_otherwise() {
-        let m = mgr();
-        let k = LockKey::stripe(T, 7);
-        m.lock_key(TxnId(1), k, LockMode::Shared).unwrap();
-        // Sole holder: immediate upgrade.
-        m.lock_key(TxnId(1), k, LockMode::Exclusive).unwrap();
-        assert!(m.holds_key(TxnId(1), k, LockMode::Exclusive));
-        m.release_key(TxnId(1), k);
-        // With a second reader the upgrade must wait for its release.
-        m.lock_key(TxnId(1), k, LockMode::Shared).unwrap();
-        m.lock_key(TxnId(2), k, LockMode::Shared).unwrap();
-        let m2 = m.clone();
-        let h = thread::spawn(move || m2.lock_key(TxnId(1), k, LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(30));
-        assert!(!m.holds_key(TxnId(1), k, LockMode::Exclusive));
-        m.release_key(TxnId(2), k);
-        assert!(h.join().unwrap().is_ok());
-        assert!(m.holds_key(TxnId(1), k, LockMode::Exclusive));
-    }
-
-    #[test]
-    fn stripe_timeout_resolves_deadlock() {
-        let m = mgr();
-        let a = LockKey::stripe(T, 1);
-        let b = LockKey::stripe(T, 2);
-        m.lock_key(TxnId(1), a, LockMode::Exclusive).unwrap();
-        m.lock_key(TxnId(2), b, LockMode::Exclusive).unwrap();
-        let m2 = m.clone();
-        let h = thread::spawn(move || m2.lock_key(TxnId(2), a, LockMode::Exclusive));
-        let r1 = m.lock_key(TxnId(1), b, LockMode::Exclusive);
-        let r2 = h.join().unwrap();
-        assert!(
-            r1.is_err() || r2.is_err(),
-            "at least one side of the stripe deadlock must time out"
-        );
-        let full = m.stats().snapshot_full();
-        assert!(full.stripe.timeouts >= 1);
-        assert_eq!(full.table.timeouts, 0);
-    }
-
-    #[test]
-    fn stripe_fifo_prevents_writer_starvation() {
-        let m = mgr();
-        let k = LockKey::stripe(T, 4);
-        m.lock_key(TxnId(1), k, LockMode::Shared).unwrap();
-        let mw = m.clone();
-        let writer = thread::spawn(move || mw.lock_key(TxnId(2), k, LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(30));
-        let mr = m.clone();
-        let got_read = Arc::new(AtomicBool::new(false));
-        let g2 = got_read.clone();
-        let reader = thread::spawn(move || {
-            mr.lock_key(TxnId(3), k, LockMode::Shared).unwrap();
-            g2.store(true, Ordering::SeqCst);
-        });
-        thread::sleep(Duration::from_millis(30));
-        assert!(
-            !got_read.load(Ordering::SeqCst),
-            "stripe reader must wait behind the queued stripe writer"
-        );
-        m.release_key(TxnId(1), k);
-        writer.join().unwrap().unwrap();
-        m.release_key(TxnId(2), k);
-        reader.join().unwrap();
-        assert!(got_read.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn intent_holders_coexist_and_upgrade() {
-        let m = mgr();
-        m.lock(TxnId(1), T, LockMode::IntentShared).unwrap();
-        m.lock(TxnId(2), T, LockMode::IntentExclusive).unwrap();
-        m.lock(TxnId(3), T, LockMode::IntentShared).unwrap();
-        // IS + IX coexist at the table; IS upgrades to IX past other IX.
-        m.lock(TxnId(1), T, LockMode::IntentExclusive).unwrap();
-        assert!(m.holds(TxnId(1), T, LockMode::IntentExclusive));
-        // S + IX on the same txn combine to SIX, which excludes new IS+?
-        // holders' stronger modes but admits plain IS.
-        m.release(TxnId(2), T);
-        m.release(TxnId(3), T);
-        m.lock(TxnId(1), T, LockMode::Shared).unwrap();
-        assert!(m.holds(TxnId(1), T, LockMode::SharedIntentExclusive));
-        assert_eq!(
-            m.lock(TxnId(4), T, LockMode::IntentShared).unwrap(),
-            Duration::ZERO
-        );
-        let m2 = m.clone();
-        let h = thread::spawn(move || m2.lock(TxnId(5), T, LockMode::IntentExclusive));
-        thread::sleep(Duration::from_millis(30));
-        m.release(TxnId(1), T);
-        assert!(h.join().unwrap().is_ok());
-    }
-
-    #[test]
-    fn granularity_knob_defaults_and_stripes() {
-        assert_eq!(LockGranularity::default(), LockGranularity::Table);
-        assert_eq!(LockGranularity::striped(), LockGranularity::Striped(64));
-        assert_eq!(LockGranularity::Table.stripes(), None);
-        assert_eq!(LockGranularity::Striped(8).stripes(), Some(8));
-        assert_eq!(LockGranularity::Striped(0).stripes(), Some(1));
-        assert_eq!(format!("{}", LockGranularity::Striped(64)), "striped(64)");
+        assert_eq!(Shared.sup(Shared), Shared);
+        assert!(Exclusive.covers(Shared));
+        assert!(!Shared.covers(Exclusive));
     }
 }

@@ -101,9 +101,7 @@ impl BaseTable {
         self.secondary.contains_key(&col)
     }
 
-    /// Columns with secondary indexes, ascending. These are the columns
-    /// propagation probes by, so under striped locking a writer must lock
-    /// the stripe of each indexed column's value in the tuple it touches.
+    /// Columns with secondary indexes, ascending.
     pub fn indexed_cols(&self) -> Vec<usize> {
         let mut cols: Vec<usize> = self.secondary.keys().copied().collect();
         cols.sort_unstable();

@@ -84,13 +84,9 @@ rolljoin_delta_index_total{decision=\"scan\"} 0
 rolljoin_delta_postings_bytes 0
 rolljoin_interval_width_csn{rel=\"0\"} 2
 rolljoin_interval_width_csn{rel=\"1\"} 2
-rolljoin_lock_acquisitions_total{gran=\"stripe\"} 0
 rolljoin_lock_acquisitions_total{gran=\"table\"} 445
-rolljoin_lock_timeouts_total{gran=\"stripe\"} 0
 rolljoin_lock_timeouts_total{gran=\"table\"} 0
-rolljoin_lock_wait_us_count{gran=\"stripe\"} 0
 rolljoin_lock_wait_us_count{gran=\"table\"} 0
-rolljoin_lock_waits_total{gran=\"stripe\"} 0
 rolljoin_lock_waits_total{gran=\"table\"} 0
 rolljoin_mat_time_csn 142
 rolljoin_max_queue_depth 1
