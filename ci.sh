@@ -25,6 +25,9 @@ if [ "$(tracked_state)" != "$before" ]; then
     exit 1
 fi
 
+echo "== paired-run script (ci/ab.sh) parses =="
+bash -n ci/ab.sh
+
 echo "== live benchmark builds and passes its tests =="
 cargo test -q --release --manifest-path livebench/Cargo.toml
 cargo build -q --release --manifest-path livebench/Cargo.toml

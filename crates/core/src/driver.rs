@@ -7,15 +7,17 @@
 //! process, or both, can be suspended during periods of high system load"
 //! (paper §1) — so every driver here has suspend/resume/stop controls.
 //!
-//! The producer/consumer synchronization is a [`Signal`] per hand-off, not
-//! a fixed sleep: an idle propagate driver waits for the capture HWM to
-//! advance ([`Engine::capture_progress`]), an idle apply driver for the
-//! view-delta HWM (notified by [`crate::MaterializedView::set_hwm`]). Each
-//! driver's `poll`/`idle`/`period` argument bounds how long it waits
-//! without such a wake-up. Commits never notify anything — the capture
-//! driver keeps its own `poll` cadence, so updaters pay nothing for the
-//! hand-off. [`DriverHandle::stop`] and [`DriverHandle::resume`] notify the
-//! signal the driver waits on, so neither waits out a period.
+//! The producer/consumer synchronization is a [`Signal`] where a
+//! maintenance thread produces, and a short poll where an updater does. An
+//! idle apply driver waits for the view-delta HWM (notified by
+//! [`crate::MaterializedView::set_hwm`]). An idle propagate driver checks
+//! the commit counter every `COMMIT_POLL` and captures inline what it
+//! needs, so it depends on neither the capture driver's cadence nor any
+//! wake from `Txn::commit`: commits notify nothing, and updaters pay
+//! nothing for the hand-off. Each driver's `poll`/`idle`/`period` argument
+//! bounds how long it waits without a wake-up. A suspended driver waits
+//! with no bound: [`DriverHandle::stop`] and [`DriverHandle::resume`]
+//! notify the signal the driver waits on, so neither waits out a period.
 //!
 //! Propagation drivers retry on lock timeouts (a deadlock-resolution abort
 //! just means "try again"); any other error stops the driver and is
@@ -31,6 +33,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// How often an idle rolling driver checks the commit counter for new
+/// commits. A check that finds none takes no lock and commits nothing; at
+/// this period a commit waits 50 µs on average before propagation sees it.
+const COMMIT_POLL: Duration = Duration::from_micros(100);
+
 /// Stop/suspend flags of one driver plus the signal it waits on.
 struct Control {
     stop: AtomicBool,
@@ -43,15 +50,18 @@ impl Control {
     /// stopped, runs `tick` unless suspended, and — unless `tick` reports
     /// more work ready — waits up to `max_wait` for the signal to move
     /// past the snapshot. Progress made while `tick` ran therefore wakes
-    /// the next pass immediately.
+    /// the next pass immediately. A suspended pass waits with no deadline:
+    /// `resume` and `stop` notify the signal after setting their flag, so
+    /// a snapshot taken before the flag was read is always overtaken.
     fn run(&self, max_wait: Duration, mut tick: impl FnMut() -> Result<bool>) -> Result<()> {
         loop {
             let seen = self.wake.seq();
             if self.stop.load(Ordering::Acquire) {
                 return Ok(());
             }
-            let busy = !self.suspend.load(Ordering::Acquire) && tick()?;
-            if !busy {
+            if self.suspend.load(Ordering::Acquire) {
+                self.wake.wait_past(seen, Duration::MAX);
+            } else if !tick()? {
                 self.wake.wait_past(seen, max_wait);
             }
         }
@@ -153,18 +163,19 @@ pub fn spawn_capture_driver(
 
 /// Spawn the rolling propagate driver: repeatedly performs Fig. 10
 /// iterations (argmin-frontier relation, policy-chosen interval). When
-/// there is nothing new to propagate it waits for capture to advance, at
-/// most `idle`.
+/// there is nothing new to propagate it checks the commit counter again
+/// after `COMMIT_POLL` (100 µs); `idle` is an upper bound on that check
+/// interval. A step captures inline whatever it needs, so the capture
+/// driver's cadence does not gate it.
 pub fn spawn_rolling_driver(
     ctx: MaintCtx,
     t_initial: Csn,
     mut policy: Box<dyn IntervalPolicy>,
     idle: Duration,
 ) -> DriverHandle {
-    let wake = ctx.engine.capture_progress().clone();
-    DriverHandle::spawn("propagate", wake, move |ctl| {
+    DriverHandle::spawn("propagate", Arc::new(Signal::new()), move |ctl| {
         let mut rp = RollingPropagator::new(ctx, t_initial);
-        ctl.run(idle, || match rp.step(policy.as_mut()) {
+        ctl.run(idle.min(COMMIT_POLL), || match rp.step(policy.as_mut()) {
             Ok(step) => Ok(step.is_some()),
             // Deadlock-resolution abort: back off and retry.
             Err(Error::LockTimeout { .. }) => Ok(false),

@@ -26,7 +26,6 @@
 use crate::capture::Capture;
 use crate::delta::{DeltaStore, ViewDeltaStore};
 use crate::lock::{LockManager, LockMode};
-use crate::signal::Signal;
 use crate::table::{add_count, BaseTable};
 use crate::uow::UnitOfWork;
 use crate::wal::{put_apply, TableKind, Wal, WalRecord};
@@ -76,8 +75,6 @@ struct EngineInner {
     last_csn: AtomicU64,
     capture: Mutex<Capture>,
     capture_hwm: Arc<AtomicU64>,
-    /// Notified whenever the capture HWM advances (never by commit).
-    capture_progress: Arc<Signal>,
     /// Registered readers of delta history; dropped readers are swept by
     /// [`Engine::low_water_mark`].
     read_floors: Mutex<Vec<Weak<dyn ReadFloor>>>,
@@ -128,7 +125,6 @@ impl Engine {
                 last_csn: AtomicU64::new(0),
                 capture: Mutex::new(Capture::new(wal, capture_hwm.clone())),
                 capture_hwm,
-                capture_progress: Arc::new(Signal::new()),
                 read_floors: Mutex::new(Vec::new()),
                 clock_origin: Instant::now(),
             }),
@@ -337,32 +333,14 @@ impl Engine {
 
     /// Run capture until it has processed the whole log.
     pub fn capture_catch_up(&self) -> Result<()> {
-        self.capturing(|c| c.catch_up())
+        self.inner.capture.lock().catch_up()
     }
 
     /// Process up to `max_records` WAL records; returns number processed.
     /// Any thread may step capture: the capture driver on its poll cadence
     /// and propagation inline when it needs deltas capture has not reached.
     pub fn capture_step(&self, max_records: usize) -> Result<usize> {
-        self.capturing(|c| c.step(max_records))
-    }
-
-    /// Run `f` on the capture process, then notify
-    /// [`Engine::capture_progress`] if the capture HWM moved.
-    fn capturing<T>(&self, f: impl FnOnce(&mut Capture) -> Result<T>) -> Result<T> {
-        let before = self.capture_hwm();
-        let out = f(&mut self.inner.capture.lock());
-        if self.capture_hwm() > before {
-            self.inner.capture_progress.notify();
-        }
-        out
-    }
-
-    /// Signal notified whenever the capture HWM advances. Commits do not
-    /// notify it: consumers see new commits once capture (a driver or an
-    /// inline step) has ingested them.
-    pub fn capture_progress(&self) -> &Arc<Signal> {
-        &self.inner.capture_progress
+        self.inner.capture.lock().step(max_records)
     }
 
     /// The capture high-water mark: base deltas are complete through here.

@@ -4,8 +4,8 @@
 //!
 //! A [`Signal`] is a sequence number plus a condition variable. A producer
 //! calls [`Signal::notify`] when it has made progress a consumer may act
-//! on (capture advanced its HWM, propagation advanced the view-delta
-//! HWM). A consumer snapshots [`Signal::seq`] *before* checking for work
+//! on (propagation advanced the view-delta HWM, a driver was resumed or
+//! stopped). A consumer snapshots [`Signal::seq`] *before* checking for work
 //! and, finding none, calls [`Signal::wait_past`] with that snapshot —
 //! progress made between the check and the wait is never missed.
 
@@ -37,7 +37,9 @@ impl Signal {
     }
 
     /// Block until the sequence moves past `seen` or `max_wait` elapses,
-    /// whichever is first. Returns the sequence at wake-up.
+    /// whichever is first. Returns the sequence at wake-up. A `max_wait`
+    /// too long to be a deadline (such as `Duration::MAX`) waits for
+    /// progress alone.
     pub fn wait_past(&self, seen: u64, max_wait: Duration) -> u64 {
         let deadline = Instant::now().checked_add(max_wait);
         let mut seq = self.seq.lock();

@@ -1,6 +1,6 @@
-//! Producer/consumer hand-off between the background drivers: stages wake
-//! on each other's progress rather than on fixed sleeps, stop/resume take
-//! effect at once, and an idle pipeline does no work at all.
+//! Producer/consumer hand-off between the background drivers: no driver's
+//! period gates how soon a commit reaches the view, stop/resume take effect
+//! at once, and an idle pipeline does no work at all.
 
 use rolljoin::common::tup;
 use rolljoin::core::{
@@ -52,12 +52,27 @@ fn idle_pipeline_is_quiescent() {
         last = now;
         settled
     });
+    // Polling that finds nothing issues no query and takes no lock.
+    let queries = ctx.stats.snapshot();
+    let locks = ctx.engine.locks().stats().snapshot_full().table;
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(ctx.engine.current_csn(), last.0, "idle drivers committed");
     assert_eq!(
         ctx.engine.wal().byte_len(),
         last.1,
         "idle drivers grew the WAL"
+    );
+    let queries_after = ctx.stats.snapshot();
+    assert_eq!(
+        (queries_after.forward_queries, queries_after.comp_queries),
+        (queries.forward_queries, queries.comp_queries),
+        "idle drivers ran propagation queries"
+    );
+    let locks_after = ctx.engine.locks().stats().snapshot_full().table;
+    assert_eq!(
+        (locks_after.acquisitions, locks_after.waits),
+        (locks.acquisitions, locks.waits),
+        "idle drivers took table locks"
     );
     apply.stop().unwrap();
     prop.stop().unwrap();
@@ -68,11 +83,21 @@ fn idle_pipeline_is_quiescent() {
 fn stopping_a_driver_does_not_wait_out_its_period() {
     let w = TwoWay::setup("stop").unwrap();
     let ctx = w.ctx();
-    materialize(&ctx).unwrap();
+    let mat = materialize(&ctx).unwrap();
     let compact = spawn_compaction_driver(ctx.clone(), LONG);
     std::thread::sleep(Duration::from_millis(50));
     let started = Instant::now();
     compact.stop().unwrap();
+    assert!(started.elapsed() < Duration::from_secs(1));
+
+    // A suspended driver waits with no deadline; stop still wakes it. The
+    // rolling driver's commit poll ends its first wait within 100 µs, so
+    // by the stop it sits in the suspended wait.
+    let prop = spawn_rolling_driver(ctx.clone(), mat, Box::new(UniformInterval(8)), LONG);
+    prop.suspend();
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    prop.stop().unwrap();
     assert!(started.elapsed() < Duration::from_secs(1));
 }
 
@@ -96,20 +121,21 @@ fn resume_wakes_a_suspended_driver() {
 }
 
 #[test]
-fn each_stage_wakes_on_the_previous_stage_progress() {
-    // Propagate and apply wait 10 s between polls, so the view can only
-    // become fresh within the deadline if capture progress wakes
-    // propagation and HWM progress wakes apply.
+fn a_commit_reaches_the_view_without_waiting_out_any_period() {
+    // Capture, propagate and apply all wait 10 s between polls, so the view
+    // can only become fresh within the deadline if propagation finds new
+    // commits by itself (its commit poll, inline capture) and HWM progress
+    // wakes apply.
     let w = TwoWay::setup("handoff").unwrap();
     let ctx = w.ctx();
     let mat = materialize(&ctx).unwrap();
-    let capture = spawn_capture_driver(ctx.engine.clone(), Duration::from_millis(1), 4096);
+    let capture = spawn_capture_driver(ctx.engine.clone(), LONG, 4096);
     let prop = spawn_rolling_driver(ctx.clone(), mat, Box::new(UniformInterval(64)), LONG);
     let apply = spawn_apply_driver(ctx.clone(), LONG);
     std::thread::sleep(Duration::from_millis(20));
     churn(&w, &ctx, 5);
     let target = ctx.engine.current_csn();
-    wait_for("the view to roll", Duration::from_secs(5), || {
+    wait_for("the view to roll", Duration::from_secs(1), || {
         ctx.mv.mat_time() >= target
     });
     apply.stop().unwrap();
