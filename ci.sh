@@ -9,6 +9,9 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== common crate tests, optimised (where unsafe-code ordering or aliasing errors tend to show) =="
+cargo test -q --release -p rolljoin-common
+
 echo "== harness: each experiment's checks fail the run on a mismatch =="
 # Experiments write their JSON under target/harness/; the run must leave
 # every tracked file as it found it.

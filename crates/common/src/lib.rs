@@ -32,6 +32,23 @@ pub use time::{Csn, TimeInterval, TIME_ZERO};
 pub use tuple::Tuple;
 pub use value::Value;
 
+// Row sizes: every layer holds rows many times over, so growth in any of
+// these fails the build here, naming the type.
+#[cfg(target_pointer_width = "64")]
+const _: () = {
+    use std::mem::size_of;
+    assert!(size_of::<Tuple>() == 8, "Tuple is no longer 8 bytes");
+    assert!(
+        size_of::<Option<Tuple>>() == 8,
+        "Option<Tuple> is no longer 8 bytes"
+    );
+    assert!(size_of::<Value>() == 16, "Value is no longer 16 bytes");
+    assert!(
+        size_of::<DeltaRow>() == 32,
+        "DeltaRow is no longer 32 bytes"
+    );
+};
+
 /// Identifies a table (base, delta, view, or view-delta) in the catalog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableId(pub u32);

@@ -1,7 +1,9 @@
 //! The SQL-ish value model.
 //!
-//! Values are small, cheap to clone (strings are `Arc<str>`), totally
-//! ordered, and hashable so they can serve as hash-join and multiset keys.
+//! Values are 16 bytes, cheap to clone (a string is a thin `Arc<String>`,
+//! whose bytes sit one indirection further away than an `Arc<str>`'s),
+//! totally ordered, and hashable so they can serve as hash-join and
+//! multiset keys.
 //! Floats are ordered via their IEEE-754 total order, which is good enough
 //! for grouping and join keys in this system.
 
@@ -23,14 +25,26 @@ pub enum Value {
     Int(i64),
     /// 64-bit float, ordered by IEEE total order.
     Float(f64),
-    /// Interned UTF-8 string.
-    Str(Arc<str>),
+    /// Shared UTF-8 string. An `Arc<String>` rather than an `Arc<str>`:
+    /// the thin pointer keeps every `Value` at 16 bytes.
+    Str(Arc<String>),
 }
 
 impl Value {
     /// Build a string value.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(s.as_ref().to_owned()))
+    }
+
+    /// Heap bytes this value owns outside itself: a string's `Arc` block
+    /// (its counts and the `String`) plus its buffer; nothing for the rest.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Value::Str(s) => {
+                2 * std::mem::size_of::<usize>() + std::mem::size_of::<String>() + s.capacity()
+            }
+            _ => 0,
+        }
     }
 
     /// The [`ColumnType`](crate::ColumnType) this value inhabits, or `None`
@@ -91,7 +105,7 @@ impl Value {
     /// String accessor, for workload/test code that knows the schema.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -188,7 +202,7 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::Str(Arc::new(v))
     }
 }
 

@@ -59,25 +59,16 @@ impl CompactionCounters {
     }
 }
 
-/// Rough heap footprint of one value (shallow enum + string payload),
-/// for the `bytes_reclaimed` counter and the postings gauge.
-fn value_bytes(v: &Value) -> u64 {
-    std::mem::size_of::<Value>() as u64
-        + match v {
-            Value::Str(s) => s.len() as u64,
-            _ => 0,
-        }
+/// Footprint of one posting list's key: the `Value` held in the map plus
+/// its own heap payload, for the postings gauge.
+fn key_bytes(v: &Value) -> u64 {
+    (std::mem::size_of::<Value>() + v.heap_bytes()) as u64
 }
 
-/// Rough heap footprint of a tuple's value payload, used only for the
-/// `bytes_reclaimed` counter.
-fn approx_tuple_bytes(t: &Tuple) -> u64 {
-    t.values().iter().map(value_bytes).sum()
-}
-
-/// Rough heap footprint of one change record (shallow struct + payload).
-fn approx_row_bytes(r: &DeltaRow) -> u64 {
-    std::mem::size_of::<DeltaRow>() as u64 + approx_tuple_bytes(&r.tuple)
+/// Footprint of one change record: the struct plus its tuple's block, for
+/// the `bytes_reclaimed` counter.
+fn row_bytes(r: &DeltaRow) -> u64 {
+    (std::mem::size_of::<DeltaRow>() + r.tuple.heap_bytes()) as u64
 }
 
 fn ts(r: &DeltaRow) -> Csn {
@@ -105,7 +96,7 @@ struct KeyIndex {
 }
 
 /// Approximate heap bytes of one posting; a posting list's key adds
-/// [`value_bytes`].
+/// [`key_bytes`].
 const POSTING_BYTES: u64 = std::mem::size_of::<Posting>() as u64;
 
 /// Record `row`, held at absolute position `pos`, in one column's postings;
@@ -129,7 +120,7 @@ fn push_posting(
     let mut list = VecDeque::new();
     list.push_back((pos, ts(row)));
     map.insert(v.clone(), list);
-    POSTING_BYTES + value_bytes(v)
+    POSTING_BYTES + key_bytes(v)
 }
 
 impl KeyIndex {
@@ -154,7 +145,7 @@ impl KeyIndex {
             self.bytes -= POSTING_BYTES;
             if list.is_empty() {
                 map.remove(v);
-                self.bytes -= value_bytes(v);
+                self.bytes -= key_bytes(v);
             }
         }
     }
@@ -174,7 +165,7 @@ impl KeyIndex {
         self.cols
             .values()
             .flat_map(|map| map.iter())
-            .map(|(key, list)| value_bytes(key) + list.len() as u64 * POSTING_BYTES)
+            .map(|(key, list)| key_bytes(key) + list.len() as u64 * POSTING_BYTES)
             .sum()
     }
 }
@@ -257,7 +248,7 @@ impl DeltaStore {
         // Measure and free the dropped rows outside the history lock, so
         // capture never waits on a large prune (a materialization install).
         drop(h);
-        let bytes = pruned.iter().map(approx_row_bytes).sum();
+        let bytes = pruned.iter().map(row_bytes).sum();
         self.compaction.record(dropping as u64, bytes);
         dropping
     }
@@ -544,11 +535,11 @@ impl ViewDeltaStore {
         let keep = rows.split_off(&(t + 1));
         let dropped = std::mem::replace(&mut *rows, keep);
         drop(rows);
-        let row_overhead = std::mem::size_of::<(i64, Tuple)>() as u64;
+        let row_overhead = std::mem::size_of::<(i64, Tuple)>();
         let (mut n, mut bytes) = (0u64, 0u64);
         for (_, tuple) in dropped.values().flatten() {
             n += 1;
-            bytes += row_overhead + approx_tuple_bytes(tuple);
+            bytes += (row_overhead + tuple.heap_bytes()) as u64;
         }
         self.compaction.record(n, bytes);
         n as usize

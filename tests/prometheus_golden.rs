@@ -74,8 +74,8 @@ fn pinned_lines(text: &str) -> String {
 fn prometheus_golden_two_way_rolling_run() {
     let golden = "\
 rolljoin_capture_hwm_csn 142
-rolljoin_compaction_bytes_reclaimed_total{store=\"base\"} 23936
-rolljoin_compaction_bytes_reclaimed_total{store=\"vd\"} 13968
+rolljoin_compaction_bytes_reclaimed_total{store=\"base\"} 19584
+rolljoin_compaction_bytes_reclaimed_total{store=\"vd\"} 10864
 rolljoin_compaction_rows_removed_total{store=\"base\"} 272
 rolljoin_compaction_rows_removed_total{store=\"vd\"} 194
 rolljoin_delta_index_probe_rows_total 24
