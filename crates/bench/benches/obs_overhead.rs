@@ -1,7 +1,6 @@
 //! Observability overhead: the same propagation-churn step under
 //! `ObsConfig::Off` (metrics only — the registry is always on) and `Full`
-//! (metrics + spans + journal). `Full` must stay a small constant factor
-//! of `Off`.
+//! (metrics + spans). `Full` must stay a small constant factor of `Off`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rolljoin_common::tup;

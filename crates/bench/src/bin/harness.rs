@@ -8,13 +8,12 @@
 //! cargo run --release -p rolljoin-bench --bin harness -- list
 //! ```
 //!
-//! Every run is recorded in a harness-level journal (one entry per
-//! experiment, with outcome and duration) written to
-//! `harness_journal.json`, and outcomes are counted in a metrics registry
-//! whose Prometheus rendering accompanies the final summary.
+//! Outcomes are counted in a metrics registry whose Prometheus rendering
+//! accompanies the final summary, which lists every failed or unknown
+//! experiment; any such run exits 1.
 
 use rolljoin_bench::experiments;
-use rolljoin_core::{Journal, JournalEntry, Meter};
+use rolljoin_core::Meter;
 use std::time::Instant;
 
 fn main() {
@@ -36,7 +35,7 @@ fn main() {
         args.iter().map(String::as_str).collect()
     };
 
-    let journal = Journal::new();
+    let mut failed: Vec<String> = Vec::new();
     let meter = Meter::new();
     let runs = |outcome: &'static str| {
         meter.counter_l(
@@ -58,16 +57,13 @@ fn main() {
                 let result = run();
                 let elapsed = t0.elapsed();
                 wall.observe(elapsed.as_micros() as u64);
-                let (outcome, note) = match &result {
-                    Ok(()) => ("ok", format!("{id} ok")),
-                    Err(e) => ("failed", format!("{id} FAILED: {e}")),
-                };
-                runs(outcome).inc(1);
-                journal.append(
-                    JournalEntry::new("experiment")
-                        .with_duration_ns(elapsed.as_nanos() as u64)
-                        .with_note(note),
-                );
+                match &result {
+                    Ok(()) => runs("ok").inc(1),
+                    Err(e) => {
+                        runs("failed").inc(1);
+                        failed.push(format!("{id} FAILED: {e}"));
+                    }
+                }
                 println!(
                     "[{id} {} in {:.1}s]",
                     if result.is_ok() { "done" } else { "FAILED" },
@@ -76,36 +72,19 @@ fn main() {
             }
             None => {
                 runs("unknown").inc(1);
-                journal.append(
-                    JournalEntry::new("experiment")
-                        .with_note(format!("{want} unknown experiment (try `harness list`)")),
-                );
+                failed.push(format!("{want} unknown experiment (try `harness list`)"));
             }
         }
     }
 
-    // Summary: replay the journal instead of ad-hoc stderr lines.
-    let entries = journal.entries();
-    let failed: Vec<&JournalEntry> = entries
-        .iter()
-        .filter(|e| {
-            e.note
-                .as_deref()
-                .is_some_and(|n| n.contains("FAILED") || n.contains("unknown"))
-        })
-        .collect();
-    println!("\n--- harness summary ({} runs) ---", entries.len());
-    for e in &failed {
-        println!("  ✗ {}", e.note.as_deref().unwrap_or("?"));
+    println!("\n--- harness summary ({} runs) ---", selected.len());
+    for line in &failed {
+        println!("  ✗ {line}");
     }
     if failed.is_empty() {
         println!("  all experiments passed");
     }
     print!("{}", meter.prometheus());
-    match std::fs::write("harness_journal.json", journal.json()) {
-        Ok(()) => println!("journal: harness_journal.json ({} entries)", entries.len()),
-        Err(e) => println!("(could not write harness_journal.json: {e})"),
-    }
     if !failed.is_empty() {
         std::process::exit(1);
     }

@@ -2,11 +2,11 @@
 //!
 //! The same churn + rolling-propagation + roll workload runs under each
 //! `ObsConfig` tier. Metrics are always on, so `Off` is the cost of the
-//! registry alone; `Full` (spans + journal) is allowed a small constant
+//! registry alone; `Full` (registry + spans) is allowed a small constant
 //! factor. Both tiers audit the headline gauges: at 0 after the quiesced
-//! roll. Under `Full` the run also audits the tracing artifacts:
-//! compensation spans parented into the recursion tree and one journal
-//! entry per rolling step. Results land in `BENCH_obs.json`
+//! roll. Under `Full` the run also audits the trace: compensation spans
+//! parented into the recursion tree and one `rolling_step` span per
+//! rolling step the registry counted. Results land in `BENCH_obs.json`
 //! (EXPERIMENTS.md E19).
 
 use super::{write_artifact, Checks};
@@ -30,7 +30,10 @@ struct RunOutcome {
     wall: Duration,
     spans: usize,
     comp_spans: usize,
-    journal_entries: usize,
+    /// `rolling_step` spans recorded.
+    step_spans: usize,
+    /// Rolling steps counted by the registry.
+    steps: usize,
     gauges_zero: bool,
     /// Does the rolled MV equal the oracle?
     verify: bool,
@@ -62,6 +65,11 @@ fn run_config(obs: ObsConfig, trial: usize) -> Result<RunOutcome> {
         .iter()
         .filter(|s| s.name == "comp" && s.parent != 0)
         .count();
+    let step_spans = spans.iter().filter(|s| s.name == "rolling_step").count();
+    let steps = ctx
+        .meter
+        .counter_l("rolljoin_steps_total", Some(("kind", "rolling")), "")
+        .get() as usize;
     let prom = ctx.prometheus()?;
     let gauges_zero = prom.contains("rolljoin_propagation_lag_csn 0\n")
         && prom.contains("rolljoin_view_staleness_csn 0\n");
@@ -69,7 +77,8 @@ fn run_config(obs: ObsConfig, trial: usize) -> Result<RunOutcome> {
         wall,
         spans: spans.len(),
         comp_spans,
-        journal_entries: ctx.obs.journal.len(),
+        step_spans,
+        steps,
         gauges_zero,
         verify: super::mv_matches_oracle(&ctx)?,
     })
@@ -87,7 +96,8 @@ fn run_best(obs: ObsConfig) -> Result<RunOutcome> {
 
 /// E19: ObsConfig tier sweep; emit the results table and `BENCH_obs.json`.
 /// Fails if a tier's rolled MV differs from the oracle, its gauges do not
-/// settle at 0, or `Full` records no compensation spans or journal entries.
+/// settle at 0, or `Full` records no compensation spans or other than one
+/// `rolling_step` span per rolling step.
 pub fn e19() -> Result<()> {
     let mut checks = Checks::default();
     let mut t = Table::new(&[
@@ -96,7 +106,7 @@ pub fn e19() -> Result<()> {
         "vs off",
         "spans",
         "comp spans",
-        "journal",
+        "step spans",
         "gauges→0",
         "verify",
     ]);
@@ -114,8 +124,14 @@ pub fn e19() -> Result<()> {
             format!("E19 {tier}: lag and staleness gauges not 0 after a quiesced roll")
         });
         if obs == ObsConfig::Full {
-            checks.check(out.comp_spans > 0 && out.journal_entries > 0, || {
-                format!("E19 {tier}: no compensation spans or journal entries")
+            checks.check(out.comp_spans > 0, || {
+                format!("E19 {tier}: no compensation spans")
+            });
+            checks.check(out.steps > 0 && out.step_spans == out.steps, || {
+                format!(
+                    "E19 {tier}: {} rolling_step spans for {} rolling steps",
+                    out.step_spans, out.steps
+                )
             });
         }
         let ratio = out.wall.as_secs_f64() / base_wall.as_secs_f64().max(1e-9);
@@ -125,7 +141,7 @@ pub fn e19() -> Result<()> {
             format!("{:.2}x", ratio),
             out.spans.to_string(),
             out.comp_spans.to_string(),
-            out.journal_entries.to_string(),
+            out.step_spans.to_string(),
             out.gauges_zero.to_string(),
             verify.clone(),
         ]);
@@ -133,7 +149,7 @@ pub fn e19() -> Result<()> {
             concat!(
                 "    {{\"obs\": \"{}\", \"wall_ms\": {:.3}, \"wall_vs_off\": {:.3}, ",
                 "\"overhead_pct\": {:.1}, \"spans\": {}, \"comp_spans\": {}, ",
-                "\"journal_entries\": {}, \"gauges_zero\": {}, \"oracle\": \"{}\"}}"
+                "\"step_spans\": {}, \"gauges_zero\": {}, \"oracle\": \"{}\"}}"
             ),
             tier_name(obs),
             out.wall.as_secs_f64() * 1e3,
@@ -141,7 +157,7 @@ pub fn e19() -> Result<()> {
             (ratio - 1.0) * 100.0,
             out.spans,
             out.comp_spans,
-            out.journal_entries,
+            out.step_spans,
             out.gauges_zero,
             verify,
         ));

@@ -1,6 +1,6 @@
 //! Table schemas.
 
-use crate::{Error, Result, Tuple, Value};
+use crate::{Error, Result, Tuple};
 use std::fmt;
 use std::sync::Arc;
 
@@ -121,11 +121,6 @@ impl Schema {
         }
         Ok(())
     }
-
-    /// A default NULL tuple of this schema's arity (handy in tests).
-    pub fn null_tuple(&self) -> Tuple {
-        Tuple::new(std::iter::repeat_n(Value::Null, self.arity()))
-    }
 }
 
 impl fmt::Display for Schema {
@@ -144,7 +139,7 @@ impl fmt::Display for Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tup;
+    use crate::{tup, Value};
 
     fn rs() -> Schema {
         Schema::new([("a", ColumnType::Int), ("b", ColumnType::Str)])

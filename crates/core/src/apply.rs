@@ -13,10 +13,8 @@ use crate::control::replace_contents;
 use crate::execute::MaintCtx;
 use crate::stats::StepKind;
 use rolljoin_common::{Csn, Error, Result, TimeInterval};
-use rolljoin_obs::JournalEntry;
 use rolljoin_relalg::{exec, fetch, SlotSource};
 use rolljoin_storage::LockMode;
-use std::time::Instant;
 
 /// Outcome of a point-in-time refresh.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +97,6 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
         });
     }
 
-    let started = Instant::now();
     let mut span = ctx.obs.span("roll_to");
     span.arg("lo", mat as i64);
     span.arg("hi", target as i64);
@@ -136,15 +133,6 @@ pub fn roll_to(ctx: &MaintCtx, target: Csn) -> Result<ApplyOutcome> {
     }
     span.arg("tuples_changed", tuples_changed as i64);
     drop(span);
-    if ctx.obs.tracing_on() {
-        ctx.obs.journal_step(
-            JournalEntry::new("apply")
-                .with_interval(mat, target)
-                .with_rows(0, tuples_changed as u64)
-                .with_duration_ns(started.elapsed().as_nanos() as u64)
-                .with_hwm(target),
-        );
-    }
     ctx.stats.record_step(StepKind::Apply, false);
     Ok(ApplyOutcome {
         rolled_to: target,

@@ -20,7 +20,7 @@ use crate::policy::ExecTuning;
 use crate::query::{PropQuery, Slot};
 use crate::stats::{fold_compaction, fold_lock_stats, CompactionReport, PropStats, StepKind};
 use rolljoin_common::{Csn, Error, Result};
-use rolljoin_obs::{JournalEntry, Meter, Obs, ObsConfig};
+use rolljoin_obs::{Meter, Obs, ObsConfig};
 use rolljoin_relalg::{exec, fetch, net_rows_owned, SlotInput, SlotSource};
 use rolljoin_storage::{Engine, LockMode, ReadFloor};
 use std::sync::Arc;
@@ -80,7 +80,7 @@ pub struct MaintCtx {
     pub skip_empty: bool,
     /// Executor tuning: worker count, probe-vs-scan threshold.
     pub tuning: ExecTuning,
-    /// Tracing handle (spans, journal), at the level set by `tuning.obs`.
+    /// Span tracing handle, at the level set by `tuning.obs`.
     /// Shared across clones, workers, and drivers.
     pub obs: Arc<Obs>,
 }
@@ -97,7 +97,7 @@ impl MaintCtx {
             stats,
             skip_empty: true,
             tuning: ExecTuning::default(),
-            obs: Obs::disabled(),
+            obs: Obs::new(ObsConfig::Off),
         }
     }
 
@@ -116,8 +116,8 @@ impl MaintCtx {
     }
 
     /// Replace the executor tuning. A changed `tuning.obs` level rebuilds
-    /// the tracing handle (spans and journal, not the metrics registry), so
-    /// set it before handing clones to drivers or workers.
+    /// the span tracing handle (not the metrics registry), so set it
+    /// before handing clones to drivers or workers.
     pub fn with_tuning(mut self, tuning: ExecTuning) -> Self {
         if tuning.obs != self.tuning.obs {
             self.obs = Obs::new(tuning.obs);
@@ -126,7 +126,7 @@ impl MaintCtx {
         self
     }
 
-    /// Set the tracing level (rebuilds the spans-and-journal handle — set
+    /// Set the tracing level (rebuilds the span tracing handle — set
     /// it before concurrent activity starts).
     pub fn with_obs_config(self, config: ObsConfig) -> Self {
         let tuning = self.tuning.with_obs(config);
@@ -156,7 +156,6 @@ impl MaintCtx {
     /// private view delta store through its materialization time. Counts one
     /// `compaction` step per pass. Returns total records removed.
     pub fn compact_stores(&self) -> Result<usize> {
-        let started = Instant::now();
         let mut span = self.obs.span("compaction_pass");
         let lwm = self.engine.low_water_mark();
         let mut removed = 0usize;
@@ -167,14 +166,6 @@ impl MaintCtx {
         span.arg("removed", removed as i64);
         span.arg("lwm", lwm as i64);
         self.stats.record_step(StepKind::Compaction, false);
-        if self.obs.tracing_on() && removed > 0 {
-            self.obs.journal_step(
-                JournalEntry::new("compaction")
-                    .with_rows(0, removed as u64)
-                    .with_duration_ns(started.elapsed().as_nanos() as u64)
-                    .with_hwm(lwm),
-            );
-        }
         Ok(removed)
     }
 

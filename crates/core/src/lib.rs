@@ -48,13 +48,12 @@ pub use driver::{
 };
 pub use execute::{ExecOutcome, MaintCtx, QuerySpanCtx};
 pub use policy::{
-    ExecTuning, FullWidth, IntervalPolicy, LatencyBudget, PerRelationInterval, TargetRows,
-    UniformInterval,
+    ExecTuning, IntervalPolicy, LatencyBudget, PerRelationInterval, TargetRows, UniformInterval,
 };
 pub use propagate::Propagator;
 pub use query::{PropQuery, Slot};
 pub use rolling::{CompensationMode, RollingPropagator, RollingStep};
-pub use rolljoin_obs::{Journal, JournalEntry, Meter, Obs, ObsConfig, SpanRecorder};
+pub use rolljoin_obs::{Meter, Obs, ObsConfig, SpanRecorder};
 pub use stats::{
     format_lock_breakdown, CompactionReport, CompactionStats, GranStatsSnapshot, LockStatsSnapshot,
     PropStats, PropStatsSnapshot,

@@ -21,10 +21,9 @@ pub struct ExecTuning {
     /// its own strict-2PL transaction. A round that would use one thread
     /// runs inline on the calling thread.
     pub workers: usize,
-    /// Whether the maintenance paths record spans and the propagation
-    /// journal: `Off` (the default) or `Full`. Metrics are not gated —
-    /// the context's registry always records. Applied to the context by
-    /// [`MaintCtx::with_tuning`].
+    /// Whether the maintenance paths record spans: `Off` (the default)
+    /// or `Full`. Metrics are not gated — the context's registry always
+    /// records. Applied to the context by [`MaintCtx::with_tuning`].
     pub obs: rolljoin_obs::ObsConfig,
 }
 
@@ -161,15 +160,6 @@ impl IntervalPolicy for LatencyBudget {
         } else if took < self.budget / 2 {
             self.width = (self.width * 2).min(self.max_width);
         }
-    }
-}
-
-/// Always take everything available — largest transactions, fewest queries.
-pub struct FullWidth;
-
-impl IntervalPolicy for FullWidth {
-    fn choose(&mut self, _ctx: &MaintCtx, _rel: usize, _from: Csn, available: u64) -> Result<u64> {
-        Ok(available)
     }
 }
 

@@ -21,8 +21,6 @@ use crate::execute::MaintCtx;
 use crate::query::PropQuery;
 use crate::stats::StepKind;
 use rolljoin_common::{Csn, Error, Result};
-use rolljoin_obs::JournalEntry;
-use std::time::Instant;
 
 /// The `Propagate` process state.
 pub struct Propagator {
@@ -55,13 +53,15 @@ impl Propagator {
         &self.ctx
     }
 
-    /// Finish any interval whose propagation previously failed partway.
+    /// Finish any interval whose propagation previously failed partway,
+    /// counting it as one `propagate` step.
     fn finish_pending(&mut self) -> Result<()> {
         if let Some(target) = self.pending_target {
             self.worker.run(&self.ctx)?;
             self.t_cur = target;
             self.pending_target = None;
             self.ctx.mv.set_hwm(self.t_cur);
+            self.ctx.stats.record_step(StepKind::Propagate, false);
         }
         Ok(())
     }
@@ -74,8 +74,6 @@ impl Propagator {
             return Err(Error::Invalid("propagation interval must be > 0".into()));
         }
         self.finish_pending()?;
-        let started = Instant::now();
-        let stats0 = self.ctx.stats.snapshot();
         let from = self.t_cur;
         let target = self.t_cur + delta;
         let n = self.ctx.mv.n();
@@ -93,19 +91,7 @@ impl Propagator {
         );
         self.pending_target = Some(target);
         self.finish_pending()?;
-        drop(span);
-        if self.ctx.obs.tracing_on() {
-            let d = self.ctx.stats.snapshot().since(&stats0);
-            self.ctx.obs.journal_step(
-                JournalEntry::new("propagate")
-                    .with_interval(from, target)
-                    .with_queries(d.total_queries(), d.comp_queries)
-                    .with_rows(d.total_rows_read(), d.vd_rows_written)
-                    .with_duration_ns(started.elapsed().as_nanos() as u64)
-                    .with_hwm(self.t_cur),
-            );
-        }
-        self.ctx.stats.record_step(StepKind::Propagate, false);
+        span.arg("hwm", self.t_cur as i64);
         Ok(self.t_cur)
     }
 

@@ -51,11 +51,9 @@ use crate::compute_delta::DeltaWorker;
 use crate::execute::{MaintCtx, QuerySpanCtx};
 use crate::policy::IntervalPolicy;
 use crate::query::PropQuery;
-use crate::stats::{PropStatsSnapshot, StepKind};
+use crate::stats::StepKind;
 use rolljoin_common::{Csn, Error, Result, TimeInterval};
-use rolljoin_obs::JournalEntry;
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// A recorded forward query awaiting compensation.
 #[derive(Debug, Clone, Copy)]
@@ -97,10 +95,6 @@ struct PendingStep {
     seg: Option<u64>,
     /// Span id of the forward query — parent of the compensation spans.
     span: u64,
-    /// Stats at step start, for the journal's per-step query/row counts.
-    stats0: PropStatsSnapshot,
-    /// Wall clock at step start.
-    started: Instant,
 }
 
 /// How a forward query's overlap with other relations is compensated.
@@ -267,18 +261,6 @@ impl RollingPropagator {
         self.pending = None;
         let hwm = self.hwm();
         self.ctx.mv.set_hwm(hwm);
-        if self.ctx.obs.tracing_on() {
-            let d = self.ctx.stats.snapshot().since(&p.stats0);
-            self.ctx.obs.journal_step(
-                JournalEntry::new("rolling")
-                    .with_relation(p.rel)
-                    .with_interval(p.t_hi - p.width, p.t_hi)
-                    .with_queries(d.total_queries(), d.comp_queries)
-                    .with_rows(d.total_rows_read(), d.vd_rows_written)
-                    .with_duration_ns(p.started.elapsed().as_nanos() as u64)
-                    .with_hwm(hwm),
-            );
-        }
         self.ctx.stats.record_step(StepKind::Rolling, false);
         Ok(Some(RollingStep {
             relation: p.rel,
@@ -306,8 +288,6 @@ impl RollingPropagator {
         let t_s0 = self.tfwd[i];
         let t_hi = t_s0 + delta;
         let interval = TimeInterval::new(t_s0, t_hi);
-        let started = Instant::now();
-        let stats0 = self.ctx.stats.snapshot();
         let obs = self.ctx.obs.clone();
         let mut step_span = obs.span("rolling_step");
         step_span.arg("rel", i as i64);
@@ -333,16 +313,7 @@ impl RollingPropagator {
             let hwm = self.hwm();
             self.ctx.mv.set_hwm(hwm);
             step_span.arg("skipped_empty", 1);
-            if self.ctx.obs.tracing_on() {
-                self.ctx.obs.journal_step(
-                    JournalEntry::new("rolling")
-                        .with_relation(i)
-                        .with_interval(t_s0, t_hi)
-                        .with_skipped_empty(true)
-                        .with_duration_ns(started.elapsed().as_nanos() as u64)
-                        .with_hwm(hwm),
-                );
-            }
+            step_span.arg("hwm", hwm as i64);
             self.ctx.stats.record_step(StepKind::Rolling, true);
             return Ok(RollingStep {
                 relation: i,
@@ -381,8 +352,6 @@ impl RollingPropagator {
                     rem: if i > 0 { delta } else { 0 },
                     seg: None,
                     span: fwd_span,
-                    stats0,
-                    started,
                 });
             }
             CompensationMode::ImmediateBox => {
@@ -402,14 +371,14 @@ impl RollingPropagator {
                     rem: 0,
                     seg: None,
                     span: fwd_span,
-                    stats0,
-                    started,
                 });
             }
         }
-        Ok(self
+        let step = self
             .finish_pending()?
-            .expect("pending step was just installed"))
+            .expect("pending step was just installed");
+        step_span.arg("hwm", step.hwm as i64);
+        Ok(step)
     }
 
     /// One iteration of Fig. 10's loop: pick the relation with the smallest
@@ -476,11 +445,6 @@ impl RollingPropagator {
     /// Number of uncompensated forward queries currently tracked.
     pub fn pending_compensation(&self) -> usize {
         self.querylist.iter().map(VecDeque::len).sum()
-    }
-
-    /// True when a failed step is awaiting resumption.
-    pub fn has_pending_step(&self) -> bool {
-        self.pending.is_some() || !self.worker.is_idle()
     }
 
     /// Propagate until the **high-water mark** reaches `target`, i.e. until

@@ -5,9 +5,10 @@
 
 use rolljoin_common::{tup, ColumnType, Schema, TableId};
 use rolljoin_core::{
-    materialize, oracle, roll_to, MaintCtx, MaterializedView, PerRelationInterval,
-    RollingPropagator, TargetRows, UniformInterval, ViewDef,
+    materialize, oracle, roll_to, MaintCtx, MaterializedView, ObsConfig, PerRelationInterval,
+    RollingPropagator, RollingStep, TargetRows, UniformInterval, ViewDef,
 };
+use rolljoin_obs::FinishedSpan;
 use rolljoin_relalg::JoinSpec;
 use rolljoin_storage::Engine;
 
@@ -345,4 +346,48 @@ fn deferred_mode_rejected_for_three_relations() {
         )
     }));
     assert!(caught.is_err(), "deferred mode must be refused for n=3");
+}
+
+/// One non-empty rolling step (R over a range holding its insert) and one
+/// empty-delta skip (S over a range before its insert), under `obs`.
+fn traced_steps(obs: ObsConfig) -> (MaintCtx, [RollingStep; 2]) {
+    let (ctx, r, s) = two_way();
+    let ctx = ctx.with_obs_config(obs);
+    let mat = materialize(&ctx).unwrap();
+    let c1 = insert(&ctx, r, tup![1, 7]);
+    insert(&ctx, s, tup![7, 70]);
+    let mut rp = RollingPropagator::new(ctx.clone(), mat);
+    let fwd = rp.step_relation(0, c1 - mat).unwrap();
+    let skip = rp.step_relation(1, c1 - mat).unwrap();
+    assert!(!fwd.skipped_empty && skip.skipped_empty);
+    (ctx, [fwd, skip])
+}
+
+fn arg(span: &FinishedSpan, key: &str) -> Option<i64> {
+    span.args.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
+}
+
+#[test]
+fn each_rolling_step_records_one_span_with_its_interval_and_hwm() {
+    let (ctx, steps) = traced_steps(ObsConfig::Full);
+    let spans = ctx.obs.spans.finished();
+    let step_spans: Vec<_> = spans.iter().filter(|s| s.name == "rolling_step").collect();
+    assert_eq!(step_spans.len(), steps.len(), "one span per step");
+    for (span, step) in step_spans.iter().zip(&steps) {
+        let hi = arg(span, "hi").unwrap();
+        assert_eq!(arg(span, "rel"), Some(step.relation as i64));
+        assert_eq!(arg(span, "lo"), Some(hi - step.width as i64));
+        assert_eq!(arg(span, "hwm"), Some(step.hwm as i64));
+        let skipped = arg(span, "skipped_empty").is_some();
+        assert_eq!(skipped, step.skipped_empty);
+    }
+    let forward: Vec<_> = spans.iter().filter(|s| s.name == "forward").collect();
+    assert_eq!(forward.len(), 1, "the skip issues no query");
+    assert_eq!(
+        forward[0].parent, step_spans[0].id,
+        "forward query under its step"
+    );
+
+    let (off, _) = traced_steps(ObsConfig::Off);
+    assert!(off.obs.spans.is_empty(), "Off records no span");
 }

@@ -1,13 +1,12 @@
 //! `rolljoin-obs` — end-to-end observability for asynchronous view
-//! maintenance: span tracing, a metrics registry, and a propagation
-//! journal.
+//! maintenance: span tracing and a metrics registry.
 //!
 //! The paper's whole architecture is *asynchronous*: the materialized view
 //! trails the base tables by a staleness bound set by propagation
 //! intervals and compensation depth (Fig. 3, §3.3). That bound — and where
 //! time goes inside a propagation step (lock waits vs. compensation
 //! fan-out vs. scan volume) — is invisible without instrumentation. This
-//! crate provides the three pillars the maintenance stack hooks into:
+//! crate provides the two pillars the maintenance stack hooks into:
 //!
 //! * [`span::SpanRecorder`] — a lightweight, zero-dependency span recorder
 //!   (thread-safe ring buffer, RAII [`span::SpanGuard`]s, thread-local
@@ -15,41 +14,38 @@
 //!   top-k-by-inclusive-time table;
 //! * [`metrics::Meter`] — a registry of counters, gauges, and
 //!   power-of-two-bucket histograms with Prometheus text-format and JSON
-//!   snapshot exporters;
-//! * [`journal::Journal`] — an append-only per-step event log of what each
-//!   propagation step chose, issued, and produced.
+//!   snapshot exporters.
 //!
 //! The registry is always on: a maintenance context records every counter
 //! into its one [`Meter`], and its propagation statistics are a typed read
-//! of those instruments. [`ObsConfig`] gates only spans and the journal:
-//! `Off` records neither, `Full` records both. The crate depends only on
-//! `rolljoin-common` (for the CSN type) and the standard library.
+//! of those instruments. [`ObsConfig`] gates only spans: `Off` records
+//! none, `Full` records them. The spans are the only trace: each
+//! propagation step's span carries its interval and the view-delta
+//! high-water mark after it, and its queries are child spans. The crate
+//! depends only on `rolljoin-common` (for the CSN type) and the standard
+//! library.
 
-pub mod journal;
 pub mod metrics;
 pub mod span;
 
-pub use journal::{Journal, JournalEntry};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Meter, HIST_BUCKETS};
 pub use span::{FinishedSpan, SpanGuard, SpanRecorder, TraceSummaryRow};
 
 use std::sync::Arc;
 
-/// Whether the maintenance stack records spans and the journal. Metrics
-/// are not gated: the registry always records.
+/// Whether the maintenance stack records spans. Metrics are not gated:
+/// the registry always records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObsConfig {
-    /// No spans and no journal entries. The span and journal call sites
-    /// reduce to one branch each.
+    /// No spans. Each span call site reduces to one branch.
     #[default]
     Off,
-    /// Span tracing of the full propagate path and the per-step
-    /// propagation journal.
+    /// Span tracing of the full propagate, apply and compaction paths.
     Full,
 }
 
 impl ObsConfig {
-    /// True when spans and the journal record.
+    /// True when spans record.
     pub fn tracing_enabled(&self) -> bool {
         matches!(self, ObsConfig::Full)
     }
@@ -59,16 +55,14 @@ impl ObsConfig {
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
 /// The tracing handle one maintenance context threads through its
-/// propagate, apply, and compaction paths: spans and the journal, at the
-/// level set by [`ObsConfig`]. Shared by `Arc` across workers and
-/// background drivers. (The metrics registry is not part of it: a
-/// context keeps one [`Meter`] for its whole life.)
+/// propagate, apply, and compaction paths: spans, at the level set by
+/// [`ObsConfig`]. Shared by `Arc` across workers and background drivers.
+/// (The metrics registry is not part of it: a context keeps one [`Meter`]
+/// for its whole life.)
 pub struct Obs {
     config: ObsConfig,
     /// The span recorder.
     pub spans: SpanRecorder,
-    /// The propagation journal.
-    pub journal: Journal,
 }
 
 impl Obs {
@@ -77,31 +71,14 @@ impl Obs {
         Arc::new(Obs {
             config,
             spans: SpanRecorder::new(DEFAULT_SPAN_CAPACITY),
-            journal: Journal::new(),
         })
-    }
-
-    /// The fully-disabled handle ([`ObsConfig::Off`]).
-    pub fn disabled() -> Arc<Obs> {
-        Self::new(ObsConfig::Off)
-    }
-
-    /// The configuration this handle records at.
-    pub fn config(&self) -> ObsConfig {
-        self.config
-    }
-
-    /// True when spans and the journal record.
-    #[inline]
-    pub fn tracing_on(&self) -> bool {
-        self.config.tracing_enabled()
     }
 
     /// Start a span parented to the calling thread's innermost live span
     /// (no-op guard unless [`ObsConfig::Full`]).
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        if self.tracing_on() {
+        if self.config.tracing_enabled() {
             self.spans.start(name)
         } else {
             SpanGuard::noop()
@@ -113,20 +90,10 @@ impl Obs {
     /// compensation query whose parent query ran on a different worker.
     #[inline]
     pub fn span_under(&self, name: &'static str, parent: u64) -> SpanGuard<'_> {
-        if self.tracing_on() {
+        if self.config.tracing_enabled() {
             self.spans.start_under(name, parent)
         } else {
             SpanGuard::noop()
-        }
-    }
-
-    /// Append a journal entry (dropped unless [`ObsConfig::Full`]).
-    /// Returns the assigned step id (`0` when disabled).
-    pub fn journal_step(&self, entry: JournalEntry) -> u64 {
-        if self.tracing_on() {
-            self.journal.append(entry)
-        } else {
-            0
         }
     }
 }
@@ -160,19 +127,17 @@ mod tests {
 
     #[test]
     fn disabled_handle_records_nothing() {
-        let obs = Obs::disabled();
+        let obs = Obs::new(ObsConfig::Off);
         {
             let mut g = obs.span("x");
             g.arg("a", 1);
             assert_eq!(g.id(), 0);
         }
         assert_eq!(obs.spans.len(), 0);
-        assert_eq!(obs.journal_step(JournalEntry::new("step")), 0);
-        assert_eq!(obs.journal.len(), 0);
     }
 
     #[test]
-    fn full_handle_records_spans_and_journal() {
+    fn full_handle_records_spans() {
         let obs = Obs::new(ObsConfig::Full);
         {
             let _g = obs.span("outer");
@@ -185,8 +150,6 @@ mod tests {
         let inner = spans.iter().find(|s| s.name == "inner").unwrap();
         let outer = spans.iter().find(|s| s.name == "outer").unwrap();
         assert_eq!(inner.parent, outer.id, "thread-local parenting");
-        assert!(obs.journal_step(JournalEntry::new("step")) > 0);
-        assert_eq!(obs.journal.len(), 1);
     }
 
     #[test]

@@ -205,11 +205,6 @@ impl SpanRecorder {
             .collect()
     }
 
-    /// Drop all retained spans (the drop counter is kept).
-    pub fn clear(&self) {
-        self.ring.lock().expect("span ring poisoned").spans.clear();
-    }
-
     /// Export as Chrome `trace_event` JSON (complete events, `ph: "X"`).
     /// Timestamps are microseconds since the recorder's epoch; each
     /// event's `args` carries the logical `span`/`parent` ids plus every

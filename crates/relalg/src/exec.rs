@@ -113,11 +113,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Total input rows across slots.
-    pub fn total_in(&self) -> usize {
-        self.rows_in.iter().sum()
-    }
-
     /// Merge another query's stats into this one (accumulators).
     pub fn absorb(&mut self, other: &ExecStats) {
         if self.rows_in.len() < other.rows_in.len() {
@@ -523,7 +518,6 @@ mod tests {
         a.absorb(&b);
         assert_eq!(a.rows_in, vec![11, 22, 30]);
         assert_eq!(a.rows_out, 8);
-        assert_eq!(a.total_in(), 63);
     }
 
     #[test]

@@ -149,11 +149,20 @@ pub fn decode_tuple_at(buf: &[u8], pos: &mut usize) -> Result<Tuple> {
     if arity > 1 << 20 {
         return Err(Error::WalCorrupt(format!("implausible arity {arity}")));
     }
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(get_value(buf, pos)?);
-    }
-    Ok(Tuple::from(values))
+    // An exact-size iterator lets `Tuple::new` decode straight into the
+    // tuple's block: one allocation. After the first error it pads with
+    // `Null`s, and the padded tuple is dropped.
+    let mut err = None;
+    let tuple = Tuple::new((0..arity).map(|_| {
+        if err.is_none() {
+            match get_value(buf, pos) {
+                Ok(v) => return v,
+                Err(e) => err = Some(e),
+            }
+        }
+        Value::Null
+    }));
+    err.map_or(Ok(tuple), Err)
 }
 
 /// Decode a tuple that occupies the entire buffer.

@@ -388,12 +388,6 @@ impl DeltaStore {
         hi - lo
     }
 
-    /// Timestamp of the latest captured change (not the capture HWM — a
-    /// quiet table's delta can trail the HWM arbitrarily).
-    pub fn last_ts(&self) -> Option<Csn> {
-        self.history.read().rows.back().and_then(|r| r.ts)
-    }
-
     /// Timestamp of the `k`-th change record (1-based) strictly after `t`,
     /// if that many exist. Adaptive interval policies use this to size a
     /// propagation interval to a target number of delta rows.
@@ -571,7 +565,6 @@ mod tests {
         assert!(r.iter().all(|x| x.ts == Some(3)));
         assert_eq!(d.count_in(TimeInterval::new(0, 5)), 4);
         assert_eq!(d.count_in(TimeInterval::new(5, 5)), 0);
-        assert_eq!(d.last_ts(), Some(5));
     }
 
     #[test]

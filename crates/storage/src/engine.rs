@@ -57,7 +57,6 @@ pub trait ReadFloor: Send + Sync {
 }
 
 struct TableEntry {
-    name: String,
     schema: Schema,
     kind: TableKind,
     store: TableStore,
@@ -152,7 +151,6 @@ impl Engine {
             TableKind::ViewOwned | TableKind::Derived => base(None),
         };
         let entry = Arc::new(TableEntry {
-            name: name.to_string(),
             schema,
             kind,
             store,
@@ -282,11 +280,6 @@ impl Engine {
     /// Schema of a table.
     pub fn schema(&self, table: TableId) -> Result<Schema> {
         Ok(self.entry(table)?.schema.clone())
-    }
-
-    /// Name of a table.
-    pub fn table_name(&self, table: TableId) -> Result<String> {
-        Ok(self.entry(table)?.name.clone())
     }
 
     /// Begin a transaction. Nothing is logged until it writes a logged
@@ -521,14 +514,19 @@ impl Engine {
             .sum()
     }
 
+    /// Run `f` on a view delta table's store.
+    fn with_vd<T>(&self, table: TableId, f: impl FnOnce(&ViewDeltaStore) -> T) -> Result<T> {
+        let e = self.entry(table)?;
+        match &e.store {
+            TableStore::ViewDelta(vd) => Ok(f(vd)),
+            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
+        }
+    }
+
     /// View-delta range read (no transaction required: used by apply after
     /// it has S-locked the table, and by experiments for inspection).
     pub fn vd_range(&self, table: TableId, interval: TimeInterval) -> Result<Vec<DeltaRow>> {
-        let e = self.entry(table)?;
-        match &e.store {
-            TableStore::ViewDelta(vd) => Ok(vd.range(interval)),
-            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
-        }
+        self.with_vd(table, |vd| vd.range(interval))
     }
 
     /// Net effect of a view-delta range, `φ(σ_{a,b}(VD))`, as the
@@ -539,38 +537,22 @@ impl Engine {
         table: TableId,
         interval: TimeInterval,
     ) -> Result<Vec<(Tuple, i64)>> {
-        let e = self.entry(table)?;
-        match &e.store {
-            TableStore::ViewDelta(vd) => Ok(vd.net_range(interval)),
-            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
-        }
+        self.with_vd(table, |vd| vd.net_range(interval))
     }
 
     /// Number of records in a view delta table.
     pub fn vd_len(&self, table: TableId) -> Result<usize> {
-        let e = self.entry(table)?;
-        match &e.store {
-            TableStore::ViewDelta(vd) => Ok(vd.len()),
-            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
-        }
+        self.with_vd(table, ViewDeltaStore::len)
     }
 
     /// Prune view-delta records with timestamp ≤ `t` (already applied).
     pub fn vd_prune(&self, table: TableId, t: Csn) -> Result<usize> {
-        let e = self.entry(table)?;
-        match &e.store {
-            TableStore::ViewDelta(vd) => Ok(vd.prune_through(t)),
-            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
-        }
+        self.with_vd(table, |vd| vd.prune_through(t))
     }
 
     /// Lifetime pruning counters of a view delta store.
     pub fn vd_compaction_stats(&self, table: TableId) -> Result<crate::delta::CompactionStats> {
-        let e = self.entry(table)?;
-        match &e.store {
-            TableStore::ViewDelta(vd) => Ok(vd.compaction_stats()),
-            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
-        }
+        self.with_vd(table, ViewDeltaStore::compaction_stats)
     }
 
     // ---- non-transactional table inspection (tests/experiments) ----------
@@ -1012,16 +994,10 @@ impl Txn {
         }
         self.check_active()?;
         self.lock(table, LockMode::Exclusive)?;
-        let entry = self.engine.entry(table)?;
-        match &entry.store {
-            TableStore::ViewDelta(vd) => {
-                let n = rows.len();
-                let prior = vd.insert_rows(rows);
-                self.undo.push(UndoOp::Vd { table, prior });
-                Ok(n)
-            }
-            _ => Err(Error::Invalid(format!("{table} is not a view delta table"))),
-        }
+        let n = rows.len();
+        let prior = self.engine.with_vd(table, |vd| vd.insert_rows(rows))?;
+        self.undo.push(UndoOp::Vd { table, prior });
+        Ok(n)
     }
 
     /// Read a view-delta range under an S lock (transactional read for the
@@ -1379,7 +1355,7 @@ mod tests {
         w.delete_one(t, &tup![0, "base"]).unwrap();
         w.insert(t, tup![0, "base"]).unwrap();
         w.insert(t, tup![99, "new"]).unwrap();
-        let waits = || e.locks().stats().snapshot().1;
+        let waits = || e.locks().stats().snapshot_full().table.waits;
         let before = waits();
         let reader = {
             let e = e.clone();

@@ -220,12 +220,6 @@ pub struct LockStats {
 }
 
 impl LockStats {
-    /// Snapshot `(wait_nanos, waits, acquisitions, timeouts)`.
-    pub fn snapshot(&self) -> (u64, u64, u64, u64) {
-        let s = self.table.snapshot();
-        (s.wait_nanos, s.waits, s.acquisitions, s.timeouts)
-    }
-
     /// Snapshot with the wait-time histogram.
     pub fn snapshot_full(&self) -> LockStatsSnapshot {
         LockStatsSnapshot {
@@ -460,8 +454,7 @@ mod tests {
             r1.is_err() || r2.is_err(),
             "at least one side of the deadlock must time out"
         );
-        let (_, _, _, timeouts) = m.stats().snapshot();
-        assert!(timeouts >= 1);
+        assert!(m.stats().snapshot_full().table.timeouts >= 1);
     }
 
     #[test]
@@ -502,16 +495,13 @@ mod tests {
         m.release(TxnId(1), T);
         let waited = h.join().unwrap().unwrap();
         assert!(waited >= Duration::from_millis(30));
-        let (nanos, waits, acqs, _) = m.stats().snapshot();
-        assert!(nanos > 0);
-        assert_eq!(waits, 1);
-        assert!(acqs >= 2);
-        // The wait landed in the wait-time histogram, in a bucket
-        // at or above ~32 ms (2^15 µs).
-        let full = m.stats().snapshot_full();
-        assert_eq!(full.table.waits, 1);
-        assert_eq!(full.table.wait_hist_us.iter().sum::<u64>(), 1);
-        assert!(full.table.mean_wait() >= Duration::from_millis(30));
+        let s = m.stats().snapshot_full().table;
+        assert!(s.wait_nanos > 0);
+        assert_eq!(s.waits, 1);
+        assert!(s.acquisitions >= 2);
+        // The wait landed in the wait-time histogram.
+        assert_eq!(s.wait_hist_us.iter().sum::<u64>(), 1);
+        assert!(s.mean_wait() >= Duration::from_millis(30));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Observability tour + smoke checker: run a rolling propagation under
-//! `ObsConfig::Full`, then verify the three exported artifacts — a
-//! Chrome-loadable span trace showing the compensation recursion tree, a
-//! Prometheus snapshot whose `propagation_lag` / `view_staleness` gauges
-//! drop to 0 after a quiesced roll, and a journal with one entry per
-//! propagation step.
+//! `ObsConfig::Full`, then verify the two exported artifacts — a
+//! Chrome-loadable span trace showing the compensation recursion tree and
+//! one `rolling_step` span per rolling step, and a Prometheus snapshot
+//! whose `propagation_lag` / `view_staleness` gauges drop to 0 after a
+//! quiesced roll.
 //!
 //! Run with: `cargo run --release --example observe`
 //!
@@ -55,12 +55,11 @@ fn main() -> rolljoin::Result<()> {
     assert!(hwm >= now, "drain_to must reach the last pre-drain commit");
     roll_to(&ctx, hwm)?;
 
-    // 4. Export the three artifacts, then check the MV against the oracle.
+    // 4. Export the two artifacts, then check the MV against the oracle.
     //    The oracle's time travel catches capture up to the log end, which
     //    would count the roll's own commit in the lag gauges checked below.
     let trace = ctx.obs.spans.chrome_trace_json();
     let prom = ctx.prometheus()?;
-    let journal = ctx.obs.journal.json();
     assert_eq!(
         oracle::mv_state(&w.engine, &ctx.mv)?,
         oracle::view_at(&w.engine, &ctx.mv.view, hwm)?,
@@ -70,7 +69,6 @@ fn main() -> rolljoin::Result<()> {
     std::fs::create_dir_all(dir).expect("create target/observe");
     std::fs::write(dir.join("trace.json"), &trace).expect("write trace.json");
     std::fs::write(dir.join("metrics.prom"), &prom).expect("write metrics.prom");
-    std::fs::write(dir.join("journal.json"), &journal).expect("write journal.json");
 
     // 5. Checker — trace: structurally balanced JSON, and every
     //    compensation query span hangs off a parent (the recursion tree).
@@ -101,21 +99,36 @@ fn main() -> rolljoin::Result<()> {
     assert!(prom.contains("rolljoin_queries_total{kind=\"comp\"}"));
     assert!(prom.contains("rolljoin_lock_wait_us"));
 
-    // 7. Checker — journal: one entry per rolling step (incl. empty-delta
-    //    skips during the drain) plus the final apply.
-    let entries = ctx.obs.journal.entries();
-    let rolling = entries.iter().filter(|e| e.kind == "rolling").count();
-    assert!(
-        rolling >= ROUNDS,
-        "expected ≥ {ROUNDS} rolling journal entries, got {rolling}"
+    // 7. Checker — steps: one `rolling_step` span per rolling step the
+    //    registry counted (empty-delta skips during the drain included),
+    //    each with its interval and the HWM after it.
+    let counted = |name, label| ctx.meter.counter_l(name, label, "").get() as usize;
+    let steps: Vec<_> = spans.iter().filter(|s| s.name == "rolling_step").collect();
+    assert!(steps.len() >= ROUNDS);
+    assert_eq!(
+        steps.len(),
+        counted("rolljoin_steps_total", Some(("kind", "rolling")))
     );
-    assert!(entries.iter().any(|e| e.kind == "apply"));
+    for s in &steps {
+        for key in ["rel", "lo", "hi", "hwm"] {
+            assert!(
+                s.args.iter().any(|(k, _)| *k == key),
+                "rolling_step {} lacks {key}",
+                s.id
+            );
+        }
+    }
+    let skipped = steps
+        .iter()
+        .filter(|s| s.args.iter().any(|(k, _)| *k == "skipped_empty"))
+        .count();
+    assert_eq!(skipped, counted("rolljoin_steps_skipped_empty_total", None));
 
     println!(
-        "observe: {} spans ({} comp), {} journal entries, gauges at 0 — artifacts in target/observe/",
+        "observe: {} spans ({} comp, {} rolling steps, {skipped} skipped), gauges at 0 — artifacts in target/observe/",
         spans.len(),
         comp.len(),
-        entries.len()
+        steps.len()
     );
     println!("\nslowest spans:\n{}", ctx.obs.spans.format_top_spans(8));
     Ok(())

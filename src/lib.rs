@@ -19,9 +19,10 @@
 //! * [`workload`] — seeded workload generators and a concurrent scenario
 //!   runner used by the experiment harness.
 //! * [`obs`] — the observability layer: span tracing for the propagation
-//!   recursion (Chrome `trace_event` export), a metrics registry with
+//!   recursion and every propagation, roll and compaction step (Chrome
+//!   `trace_event` export), and a metrics registry with
 //!   `propagation_lag` / `view_staleness` gauges (Prometheus text + JSON
-//!   exporters), and an append-only per-interval propagation journal.
+//!   exporters).
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
 //! the reproduction inventory.

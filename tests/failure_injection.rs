@@ -232,6 +232,12 @@ fn lock_timeout_run(workers: usize) {
     }
     blocker.join().unwrap();
     assert!(attempts >= 2, "workers = {workers}: no lock timeout hit");
+    // The interval finished by the retry's resume counts as one step.
+    let steps = ctx
+        .meter
+        .counter_l("rolljoin_steps_total", Some(("kind", "propagate")), "")
+        .get();
+    assert_eq!(steps, 1, "workers = {workers}");
 
     roll_to(&ctx, end).unwrap();
     engine.capture_catch_up().unwrap();
